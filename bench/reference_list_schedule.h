@@ -1,8 +1,10 @@
 // Reference implementation of the historical O(V^2) list scheduler:
-// linear ready scans and a linear pending-transmission minimum search.
-// The production scheduler (sched/list_scheduler.cpp) replaced both with
-// binary heaps; this reference pins the exact tie-breaking the heaps must
-// preserve.  Shared by the equivalence property test
+// linear ready scans and a linear pending-transmission minimum search,
+// ranked by critical paths on a copy-level Digraph.  The production
+// scheduler (sched/list_scheduler.cpp) replaced the scans with binary heaps
+// and the copy graph with a process-level rank pass; this reference pins
+// the exact tie-breaking the heaps must preserve and the ranks the pass
+// must reproduce.  Shared by the equivalence property test
 // (tests/test_list_scheduler_incremental.cpp) and the heap-vs-scan
 // micro-benchmarks (bench/micro_benchmarks.cpp) so the pinned behavior and
 // the measured baseline cannot drift apart.  Not part of the library.
@@ -19,6 +21,62 @@
 #include "sched/list_scheduler.h"
 
 namespace ftes::testing {
+
+/// The historical copy-level precedence graph: one vertex per copy, in
+/// ListSchedule::copies order, and an edge from every producer copy to
+/// every consumer copy of each message.
+inline Digraph reference_copy_graph(const Application& app,
+                                    const PolicyAssignment& assignment) {
+  std::map<std::pair<std::int32_t, int>, int> vert_of;
+  for (int i = 0; i < app.process_count(); ++i) {
+    for (int j = 0; j < assignment.plan(ProcessId{i}).copy_count(); ++j) {
+      const int v = static_cast<int>(vert_of.size());
+      vert_of[{i, j}] = v;
+    }
+  }
+  Digraph g(static_cast<int>(vert_of.size()));
+  for (const Message& m : app.messages()) {
+    const ProcessPlan& sp = assignment.plan(m.src);
+    const ProcessPlan& dp = assignment.plan(m.dst);
+    for (int sj = 0; sj < sp.copy_count(); ++sj) {
+      for (int dj = 0; dj < dp.copy_count(); ++dj) {
+        g.add_edge(vert_of.at({m.src.get(), sj}), vert_of.at({m.dst.get(), dj}));
+      }
+    }
+  }
+  return g;
+}
+
+/// The historical partial critical path ranks: longest remaining path on
+/// the copy graph, each copy weighing its fault-free duration plus the
+/// worst-case bus duration of its process's heaviest outgoing message.
+/// partial_critical_path_ranks (sched/list_scheduler.h) must reproduce it.
+inline std::vector<Time> reference_copy_ranks(
+    const Application& app, const Architecture& arch,
+    const PolicyAssignment& assignment) {
+  std::vector<CopyRef> refs;
+  std::vector<NodeId> nodes;
+  std::vector<Time> durations;
+  for (int i = 0; i < app.process_count(); ++i) {
+    const ProcessId pid{i};
+    const ProcessPlan& plan = assignment.plan(pid);
+    for (int j = 0; j < plan.copy_count(); ++j) {
+      const CopyPlan& copy = plan.copies[static_cast<std::size_t>(j)];
+      refs.push_back(CopyRef{pid, j});
+      nodes.push_back(copy.node);
+      durations.push_back(fault_free_duration(app, copy, pid));
+    }
+  }
+  return reference_copy_graph(app, assignment).critical_path_from([&](int v) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    Time comm = 0;
+    for (MessageId mid : app.outputs(refs[i].process)) {
+      comm = std::max(comm, arch.bus().worst_case_duration(
+                                nodes[i], app.message(mid).size));
+    }
+    return durations[i] + comm;
+  });
+}
 
 inline ListSchedule reference_list_schedule(const Application& app,
                                      const Architecture& arch,
@@ -51,25 +109,8 @@ inline ListSchedule reference_list_schedule(const Application& app,
     }
   }
 
-  Digraph g(static_cast<int>(verts.size()));
-  for (const Message& m : app.messages()) {
-    const ProcessPlan& sp = assignment.plan(m.src);
-    const ProcessPlan& dp = assignment.plan(m.dst);
-    for (int sj = 0; sj < sp.copy_count(); ++sj) {
-      for (int dj = 0; dj < dp.copy_count(); ++dj) {
-        g.add_edge(vert_of.at({m.src.get(), sj}), vert_of.at({m.dst.get(), dj}));
-      }
-    }
-  }
-  const std::vector<Time> rank = g.critical_path_from([&](int v) {
-    const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
-    Time comm = 0;
-    for (MessageId mid : app.outputs(cv.ref.process)) {
-      comm = std::max(
-          comm, arch.bus().worst_case_duration(cv.node, app.message(mid).size));
-    }
-    return cv.duration + comm;
-  });
+  const Digraph g = reference_copy_graph(app, assignment);
+  const std::vector<Time> rank = reference_copy_ranks(app, arch, assignment);
 
   result.copies.resize(verts.size());
   result.node_order.resize(static_cast<std::size_t>(arch.node_count()));

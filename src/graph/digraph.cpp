@@ -103,19 +103,6 @@ std::vector<bool> Digraph::reachable_from(int start) const {
   return seen;
 }
 
-std::vector<Time> Digraph::longest_distance_to(
-    const std::function<Time(int)>& weight) const {
-  std::vector<Time> dist(static_cast<std::size_t>(vertex_count()), 0);
-  for (int v : topological_order()) {
-    for (int s : out_[static_cast<std::size_t>(v)]) {
-      dist[static_cast<std::size_t>(s)] =
-          std::max(dist[static_cast<std::size_t>(s)],
-                   dist[static_cast<std::size_t>(v)] + weight(v));
-    }
-  }
-  return dist;
-}
-
 std::vector<Time> Digraph::critical_path_from(
     const std::function<Time(int)>& weight) const {
   std::vector<Time> rem(static_cast<std::size_t>(vertex_count()), 0);
@@ -129,12 +116,6 @@ std::vector<Time> Digraph::critical_path_from(
     rem[static_cast<std::size_t>(v)] = best + weight(v);
   }
   return rem;
-}
-
-Time Digraph::longest_path(const std::function<Time(int)>& weight) const {
-  Time best = 0;
-  for (Time d : critical_path_from(weight)) best = std::max(best, d);
-  return best;
 }
 
 std::string Digraph::to_dot(

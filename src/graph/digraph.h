@@ -1,7 +1,9 @@
-// Small generic directed-graph substrate used by the FT-CPG and the
-// worst-case schedule length analysis: adjacency lists over dense integer
-// vertex ids, topological sort, reachability, weighted longest path, and
-// GraphViz DOT export.
+// Small generic directed-graph substrate of the FT-CPG (src/ftcpg/):
+// adjacency lists over dense integer vertex ids, topological sort,
+// reachability, critical-path priorities, and GraphViz DOT export.  The
+// per-candidate scheduling and WCSL paths (src/sched/, src/opt/) use flat
+// arrays instead; their test references (bench/reference_*.h) keep the
+// historical Digraph-based versions.
 #pragma once
 
 #include <cstdint>
@@ -36,17 +38,6 @@ class Digraph {
 
   /// Vertices reachable from `start` (including `start`).
   [[nodiscard]] std::vector<bool> reachable_from(int start) const;
-
-  /// Longest path value where each vertex contributes `weight(v)` and the
-  /// path may start/end anywhere.  Requires acyclic.
-  [[nodiscard]] Time longest_path(
-      const std::function<Time(int)>& weight) const;
-
-  /// Per-vertex longest distance from any source, *excluding* the vertex's
-  /// own weight (i.e. earliest possible start in an unlimited-resource
-  /// schedule).  Requires acyclic.
-  [[nodiscard]] std::vector<Time> longest_distance_to(
-      const std::function<Time(int)>& weight) const;
 
   /// Per-vertex longest remaining path *including* own weight (standard
   /// critical-path priority for list scheduling).  Requires acyclic.

@@ -93,7 +93,6 @@ Time EvalContext::penalized_cost(const std::vector<Time>& process_finish,
 }
 
 void EvalContext::rebuild_base_lookups() {
-  const int total = base_dag_.g.vertex_count();
   base_first_tx_.assign(static_cast<std::size_t>(app_.message_count()) + 1, 0);
   for (int mi = 0; mi < app_.message_count(); ++mi) {
     base_first_tx_[static_cast<std::size_t>(mi) + 1] =
@@ -110,13 +109,6 @@ void EvalContext::rebuild_base_lookups() {
     base_msg_vertex_[static_cast<std::size_t>(
         base_first_tx_[static_cast<std::size_t>(sm.msg.get())] +
         sm.src_copy)] = base_dag_.msg_vertex(m);
-  }
-  base_sorted_preds_.assign(static_cast<std::size_t>(total), {});
-  for (int v = 0; v < total; ++v) {
-    base_sorted_preds_[static_cast<std::size_t>(v)] =
-        base_dag_.g.predecessors(v);
-    std::sort(base_sorted_preds_[static_cast<std::size_t>(v)].begin(),
-              base_sorted_preds_[static_cast<std::size_t>(v)].end());
   }
 }
 
@@ -300,9 +292,7 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
   base_ = base;
   ++version_;
   base_dag_ = build_wcsl_dag(app_, arch_, base_, k, base_sched_);
-  const int total = base_dag_.g.vertex_count();
-
-  base_L_.assign(static_cast<std::size_t>(total), {});
+  base_L_.resize(static_cast<std::size_t>(base_dag_.g.vertex_count()));
   for (int v : base_dag_.g.topological_order()) {
     wcsl_dp_row(base_dag_, v, base_L_, k, base_L_[static_cast<std::size_t>(v)]);
   }
@@ -371,7 +361,9 @@ EvalContext::Outcome EvalContext::incremental_outcome(Workspace& ws,
     }
   }
 
-  ws.L.assign(static_cast<std::size_t>(total), {});
+  // Rows keep their storage across evaluations: every row is rewritten
+  // below (copied from the base or recomputed) before anything reads it.
+  ws.L.resize(static_cast<std::size_t>(total));
   ws.clean.assign(static_cast<std::size_t>(total), 0);
   long long reused = 0;
   for (int v : dag.g.topological_order()) {
@@ -380,12 +372,13 @@ EvalContext::Outcome EvalContext::incremental_outcome(Workspace& ws,
         u >= 0 &&
         dag.release[static_cast<std::size_t>(v)] ==
             base_dag_.release[static_cast<std::size_t>(u)] &&
-        dag.weight[static_cast<std::size_t>(v)] ==
-            base_dag_.weight[static_cast<std::size_t>(u)];
+        std::equal(dag.weights(v), dag.weights(v) + dag.width,
+                   base_dag_.weights(u));
     if (reusable) {
-      const std::vector<int>& preds = dag.g.predecessors(v);
-      const std::vector<int>& base_preds =
-          base_sorted_preds_[static_cast<std::size_t>(u)];
+      // Same predecessor multiset, all clean: compare the mapped ids,
+      // sorted, against the base's sorted predecessor slice.
+      const WcslGraph::Range preds = dag.g.predecessors(v);
+      const WcslGraph::Range base_preds = base_dag_.g.predecessors(u);
       reusable = preds.size() == base_preds.size();
       if (reusable) {
         ws.mapped_preds.clear();
@@ -399,7 +392,8 @@ EvalContext::Outcome EvalContext::incremental_outcome(Workspace& ws,
         }
         if (reusable) {
           std::sort(ws.mapped_preds.begin(), ws.mapped_preds.end());
-          reusable = ws.mapped_preds == base_preds;
+          reusable = std::equal(ws.mapped_preds.begin(),
+                                ws.mapped_preds.end(), base_preds.begin());
         }
       }
     }

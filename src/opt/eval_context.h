@@ -18,8 +18,8 @@
 //     affect instead of replaying the whole event sequence.
 //   * The base's DP rows are cached.  A candidate's augmented DAG is
 //     diffed against the base's: a vertex whose release, weight table and
-//     predecessor set are unchanged, and whose predecessors are all clean,
-//     reuses the cached row; everything downstream of a change is
+//     predecessor multiset are unchanged, and whose predecessors are all
+//     clean, reuses the cached row; everything downstream of a change is
 //     recomputed (dirty-successor propagation).
 //   * During a sweep the best candidate's DAG + DP rows are kept; a
 //     rebase() onto exactly that winning move adopts them (a pointer swap)
@@ -196,7 +196,6 @@ class EvalContext {
   // by construction, see ListSchedule::first_copy.)
   std::vector<int> base_first_tx_;
   std::vector<int> base_msg_vertex_;
-  std::vector<std::vector<int>> base_sorted_preds_;
 
   // Batched-accept anchor: consecutive accepted moves are re-recorded as
   // one *batch* against this retained grand base + log (multi-move

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "fault/recovery.h"
-#include "graph/digraph.h"
+#include "sched/list_scheduler.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -165,30 +165,10 @@ class CondSim {
     copy_pins_.assign(copies_.size(), 0);
     msg_pins_.assign(static_cast<std::size_t>(app_.message_count()), 0);
 
-    // Priorities: partial critical path over the copy graph.
-    Digraph g(static_cast<int>(copies_.size()));
-    for (const Message& m : app_.messages()) {
-      const ProcessPlan& sp = pa_.plan(m.src);
-      const ProcessPlan& dp = pa_.plan(m.dst);
-      for (int sj = 0; sj < sp.copy_count(); ++sj) {
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          g.add_edge(copy_at(m.src.get(), sj),
-                     copy_at(m.dst.get(), dj));
-        }
-      }
-    }
-    const std::vector<Time> rank = g.critical_path_from([&](int v) {
-      const CopyInfo& ci = copies_[static_cast<std::size_t>(v)];
-      Time dur = ci.checkpoints >= 1
-                     ? checkpointed_exec_time(ci.params, ci.checkpoints, 0)
-                     : replica_exec_time(ci.params);
-      Time comm = 0;
-      for (MessageId mid : app_.outputs(ci.ref.process)) {
-        comm = std::max(comm, arch_.bus().worst_case_duration(
-                                  ci.node, app_.message(mid).size));
-      }
-      return dur + comm;
-    });
+    // Priorities: the list scheduler's partial critical path ranks (same
+    // copy indexing).
+    const std::vector<Time> rank =
+        partial_critical_path_ranks(app_, arch_, pa_);
     for (std::size_t i = 0; i < copies_.size(); ++i) {
       copies_[i].rank = rank[i];
     }

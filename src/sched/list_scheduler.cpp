@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fault/recovery.h"
-#include "graph/digraph.h"
 #include "util/binary_heap.h"
 
 namespace ftes {
@@ -160,8 +159,8 @@ struct TxLess {
   }
 };
 
-/// One list-scheduling run: static problem data (copy vertices, precedence
-/// graph, priorities) plus the dynamic event-loop state.  The dynamic state
+/// One list-scheduling run: static problem data (copy vertices, dependency
+/// counts, priorities) plus the dynamic event-loop state.  The dynamic state
 /// either starts fresh (full build) or is restored from a base run's
 /// ScheduleSnapshot with the moved process's vertices re-derived (resume).
 class Scheduler {
@@ -197,31 +196,70 @@ class Scheduler {
       }
     }
 
-    // Copy-level precedence graph (producer copy -> consumer copy).
-    g = Digraph(static_cast<int>(verts.size()));
+    // Dependency counts: every copy of a consumer waits for one delivery
+    // per (input message, producer copy), so the count is per process.
+    deps.assign(static_cast<std::size_t>(app_.process_count()), 0);
     for (const Message& m : app_.messages()) {
-      const ProcessPlan& sp = assignment_.plan(m.src);
-      const ProcessPlan& dp = assignment_.plan(m.dst);
-      for (int sj = 0; sj < sp.copy_count(); ++sj) {
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          g.add_edge(vertex_of(m.src, sj), vertex_of(m.dst, dj));
+      deps[static_cast<std::size_t>(m.dst.get())] +=
+          assignment_.plan(m.src).copy_count();
+    }
+    compute_ranks();
+  }
+
+  /// The ranks of partial_critical_path_ranks (see list_scheduler.h for
+  /// why the process-level pass is exact).  The bus term approximates
+  /// communication by the worst case; exact slot timing is resolved during
+  /// placement.
+  void compute_ranks() {
+    const std::size_t process_count =
+        static_cast<std::size_t>(app_.process_count());
+    rank.assign(verts.size(), 0);
+    std::vector<Time> best(process_count, 0);  // max copy rank per process
+    // Kahn on the reversed process graph: a process is ranked once every
+    // consumer is.
+    std::vector<int> unranked_outputs(process_count, 0);
+    std::vector<std::int32_t> queue;
+    queue.reserve(process_count);
+    for (std::size_t p = 0; p < process_count; ++p) {
+      unranked_outputs[p] = static_cast<int>(
+          app_.outputs(ProcessId{static_cast<std::int32_t>(p)}).size());
+      if (unranked_outputs[p] == 0) {
+        queue.push_back(static_cast<std::int32_t>(p));
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const ProcessId pid{queue[head]};
+      const std::vector<MessageId>& outputs = app_.outputs(pid);
+      Time downstream = 0;
+      for (MessageId mid : outputs) {
+        downstream = std::max(
+            downstream,
+            best[static_cast<std::size_t>(app_.message(mid).dst.get())]);
+      }
+      Time& process_best = best[static_cast<std::size_t>(pid.get())];
+      for (int v = first_copy[static_cast<std::size_t>(pid.get())];
+           v < first_copy[static_cast<std::size_t>(pid.get()) + 1]; ++v) {
+        const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
+        Time comm = 0;
+        for (MessageId mid : outputs) {
+          comm = std::max(comm, arch_.bus().worst_case_duration(
+                                    cv.node, app_.message(mid).size));
+        }
+        const Time r = downstream + (cv.duration + comm);
+        rank[static_cast<std::size_t>(v)] = r;
+        process_best = std::max(process_best, r);
+      }
+      for (MessageId mid : app_.inputs(pid)) {
+        const std::size_t src =
+            static_cast<std::size_t>(app_.message(mid).src.get());
+        if (--unranked_outputs[src] == 0) {
+          queue.push_back(static_cast<std::int32_t>(src));
         }
       }
     }
-
-    // Priorities: partial critical path (durations + worst-case bus).
-    rank = g.critical_path_from([&](int v) {
-      // Approximate communication by the worst-case bus duration of the
-      // process's heaviest outgoing message; exact slot timing is resolved
-      // during the actual placement below.
-      const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
-      Time comm = 0;
-      for (MessageId mid : app_.outputs(cv.ref.process)) {
-        comm = std::max(comm, arch_.bus().worst_case_duration(
-                                  cv.node, app_.message(mid).size));
-      }
-      return cv.duration + comm;
-    });
+    if (queue.size() != process_count) {
+      throw std::invalid_argument("application graph has a cycle");
+    }
   }
 
   [[nodiscard]] int vertex_of(ProcessId p, int copy) const {
@@ -246,7 +284,7 @@ class Scheduler {
     deps_left.assign(verts.size(), 0);
     for (std::size_t v = 0; v < verts.size(); ++v) {
       deps_left[v] =
-          static_cast<int>(g.predecessors(static_cast<int>(v)).size());
+          deps[static_cast<std::size_t>(verts[v].ref.process.get())];
     }
     remaining = verts.size();
     if (log) {
@@ -471,7 +509,7 @@ class Scheduler {
   // Static problem data.
   std::vector<CopyVertex> verts;
   std::vector<int> first_copy;
-  Digraph g;
+  std::vector<int> deps;  ///< per process: producer copies over its inputs
   std::vector<Time> rank;
 
   // Dynamic event-loop state.
@@ -527,6 +565,14 @@ ListSchedule list_schedule(const Application& app, const Architecture& arch,
                            ScheduleCheckpointLog& log, int snapshot_interval) {
   return build_schedule(app, arch, assignment, &log, snapshot_interval,
                         nullptr);
+}
+
+std::vector<Time> partial_critical_path_ranks(
+    const Application& app, const Architecture& arch,
+    const PolicyAssignment& assignment) {
+  Scheduler s(app, arch, assignment);
+  s.build_static();
+  return std::move(s.rank);
 }
 
 int default_snapshot_interval(const Application& app,

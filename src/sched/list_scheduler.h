@@ -269,6 +269,18 @@ struct ListScheduleResumeStats {
     ListScheduleResumeStats* stats = nullptr,
     ScheduleCheckpointLog* record = nullptr);
 
+/// Partial critical path priority of every copy vertex, indexed like
+/// ListSchedule::copies: the copy's fault-free duration, plus the worst-case
+/// bus duration of its process's heaviest outgoing message from the copy's
+/// node, plus the highest rank among the copies of its consumer processes.
+/// Computed on the process-level DAG in O(P + M + copies) -- exact, because
+/// the copy-level precedence graph is complete bipartite per message.  The
+/// list scheduler ranks its ready queue with these, and so does the
+/// conditional scheduler (sched/cond_scheduler.h).
+[[nodiscard]] std::vector<Time> partial_critical_path_ranks(
+    const Application& app, const Architecture& arch,
+    const PolicyAssignment& assignment);
+
 /// Fault-free duration of one copy under its plan (E(n,0) or C).
 [[nodiscard]] Time fault_free_duration(const Application& app,
                                        const CopyPlan& copy, ProcessId pid);

@@ -1,10 +1,10 @@
 #include "sched/wcsl.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/recovery.h"
-#include "graph/digraph.h"
 
 namespace ftes {
 
@@ -26,16 +26,16 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
   WcslDag a;
   a.copy_count = static_cast<int>(schedule.copies.size());
   a.msg_count = static_cast<int>(schedule.messages.size());
+  a.width = k + 1;
   const int total = a.copy_count + a.msg_count;
-  a.g = Digraph(total);
+  const int process_count = app.process_count();
 
   // Copy vertices are prefix-indexed by construction of the list scheduler
   // (copy j of process p sits at schedule.first_copy[p] + j), so the
   // (process, copy) -> vertex lookup is pure arithmetic; this builder runs
   // once per objective evaluation, so no maps and no scan here.
-  std::vector<int> first_copy(
-      static_cast<std::size_t>(app.process_count()) + 1, 0);
-  for (int p = 0; p < app.process_count(); ++p) {
+  std::vector<int> first_copy(static_cast<std::size_t>(process_count) + 1, 0);
+  for (int p = 0; p < process_count; ++p) {
     first_copy[static_cast<std::size_t>(p) + 1] =
         first_copy[static_cast<std::size_t>(p)] +
         assignment.plan(ProcessId{p}).copy_count();
@@ -44,9 +44,7 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
     return first_copy[static_cast<std::size_t>(process)] + copy;
   };
 
-  // Data edges.  Cross-node messages go through their transmission vertex;
-  // co-located flow is a direct edge.  Same flat scheme for the
-  // (message, source copy) -> transmission lookup.
+  // Same flat scheme for the (message, source copy) -> transmission lookup.
   std::vector<int> first_tx(static_cast<std::size_t>(app.message_count()) + 1,
                             0);
   for (int mi = 0; mi < app.message_count(); ++mi) {
@@ -62,41 +60,120 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
     tx_of[static_cast<std::size_t>(
         first_tx[static_cast<std::size_t>(sm.msg.get())] + sm.src_copy)] = m;
-    a.g.add_edge(cv(app.message(sm.msg).src.get(), sm.src_copy),
-                 a.msg_vertex(m));
   }
-  for (int mi = 0; mi < app.message_count(); ++mi) {
-    const Message& msg = app.message(MessageId{mi});
-    const ProcessPlan& sp = assignment.plan(msg.src);
-    const ProcessPlan& dp = assignment.plan(msg.dst);
-    for (int sj = 0; sj < sp.copy_count(); ++sj) {
-      const int tx = tx_of[static_cast<std::size_t>(
-          first_tx[static_cast<std::size_t>(mi)] + sj)];
-      for (int dj = 0; dj < dp.copy_count(); ++dj) {
-        const int dst_v = cv(msg.dst.get(), dj);
-        if (tx >= 0) {
-          a.g.add_edge(a.msg_vertex(tx), dst_v);
-        } else {
-          a.g.add_edge(cv(msg.src.get(), sj), dst_v);
-        }
+
+  // Resource edges: each vertex has at most one static-order predecessor,
+  // the previous execution on its node or the previous transmission on the
+  // bus.
+  std::vector<int> order_pred(static_cast<std::size_t>(total), -1);
+  for (const auto& order : schedule.node_order) {
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      order_pred[static_cast<std::size_t>(order[i])] = order[i - 1];
+    }
+  }
+  for (std::size_t i = 1; i < schedule.bus_order.size(); ++i) {
+    order_pred[static_cast<std::size_t>(a.msg_vertex(schedule.bus_order[i]))] =
+        a.msg_vertex(schedule.bus_order[i - 1]);
+  }
+
+  // Data edges.  Every copy of a consumer has the same data predecessors:
+  // per input message and producer copy, the transmission vertex of a
+  // cross-node message or the producer copy itself for co-located flow.
+  // A transmission's one data predecessor is its sending copy.
+  WcslGraph& g = a.g;
+  std::vector<int> data_count(static_cast<std::size_t>(process_count), 0);
+  for (const Message& msg : app.messages()) {
+    data_count[static_cast<std::size_t>(msg.dst.get())] +=
+        assignment.plan(msg.src).copy_count();
+  }
+  g.pred_begin.assign(static_cast<std::size_t>(total) + 1, 0);
+  for (int v = 0; v < total; ++v) {
+    const int data =
+        v < a.copy_count
+            ? data_count[static_cast<std::size_t>(
+                  schedule.copies[static_cast<std::size_t>(v)]
+                      .ref.process.get())]
+            : 1;
+    g.pred_begin[static_cast<std::size_t>(v) + 1] =
+        g.pred_begin[static_cast<std::size_t>(v)] + data +
+        (order_pred[static_cast<std::size_t>(v)] >= 0 ? 1 : 0);
+  }
+  g.preds.resize(
+      static_cast<std::size_t>(g.pred_begin[static_cast<std::size_t>(total)]));
+  // Writes the sorted `data` list plus v's order predecessor (if any) into
+  // v's slice, keeping the slice sorted.
+  const auto fill = [&](int v, const std::vector<int>& data) {
+    int* out = g.preds.data() + g.pred_begin[static_cast<std::size_t>(v)];
+    const int prev = order_pred[static_cast<std::size_t>(v)];
+    if (prev < 0) {
+      std::copy(data.begin(), data.end(), out);
+      return;
+    }
+    const auto split = std::upper_bound(data.begin(), data.end(), prev);
+    out = std::copy(data.begin(), split, out);
+    *out++ = prev;
+    std::copy(split, data.end(), out);
+  };
+  std::vector<int> data;
+  for (int p = 0; p < process_count; ++p) {
+    data.clear();
+    for (MessageId mid : app.inputs(ProcessId{p})) {
+      const Message& msg = app.message(mid);
+      const int src_copies = assignment.plan(msg.src).copy_count();
+      for (int sj = 0; sj < src_copies; ++sj) {
+        const int tx = tx_of[static_cast<std::size_t>(
+            first_tx[static_cast<std::size_t>(mid.get())] + sj)];
+        data.push_back(tx >= 0 ? a.msg_vertex(tx) : cv(msg.src.get(), sj));
+      }
+    }
+    std::sort(data.begin(), data.end());
+    for (int v = first_copy[static_cast<std::size_t>(p)];
+         v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
+      fill(v, data);
+    }
+  }
+  for (int m = 0; m < a.msg_count; ++m) {
+    const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
+    data.assign(1, cv(app.message(sm.msg).src.get(), sm.src_copy));
+    fill(a.msg_vertex(m), data);
+  }
+
+  // Topological order: iterative post-order DFS over predecessors (a
+  // vertex is emitted once all its predecessors are).
+  g.order.clear();
+  g.order.reserve(static_cast<std::size_t>(total));
+  std::vector<int> cursor(g.pred_begin.begin(), g.pred_begin.end() - 1);
+  // 0 unvisited, 1 on the stack, 2 emitted.
+  std::vector<char> state(static_cast<std::size_t>(total), 0);
+  std::vector<int> stack;
+  for (int root = 0; root < total; ++root) {
+    if (state[static_cast<std::size_t>(root)] != 0) continue;
+    state[static_cast<std::size_t>(root)] = 1;
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const int v = stack.back();
+      int& next = cursor[static_cast<std::size_t>(v)];
+      if (next == g.pred_begin[static_cast<std::size_t>(v) + 1]) {
+        state[static_cast<std::size_t>(v)] = 2;
+        g.order.push_back(v);
+        stack.pop_back();
+        continue;
+      }
+      const int p = g.preds[static_cast<std::size_t>(next++)];
+      if (state[static_cast<std::size_t>(p)] == 1) {
+        throw std::invalid_argument("WCSL DAG has a cycle");
+      }
+      if (state[static_cast<std::size_t>(p)] == 0) {
+        state[static_cast<std::size_t>(p)] = 1;
+        stack.push_back(p);
       }
     }
   }
 
-  // Resource edges: static order on each node and on the bus.
-  for (const auto& order : schedule.node_order) {
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      a.g.add_edge(order[i - 1], order[i]);
-    }
-  }
-  for (std::size_t i = 1; i < schedule.bus_order.size(); ++i) {
-    a.g.add_edge(a.msg_vertex(schedule.bus_order[i - 1]),
-                 a.msg_vertex(schedule.bus_order[i]));
-  }
-
   // Per-vertex weight tables w_v(f), f = 0..k.
-  a.weight.assign(static_cast<std::size_t>(total),
-                  std::vector<Time>(static_cast<std::size_t>(k) + 1, 0));
+  a.weight.assign(static_cast<std::size_t>(total) *
+                      static_cast<std::size_t>(a.width),
+                  0);
   a.release.assign(static_cast<std::size_t>(total), 0);
   for (int i = 0; i < a.copy_count; ++i) {
     const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(i)];
@@ -106,25 +183,22 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
     RecoveryParams params{proc.wcet_on(sc.node), proc.alpha, proc.mu,
                           proc.chi};
     a.release[static_cast<std::size_t>(i)] = proc.release;
+    Time* w = a.weight.data() + static_cast<std::size_t>(i) *
+                                    static_cast<std::size_t>(a.width);
     for (int f = 0; f <= k; ++f) {
-      Time w;
-      if (cp.checkpoints >= 1) {
-        w = checkpointed_exec_time(params, cp.checkpoints,
-                                   std::min(f, cp.recoveries));
-      } else {
-        w = replica_exec_time(params);
-      }
-      a.weight[static_cast<std::size_t>(i)][static_cast<std::size_t>(f)] = w;
+      w[f] = cp.checkpoints >= 1
+                 ? checkpointed_exec_time(params, cp.checkpoints,
+                                          std::min(f, cp.recoveries))
+                 : replica_exec_time(params);
     }
   }
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
     const Time w =
         arch.bus().worst_case_duration(sm.sender, app.message(sm.msg).size);
-    for (int f = 0; f <= k; ++f) {
-      a.weight[static_cast<std::size_t>(a.msg_vertex(m))]
-              [static_cast<std::size_t>(f)] = w;
-    }
+    std::fill_n(a.weight.data() + static_cast<std::size_t>(a.msg_vertex(m)) *
+                                      static_cast<std::size_t>(a.width),
+                a.width, w);
   }
   return a;
 }
@@ -132,30 +206,30 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row) {
-  // best_in[b] = max over predecessors p of L(p, b); nondecreasing in b by
-  // construction of L.  Faults spent on a transmission never help the
-  // adversary (constant weight), so the DP naturally assigns f = 0 there.
-  std::vector<Time> best_in(static_cast<std::size_t>(k) + 1, 0);
-  for (int p : dag.g.predecessors(v)) {
-    for (int b = 0; b <= k; ++b) {
-      best_in[static_cast<std::size_t>(b)] = std::max(
-          best_in[static_cast<std::size_t>(b)],
-          L[static_cast<std::size_t>(p)][static_cast<std::size_t>(b)]);
-    }
-  }
+  // best_in[b] = max over predecessors p of L(p, b), accumulated in `row`
+  // itself; nondecreasing in b by construction of L.  Faults spent on a
+  // transmission never help the adversary (constant weight), so the DP
+  // naturally assigns f = 0 there.
   row.assign(static_cast<std::size_t>(k) + 1, 0);
-  for (int b = 0; b <= k; ++b) {
+  Time* best_in = row.data();
+  for (int p : dag.g.predecessors(v)) {
+    const Time* lp = L[static_cast<std::size_t>(p)].data();
+    for (int b = 0; b <= k; ++b) best_in[b] = std::max(best_in[b], lp[b]);
+  }
+  const Time in_k = best_in[k];
+  const Time release = dag.release[static_cast<std::size_t>(v)];
+  const Time* w = dag.weights(v);
+  // L(v, b) = max_{f <= b} [w(f) + max(release, best_in[b - f])].  Row b
+  // reads best_in[0..b] only, so filling b = k down to 0 overwrites each
+  // entry after its last read.
+  for (int b = k; b >= 0; --b) {
     Time best = 0;
     for (int f = 0; f <= b; ++f) {
-      const Time start =
-          std::max(dag.release[static_cast<std::size_t>(v)],
-                   best_in[static_cast<std::size_t>(b - f)]);
-      best = std::max(best, start + dag.weight[static_cast<std::size_t>(v)]
-                                              [static_cast<std::size_t>(f)]);
+      best = std::max(best, std::max(release, best_in[b - f]) + w[f]);
     }
     row[static_cast<std::size_t>(b)] = best;
   }
-  return best_in[static_cast<std::size_t>(k)];
+  return in_k;
 }
 
 namespace {
@@ -251,7 +325,6 @@ WcslResult worst_case_transparent(const Application& app,
   // hold in *every* scenario, and every vertex must be able to absorb all k
   // faults locally inside its slack.  Budgets therefore do not split along
   // a path: plain longest path with full-k weights.
-  std::vector<Time> start(static_cast<std::size_t>(total), 0);
   std::vector<Time> finish(static_cast<std::size_t>(total), 0);
   WcslResult result = make_result(app, a);
 
@@ -260,9 +333,7 @@ WcslResult worst_case_transparent(const Application& app,
     for (int p : a.g.predecessors(v)) {
       s = std::max(s, finish[static_cast<std::size_t>(p)]);
     }
-    start[static_cast<std::size_t>(v)] = s;
-    finish[static_cast<std::size_t>(v)] =
-        s + a.weight[static_cast<std::size_t>(v)][static_cast<std::size_t>(k)];
+    finish[static_cast<std::size_t>(v)] = s + a.weights(v)[k];
     fill_result_vertex(result, schedule, a, v, s,
                        finish[static_cast<std::size_t>(v)]);
   }

@@ -24,6 +24,12 @@
 // fault-free schedule is kept (the run-time scheduler can only do better),
 // and transmissions pay the full worst-case round wait.
 //
+// Representation.  The DAG is built once per analysis as flat arrays (no
+// graph object): predecessors in compressed sparse row form, sorted per
+// vertex and kept as a multiset; a topological order computed at build
+// time; and one weight table of width k + 1.  The DP visits that order,
+// and wcsl_dp_row allocates nothing once its row has k + 1 entries.
+//
 // Thread safety: every function here is pure -- all inputs are taken by
 // const reference, and no global or cached state exists -- so concurrent
 // calls on shared Application/Architecture/PolicyAssignment objects are
@@ -31,11 +37,13 @@
 // on this guarantee; keep new code here free of mutable/static state.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "app/application.h"
 #include "arch/architecture.h"
 #include "fault/fault_model.h"
 #include "fault/policy.h"
-#include "graph/digraph.h"
 #include "sched/list_scheduler.h"
 
 namespace ftes {
@@ -59,20 +67,59 @@ struct WcslResult {
   [[nodiscard]] bool meets_deadlines(const Application& app) const;
 };
 
+/// Predecessor lists of the augmented DAG in compressed sparse row form.
+/// Each vertex's predecessors are sorted ascending and kept as a multiset:
+/// a data edge and a node-order edge joining the same two copies both
+/// appear (the incremental evaluator's row-reuse diff compares these
+/// multisets).  The topological order is computed once, at build time.
+struct WcslGraph {
+  std::vector<int> pred_begin;  ///< vertex_count + 1 offsets into `preds`
+  std::vector<int> preds;
+  std::vector<int> order;  ///< a topological order of every vertex
+
+  /// Contiguous predecessor ids of one vertex.
+  struct Range {
+    const int* first = nullptr;
+    const int* last = nullptr;
+    [[nodiscard]] const int* begin() const { return first; }
+    [[nodiscard]] const int* end() const { return last; }
+    [[nodiscard]] std::size_t size() const {
+      return static_cast<std::size_t>(last - first);
+    }
+  };
+
+  [[nodiscard]] int vertex_count() const {
+    return static_cast<int>(order.size());
+  }
+  [[nodiscard]] const std::vector<int>& topological_order() const {
+    return order;
+  }
+  [[nodiscard]] Range predecessors(int v) const {
+    const int* base = preds.data();
+    return Range{base + pred_begin[static_cast<std::size_t>(v)],
+                 base + pred_begin[static_cast<std::size_t>(v) + 1]};
+  }
+};
+
 /// The resource-augmented schedule DAG shared by the WCSL analyses below
 /// and the incremental evaluator (opt/eval_context.h): vertices are copies
 /// (0..copy_count) followed by bus transmissions; edges are data
 /// precedences plus the per-node / bus static orders of the fault-free
-/// schedule; weight[v][f] is the execution time of v when f faults strike
-/// it (capped at its recoveries).
+/// schedule; weights(v)[f] is the execution time of v when f faults strike
+/// it (capped at its recoveries), f = 0..k.
 struct WcslDag {
-  Digraph g;
+  WcslGraph g;
   int copy_count = 0;
   int msg_count = 0;
-  std::vector<std::vector<Time>> weight;
+  int width = 1;              ///< k + 1 weight entries per vertex
+  std::vector<Time> weight;   ///< vertex-major, `width` entries per vertex
   std::vector<Time> release;
 
   [[nodiscard]] int msg_vertex(int m) const { return copy_count + m; }
+  [[nodiscard]] const Time* weights(int v) const {
+    return weight.data() + static_cast<std::size_t>(v) *
+                               static_cast<std::size_t>(width);
+  }
 };
 
 /// Builds the augmented DAG for one (assignment, schedule) pair.
@@ -85,7 +132,8 @@ struct WcslDag {
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
 /// (aliasing row == L[v] is fine, v never precedes itself).  Returns the
 /// incoming bound max_p L(p, k), i.e. the worst-case start of v before its
-/// release is applied.
+/// release is applied.  Allocates nothing when `row` already holds k + 1
+/// entries.
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);

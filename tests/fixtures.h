@@ -1,6 +1,8 @@
 // Shared test fixtures: the paper's running examples.
 #pragma once
 
+#include <vector>
+
 #include "app/application.h"
 #include "arch/architecture.h"
 #include "fault/fault_model.h"
@@ -95,6 +97,29 @@ inline Fig5 fig5_app() {
   reexec(f.p3, n2);
   reexec(f.p4, n2);
   return f;
+}
+
+/// Replaces the plan of every `stride`-th process (without a designer-fixed
+/// policy or mapping) by active replication: k + 1 copies placed
+/// round-robin over the process's allowed nodes.  Greedy initial plans are
+/// single-copy, so equivalence tests use this to put multi-copy producers
+/// and consumers into their copy graphs.
+inline void replicate_every(const Application& app, const Architecture& arch,
+                            const FaultModel& model, int stride,
+                            PolicyAssignment& assignment) {
+  for (int i = 0; i < app.process_count(); i += stride) {
+    const Process& proc = app.process(ProcessId{i});
+    if (proc.fixed_policy || proc.fixed_mapping) continue;
+    std::vector<NodeId> allowed;
+    for (NodeId n : arch.node_ids()) {
+      if (proc.can_run_on(n)) allowed.push_back(n);
+    }
+    ProcessPlan plan = make_replication_plan(model.k);
+    for (std::size_t j = 0; j < plan.copies.size(); ++j) {
+      plan.copies[j].node = allowed[j % allowed.size()];
+    }
+    assignment.plan(ProcessId{i}) = plan;
+  }
 }
 
 }  // namespace ftes::testing

@@ -8,8 +8,10 @@
 
 #include <vector>
 
+#include "fixtures.h"
 #include "gen/taskgen.h"
 #include "opt/policy_assignment.h"
+#include "reference_wcsl.h"
 #include "sched/list_scheduler.h"
 #include "sched/wcsl.h"
 #include "util/random.h"
@@ -103,6 +105,104 @@ TEST(EvalContext, IncrementalMatchesFullForRandomMoves) {
       base = std::move(candidate);
       eval.rebase(base);
     }
+  }
+}
+
+/// Random moves of `base` through evaluate_move, each checked against the
+/// historical Digraph-based analysis (bench/reference_wcsl.h) of the
+/// candidate's from-scratch schedule; every seventh move is accepted.
+void expect_moves_match_reference(const Instance& inst,
+                                  PolicyAssignment base,
+                                  const FaultModel& model, int moves,
+                                  std::uint64_t seed) {
+  EvalContext eval(inst.app, inst.arch, model);
+  eval.rebase(base);
+  Rng rng(seed);
+  for (int move = 0; move < moves; ++move) {
+    const ProcessId pid{static_cast<std::int32_t>(
+        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+    const ProcessPlan plan = random_move(inst, base, pid, model, rng);
+    PolicyAssignment candidate = base;
+    candidate.plan(pid) = plan;
+    const WcslResult ref = ftes::testing::reference_worst_case_schedule_length(
+        inst.app, inst.arch, candidate, model,
+        list_schedule(inst.app, inst.arch, candidate));
+    // Cost = makespan + the soft local-deadline penalty (assignment_cost).
+    Time ref_cost = ref.makespan;
+    for (int i = 0; i < inst.app.process_count(); ++i) {
+      const Process& p = inst.app.process(ProcessId{i});
+      const Time miss =
+          p.local_deadline
+              ? ref.process_finish[static_cast<std::size_t>(i)] -
+                    *p.local_deadline
+              : 0;
+      if (miss > 0) ref_cost += 10 * miss;
+    }
+    const EvalContext::Outcome out = eval.evaluate_move(pid, plan);
+    ASSERT_EQ(out.makespan, ref.makespan) << "seed " << seed << " move "
+                                          << move;
+    ASSERT_EQ(out.cost, ref_cost) << "seed " << seed << " move " << move;
+    if (move % 7 == 0) {
+      base = std::move(candidate);
+      eval.rebase(base, pid);
+    }
+  }
+}
+
+// The incremental evaluator's DAG diff and DP reuse against the Digraph
+// reference: random instances with replicas, a 500-process scale instance,
+// and a co-located producer/consumer pair whose edge appears twice in the
+// consumer's predecessor multiset.
+TEST(EvalContext, IncrementalMatchesDigraphReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Instance inst = make_instance(10 + 4 * static_cast<int>(seed),
+                                        2 + static_cast<int>(seed % 3), seed);
+    const FaultModel model{1 + static_cast<int>(seed % 3)};
+    PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
+                                           PolicySpace::kFull, 8);
+    ftes::testing::replicate_every(inst.app, inst.arch, model, 3, base);
+    expect_moves_match_reference(inst, std::move(base), model, 60, seed);
+  }
+  {
+    Rng rng(2008);
+    const TaskGenParams params = scale_families().front().params;
+    const Instance inst{generate_application(params, rng),
+                        generate_architecture(params)};
+    const FaultModel model{1};
+    PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
+                                           PolicySpace::kFull, 8);
+    ftes::testing::replicate_every(inst.app, inst.arch, model, 3, base);
+    expect_moves_match_reference(inst, std::move(base), model, 15, 500);
+  }
+  {
+    // A -> B back to back on N1 (B's predecessors: A twice), A -> C and
+    // B -> D so moves of C and D keep the pair intact.
+    Instance inst{Application{}, Architecture::homogeneous(2, 5)};
+    Application& app = inst.app;
+    const ProcessId a =
+        app.add_process("A", {{NodeId{0}, 40}, {NodeId{1}, 40}}, 2, 2, 2);
+    const ProcessId b =
+        app.add_process("B", {{NodeId{0}, 30}, {NodeId{1}, 30}}, 2, 2, 2);
+    const ProcessId c =
+        app.add_process("C", {{NodeId{0}, 20}, {NodeId{1}, 20}}, 2, 2, 2);
+    const ProcessId d =
+        app.add_process("D", {{NodeId{0}, 25}, {NodeId{1}, 25}}, 2, 2, 2);
+    app.connect(a, b);
+    app.connect(a, c);
+    app.connect(b, d);
+    app.set_deadline(10000);
+    const FaultModel model{2};
+    PolicyAssignment base =
+        uniform_assignment(app, make_checkpointing_plan(model.k, 1));
+    for (const ProcessId p : {a, b, c, d}) {
+      base.plan(p).copies[0].node = NodeId{0};
+    }
+    const ListSchedule sched = list_schedule(app, inst.arch, base);
+    const WcslDag dag = build_wcsl_dag(app, inst.arch, base, model.k, sched);
+    const WcslGraph::Range preds = dag.g.predecessors(b.get());
+    ASSERT_EQ(std::vector<int>(preds.begin(), preds.end()),
+              (std::vector<int>{a.get(), a.get()}));
+    expect_moves_match_reference(inst, std::move(base), model, 40, 99);
   }
 }
 

@@ -3,15 +3,17 @@
 // to from-scratch builds for random applications, architectures and moves,
 // across snapshot intervals (including the interval = 1 and interval >=
 // total-events edge cases); the heap-based ready/transmission queues must
-// reproduce the historical linear scans exactly; and the EvalContext
-// counters built on top (resumed events, rebase cache hits) must be
-// thread-count invariant.
+// reproduce the historical linear scans exactly, and the process-level
+// ranks the historical copy-graph ranks, up to the 1000-process scale
+// families; and the EvalContext counters built on top (resumed events,
+// rebase cache hits) must be thread-count invariant.
 #include "sched/list_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "fixtures.h"
 #include "gen/taskgen.h"
 #include "opt/eval_context.h"
 #include "opt/policy_assignment.h"
@@ -105,21 +107,83 @@ void expect_identical(const ListSchedule& a, const ListSchedule& b,
   EXPECT_EQ(a.bus_order, b.bus_order) << what << " round " << round;
 }
 
+/// The random instances the reference comparisons share: seed-dependent
+/// size, node count, k and policy space.
+struct RandomCase {
+  Instance inst;
+  FaultModel model;
+  PolicyAssignment pa;
+};
+
+RandomCase random_case(std::uint64_t seed) {
+  Instance inst = make_instance(10 + static_cast<int>(seed) * 3,
+                                2 + static_cast<int>(seed % 3), seed);
+  const FaultModel model{1 + static_cast<int>(seed % 3)};
+  PolicyAssignment pa =
+      greedy_initial(inst.app, inst.arch, model,
+                     seed % 2 == 0 ? PolicySpace::kCheckpointingOnly
+                                   : PolicySpace::kFull,
+                     8);
+  return RandomCase{std::move(inst), model, std::move(pa)};
+}
+
+/// One instance of a gen/taskgen scale family under kFull greedy plans,
+/// every third process replicated so the copy graph has multi-copy
+/// producers and consumers.
+RandomCase scale_case(const ScaleFamily& family) {
+  Rng rng(2008);
+  Instance inst{generate_application(family.params, rng),
+                generate_architecture(family.params)};
+  const FaultModel model{2};
+  PolicyAssignment pa = greedy_initial(inst.app, inst.arch, model,
+                                       PolicySpace::kFull, 8);
+  ftes::testing::replicate_every(inst.app, inst.arch, model, 3, pa);
+  return RandomCase{std::move(inst), model, std::move(pa)};
+}
+
 TEST(ListSchedulerIncremental, HeapSchedulerMatchesLinearScanReference) {
+  std::vector<RandomCase> cases;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const Instance inst = make_instance(10 + static_cast<int>(seed) * 3,
-                                        2 + static_cast<int>(seed % 3), seed);
-    const FaultModel model{1 + static_cast<int>(seed % 3)};
-    PolicyAssignment pa =
-        greedy_initial(inst.app, inst.arch, model,
-                       seed % 2 == 0 ? PolicySpace::kCheckpointingOnly
-                                     : PolicySpace::kFull,
-                       8);
-    const ListSchedule heap_based = list_schedule(inst.app, inst.arch, pa);
+    cases.push_back(random_case(seed));
+  }
+  cases.push_back(scale_case(scale_families().front()));  // 500 processes
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const RandomCase& rc = cases[c];
+    const ListSchedule heap_based = list_schedule(rc.inst.app, rc.inst.arch,
+                                                  rc.pa);
     const ListSchedule reference =
-        ftes::testing::reference_list_schedule(inst.app, inst.arch, pa);
+        ftes::testing::reference_list_schedule(rc.inst.app, rc.inst.arch,
+                                               rc.pa);
     expect_identical(heap_based, reference, "heap-vs-scan",
-                     static_cast<int>(seed));
+                     static_cast<int>(c));
+  }
+}
+
+// The process-level rank pass equals the copy-graph longest remaining path
+// it replaced: on the random instances as generated and with replicas
+// added, and on one instance of every scale family (500, 750 and 1000
+// processes).
+TEST(ListSchedulerIncremental, ProcessLevelRanksMatchCopyGraphReference) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    RandomCase rc = random_case(seed);
+    EXPECT_EQ(partial_critical_path_ranks(rc.inst.app, rc.inst.arch, rc.pa),
+              ftes::testing::reference_copy_ranks(rc.inst.app, rc.inst.arch,
+                                                  rc.pa))
+        << "seed " << seed;
+    ftes::testing::replicate_every(rc.inst.app, rc.inst.arch, rc.model, 3,
+                                   rc.pa);
+    EXPECT_EQ(partial_critical_path_ranks(rc.inst.app, rc.inst.arch, rc.pa),
+              ftes::testing::reference_copy_ranks(rc.inst.app, rc.inst.arch,
+                                                  rc.pa))
+        << "seed " << seed << " with replicas";
+  }
+  for (const ScaleFamily& family : scale_families()) {
+    const RandomCase rc = scale_case(family);
+    EXPECT_GT(rc.pa.plan(ProcessId{0}).copy_count(), 1) << family.name;
+    EXPECT_EQ(partial_critical_path_ranks(rc.inst.app, rc.inst.arch, rc.pa),
+              ftes::testing::reference_copy_ranks(rc.inst.app, rc.inst.arch,
+                                                  rc.pa))
+        << family.name;
   }
 }
 

@@ -1,11 +1,21 @@
-// Tests of the worst-case schedule length analysis (fault-budget DP).
+// Tests of the worst-case schedule length analysis (fault-budget DP), and
+// of its flat DAG against the historical Digraph-based analysis
+// (bench/reference_wcsl.h).
 #include "sched/wcsl.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "fault/recovery.h"
 #include "fixtures.h"
+#include "gen/taskgen.h"
+#include "opt/policy_assignment.h"
+#include "reference_wcsl.h"
 #include "sched/cond_scheduler.h"
+#include "util/random.h"
 
 namespace ftes {
 namespace {
@@ -162,6 +172,136 @@ TEST(Wcsl, DeadlineCheckUsesGlobalDeadline) {
   f.app.set_deadline(r.makespan - 1);
   EXPECT_FALSE(
       evaluate_wcsl(f.app, f.arch, f.assignment, f.model).meets_deadlines(f.app));
+}
+
+// --- flat DAG vs the Digraph reference ---------------------------------------
+
+void expect_same_result(const WcslResult& a, const WcslResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.process_finish, b.process_finish) << what;
+  EXPECT_EQ(a.copy_worst_start, b.copy_worst_start) << what;
+  EXPECT_EQ(a.copy_worst_finish, b.copy_worst_finish) << what;
+  EXPECT_EQ(a.msg_worst_ready, b.msg_worst_ready) << what;
+}
+
+/// Same vertices; per vertex the same predecessor multiset (stored sorted),
+/// weights and release; and a topological order listing every vertex once,
+/// after all of its predecessors.
+void expect_same_dag(const WcslDag& dag,
+                     const ftes::testing::ReferenceWcslDag& ref, int k,
+                     const std::string& what) {
+  ASSERT_EQ(dag.copy_count, ref.copy_count) << what;
+  ASSERT_EQ(dag.msg_count, ref.msg_count) << what;
+  ASSERT_EQ(dag.g.vertex_count(), ref.g.vertex_count()) << what;
+  const std::size_t total = static_cast<std::size_t>(dag.g.vertex_count());
+  std::vector<int> position(total, -1);
+  for (std::size_t i = 0; i < dag.g.topological_order().size(); ++i) {
+    const std::size_t v =
+        static_cast<std::size_t>(dag.g.topological_order()[i]);
+    ASSERT_EQ(position[v], -1) << what << " vertex " << v << " listed twice";
+    position[v] = static_cast<int>(i);
+  }
+  for (int v = 0; v < dag.g.vertex_count(); ++v) {
+    std::vector<int> expected = ref.g.predecessors(v);
+    std::sort(expected.begin(), expected.end());
+    const WcslGraph::Range preds = dag.g.predecessors(v);
+    EXPECT_EQ(std::vector<int>(preds.begin(), preds.end()), expected)
+        << what << " vertex " << v;
+    for (int p : preds) {
+      EXPECT_LT(position[static_cast<std::size_t>(p)],
+                position[static_cast<std::size_t>(v)])
+          << what << " edge " << p << " -> " << v;
+    }
+    EXPECT_EQ(std::vector<Time>(dag.weights(v), dag.weights(v) + k + 1),
+              ref.weight[static_cast<std::size_t>(v)])
+        << what << " vertex " << v;
+    EXPECT_EQ(dag.release[static_cast<std::size_t>(v)],
+              ref.release[static_cast<std::size_t>(v)])
+        << what << " vertex " << v;
+  }
+}
+
+/// The DAG and both analyses of one assignment against the reference.
+void expect_matches_reference(const Application& app, const Architecture& arch,
+                              const PolicyAssignment& pa,
+                              const FaultModel& model,
+                              const std::string& what) {
+  const ListSchedule sched = list_schedule(app, arch, pa);
+  expect_same_dag(
+      build_wcsl_dag(app, arch, pa, model.k, sched),
+      ftes::testing::reference_build_wcsl_dag(app, arch, pa, model.k, sched),
+      model.k, what);
+  expect_same_result(
+      worst_case_schedule_length(app, arch, pa, model, sched),
+      ftes::testing::reference_worst_case_schedule_length(app, arch, pa, model,
+                                                           sched),
+      what + " budgeted");
+  expect_same_result(
+      worst_case_transparent(app, arch, pa, model, sched),
+      ftes::testing::reference_worst_case_transparent(app, arch, pa, model,
+                                                      sched),
+      what + " transparent");
+}
+
+TEST(WcslReference, FlatDagMatchesDigraphOnRandomInstances) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    TaskGenParams params;
+    params.process_count = 12 + 4 * static_cast<int>(seed);
+    params.node_count = 2 + static_cast<int>(seed % 3);
+    Rng rng(seed);
+    const Application app = generate_application(params, rng);
+    const Architecture arch = generate_architecture(params);
+    const FaultModel model{1 + static_cast<int>(seed % 3)};
+    PolicyAssignment pa =
+        greedy_initial(app, arch, model, PolicySpace::kFull, 8);
+    // Varied checkpoint counts (so weights differ per f), then replicas.
+    for (int i = 0; i < app.process_count(); ++i) {
+      CopyPlan& copy = pa.plan(ProcessId{i}).copies[0];
+      if (copy.checkpoints >= 1) copy.checkpoints = 1 + i % 4;
+    }
+    ftes::testing::replicate_every(app, arch, model,
+                                   2 + static_cast<int>(seed % 2), pa);
+    expect_matches_reference(app, arch, pa, model,
+                             "seed " + std::to_string(seed));
+  }
+}
+
+TEST(WcslReference, FlatDagMatchesDigraphAtScale) {
+  const ScaleFamily family = scale_families().front();  // 500 processes
+  Rng rng(2008);
+  const Application app = generate_application(family.params, rng);
+  const Architecture arch = generate_architecture(family.params);
+  const FaultModel model{2};
+  PolicyAssignment pa = greedy_initial(app, arch, model, PolicySpace::kFull, 8);
+  ftes::testing::replicate_every(app, arch, model, 3, pa);
+  expect_matches_reference(app, arch, pa, model, family.name);
+}
+
+TEST(WcslReference, CoLocatedPairKeepsEveryEdge) {
+  // S -> A -> B on one node, back to back: B's data edge and its
+  // node-order edge both come from A, and the predecessor multiset keeps
+  // both; a second message A -> B adds a third copy of the edge.
+  for (int messages = 1; messages <= 2; ++messages) {
+    Application app;
+    const ProcessId s = app.add_process("S", {{NodeId{0}, 10}}, 2, 2, 2);
+    const ProcessId a = app.add_process("A", {{NodeId{0}, 40}}, 2, 2, 2);
+    const ProcessId b = app.add_process("B", {{NodeId{0}, 30}}, 2, 2, 2);
+    app.connect(s, a);
+    for (int m = 0; m < messages; ++m) app.connect(a, b);
+    app.set_deadline(10000);
+    const Architecture arch = Architecture::homogeneous(1, 5);
+    const FaultModel model{2};
+    const PolicyAssignment pa = single(app, NodeId{0}, model.k, 2);
+    const ListSchedule sched = list_schedule(app, arch, pa);
+    const WcslDag dag = build_wcsl_dag(app, arch, pa, model.k, sched);
+    const WcslGraph::Range preds = dag.g.predecessors(b.get());
+    EXPECT_EQ(std::vector<int>(preds.begin(), preds.end()),
+              std::vector<int>(static_cast<std::size_t>(messages) + 1,
+                               a.get()));
+    expect_matches_reference(app, arch, pa, model,
+                             std::to_string(messages) + " message(s)");
+  }
 }
 
 }  // namespace
