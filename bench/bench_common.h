@@ -119,7 +119,12 @@ inline void add_total_entry(BenchReport& report, const EvalStats& total,
                    ? static_cast<double>(total.rebase_cache_hits) /
                          static_cast<double>(total.rebases)
                    : 0.0);
+  // Queue pops and the events the move schedules executed (resumed
+  // prefixes excluded): CI bounds their ratio.
   entry.metric("heap_pops", static_cast<double>(total.heap_pops));
+  entry.metric("sched_events_replayed",
+               static_cast<double>(total.ls_events_total -
+                                   total.ls_events_resumed));
   // Accepted-move rebases: logs produced by record-while-resuming vs
   // schedules still built from scratch (CI asserts these exist and that
   // the fig7 sweep actually resumes some).

@@ -1,10 +1,12 @@
 // Reference implementation of the historical O(V^2) list scheduler:
 // linear ready scans and a linear pending-transmission minimum search,
 // ranked by critical paths on a copy-level Digraph.  The production
-// scheduler (sched/list_scheduler.cpp) replaced the scans with binary heaps
-// and the copy graph with a process-level rank pass; this reference pins
-// the exact tie-breaking the heaps must preserve and the ranks the pass
-// must reproduce.  Shared by the equivalence property test
+// scheduler (sched/list_scheduler.cpp) replaced the scans with per-node
+// ready queues and a transmission heap, and the copy graph with a
+// process-level rank pass; this reference pins the exact tie-breaking the
+// queues must preserve, the tie groups and ready images a checkpoint log
+// must record (ReferenceTrace), and the ranks the pass must reproduce.
+// Shared by the equivalence property test
 // (tests/test_list_scheduler_incremental.cpp) and the heap-vs-scan
 // micro-benchmarks (bench/micro_benchmarks.cpp) so the pinned behavior and
 // the measured baseline cannot drift apart.  Not part of the library.
@@ -78,9 +80,21 @@ inline std::vector<Time> reference_copy_ranks(
   });
 }
 
+/// What the linear scan saw, in the shape a ScheduleCheckpointLog records
+/// it: the start-time tie groups of its copy events (every copy event with
+/// two or more ready copies at the winner's start; contenders ascending)
+/// and, at events 0, I, 2I, ... for I = `snapshot_interval`, the ready
+/// image -- every ready copy with its start, sorted by (start, vertex).
+struct ReferenceTrace {
+  int snapshot_interval = 0;  ///< input; <= 0 records no ready images
+  std::vector<ScheduleCheckpointLog::StartTie> ties;
+  std::vector<std::vector<SnapshotReadyEntry>> ready_images;
+};
+
 inline ListSchedule reference_list_schedule(const Application& app,
                                      const Architecture& arch,
-                                     const PolicyAssignment& assignment) {
+                                     const PolicyAssignment& assignment,
+                                     ReferenceTrace* trace = nullptr) {
   struct CopyVertex {
     CopyRef ref;
     NodeId node;
@@ -141,16 +155,38 @@ inline ListSchedule reference_list_schedule(const Application& app,
     }
   };
 
+  const auto is_ready = [&](std::size_t v) {
+    return !placed[v] && deps_left[v] == 0;
+  };
+  const auto start_of = [&](std::size_t v) {
+    const CopyVertex& cv = verts[v];
+    return std::max({data_ready[v], cv.release,
+                     node_free[static_cast<std::size_t>(cv.node.get())]});
+  };
+
   std::size_t remaining = verts.size();
-  while (remaining > 0) {
+  for (std::size_t event = 0; remaining > 0; ++event) {
+    if (trace && trace->snapshot_interval > 0 &&
+        event % static_cast<std::size_t>(trace->snapshot_interval) == 0) {
+      std::vector<SnapshotReadyEntry> image;
+      for (std::size_t v = 0; v < verts.size(); ++v) {
+        if (is_ready(v)) {
+          image.push_back(SnapshotReadyEntry{start_of(v), static_cast<int>(v)});
+        }
+      }
+      std::stable_sort(image.begin(), image.end(),
+                       [](const SnapshotReadyEntry& a,
+                          const SnapshotReadyEntry& b) {
+                         return a.start < b.start;
+                       });
+      trace->ready_images.push_back(std::move(image));
+    }
+
     Time best_start = kTimeInfinity;
     int best_vertex = -1;
     for (std::size_t v = 0; v < verts.size(); ++v) {
-      if (placed[v] || deps_left[v] > 0) continue;
-      const CopyVertex& cv = verts[v];
-      const Time start =
-          std::max({data_ready[v], cv.release,
-                    node_free[static_cast<std::size_t>(cv.node.get())]});
+      if (!is_ready(v)) continue;
+      const Time start = start_of(v);
       if (start < best_start ||
           (start == best_start &&
            rank[static_cast<std::size_t>(best_vertex)] < rank[v])) {
@@ -190,6 +226,17 @@ inline ListSchedule reference_list_schedule(const Application& app,
 
     if (best_vertex < 0) {
       throw std::logic_error("reference scheduler deadlock");
+    }
+    if (trace) {
+      ScheduleCheckpointLog::StartTie tie;
+      tie.event = event;
+      tie.winner = best_vertex;
+      for (std::size_t v = 0; v < verts.size(); ++v) {
+        if (is_ready(v) && start_of(v) == best_start) {
+          tie.contenders.push_back(static_cast<int>(v));
+        }
+      }
+      if (tie.contenders.size() >= 2) trace->ties.push_back(std::move(tie));
     }
 
     const std::size_t v = static_cast<std::size_t>(best_vertex);

@@ -29,7 +29,9 @@ struct EvalStats {
   long long ls_resumes = 0;         ///< move schedules resumed from a snapshot
   long long ls_events_total = 0;    ///< placement events move schedules needed
   long long ls_events_resumed = 0;  ///< of those, served by snapshot prefixes
-  long long heap_pops = 0;          ///< ready/tx queue pops in move schedules
+  /// Queue pops in move schedules: picks from the ready and tx queues
+  /// plus future->avail promotions (list_scheduler.h, ReadyEntry).
+  long long heap_pops = 0;
   long long rebase_cache_hits = 0;  ///< rebases served by the move cache
 
   // Accepted-move rebases: a rebase onto a single-plan diff replays the

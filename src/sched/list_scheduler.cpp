@@ -138,14 +138,23 @@ struct CopyVertex {
   Time release = 0;
 };
 
-/// Min order of the ready queue: earliest start, then highest partial
-/// critical path rank, then lowest vertex id -- the exact pick of the
-/// historical linear ready-scan.
-struct ReadyLess {
+/// Pick order among ready copies with equal start: highest partial critical
+/// path rank, then lowest vertex id -- the tie-breaking of the historical
+/// linear ready-scan.  Orders a node's `avail` queue, whose copies all start
+/// when the node is free.
+struct RankLess {
   bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-    if (a.start != b.start) return a.start < b.start;
     if (a.rank != b.rank) return a.rank > b.rank;
     return a.vertex < b.vertex;
+  }
+};
+
+/// Order of a node's `future` queue: earliest bound (each such copy starts
+/// exactly at its bound), then RankLess.
+struct BoundLess {
+  bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
+    if (a.bound != b.bound) return a.bound < b.bound;
+    return RankLess{}(a, b);
   }
 };
 
@@ -167,7 +176,11 @@ class Scheduler {
  public:
   Scheduler(const Application& app, const Architecture& arch,
             const PolicyAssignment& assignment)
-      : app_(app), arch_(arch), assignment_(assignment) {}
+      : app_(app),
+        arch_(arch),
+        assignment_(assignment),
+        avail(static_cast<std::size_t>(arch.node_count())),
+        future(static_cast<std::size_t>(arch.node_count())) {}
 
   // ---- static problem data ---------------------------------------------
 
@@ -295,17 +308,25 @@ class Scheduler {
       log->rank = rank;
     }
     for (std::size_t v = 0; v < verts.size(); ++v) {
-      if (deps_left[v] == 0) {
-        ready.push(ReadyEntry{start_of(static_cast<int>(v)),
-                              rank[v], static_cast<int>(v)});
-      }
+      if (deps_left[v] == 0) file_ready(static_cast<int>(v));
     }
   }
 
-  [[nodiscard]] Time start_of(int v) const {
-    const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
-    return std::max({data_ready[static_cast<std::size_t>(v)], cv.release,
-                     node_free[static_cast<std::size_t>(cv.node.get())]});
+  /// Files a copy whose last dependency has arrived.  Its bound
+  /// max(data_ready, release) is fixed from now on and node_free only
+  /// grows, so the copy waits in its node's `future` queue until the node's
+  /// free time reaches the bound (commit_copy promotes it) and in `avail`
+  /// from then on -- both keys are exact, nothing is ever re-keyed.
+  void file_ready(int v) {
+    const std::size_t i = static_cast<std::size_t>(v);
+    const CopyVertex& cv = verts[i];
+    const std::size_t n = static_cast<std::size_t>(cv.node.get());
+    const ReadyEntry e{std::max(data_ready[i], cv.release), rank[i], v};
+    if (e.bound <= node_free[n]) {
+      avail[n].push(e);
+    } else {
+      future[n].push(e);
+    }
   }
 
   // ---- event loop -------------------------------------------------------
@@ -318,39 +339,53 @@ class Scheduler {
         take_snapshot();
       }
 
-      // Best startable copy: pop stale ready entries (a vertex's true start
-      // only grows, so an entry whose key matches its recomputed start is
-      // the true minimum under ReadyLess -- see docs/ARCHITECTURE.md).
-      int best_vertex = -1;
+      // Best startable copy: the (start, rank desc, vertex) minimum over
+      // the nodes' heads.  A node's head is its best `avail` copy, starting
+      // at node_free, when there is one (every `future` copy starts later),
+      // else its earliest `future` copy.  O(N) for N nodes -- 2 to 6 on
+      // every input in the repository -- so no tournament tree.
+      std::size_t best_node = 0;
+      const ReadyEntry* best = nullptr;
       Time best_start = kTimeInfinity;
-      while (!ready.empty()) {
-        const ReadyEntry top = ready.top();
-        const Time now = start_of(top.vertex);
-        if (now != top.start) {
-          ready.pop();
-          ++heap_pops;
-          ready.push(ReadyEntry{now, top.rank, top.vertex});
+      for (std::size_t n = 0; n < node_free.size(); ++n) {
+        const ReadyEntry* head = nullptr;
+        Time start = 0;
+        if (!avail[n].empty()) {
+          head = &avail[n].top();
+          start = node_free[n];
+        } else if (!future[n].empty()) {
+          head = &future[n].top();
+          start = head->bound;
+        } else {
           continue;
         }
-        best_vertex = top.vertex;
-        best_start = top.start;
-        break;
+        if (!best || start < best_start ||
+            (start == best_start && RankLess{}(*head, *best))) {
+          best_node = n;
+          best = head;
+          best_start = start;
+        }
       }
 
       // A transmission ready no later than the earliest startable copy is
       // committed first, keeping the bus FIFO in ready order.
-      if (!txq.empty() && (best_vertex < 0 || txq.top().ready <= best_start)) {
+      if (!txq.empty() && (!best || txq.top().ready <= best_start)) {
         const TxEntry tx = txq.top();
         txq.pop();
         ++heap_pops;
         commit_tx(tx);
-      } else if (best_vertex < 0) {
+      } else if (!best) {
         throw std::logic_error("list scheduler deadlock (cyclic copy graph?)");
       } else {
-        ready.pop();
+        const int v = best->vertex;
+        if (!avail[best_node].empty()) {
+          avail[best_node].pop();
+        } else {
+          future[best_node].pop();
+        }
         ++heap_pops;
-        if (log) record_start_ties(best_vertex, best_start);
-        commit_copy(best_vertex, best_start);
+        if (log) record_start_ties(v, best_start);
+        commit_copy(v, best_start);
       }
       ++event;
     }
@@ -374,8 +409,16 @@ class Scheduler {
     result.copies[static_cast<std::size_t>(v)] = sc;
     placed[static_cast<std::size_t>(v)] = 1;
     --remaining;
-    node_free[static_cast<std::size_t>(cv.node.get())] = sc.finish;
-    result.node_order[static_cast<std::size_t>(cv.node.get())].push_back(v);
+    const std::size_t n = static_cast<std::size_t>(cv.node.get());
+    node_free[n] = sc.finish;
+    // The node's free time moved: every `future` copy whose bound it
+    // reached now starts at node_free.
+    while (!future[n].empty() && future[n].top().bound <= sc.finish) {
+      avail[n].push(future[n].top());
+      future[n].pop();
+      ++heap_pops;
+    }
+    result.node_order[n].push_back(v);
     result.makespan = std::max(result.makespan, sc.finish);
     if (log) log->placed_event[static_cast<std::size_t>(v)] = event;
 
@@ -421,46 +464,43 @@ class Scheduler {
           std::max(data_ready[static_cast<std::size_t>(dv)], delivery);
       if (--deps_left[static_cast<std::size_t>(dv)] == 0) {
         if (log) log->avail_event[static_cast<std::size_t>(dv)] = event + 1;
-        ready.push(ReadyEntry{start_of(dv),
-                              rank[static_cast<std::size_t>(dv)], dv});
+        file_ready(dv);
       }
     }
   }
 
   /// Called (log builds only) after popping the winning copy but before
-  /// committing it: every other ready vertex whose true start equals the
-  /// winner's participates in a rank-broken tie at this event.  Stale
-  /// entries encountered on the way are refreshed, never dropped.
+  /// committing it: every other ready copy whose start equals the winner's
+  /// joins a rank-broken tie at this event.  Per node: at node_free ==
+  /// start every `avail` copy ties (and no `future` one: those start
+  /// later); at node_free < start `avail` is empty (its head would start
+  /// before the winner) and the `future` copies with bound == start tie --
+  /// they sit at its top; at node_free > start nothing on the node ties.
   void record_start_ties(int winner, Time start) {
-    std::vector<ReadyEntry> tied;
-    while (!ready.empty()) {
-      const ReadyEntry top = ready.top();
-      const Time now = start_of(top.vertex);
-      if (now != top.start) {
-        ready.pop();
-        ready.push(ReadyEntry{now, top.rank, top.vertex});
-        continue;
+    std::vector<int> others;
+    for (std::size_t n = 0; n < node_free.size(); ++n) {
+      if (node_free[n] == start) {
+        for (const ReadyEntry& e : avail[n].items()) others.push_back(e.vertex);
+      } else if (node_free[n] < start && !future[n].empty() &&
+                 future[n].top().bound == start) {
+        assert(avail[n].empty());
+        for (const ReadyEntry& e : future[n].items()) {
+          if (e.bound == start) others.push_back(e.vertex);
+        }
       }
-      if (top.start != start) break;  // fresh minimum past the winner's start
-      tied.push_back(top);
-      ready.pop();
     }
-    if (!tied.empty()) {
-      ScheduleCheckpointLog::StartTie tie;
-      tie.event = event;
-      tie.winner = winner;
-      tie.contenders.push_back(winner);
-      for (const ReadyEntry& e : tied) {
-        tie.contenders.push_back(e.vertex);
-        ready.push(e);
-      }
-      // Canonical order: the set of contenders is a pure function of the
-      // tied state, but heap pop order depends on ranks -- which differ
-      // between a base build and a resumed candidate recording its own
-      // log.  (tie.winner keeps the actual pick.)
-      std::sort(tie.contenders.begin(), tie.contenders.end());
-      log->ties.push_back(std::move(tie));
-    }
+    if (others.empty()) return;
+    ScheduleCheckpointLog::StartTie tie;
+    tie.event = event;
+    tie.winner = winner;
+    tie.contenders = std::move(others);
+    tie.contenders.push_back(winner);
+    // Canonical order: the set of contenders is a pure function of the
+    // tied state, but queue order depends on ranks -- which differ between
+    // a base build and a resumed candidate recording its own log.
+    // (tie.winner keeps the actual pick.)
+    std::sort(tie.contenders.begin(), tie.contenders.end());
+    log->ties.push_back(std::move(tie));
   }
 
   void take_snapshot() {
@@ -473,20 +513,21 @@ class Scheduler {
     s.placed = placed;
     s.deps_left = deps_left;
     s.data_ready = data_ready;
-    // Canonical heap images: entries re-keyed to their *current* start
-    // (lazy keys may be stale, and staleness depends on the refresh
-    // history, which a resumed run does not share with a from-scratch
-    // one) and sorted by (start, vertex).  Restoring a re-keyed entry is
-    // sound -- the true start only grows, so the key stays a valid lower
-    // bound -- and the snapshot becomes a pure function of the semantic
-    // state (placed / deps / readiness / node- and bus-free times).
-    // Ranks are NOT stored: they depend on the assignment, not on the
-    // placed prefix, and are re-stamped by the restoring run -- which
-    // makes prefix snapshots bitwise shareable between a base and a
-    // candidate with the same copy layout.
-    s.ready_heap.reserve(ready.items().size());
-    for (const ReadyEntry& e : ready.items()) {
-      s.ready_heap.push_back(SnapshotReadyEntry{start_of(e.vertex), e.vertex});
+    // Canonical ready image: every ready copy with its start (node_free
+    // in `avail`, its bound in `future`), sorted by (start, vertex) -- a
+    // pure function of the semantic state (placed / deps / readiness /
+    // node- and bus-free times), independent of queue layout.  Ranks are
+    // NOT stored: they depend on the assignment, not on the placed prefix,
+    // and are re-stamped by the restoring run -- which makes prefix
+    // snapshots bitwise shareable between a base and a candidate with the
+    // same copy layout.
+    for (std::size_t n = 0; n < node_free.size(); ++n) {
+      for (const ReadyEntry& e : avail[n].items()) {
+        s.ready_heap.push_back(SnapshotReadyEntry{node_free[n], e.vertex});
+      }
+      for (const ReadyEntry& e : future[n].items()) {
+        s.ready_heap.push_back(SnapshotReadyEntry{e.bound, e.vertex});
+      }
     }
     std::sort(s.ready_heap.begin(), s.ready_heap.end(),
               [](const SnapshotReadyEntry& a, const SnapshotReadyEntry& b) {
@@ -519,7 +560,10 @@ class Scheduler {
   std::vector<Time> data_ready;
   std::vector<Time> node_free;
   Time bus_free = 0;
-  BinaryMinHeap<ReadyEntry, ReadyLess> ready;
+  /// Per node: ready copies whose bound node_free has reached.
+  std::vector<BinaryMinHeap<ReadyEntry, RankLess>> avail;
+  /// Per node: ready copies whose bound lies past node_free.
+  std::vector<BinaryMinHeap<ReadyEntry, BoundLess>> future;
   BinaryMinHeap<TxEntry, TxLess> txq;
   int tx_seq = 0;
   std::size_t remaining = 0;
@@ -536,8 +580,8 @@ class Scheduler {
 
 ListSchedule build_schedule(const Application& app, const Architecture& arch,
                             const PolicyAssignment& assignment,
-                            ScheduleCheckpointLog* log, int snapshot_interval,
-                            std::size_t* heap_pops) {
+                            ScheduleCheckpointLog* log,
+                            int snapshot_interval) {
   Scheduler s(app, arch, assignment);
   s.build_static();
   if (log) {
@@ -548,23 +592,20 @@ ListSchedule build_schedule(const Application& app, const Architecture& arch,
     s.log = log;
   }
   s.init_dynamic();
-  ListSchedule out = s.run();
-  if (heap_pops) *heap_pops += s.heap_pops;
-  return out;
+  return s.run();
 }
 
 }  // namespace
 
 ListSchedule list_schedule(const Application& app, const Architecture& arch,
                            const PolicyAssignment& assignment) {
-  return build_schedule(app, arch, assignment, nullptr, 0, nullptr);
+  return build_schedule(app, arch, assignment, nullptr, 0);
 }
 
 ListSchedule list_schedule(const Application& app, const Architecture& arch,
                            const PolicyAssignment& assignment,
                            ScheduleCheckpointLog& log, int snapshot_interval) {
-  return build_schedule(app, arch, assignment, &log, snapshot_interval,
-                        nullptr);
+  return build_schedule(app, arch, assignment, &log, snapshot_interval);
 }
 
 std::vector<Time> partial_critical_path_ranks(
@@ -606,6 +647,14 @@ ListSchedule list_schedule_resume(const Application& app,
 
   // Base-side vertex layout (the log's event indices are per base vertex).
   const int process_count = app.process_count();
+  if (base.process_count() != process_count) {
+    throw std::invalid_argument("base assignment size mismatch");
+  }
+  for (const ProcessId p : moved) {
+    if (p.get() < 0 || p.get() >= process_count) {
+      throw std::invalid_argument("moved process out of range");
+    }
+  }
   std::vector<int> base_first(static_cast<std::size_t>(process_count) + 1, 0);
   for (int i = 0; i < process_count; ++i) {
     base_first[static_cast<std::size_t>(i) + 1] =
@@ -613,6 +662,11 @@ ListSchedule list_schedule_resume(const Application& app,
         base.plan(ProcessId{i}).copy_count();
   }
   const int base_total = base_first[static_cast<std::size_t>(process_count)];
+  if (log.avail_event.size() != static_cast<std::size_t>(base_total) ||
+      log.placed_event.size() != static_cast<std::size_t>(base_total)) {
+    throw std::invalid_argument(
+        "checkpoint log not recorded from the base's copy layout");
+  }
 
   // The moved set, deduplicated into ascending pid order.
   std::vector<char> is_moved(static_cast<std::size_t>(process_count), 0);
@@ -854,31 +908,21 @@ ListSchedule list_schedule_resume(const Application& app,
         snap->remaining + (cand_total - static_cast<std::size_t>(base_total));
     s.event = snap->event_index;
 
-    // Ready queue: keep unaffected entries' start keys (move-invariant),
-    // stamp each with the *candidate's* rank -- a rank change only breaks
-    // future ties, which the resume-point bound already guarantees did not
-    // occur in the kept prefix -- and re-derive the moved processes'
-    // entries with the candidate's mapping and rank.
-    std::vector<ReadyEntry> entries;
-    entries.reserve(snap->ready_heap.size() + mv.size());
+    // Ready queues: file every restored ready copy by its restored bound
+    // against the restored node_free, with the *candidate's* rank -- a
+    // rank change only breaks future ties, which the resume-point bound
+    // already guarantees did not occur in the kept prefix -- and re-derive
+    // the moved processes' copies with the candidate's mapping and rank.
     for (const SnapshotReadyEntry& e : snap->ready_heap) {
-      if (moved_vertex(e.vertex)) continue;
-      const int cv = remap(e.vertex);
-      entries.push_back(
-          ReadyEntry{e.start, s.rank[static_cast<std::size_t>(cv)], cv});
+      if (!moved_vertex(e.vertex)) s.file_ready(remap(e.vertex));
     }
     for (const ProcessId mp : mv) {
       if (s.deps_left[static_cast<std::size_t>(s.vertex_of(mp, 0))] != 0) {
         continue;
       }
       const int count = candidate.plan(mp).copy_count();
-      for (int j = 0; j < count; ++j) {
-        const int cv = s.vertex_of(mp, j);
-        entries.push_back(ReadyEntry{
-            s.start_of(cv), s.rank[static_cast<std::size_t>(cv)], cv});
-      }
+      for (int j = 0; j < count; ++j) s.file_ready(s.vertex_of(mp, j));
     }
-    s.ready.assign(std::move(entries));
     s.txq.assign(snap->tx_heap);
 
     if (record) {

@@ -77,13 +77,17 @@ struct ListSchedule {
 };
 
 /// Ready-queue entry: an unplaced copy vertex whose dependencies are all
-/// delivered.  Ordered by (earliest start, priority rank descending, vertex
-/// id) -- exactly the tie-breaking of the historical linear ready-scan.
-/// Keys are refreshed lazily: a vertex's true start only grows (node-free
-/// and data-ready times are monotone), so an entry whose key still matches
-/// its recomputed start is the global minimum.
+/// delivered.  Its `bound` max(data_ready, release) is fixed once the last
+/// dependency arrives, so every key is exact.  The scheduler keeps two
+/// queues per node: `avail` holds the copies whose bound the node's free
+/// time has reached (they all start when the node is free; ordered by
+/// priority rank descending, then vertex id), `future` the rest (each
+/// starts at its bound; ordered by bound first).  Each event picks the
+/// (start, rank descending, vertex id) minimum over the nodes' heads --
+/// exactly the tie-breaking of the historical linear ready-scan -- in
+/// O(N + log V) for N nodes (2 to 6 on every input in the repository).
 struct ReadyEntry {
-  Time start = 0;
+  Time bound = 0;
   Time rank = 0;
   int vertex = -1;
 };
@@ -114,15 +118,15 @@ struct SnapshotReadyEntry {
 /// Full scheduler state between two placement events, restorable into a
 /// resumed run (possibly with the moved process's vertex ids remapped).
 ///
-/// Snapshots are *canonical*: the heap images are re-keyed to their true
-/// start at snapshot time and sorted by (start, vertex) / the tx queue
-/// order, so a snapshot is a pure function of the scheduler's semantic
-/// state -- two runs that placed the same prefix record bit-identical
-/// snapshots, regardless of their internal heap layout or lazy-key
-/// refresh history.  (This is what lets a resumed run record a log
-/// bit-identical to a from-scratch build's; see list_schedule_resume's
-/// `record` parameter.)  Once inside a log a snapshot is immutable and
-/// may be co-owned by any number of derived logs.
+/// Snapshots are *canonical*: the ready image lists every ready copy with
+/// its start at snapshot time, sorted by (start, vertex), and the tx image
+/// is sorted in tx queue order, so a snapshot is a pure function of the
+/// scheduler's semantic state -- two runs that placed the same prefix
+/// record bit-identical snapshots, regardless of their internal queue
+/// layout.  (This is what lets a resumed run record a log bit-identical to
+/// a from-scratch build's; see list_schedule_resume's `record`
+/// parameter.)  Once inside a log a snapshot is immutable and may be
+/// co-owned by any number of derived logs.
 struct ScheduleSnapshot {
   std::size_t event_index = 0;  ///< events committed before this state
   std::size_t remaining = 0;    ///< copies still unplaced
@@ -189,7 +193,9 @@ struct ListScheduleResumeStats {
   std::size_t events_total = 0;     ///< events of the candidate build
   std::size_t events_resumed = 0;   ///< prefix events served by the snapshot
   std::size_t events_replayed = 0;  ///< events actually executed
-  std::size_t heap_pops = 0;        ///< ready/tx heap pops during replay
+  /// Queue pops during replay: every pick from a ready or tx queue plus
+  /// every future->avail promotion of a ready copy.
+  std::size_t heap_pops = 0;
   // Record-while-resuming snapshot accounting (zero without `record`):
   // prefix snapshots transplanted by reference vs materialized by value,
   // and the bytes every materialized snapshot cost (remapped prefix
@@ -247,6 +253,10 @@ struct ListScheduleResumeStats {
 /// the changed suffix.  `record` must not alias `log` (the transplant
 /// reads `log`'s snapshots while writing `record`); record into a fresh
 /// log and move it over the old one afterwards.
+///
+/// Throws std::invalid_argument when `base` or `candidate` does not have
+/// `app`'s process count, a moved id lies outside [0, process count), or
+/// `log`'s per-vertex event indices do not match `base`'s copy total.
 [[nodiscard]] ListSchedule list_schedule_resume(
     const Application& app, const Architecture& arch,
     const PolicyAssignment& base, const ScheduleCheckpointLog& log,

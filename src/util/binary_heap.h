@@ -1,13 +1,15 @@
-// Minimal array-backed binary min-heap used by the list scheduler's ready
-// queue and pending-transmission queue (sched/list_scheduler.cpp).
+// Minimal array-backed binary min-heap used by the list scheduler's
+// per-node ready queues and its pending-transmission queue
+// (sched/list_scheduler.cpp).
 //
 // std::priority_queue would do for push/top/pop, but it hides its storage;
-// the incremental scheduler snapshots heap state wholesale and transplants
-// it (with remapped vertex ids) into a resumed run, so the container must
-// expose its items.  Comparators here must induce a *total* order (the
-// scheduler keys carry a unique vertex id / sequence number), which makes
-// the pop order independent of the internal array arrangement -- a heap
-// rebuilt via assign() pops identically to one grown via push().
+// the scheduler reads every queued item to emit snapshot images and
+// start-time tie groups, and restores the transmission queue of a snapshot
+// wholesale into a resumed run, so the container must expose its items.
+// Comparators here must induce a *total* order (the scheduler keys carry a
+// unique vertex id / sequence number), which makes the pop order
+// independent of the internal array arrangement -- a heap rebuilt via
+// assign() pops identically to one grown via push().
 #pragma once
 
 #include <algorithm>

@@ -122,4 +122,14 @@ inline void replicate_every(const Application& app, const Architecture& arch,
   }
 }
 
+/// Gives every `stride`-th process the release offset `release`.
+/// gen/taskgen never sets Process::release, so equivalence tests use this
+/// to make a ready copy's start bound max(data_ready, release) differ from
+/// its data-ready time -- and to make the released copies tie at it.
+inline void release_every(Application& app, int stride, Time release) {
+  for (int i = 0; i < app.process_count(); i += stride) {
+    app.process(ProcessId{i}).release = release;
+  }
+}
+
 }  // namespace ftes::testing

@@ -3,14 +3,18 @@
 // to from-scratch builds for random applications, architectures and moves,
 // across snapshot intervals (including the interval = 1 and interval >=
 // total-events edge cases); the heap-based ready/transmission queues must
-// reproduce the historical linear scans exactly, and the process-level
-// ranks the historical copy-graph ranks, up to the 1000-process scale
-// families; and the EvalContext counters built on top (resumed events,
-// rebase cache hits) must be thread-count invariant.
+// reproduce the historical linear scans exactly -- schedules, start-time
+// tie groups and snapshot ready images, with and without release offsets
+// -- and the process-level ranks the historical copy-graph ranks, up to the
+// 1000-process scale families; a full build's queue pops stay near its
+// event count; resume rejects inconsistent inputs; and the EvalContext
+// counters built on top (resumed events, rebase cache hits) must be
+// thread-count invariant.
 #include "sched/list_scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "fixtures.h"
@@ -141,12 +145,34 @@ RandomCase scale_case(const ScaleFamily& family) {
   return RandomCase{std::move(inst), model, std::move(pa)};
 }
 
-TEST(ListSchedulerIncremental, HeapSchedulerMatchesLinearScanReference) {
+/// Releases every fourth process at a third of `pa`'s schedule length:
+/// released copies wait for their release (in their node's `future` ready
+/// queue), and the ones ready before it tie at it.
+void add_releases(Application& app, const Architecture& arch,
+                  const PolicyAssignment& pa) {
+  ftes::testing::release_every(app, 4,
+                               list_schedule(app, arch, pa).makespan / 3);
+}
+
+/// The cases the linear-scan comparisons share: the 12 random instances and
+/// the 500-process scale instance, each as generated and with releases.
+std::vector<RandomCase> reference_cases() {
   std::vector<RandomCase> cases;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     cases.push_back(random_case(seed));
   }
   cases.push_back(scale_case(scale_families().front()));  // 500 processes
+  const std::size_t generated = cases.size();
+  for (std::size_t c = 0; c < generated; ++c) {
+    RandomCase released{cases[c].inst, cases[c].model, cases[c].pa};
+    add_releases(released.inst.app, released.inst.arch, released.pa);
+    cases.push_back(std::move(released));
+  }
+  return cases;
+}
+
+TEST(ListSchedulerIncremental, HeapSchedulerMatchesLinearScanReference) {
+  const std::vector<RandomCase> cases = reference_cases();
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const RandomCase& rc = cases[c];
     const ListSchedule heap_based = list_schedule(rc.inst.app, rc.inst.arch,
@@ -157,6 +183,73 @@ TEST(ListSchedulerIncremental, HeapSchedulerMatchesLinearScanReference) {
     expect_identical(heap_based, reference, "heap-vs-scan",
                      static_cast<int>(c));
   }
+}
+
+// What a checkpoint log records about the ready queues -- every start-time
+// tie group (record_start_ties) and every snapshot's ready image
+// (take_snapshot) -- equals what the linear scan sees, at the dense (1) and
+// default snapshot intervals.  These are exactly what the per-node queues
+// enumerate node by node; the log-vs-log tests below only compare the
+// production scheduler against itself.
+TEST(ListSchedulerIncremental,
+     TieGroupsAndReadyImagesMatchLinearScanReference) {
+  const std::vector<RandomCase> cases = reference_cases();
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const RandomCase& rc = cases[c];
+    for (const int interval : {1, 0}) {
+      ScheduleCheckpointLog log;
+      (void)list_schedule(rc.inst.app, rc.inst.arch, rc.pa, log, interval);
+      ftes::testing::ReferenceTrace trace;
+      trace.snapshot_interval = log.snapshot_interval;
+      (void)ftes::testing::reference_list_schedule(rc.inst.app, rc.inst.arch,
+                                                   rc.pa, &trace);
+      ASSERT_EQ(log.ties.size(), trace.ties.size())
+          << "case " << c << " interval " << interval;
+      for (std::size_t i = 0; i < log.ties.size(); ++i) {
+        EXPECT_EQ(log.ties[i].event, trace.ties[i].event)
+            << "case " << c << " tie " << i;
+        EXPECT_EQ(log.ties[i].winner, trace.ties[i].winner)
+            << "case " << c << " tie " << i;
+        EXPECT_EQ(log.ties[i].contenders, trace.ties[i].contenders)
+            << "case " << c << " tie " << i;
+      }
+      ASSERT_EQ(log.snapshots.size(), trace.ready_images.size())
+          << "case " << c << " interval " << interval;
+      for (std::size_t i = 0; i < log.snapshots.size(); ++i) {
+        const std::vector<SnapshotReadyEntry>& image =
+            log.snapshots[i].ready_heap;
+        const std::vector<SnapshotReadyEntry>& expected =
+            trace.ready_images[i];
+        ASSERT_EQ(image.size(), expected.size())
+            << "case " << c << " snapshot " << i;
+        for (std::size_t r = 0; r < image.size(); ++r) {
+          EXPECT_EQ(image[r].start, expected[r].start)
+              << "case " << c << " snapshot " << i << " ready " << r;
+          EXPECT_EQ(image[r].vertex, expected[r].vertex)
+              << "case " << c << " snapshot " << i << " ready " << r;
+        }
+      }
+    }
+  }
+}
+
+// Churn bound: a full build pops each ready copy at most twice (once when
+// its node's free time reaches its bound, once when it is placed) and each
+// transmission once -- no entry is re-keyed when a placement moves its
+// node's free time.  The full build is the resume of a log that holds only
+// the event-0 snapshot, whose stats expose the pops.
+TEST(ListSchedulerIncremental, FullBuildQueuePopsStayNearEventCount) {
+  const RandomCase rc = scale_case(scale_families().front());
+  ScheduleCheckpointLog log;
+  (void)list_schedule(rc.inst.app, rc.inst.arch, rc.pa, log, 1 << 20);
+  ASSERT_EQ(log.snapshots.size(), 1u);
+  ListScheduleResumeStats stats;
+  (void)list_schedule_resume(rc.inst.app, rc.inst.arch, rc.pa, log, rc.pa,
+                             std::vector<ProcessId>{}, &stats);
+  EXPECT_FALSE(stats.resumed);
+  EXPECT_EQ(stats.events_replayed, stats.events_total);
+  EXPECT_LE(2 * stats.heap_pops, 3 * stats.events_total)
+      << stats.heap_pops << " pops for " << stats.events_total << " events";
 }
 
 // The process-level rank pass equals the copy-graph longest remaining path
@@ -190,36 +283,40 @@ TEST(ListSchedulerIncremental, ProcessLevelRanksMatchCopyGraphReference) {
 TEST(ListSchedulerIncremental, ResumeMatchesFullRebuildForRandomMoves) {
   // Snapshot intervals: default (~sqrt(E)), the dense edge case (1), and an
   // interval past the event count (only the initial snapshot exists, so
-  // every "resume" degenerates to a full rebuild -- still exact).
-  for (const int interval : {0, 1, 1 << 20}) {
-    const Instance inst = make_instance(22, 3, 1234);
-    const FaultModel model{2};
-    PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                           PolicySpace::kCheckpointingOnly, 8);
-    ScheduleCheckpointLog log;
-    ListSchedule base_sched =
-        list_schedule(inst.app, inst.arch, base, log, interval);
+  // every "resume" degenerates to a full rebuild -- still exact); each
+  // with and without release offsets.
+  for (const bool released : {false, true}) {
+    for (const int interval : {0, 1, 1 << 20}) {
+      Instance inst = make_instance(22, 3, 1234);
+      const FaultModel model{2};
+      PolicyAssignment base = greedy_initial(
+          inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+      if (released) add_releases(inst.app, inst.arch, base);
+      ScheduleCheckpointLog log;
+      ListSchedule base_sched =
+          list_schedule(inst.app, inst.arch, base, log, interval);
 
-    Rng rng(99 + static_cast<std::uint64_t>(interval));
-    for (int move = 0; move < 120; ++move) {
-      const ProcessId pid{static_cast<std::int32_t>(
-          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-      PolicyAssignment candidate = base;
-      candidate.plan(pid) = random_move(inst, base, pid, model, rng);
+      Rng rng(99 + static_cast<std::uint64_t>(interval));
+      for (int move = 0; move < 120; ++move) {
+        const ProcessId pid{static_cast<std::int32_t>(
+            rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+        PolicyAssignment candidate = base;
+        candidate.plan(pid) = random_move(inst, base, pid, model, rng);
 
-      ListScheduleResumeStats stats;
-      const ListSchedule resumed = list_schedule_resume(
-          inst.app, inst.arch, base, log, candidate, pid, &stats);
-      const ListSchedule full = list_schedule(inst.app, inst.arch, candidate);
-      expect_identical(resumed, full, "resume-vs-full", move);
-      EXPECT_EQ(stats.events_total,
-                stats.events_resumed + stats.events_replayed);
+        ListScheduleResumeStats stats;
+        const ListSchedule resumed = list_schedule_resume(
+            inst.app, inst.arch, base, log, candidate, pid, &stats);
+        const ListSchedule full = list_schedule(inst.app, inst.arch, candidate);
+        expect_identical(resumed, full, "resume-vs-full", move);
+        EXPECT_EQ(stats.events_total,
+                  stats.events_resumed + stats.events_replayed);
 
-      // Occasionally accept the move so later resumes run against fresh
-      // bases (and fresh logs).
-      if (move % 13 == 0) {
-        base = std::move(candidate);
-        base_sched = list_schedule(inst.app, inst.arch, base, log, interval);
+        // Occasionally accept the move so later resumes run against fresh
+        // bases (and fresh logs).
+        if (move % 13 == 0) {
+          base = std::move(candidate);
+          base_sched = list_schedule(inst.app, inst.arch, base, log, interval);
+        }
       }
     }
   }
@@ -282,47 +379,50 @@ void expect_log_identical(const ScheduleCheckpointLog& a,
 // (full scheduler states), tie groups, event indices, ranks -- to the log
 // of a from-scratch candidate build at the same snapshot interval, for
 // random moves of all three families across the dense (1), default and
-// degenerate (>= total events) intervals.  Accepted moves chain: the
-// recorded log becomes the next round's base log, so transplant errors
-// compound instead of hiding.
+// degenerate (>= total events) intervals, with and without release
+// offsets.  Accepted moves chain: the recorded log becomes the next
+// round's base log, so transplant errors compound instead of hiding.
 TEST(ListSchedulerIncremental, RecordWhileResumingMatchesFromScratchLog) {
-  for (const int interval : {0, 1, 1 << 20}) {
-    const Instance inst = make_instance(24, 3, 4321);
-    const FaultModel model{2};
-    PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                           PolicySpace::kCheckpointingOnly, 8);
-    ScheduleCheckpointLog log;
-    (void)list_schedule(inst.app, inst.arch, base, log, interval);
+  for (const bool released : {false, true}) {
+    for (const int interval : {0, 1, 1 << 20}) {
+      Instance inst = make_instance(24, 3, 4321);
+      const FaultModel model{2};
+      PolicyAssignment base = greedy_initial(
+          inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+      if (released) add_releases(inst.app, inst.arch, base);
+      ScheduleCheckpointLog log;
+      (void)list_schedule(inst.app, inst.arch, base, log, interval);
 
-    Rng rng(1000 + static_cast<std::uint64_t>(interval));
-    int resumed_recordings = 0;
-    for (int move = 0; move < 80; ++move) {
-      const ProcessId pid{static_cast<std::int32_t>(
-          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-      PolicyAssignment candidate = base;
-      candidate.plan(pid) = random_move(inst, base, pid, model, rng);
+      Rng rng(1000 + static_cast<std::uint64_t>(interval));
+      int resumed_recordings = 0;
+      for (int move = 0; move < 80; ++move) {
+        const ProcessId pid{static_cast<std::int32_t>(
+            rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+        PolicyAssignment candidate = base;
+        candidate.plan(pid) = random_move(inst, base, pid, model, rng);
 
-      ListScheduleResumeStats stats;
-      ScheduleCheckpointLog recorded;
-      const ListSchedule resumed =
-          list_schedule_resume(inst.app, inst.arch, base, log, candidate, pid,
-                               &stats, &recorded);
-      ScheduleCheckpointLog scratch;
-      const ListSchedule full = list_schedule(inst.app, inst.arch, candidate,
-                                              scratch, log.snapshot_interval);
-      expect_identical(resumed, full, "record-resume", move);
-      expect_log_identical(recorded, scratch, move);
-      if (stats.resumed) ++resumed_recordings;
+        ListScheduleResumeStats stats;
+        ScheduleCheckpointLog recorded;
+        const ListSchedule resumed =
+            list_schedule_resume(inst.app, inst.arch, base, log, candidate, pid,
+                                 &stats, &recorded);
+        ScheduleCheckpointLog scratch;
+        const ListSchedule full = list_schedule(inst.app, inst.arch, candidate,
+                                                scratch, log.snapshot_interval);
+        expect_identical(resumed, full, "record-resume", move);
+        expect_log_identical(recorded, scratch, move);
+        if (stats.resumed) ++resumed_recordings;
 
-      if (move % 9 == 0) {  // accept: the recorded log is the new base log
-        base = std::move(candidate);
-        log = std::move(recorded);
+        if (move % 9 == 0) {  // accept: the recorded log is the new base log
+          base = std::move(candidate);
+          log = std::move(recorded);
+        }
       }
-    }
-    if (interval != 1 << 20) {
-      EXPECT_GT(resumed_recordings, 0)
-          << "interval " << interval
-          << ": every recording degenerated to a full build";
+      if (interval != 1 << 20) {
+        EXPECT_GT(resumed_recordings, 0)
+            << "interval " << interval << (released ? " released" : "")
+            << ": every recording degenerated to a full build";
+      }
     }
   }
 }
@@ -479,6 +579,66 @@ TEST(ListSchedulerIncremental, ResumeActuallySkipsEventsForSinkMoves) {
   EXPECT_TRUE(stats.resumed);
   EXPECT_GT(stats.events_resumed, 0u);
   EXPECT_GT(stats.heap_pops, 0u);
+}
+
+// list_schedule_resume rejects inconsistent inputs with
+// std::invalid_argument, as list_schedule does, instead of indexing out of
+// bounds: a moved id outside [0, P), a base of another process count, and
+// a log recorded from another copy layout than the base's.
+TEST(ListSchedulerIncremental, ResumeRejectsMovedIdOutOfRange) {
+  const Instance inst = make_instance(12, 2, 7);
+  const FaultModel model{2};
+  const PolicyAssignment base = greedy_initial(
+      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+  ScheduleCheckpointLog log;
+  (void)list_schedule(inst.app, inst.arch, base, log);
+  EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, base, log, base,
+                                          ProcessId{40}),
+               std::invalid_argument);
+  EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, base, log, base,
+                                          ProcessId{-1}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)list_schedule_resume(inst.app, inst.arch, base, log, base,
+                                 std::vector<ProcessId>{ProcessId{0},
+                                                        ProcessId{12}}),
+      std::invalid_argument);
+}
+
+TEST(ListSchedulerIncremental, ResumeRejectsBaseOfAnotherProcessCount) {
+  const Instance inst = make_instance(12, 2, 7);
+  const FaultModel model{2};
+  const PolicyAssignment base = greedy_initial(
+      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+  ScheduleCheckpointLog log;
+  (void)list_schedule(inst.app, inst.arch, base, log);
+  for (const int processes : {11, 13}) {
+    const Instance other = make_instance(processes, 2, 7);
+    const PolicyAssignment other_base = greedy_initial(
+        other.app, other.arch, model, PolicySpace::kCheckpointingOnly, 8);
+    EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, other_base,
+                                            log, base, ProcessId{0}),
+                 std::invalid_argument)
+        << processes << " processes";
+  }
+}
+
+TEST(ListSchedulerIncremental, ResumeRejectsLogOfAnotherCopyLayout) {
+  const Instance inst = make_instance(12, 2, 7);
+  const FaultModel model{2};
+  const PolicyAssignment fewer = greedy_initial(
+      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+  PolicyAssignment more = fewer;
+  ftes::testing::replicate_every(inst.app, inst.arch, model, 2, more);
+  ScheduleCheckpointLog log;
+  (void)list_schedule(inst.app, inst.arch, fewer, log);
+  EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, more, log, more,
+                                          ProcessId{0}),
+               std::invalid_argument);
+  ScheduleCheckpointLog empty;
+  EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, fewer, empty,
+                                          fewer, ProcessId{0}),
+               std::invalid_argument);
 }
 
 TEST(ListSchedulerIncremental, EvalContextReportsResumesAndRebaseCacheHits) {
