@@ -101,7 +101,7 @@ std::vector<Result> sweep_seeds(int seeds_per_size, int threads,
 using ftes::Stopwatch;  // wall-clock helper for the sweeps' summary lines
 
 /// Appends the sweeps' shared "total" BenchReport entry: throughput plus
-/// the three cache-hit rates of the incremental evaluator.  One helper so
+/// the reuse rates of the incremental evaluator.  One helper so
 /// the fig7/fig8 artifact schemas cannot drift apart.
 inline void add_total_entry(BenchReport& report, const EvalStats& total,
                             double seconds) {
@@ -112,7 +112,6 @@ inline void add_total_entry(BenchReport& report, const EvalStats& total,
                seconds > 0
                    ? static_cast<double>(total.evaluations) / seconds
                    : 0.0);
-  entry.metric("dp_cache_hit_rate", total.dp_reuse_fraction());
   entry.metric("sched_resume_rate", total.ls_resume_fraction());
   entry.metric("rebase_cache_hit_rate",
                total.rebases > 0

@@ -150,10 +150,6 @@ int main(int argc, char** argv) {
               ", %lld fault-free, %lld rebases)\n",
               total.evaluations, total.incremental_evals,
               total.fault_free_evals, total.rebases);
-  std::printf("  WCSL DP rows: %lld of %lld served from the base cache "
-              "(%.1f%% of the DP work skipped)\n",
-              total.dp_vertices_reused, total.dp_vertices_total,
-              100.0 * total.dp_reuse_fraction());
   std::printf("  list scheduler: %lld of %lld candidate schedules resumed; "
               "%lld of %lld placements served by snapshots (%.1f%%)\n",
               total.ls_resumes, total.ls_resumes + total.ls_full_builds,

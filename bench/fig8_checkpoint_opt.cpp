@@ -183,9 +183,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n  (paper's Fig. 8 reports deviations up to ~40%%, larger "
               "deviation = smaller overhead)\n");
-  std::printf("  incremental evaluator: %lld evaluations, %.1f%% of the "
-              "WCSL DP row work served from the base cache\n",
-              total.evaluations, 100.0 * total.dp_reuse_fraction());
+  std::printf("  incremental evaluator: %lld evaluations\n",
+              total.evaluations);
   std::printf("  list scheduler: %.1f%% of candidate placements resumed; "
               "%lld of %lld rebases served by the winning-move cache\n",
               100.0 * total.ls_resume_fraction(), total.rebase_cache_hits,

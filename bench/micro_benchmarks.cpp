@@ -86,7 +86,7 @@ void BM_EvaluateWcsl(benchmark::State& state) {
 BENCHMARK(BM_EvaluateWcsl)->Arg(20)->Arg(50)->Arg(100);
 
 // The checkpoint-move target: a DAG sink (args == 1, the evaluator's
-// favorable case -- nothing downstream to dirty) or the first source
+// favorable case -- a long resumable schedule prefix) or the first source
 // (args == 0, the unfavorable case).  The tabu mix samples in between.
 ProcessId move_target(const Setup& s, bool sink) {
   const std::vector<ProcessId> order = s.app.topological_order();
@@ -109,8 +109,9 @@ void BM_EvalMoveFullCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalMoveFullCopy)->Args({50, 0})->Args({50, 1})->Args({100, 1});
 
-// The same moves through the incremental EvalContext: one plan copied, DP
-// rows outside the affected DAG region reused from the base cache.
+// The same moves through the incremental EvalContext: one plan copied, the
+// schedule resumed from the base's checkpoint log, then one full WCSL pass
+// in the workspace's storage.
 void BM_EvalMoveIncremental(benchmark::State& state) {
   const Setup s = make_setup(static_cast<int>(state.range(0)), 4, 5);
   const ProcessId pid = move_target(s, state.range(1) != 0);

@@ -4,8 +4,9 @@
 // scheduler (sched/list_scheduler.cpp) replaced the scans with per-node
 // ready queues and a transmission heap, and the copy graph with a
 // process-level rank pass; this reference pins the exact tie-breaking the
-// queues must preserve, the tie groups and ready images a checkpoint log
-// must record (ReferenceTrace), and the ranks the pass must reproduce.
+// queues must preserve, the commit index (`event`) stamped on every
+// placement and transmission, the tie groups and ready images a checkpoint
+// log must record (ReferenceTrace), and the ranks the pass must reproduce.
 // Shared by the equivalence property test
 // (tests/test_list_scheduler_incremental.cpp) and the heap-vs-scan
 // micro-benchmarks (bench/micro_benchmarks.cpp) so the pinned behavior and
@@ -219,6 +220,7 @@ inline ListSchedule reference_list_schedule(const Application& app,
       bus_free = finish;
       result.bus_order.push_back(static_cast<int>(result.messages.size()));
       result.messages.push_back(ScheduledMessage{tx.msg, tx.src_copy, tx.sender,
+                                                 static_cast<int>(event),
                                                  tx.ready, start, finish});
       deliver(m, finish);
       continue;
@@ -244,6 +246,7 @@ inline ListSchedule reference_list_schedule(const Application& app,
     ScheduledCopy sc;
     sc.ref = cv.ref;
     sc.node = cv.node;
+    sc.event = static_cast<int>(event);
     sc.start = best_start;
     sc.finish = best_start + cv.duration;
     result.copies[v] = sc;

@@ -16,8 +16,6 @@ namespace {
 
 void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
   metrics.evaluations = spent.evaluations;
-  metrics.cache_hits = spent.dp_vertices_reused;
-  metrics.cache_misses = spent.dp_vertices_total - spent.dp_vertices_reused;
   metrics.sched_events_total = spent.ls_events_total;
   metrics.sched_events_resumed = spent.ls_events_resumed;
   metrics.rebase_cache_hits = spent.rebase_cache_hits;
@@ -52,8 +50,6 @@ std::string StageMetrics::to_json() const {
   json_escape(out, stage);
   out << ", \"skipped\": " << (skipped ? "true" : "false")
       << ", \"evaluations\": " << evaluations
-      << ", \"cache_hits\": " << cache_hits
-      << ", \"cache_misses\": " << cache_misses
       << ", \"sched_events_total\": " << sched_events_total
       << ", \"sched_events_resumed\": " << sched_events_resumed
       << ", \"rebase_cache_hits\": " << rebase_cache_hits
@@ -161,10 +157,10 @@ void SpeculationTask::run_body() {
     if (cancel_.poll()) {  // already dead: let abandon() drain instantly
       ok_ = false;
     } else {
-      // Full-DP evaluation, deliberately not through the shared
+      // Full evaluation, deliberately not through the shared
       // EvalContext (the refinement stage owns it right now):
-      // bit-identical to the cached rows the serial stage reads, which
-      // adoption asserts.
+      // bit-identical to the serial stage's evaluate_full, which adoption
+      // asserts.
       wcsl_ = evaluate_wcsl(app_, arch_, incumbent_, model_);
       ok_ = !cancel_.poll();
       if (ok_ && build_tables_) {
@@ -256,8 +252,6 @@ void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
   const SynthesisOptions& options = ctx.options();
   std::shared_ptr<SpeculationTask> spec = state.speculation;
   const EvalStats before = ctx.eval().stats();
-  // Usually served straight from the cached base DP: the refinement stage
-  // left the evaluator rebased on exactly this assignment.
   state.wcsl = ctx.eval().evaluate_full(state.assignment);
   state.schedulable = state.wcsl.meets_deadlines(ctx.app());
   fill_eval_metrics(metrics, ctx.eval().stats().since(before));
@@ -283,9 +277,9 @@ void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
     if (usable && spec->wcsl().makespan == state.wcsl.makespan &&
         spec->wcsl().process_finish == state.wcsl.process_finish) {
       // Adoption: bit-identical to the serial stage by construction (the
-      // equality above cross-checks the task's full DP against the
-      // evaluator's cached rows; conditional_schedule is a pure function
-      // of the adopted assignment).
+      // equality above cross-checks the task's analysis against the
+      // stage's own; conditional_schedule is a pure function of the
+      // adopted assignment).
       metrics.spec_hits = 1;
       state.schedule = std::move(spec->schedule());
       if (state.schedule) {
@@ -294,7 +288,7 @@ void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
       }
       return;
     }
-    assert(!usable && "speculative WCSL diverged from the cached base rows");
+    assert(!usable && "speculative WCSL diverged from evaluate_full");
     metrics.spec_misses = 1;
   }
 

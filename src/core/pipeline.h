@@ -52,8 +52,6 @@ struct StageMetrics {
   std::string stage;
   bool skipped = false;       ///< disabled by options or cancelled
   long long evaluations = 0;  ///< objective evaluations spent in the stage
-  long long cache_hits = 0;   ///< WCSL DP rows served from the EvalContext
-  long long cache_misses = 0; ///< WCSL DP rows recomputed
   /// List-scheduler incrementality: placement events candidate schedules
   /// needed, and how many were served by checkpoint-snapshot resumes.
   long long sched_events_total = 0;
@@ -214,13 +212,13 @@ class Stage {
 /// While CheckpointRefineStage iterates, the pipeline runs the
 /// ScheduleTableStage work for the refinement's *incumbent* assignment as
 /// a background task on the run's thread pool.  The task never touches
-/// the shared EvalContext -- it evaluates the full WCSL DP from scratch
-/// and builds tables through a private options copy -- so it is safe to
-/// run concurrently with the refinement.  Adoption rule: the consuming
-/// stage adopts the result iff refinement returned exactly the incumbent
-/// and the task's full-DP WCSL matches the evaluator's cached rows
-/// (asserting bit-identity with the serial pipeline); anything else
-/// discards it and rebuilds serially.
+/// the shared EvalContext -- it evaluates the WCSL from scratch and builds
+/// tables through a private options copy -- so it is safe to run
+/// concurrently with the refinement.  Adoption rule: the consuming stage
+/// adopts the result iff refinement returned exactly the incumbent and the
+/// task's WCSL matches the stage's own evaluate_full (asserting
+/// bit-identity with the serial pipeline); anything else discards it and
+/// rebuilds serially.
 class SpeculationTask {
  public:
   /// Snapshots `incumbent` and submits the work to ctx.pool().  The task

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "opt/policy_assignment.h"
+
 namespace ftes {
 
 namespace {
@@ -76,59 +78,6 @@ auto EvalContext::with_move(ProcessId pid, const ProcessPlan& plan,
     put_back(std::move(ws));
     throw;
   }
-}
-
-Time EvalContext::penalized_cost(const std::vector<Time>& process_finish,
-                                 Time makespan) const {
-  Time cost = makespan;
-  for (int i = 0; i < app_.process_count(); ++i) {
-    const Process& p = app_.process(ProcessId{i});
-    if (p.local_deadline) {
-      const Time miss =
-          process_finish[static_cast<std::size_t>(i)] - *p.local_deadline;
-      if (miss > 0) cost += 10 * miss;  // mirror of assignment_cost()
-    }
-  }
-  return cost;
-}
-
-void EvalContext::rebuild_base_lookups() {
-  base_first_tx_.assign(static_cast<std::size_t>(app_.message_count()) + 1, 0);
-  for (int mi = 0; mi < app_.message_count(); ++mi) {
-    base_first_tx_[static_cast<std::size_t>(mi) + 1] =
-        base_first_tx_[static_cast<std::size_t>(mi)] +
-        base_.plan(app_.message(MessageId{mi}).src).copy_count();
-  }
-  base_msg_vertex_.assign(
-      static_cast<std::size_t>(
-          base_first_tx_[static_cast<std::size_t>(app_.message_count())]),
-      -1);
-  for (int m = 0; m < base_dag_.msg_count; ++m) {
-    const ScheduledMessage& sm =
-        base_sched_.messages[static_cast<std::size_t>(m)];
-    base_msg_vertex_[static_cast<std::size_t>(
-        base_first_tx_[static_cast<std::size_t>(sm.msg.get())] +
-        sm.src_copy)] = base_dag_.msg_vertex(m);
-  }
-}
-
-EvalContext::Outcome EvalContext::outcome_from_base_rows() const {
-  const int k = model_.k;
-  Outcome out;
-  std::vector<Time> process_finish(
-      static_cast<std::size_t>(app_.process_count()), 0);
-  for (int v = 0; v < base_dag_.g.vertex_count(); ++v) {
-    const Time worst =
-        base_L_[static_cast<std::size_t>(v)][static_cast<std::size_t>(k)];
-    out.makespan = std::max(out.makespan, worst);
-    if (v < base_dag_.copy_count) {
-      Time& pf = process_finish[static_cast<std::size_t>(
-          base_sched_.copies[static_cast<std::size_t>(v)].ref.process.get())];
-      pf = std::max(pf, worst);
-    }
-  }
-  out.cost = penalized_cost(process_finish, out.makespan);
-  return out;
 }
 
 void EvalContext::invalidate_winner_cache() {
@@ -244,68 +193,47 @@ void EvalContext::rebuild_base_schedule(const PolicyAssignment& base,
 
 EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
                                          ProcessId accepted) {
-  const int k = model_.k;
-
   // Winning-move cache: when the new base is the old base with exactly one
   // plan replaced, and that (process, plan) matches a cached candidate,
-  // adopt the candidate's DAG + DP rows wholesale.  Only the fault-free
-  // schedule remains -- rebuilt by record-while-resuming from the grand
-  // log (its checkpoint log must describe the new base) -- so the accept
-  // step pays neither the DP nor a from-scratch schedule build.
-  if (base_has_dp_) {
+  // its outcome is the new base's.  Only the fault-free schedule is
+  // rebuilt -- by record-while-resuming from the grand log, since its
+  // checkpoint log must describe the new base.
+  bool hit = false;
+  Outcome out;
+  if (base_scored_) {
     const std::int32_t diff_pid = single_diff_pid(base, accepted);
     if (diff_pid >= 0) {
-      Outcome out;
-      bool hit = false;
-      {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        for (CacheEntry* slot : {&best_cost_, &best_span_}) {
-          if (slot->valid && slot->pid.get() == diff_pid &&
-              slot->plan == base.plan(ProcessId{diff_pid})) {
-            // Both slots may share these artifacts; both are invalidated
-            // below, before the lock is released, so moving out is safe.
-            base_dag_ = std::move(slot->artifacts->dag);
-            base_L_ = std::move(slot->artifacts->L);
-            out = slot->outcome;
-            best_cost_ = CacheEntry{};
-            best_span_ = CacheEntry{};
-            hit = true;
-            break;
-          }
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      for (const CacheEntry* slot : {&best_cost_, &best_span_}) {
+        if (slot->valid && slot->pid.get() == diff_pid &&
+            slot->plan == base.plan(ProcessId{diff_pid})) {
+          out = slot->outcome;
+          hit = true;
+          break;
         }
-      }
-      if (hit) {
-        rebuild_base_schedule(base, accepted);  // resumes from the grand log
-        base_ = base;
-        ++version_;
-        rebuild_base_lookups();
-        base_has_dp_ = true;
-        rebases_.fetch_add(1, std::memory_order_relaxed);
-        rebase_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        return out;
       }
     }
   }
-
   invalidate_winner_cache();
   rebuild_base_schedule(base, accepted);  // resumes from the grand log
   base_ = base;
   ++version_;
-  base_dag_ = build_wcsl_dag(app_, arch_, base_, k, base_sched_);
-  base_L_.resize(static_cast<std::size_t>(base_dag_.g.vertex_count()));
-  for (int v : base_dag_.g.topological_order()) {
-    wcsl_dp_row(base_dag_, v, base_L_, k, base_L_[static_cast<std::size_t>(v)]);
-  }
-  rebuild_base_lookups();
-  base_has_dp_ = true;
+  base_scored_ = true;
   rebases_.fetch_add(1, std::memory_order_relaxed);
-  return outcome_from_base_rows();
+  if (hit) {
+    rebase_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return out;
+  }
+  std::unique_ptr<Workspace> ws = acquire();
+  out = analyze(*ws, base_, base_sched_);
+  put_back(std::move(ws));
+  return out;
 }
 
 Time EvalContext::rebase_fault_free(const PolicyAssignment& base,
                                     ProcessId accepted) {
   invalidate_winner_cache();
-  base_has_dp_ = false;
+  base_scored_ = false;
   rebuild_base_schedule(base, accepted);
   base_ = base;
   ++version_;
@@ -324,110 +252,36 @@ void EvalContext::record_resume_stats(const ListScheduleResumeStats& stats) {
                        std::memory_order_relaxed);
 }
 
-EvalContext::Outcome EvalContext::incremental_outcome(Workspace& ws,
-                                                      ProcessId pid) {
+EvalContext::Outcome EvalContext::analyze(Workspace& ws,
+                                          const PolicyAssignment& assignment,
+                                          const ListSchedule& sched) const {
   const int k = model_.k;
-  ListScheduleResumeStats rstats;
-  ws.sched = list_schedule_resume(app_, arch_, base_, base_log_,
-                                  ws.assignment, pid, &rstats);
-  record_resume_stats(rstats);
-  ws.dag = build_wcsl_dag(app_, arch_, ws.assignment, k, ws.sched);
-  const ListSchedule& sched = ws.sched;
+  build_wcsl_dag(app_, arch_, assignment, k, sched, ws.dag, ws.scratch);
   const WcslDag& dag = ws.dag;
-  const int total = dag.g.vertex_count();
-
-  // Map candidate vertices onto base vertices by identity key: copies by
-  // (process, copy) -- prefix arithmetic on both sides -- transmissions by
-  // (message, source copy).  A remap or policy move may create or drop
-  // vertices; unmapped ones are dirty.
-  ws.to_base.assign(static_cast<std::size_t>(total), -1);
-  for (int i = 0; i < dag.copy_count; ++i) {
-    const ScheduledCopy& sc = sched.copies[static_cast<std::size_t>(i)];
-    if (sc.ref.copy < base_.plan(sc.ref.process).copy_count()) {
-      ws.to_base[static_cast<std::size_t>(i)] =
-          base_sched_.first_copy[static_cast<std::size_t>(
-              sc.ref.process.get())] +
-          sc.ref.copy;
-    }
-  }
-  for (int m = 0; m < dag.msg_count; ++m) {
-    const ScheduledMessage& sm = sched.messages[static_cast<std::size_t>(m)];
-    const std::int32_t mi = sm.msg.get();
-    if (sm.src_copy <
-        base_.plan(app_.message(sm.msg).src).copy_count()) {
-      ws.to_base[static_cast<std::size_t>(dag.msg_vertex(m))] =
-          base_msg_vertex_[static_cast<std::size_t>(
-              base_first_tx_[static_cast<std::size_t>(mi)] + sm.src_copy)];
-    }
-  }
-
-  // Rows keep their storage across evaluations: every row is rewritten
-  // below (copied from the base or recomputed) before anything reads it.
-  ws.L.resize(static_cast<std::size_t>(total));
-  ws.clean.assign(static_cast<std::size_t>(total), 0);
-  long long reused = 0;
-  for (int v : dag.g.topological_order()) {
-    const int u = ws.to_base[static_cast<std::size_t>(v)];
-    bool reusable =
-        u >= 0 &&
-        dag.release[static_cast<std::size_t>(v)] ==
-            base_dag_.release[static_cast<std::size_t>(u)] &&
-        std::equal(dag.weights(v), dag.weights(v) + dag.width,
-                   base_dag_.weights(u));
-    if (reusable) {
-      // Same predecessor multiset, all clean: compare the mapped ids,
-      // sorted, against the base's sorted predecessor slice.
-      const WcslGraph::Range preds = dag.g.predecessors(v);
-      const WcslGraph::Range base_preds = base_dag_.g.predecessors(u);
-      reusable = preds.size() == base_preds.size();
-      if (reusable) {
-        ws.mapped_preds.clear();
-        for (int p : preds) {
-          const int bp = ws.to_base[static_cast<std::size_t>(p)];
-          if (bp < 0 || !ws.clean[static_cast<std::size_t>(p)]) {
-            reusable = false;
-            break;
-          }
-          ws.mapped_preds.push_back(bp);
-        }
-        if (reusable) {
-          std::sort(ws.mapped_preds.begin(), ws.mapped_preds.end());
-          reusable = std::equal(ws.mapped_preds.begin(),
-                                ws.mapped_preds.end(), base_preds.begin());
-        }
-      }
-    }
-    if (reusable) {
-      ws.L[static_cast<std::size_t>(v)] = base_L_[static_cast<std::size_t>(u)];
-      ws.clean[static_cast<std::size_t>(v)] = 1;
-      ++reused;
-    } else {
-      wcsl_dp_row(dag, v, ws.L, k, ws.L[static_cast<std::size_t>(v)]);
-    }
-  }
-
+  // Rows keep their storage from candidate to candidate; wcsl_dp_row
+  // rewrites each one before any successor reads it.
+  ws.L.resize(static_cast<std::size_t>(dag.g.vertex_count()));
   Outcome out;
+  for (int v : dag.g.topological_order()) {
+    std::vector<Time>& row = ws.L[static_cast<std::size_t>(v)];
+    wcsl_dp_row(dag, v, ws.L, k, row);
+    out.makespan = std::max(out.makespan, row[static_cast<std::size_t>(k)]);
+  }
   ws.process_finish.assign(static_cast<std::size_t>(app_.process_count()), 0);
-  for (int v = 0; v < total; ++v) {
-    const Time worst =
-        ws.L[static_cast<std::size_t>(v)][static_cast<std::size_t>(k)];
-    out.makespan = std::max(out.makespan, worst);
-    if (v < dag.copy_count) {
-      Time& pf = ws.process_finish[static_cast<std::size_t>(
-          sched.copies[static_cast<std::size_t>(v)].ref.process.get())];
-      pf = std::max(pf, worst);
+  for (int p = 0; p < app_.process_count(); ++p) {
+    Time& pf = ws.process_finish[static_cast<std::size_t>(p)];
+    for (int v = sched.first_copy[static_cast<std::size_t>(p)];
+         v < sched.first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
+      pf = std::max(pf, ws.L[static_cast<std::size_t>(v)]
+                            [static_cast<std::size_t>(k)]);
     }
   }
-  out.cost = penalized_cost(ws.process_finish, out.makespan);
-
-  dp_vertices_total_.fetch_add(total, std::memory_order_relaxed);
-  dp_vertices_reused_.fetch_add(reused, std::memory_order_relaxed);
+  out.cost = penalized_cost(app_, ws.process_finish, out.makespan);
   return out;
 }
 
-void EvalContext::maybe_cache_winner(Workspace& ws, ProcessId pid,
+void EvalContext::maybe_cache_winner(ProcessId pid, const ProcessPlan& plan,
                                      const Outcome& outcome) {
-  const ProcessPlan& plan = ws.assignment.plan(pid);
   const auto improves = [&](Time metric, Time slot_metric,
                             const CacheEntry& slot) {
     if (!slot.valid) return true;
@@ -435,39 +289,30 @@ void EvalContext::maybe_cache_winner(Workspace& ws, ProcessId pid,
     return move_key_less(pid, plan, slot.pid, slot.plan);
   };
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  const bool cost_improves =
-      improves(outcome.cost, best_cost_.outcome.cost, best_cost_);
-  const bool span_improves =
-      improves(outcome.makespan, best_span_.outcome.makespan, best_span_);
-  if (!cost_improves && !span_improves) return;
-  // The workspace artifacts are dead after this evaluation (the next move
-  // rebuilds them), so stealing them keeps the critical section O(1).
-  auto artifacts = std::make_shared<CachedArtifacts>();
-  artifacts->dag = std::move(ws.dag);
-  artifacts->L = std::move(ws.L);
-  const auto store = [&](CacheEntry& slot) {
-    slot.valid = true;
-    slot.pid = pid;
-    slot.plan = plan;
-    slot.outcome = outcome;
-    slot.artifacts = artifacts;
-  };
-  if (cost_improves) store(best_cost_);
-  if (span_improves) store(best_span_);
+  if (improves(outcome.cost, best_cost_.outcome.cost, best_cost_)) {
+    best_cost_ = CacheEntry{true, pid, plan, outcome};
+  }
+  if (improves(outcome.makespan, best_span_.outcome.makespan, best_span_)) {
+    best_span_ = CacheEntry{true, pid, plan, outcome};
+  }
 }
 
 EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
                                                 const ProcessPlan& plan) {
-  if (!base_has_dp_) {
+  if (!base_scored_) {
     throw std::logic_error("EvalContext::evaluate_move without rebase()");
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   incremental_evals_.fetch_add(1, std::memory_order_relaxed);
-  return with_move(pid, plan, [&](Workspace& ws) {
-    const Outcome out = incremental_outcome(ws, pid);
-    maybe_cache_winner(ws, pid, out);
-    return out;
+  const Outcome out = with_move(pid, plan, [&](Workspace& ws) {
+    ListScheduleResumeStats rstats;
+    ws.sched = list_schedule_resume(app_, arch_, base_, base_log_,
+                                    ws.assignment, pid, &rstats);
+    record_resume_stats(rstats);
+    return analyze(ws, ws.assignment, ws.sched);
   });
+  maybe_cache_winner(pid, plan, out);
+  return out;
 }
 
 Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {
@@ -490,21 +335,6 @@ Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {
 WcslResult EvalContext::evaluate_full(const PolicyAssignment& assignment) {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   full_evals_.fetch_add(1, std::memory_order_relaxed);
-  if (base_has_dp_ && assignment.process_count() == base_.process_count()) {
-    bool same = true;
-    for (int i = 0; i < assignment.process_count() && same; ++i) {
-      same = assignment.plan(ProcessId{i}) == base_.plan(ProcessId{i});
-    }
-    if (same) {
-      // The final analysis of an optimizer's accepted base: every DP row is
-      // already cached, so only the result extraction remains.
-      const int total = base_dag_.g.vertex_count();
-      dp_vertices_total_.fetch_add(total, std::memory_order_relaxed);
-      dp_vertices_reused_.fetch_add(total, std::memory_order_relaxed);
-      return wcsl_result_from_rows(app_, base_sched_, base_dag_, base_L_,
-                                   model_.k);
-    }
-  }
   return evaluate_wcsl(app_, arch_, assignment, model_);
 }
 
@@ -515,8 +345,6 @@ EvalStats EvalContext::stats() const {
   s.incremental_evals = incremental_evals_.load(std::memory_order_relaxed);
   s.fault_free_evals = fault_free_evals_.load(std::memory_order_relaxed);
   s.rebases = rebases_.load(std::memory_order_relaxed);
-  s.dp_vertices_total = dp_vertices_total_.load(std::memory_order_relaxed);
-  s.dp_vertices_reused = dp_vertices_reused_.load(std::memory_order_relaxed);
   s.ls_full_builds = ls_full_builds_.load(std::memory_order_relaxed);
   s.ls_resumes = ls_resumes_.load(std::memory_order_relaxed);
   s.ls_events_total = ls_events_total_.load(std::memory_order_relaxed);

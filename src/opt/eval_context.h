@@ -3,10 +3,9 @@
 // The tabu optimizers and the checkpoint refinement evaluate tens of
 // thousands of candidates per run, each differing from an incumbent
 // assignment in a single process plan.  Evaluating a candidate from
-// scratch pays three times: a full PolicyAssignment copy per candidate, a
-// full fault-free list schedule rebuild, and a full budgeted-longest-path
-// DP (sched/wcsl.h) over the augmented schedule DAG.  EvalContext removes
-// all three costs:
+// scratch pays twice over: a full PolicyAssignment copy per candidate and
+// a full fault-free list schedule rebuild.  EvalContext removes both, and
+// scores each candidate with one full, allocation-free WCSL pass:
 //
 //   * Moves are expressed as (process, new ProcessPlan) against a cached
 //     *base* assignment.  Per-thread workspaces materialize a candidate by
@@ -16,15 +15,13 @@
 //     (sched/list_scheduler.h); a candidate's schedule resumes from the
 //     last snapshot that provably precedes any placement the move can
 //     affect instead of replaying the whole event sequence.
-//   * The base's DP rows are cached.  A candidate's augmented DAG is
-//     diffed against the base's: a vertex whose release, weight table and
-//     predecessor multiset are unchanged, and whose predecessors are all
-//     clean, reuses the cached row; everything downstream of a change is
-//     recomputed (dirty-successor propagation).
-//   * During a sweep the best candidate's DAG + DP rows are kept; a
-//     rebase() onto exactly that winning move adopts them (a pointer swap)
-//     instead of re-running the DP -- the common accept step of the search
-//     engine's loop becomes near-free.
+//   * The candidate's augmented DAG is built in commit order into the
+//     workspace's storage, and wcsl_dp_row runs over every vertex into the
+//     workspace's rows (sched/wcsl.h); a warm workspace allocates nothing
+//     on this side.
+//   * During a sweep the best candidate's outcome is kept; a rebase()
+//     onto exactly that winning move returns it instead of re-running the
+//     analysis.
 //   * Any rebase whose new base differs from the old in a single plan
 //     rebuilds the base schedule by *record-while-resuming*: the accepted
 //     move is replayed from the old log's nearest safe snapshot while a
@@ -34,9 +31,8 @@
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
-// rebuilds), and a reused row equals the row the full DP would compute
-// (the same integer recurrence on inputs proven equal by the diff).
-// EvalStats reports the reuse rates of all three layers.
+// rebuilds), and the analysis on top of it is the full one.  EvalStats
+// reports the reuse rates of the schedule and rebase layers.
 //
 // Thread safety: evaluate_move / fault_free_makespan may run concurrently
 // (the parallel neighborhood evaluation relies on this); rebase /
@@ -72,10 +68,10 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Recomputes the cached schedule + DP for `base` and returns its
-  /// outcome.  When `base` is the previous base with exactly the cached
-  /// winning move applied, the candidate's artifacts are adopted instead
-  /// of recomputed (near-free; counted as a rebase cache hit).
+  /// Rebuilds the cached schedule + checkpoint log for `base` and returns
+  /// its outcome.  When `base` is the previous base with exactly the
+  /// cached winning move applied, the candidate's outcome is returned
+  /// instead of re-analyzing (counted as a rebase cache hit).
   /// Invalidates workspaces lazily.  A valid `accepted` asserts that the
   /// new base differs from the old in at most that one plan (the engine's
   /// accept step knows its move), skipping the O(P) diff scans.
@@ -86,8 +82,9 @@ class EvalContext {
   /// the base's own fault-free makespan.  `accepted` as for rebase().
   Time rebase_fault_free(const PolicyAssignment& base, ProcessId accepted = {});
 
-  /// WCSL outcome of base-with-plan(pid)-replaced-by-plan, evaluated
-  /// incrementally against the cached DP.  Requires a prior rebase().
+  /// WCSL outcome of base-with-plan(pid)-replaced-by-plan: its schedule
+  /// resumed from the base's log, then one full analysis.  Requires a
+  /// prior rebase().
   [[nodiscard]] Outcome evaluate_move(ProcessId pid, const ProcessPlan& plan);
 
   /// Fault-free list-schedule makespan of the same move (the mapping
@@ -95,9 +92,7 @@ class EvalContext {
   [[nodiscard]] Time fault_free_makespan(ProcessId pid,
                                          const ProcessPlan& plan);
 
-  /// Evaluation of an arbitrary assignment (stats-counted).  Served
-  /// entirely from the cached base DP when `assignment` equals the current
-  /// base; non-incremental otherwise.
+  /// From-scratch evaluation of an arbitrary assignment (stats-counted).
   [[nodiscard]] WcslResult evaluate_full(const PolicyAssignment& assignment);
 
   [[nodiscard]] const PolicyAssignment& base() const { return base_; }
@@ -112,33 +107,21 @@ class EvalContext {
     std::uint64_t version = 0;
     ListSchedule sched;
     WcslDag dag;
+    WcslDagScratch scratch;
     std::vector<std::vector<Time>> L;
-    std::vector<int> to_base;
-    std::vector<char> clean;
-    std::vector<int> mapped_preds;
     std::vector<Time> process_finish;
   };
 
-  /// Winning-move cache: the artifacts of the best candidate evaluated
-  /// since the last rebase, one slot per selection metric (the policy tabu
-  /// search accepts by cost, the checkpoint refinement by makespan).
-  /// Ties resolve by a total order on (process, plan) so the cached entry
-  /// is identical for every thread count.  Artifacts are *moved* out of
-  /// the evaluating workspace and shared between the two slots, so a
-  /// store under the cache mutex is O(1) -- no DP-row copies on the
-  /// parallel evaluation path.  (The candidate's schedule is not kept:
-  /// an adopting rebase must rebuild it anyway to record a fresh
-  /// checkpoint log.)
-  struct CachedArtifacts {
-    WcslDag dag;
-    std::vector<std::vector<Time>> L;
-  };
+  /// Winning-move cache: the best candidate evaluated since the last
+  /// rebase, one slot per selection metric (the policy tabu search accepts
+  /// by cost, the checkpoint refinement by makespan).  Ties resolve by a
+  /// total order on (process, plan) so the cached entry is identical for
+  /// every thread count.
   struct CacheEntry {
     bool valid = false;
     ProcessId pid;
     ProcessPlan plan;
     Outcome outcome;
-    std::shared_ptr<CachedArtifacts> artifacts;
   };
 
   [[nodiscard]] std::unique_ptr<Workspace> acquire();
@@ -148,11 +131,13 @@ class EvalContext {
   template <class Body>
   auto with_move(ProcessId pid, const ProcessPlan& plan, const Body& body);
 
-  [[nodiscard]] Outcome incremental_outcome(Workspace& ws, ProcessId pid);
+  /// One full WCSL pass over `sched`, a list schedule of `assignment`, in
+  /// `ws`'s storage: the DAG, every DP row, then makespan and cost.
+  [[nodiscard]] Outcome analyze(Workspace& ws,
+                                const PolicyAssignment& assignment,
+                                const ListSchedule& sched) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
-  /// May move ws.dag / ws.L into the cache (they are dead after a move
-  /// evaluation and rebuilt by the next one).
-  void maybe_cache_winner(Workspace& ws, ProcessId pid,
+  void maybe_cache_winner(ProcessId pid, const ProcessPlan& plan,
                           const Outcome& outcome);
   void invalidate_winner_cache();
   /// Rebuilds base_sched_ + base_log_ for `base` (the member base_ still
@@ -171,31 +156,20 @@ class EvalContext {
   /// Re-anchors the grand base to (base, log) and clears the pending run.
   void anchor_grand_base(const PolicyAssignment& base,
                          const ScheduleCheckpointLog& log);
-  void rebuild_base_lookups();
-  [[nodiscard]] Outcome outcome_from_base_rows() const;
-  [[nodiscard]] Time penalized_cost(const std::vector<Time>& process_finish,
-                                    Time makespan) const;
 
   const Application& app_;
   const Architecture& arch_;
   FaultModel model_;
 
-  // Cached base: assignment, its fault-free schedule + checkpoint log,
-  // augmented DAG, DP rows, and lookup structures for the candidate diff.
+  // Cached base: assignment and its fault-free schedule + checkpoint log.
   PolicyAssignment base_;
   std::uint64_t version_ = 0;
-  bool base_has_dp_ = false;
+  /// Set by rebase(), cleared by rebase_fault_free(): evaluate_move and
+  /// the winning-move cache need a WCSL base.
+  bool base_scored_ = false;
   bool base_has_log_ = false;
   ListSchedule base_sched_;
   ScheduleCheckpointLog base_log_;
-  WcslDag base_dag_;
-  std::vector<std::vector<Time>> base_L_;
-  // (message, source copy) -> base transmission vertex via prefix offsets
-  // over the *base* plan shapes; -1 for keys absent from the base schedule.
-  // (The copy-side lookup needs no table: copy vertices are prefix-indexed
-  // by construction, see ListSchedule::first_copy.)
-  std::vector<int> base_first_tx_;
-  std::vector<int> base_msg_vertex_;
 
   // Batched-accept anchor: consecutive accepted moves are re-recorded as
   // one *batch* against this retained grand base + log (multi-move
@@ -226,8 +200,6 @@ class EvalContext {
   std::atomic<long long> incremental_evals_{0};
   std::atomic<long long> fault_free_evals_{0};
   std::atomic<long long> rebases_{0};
-  std::atomic<long long> dp_vertices_total_{0};
-  std::atomic<long long> dp_vertices_reused_{0};
   std::atomic<long long> ls_full_builds_{0};
   std::atomic<long long> ls_resumes_{0};
   std::atomic<long long> ls_events_total_{0};

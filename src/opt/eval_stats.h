@@ -3,13 +3,11 @@
 // pulling in the evaluator itself.
 //
 // `evaluations` counts objective evaluations of any kind; the remaining
-// counters break down how they were served.  Two cache layers exist: the
-// WCSL DP row cache (a reused vertex is a budgeted-longest-path row taken
-// from the cached base instead of recomputed) and the list-schedule
-// checkpoint log (a resumed event is a copy/transmission placement served
-// by a base snapshot instead of replayed).  `rebase_cache_hits` counts
-// base recomputations served wholesale from the winning candidate's cached
-// schedule + DP rows.
+// counters break down how they were served.  The list-schedule checkpoint
+// log is the cache layer: a resumed event is a copy/transmission placement
+// served by a base snapshot instead of replayed.  `rebase_cache_hits`
+// counts base recomputations served by the winning candidate's cached
+// outcome.
 #pragma once
 
 namespace ftes {
@@ -20,8 +18,10 @@ struct EvalStats {
   long long incremental_evals = 0;  ///< move evals against the cached base
   long long fault_free_evals = 0;   ///< list-schedule-only makespan evals
   long long rebases = 0;            ///< base recomputations
-  long long dp_vertices_total = 0;  ///< DP rows needed by incremental evals
-  long long dp_vertices_reused = 0; ///< of those, rows served from the cache
+  /// Always 0: every candidate runs the full DP (EvalContext keeps no DP
+  /// rows).  Kept for readers of the historical row-reuse counters.
+  long long dp_vertices_total = 0;
+  long long dp_vertices_reused = 0;
 
   // List-scheduler incrementality (move evaluations only; accepted-move
   // rebases are broken out separately below).
@@ -64,14 +64,6 @@ struct EvalStats {
   /// check compares the two growth rates).
   long long snapshot_bytes_shared = 0;
 
-  /// Fraction of DP rows served from the cache across incremental evals.
-  [[nodiscard]] double dp_reuse_fraction() const {
-    return dp_vertices_total > 0
-               ? static_cast<double>(dp_vertices_reused) /
-                     static_cast<double>(dp_vertices_total)
-               : 0.0;
-  }
-
   /// Fraction of list-schedule placement events served by snapshot resumes.
   [[nodiscard]] double ls_resume_fraction() const {
     return ls_events_total > 0
@@ -86,8 +78,6 @@ struct EvalStats {
     incremental_evals += other.incremental_evals;
     fault_free_evals += other.fault_free_evals;
     rebases += other.rebases;
-    dp_vertices_total += other.dp_vertices_total;
-    dp_vertices_reused += other.dp_vertices_reused;
     ls_full_builds += other.ls_full_builds;
     ls_resumes += other.ls_resumes;
     ls_events_total += other.ls_events_total;
@@ -114,8 +104,6 @@ struct EvalStats {
     d.incremental_evals -= earlier.incremental_evals;
     d.fault_free_evals -= earlier.fault_free_evals;
     d.rebases -= earlier.rebases;
-    d.dp_vertices_total -= earlier.dp_vertices_total;
-    d.dp_vertices_reused -= earlier.dp_vertices_reused;
     d.ls_full_builds -= earlier.ls_full_builds;
     d.ls_resumes -= earlier.ls_resumes;
     d.ls_events_total -= earlier.ls_events_total;

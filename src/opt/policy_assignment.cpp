@@ -272,13 +272,18 @@ Time assignment_cost(const Application& app, const Architecture& arch,
                      const PolicyAssignment& assignment,
                      const FaultModel& model) {
   const WcslResult wcsl = evaluate_wcsl(app, arch, assignment, model);
-  Time cost = wcsl.makespan;
+  return penalized_cost(app, wcsl.process_finish, wcsl.makespan);
+}
+
+Time penalized_cost(const Application& app,
+                    const std::vector<Time>& process_finish, Time makespan) {
+  Time cost = makespan;
   for (int i = 0; i < app.process_count(); ++i) {
     const Process& p = app.process(ProcessId{i});
     if (p.local_deadline) {
       const Time miss =
-          wcsl.process_finish[static_cast<std::size_t>(i)] - *p.local_deadline;
-      if (miss > 0) cost += 10 * miss;  // soft penalty steers back to feasible
+          process_finish[static_cast<std::size_t>(i)] - *p.local_deadline;
+      if (miss > 0) cost += 10 * miss;
     }
   }
   return cost;
@@ -320,8 +325,6 @@ OptimizeResult optimize_from(const Application& app, const Architecture& arch,
 
   OptimizeResult result;
   result.assignment = std::move(found.best);
-  // Served from the cached base DP when the search ends on its best
-  // assignment (the common case); full evaluation otherwise.
   const WcslResult wcsl = eval->evaluate_full(result.assignment);
   result.wcsl = wcsl.makespan;
   result.schedulable = wcsl.meets_deadlines(app);

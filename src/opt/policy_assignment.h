@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "app/application.h"
 #include "arch/architecture.h"
@@ -107,5 +108,14 @@ struct OptimizeResult {
                                    const Architecture& arch,
                                    const PolicyAssignment& assignment,
                                    const FaultModel& model);
+
+/// The objective of one analysis: `makespan` plus 10 per time unit by
+/// which a process's worst-case finish (`process_finish`, indexed by
+/// ProcessId) misses its local deadline -- a soft penalty that steers the
+/// search back to feasibility.  assignment_cost and EvalContext both score
+/// with it.
+[[nodiscard]] Time penalized_cost(const Application& app,
+                                  const std::vector<Time>& process_finish,
+                                  Time makespan);
 
 }  // namespace ftes

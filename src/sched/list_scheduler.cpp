@@ -33,6 +33,10 @@ Time ListSchedule::process_finish(ProcessId p) const {
   return latest;
 }
 
+// `event` occupies alignment padding: stamping commit indices costs no
+// snapshot bytes.
+static_assert(sizeof(ScheduledCopy) == 32 && sizeof(ScheduledMessage) == 40);
+
 std::size_t snapshot_bytes(const ScheduleSnapshot& s) {
   std::size_t bytes = sizeof(ScheduleSnapshot);
   bytes += s.node_free.size() * sizeof(Time);
@@ -404,6 +408,7 @@ class Scheduler {
     ScheduledCopy sc;
     sc.ref = cv.ref;
     sc.node = cv.node;
+    sc.event = static_cast<int>(event);
     sc.start = start;
     sc.finish = start + cv.duration;
     result.copies[static_cast<std::size_t>(v)] = sc;
@@ -448,8 +453,8 @@ class Scheduler {
     bus_free = finish;
     result.bus_order.push_back(static_cast<int>(result.messages.size()));
     result.messages.push_back(
-        ScheduledMessage{MessageId{tx.msg}, tx.src_copy, tx.sender, tx.ready,
-                         start, finish});
+        ScheduledMessage{MessageId{tx.msg}, tx.src_copy, tx.sender,
+                         static_cast<int>(event), tx.ready, start, finish});
     deliver(m, finish);
   }
 

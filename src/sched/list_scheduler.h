@@ -41,6 +41,7 @@ namespace ftes {
 struct ScheduledCopy {
   CopyRef ref;
   NodeId node;
+  int event = -1;  ///< commit index of the placement (see ListSchedule)
   Time start = 0;
   Time finish = 0;  ///< fault-free finish
 };
@@ -51,11 +52,19 @@ struct ScheduledMessage {
   MessageId msg;
   int src_copy = 0;
   NodeId sender;
+  int event = -1;   ///< commit index of the transmission (see ListSchedule)
   Time ready = 0;   ///< producer's fault-free finish
   Time start = 0;   ///< begin of first TDMA slot used
   Time finish = 0;  ///< end of last slot used
 };
 
+/// Every placement and transmission carries its commit index `event`: the
+/// scheduler commits one of them per event, so the indices of a schedule's
+/// copies and messages are a permutation of [0, copies + messages), and a
+/// producer, its transmissions and the copies that wait for them are
+/// committed in that order -- the WCSL analysis (sched/wcsl.h) visits its
+/// DAG in this order.  A move leaves the indices of the unaffected prefix
+/// unchanged, so prefix snapshots stay bitwise shareable.
 struct ListSchedule {
   /// Indexed by copy vertex id: vertex of copy j of process p is
   /// `first_copy[p] + j` (copies of one process are contiguous).

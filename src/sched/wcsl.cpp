@@ -20,42 +20,74 @@ bool WcslResult::meets_deadlines(const Application& app) const {
   return true;
 }
 
-WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
-                       const PolicyAssignment& assignment, int k,
-                       const ListSchedule& schedule) {
-  WcslDag a;
+void build_wcsl_dag(const Application& app, const Architecture& arch,
+                    const PolicyAssignment& assignment, int k,
+                    const ListSchedule& schedule, WcslDag& a,
+                    WcslDagScratch& scratch) {
+  const int process_count = app.process_count();
+  // Copy vertices are prefix-indexed by construction of the list scheduler
+  // (copy j of process p sits at schedule.first_copy[p] + j), so once the
+  // schedule's layout is known to be the assignment's, the (process, copy)
+  // -> vertex lookup is pure arithmetic.
+  const std::vector<int>& first_copy = schedule.first_copy;
+  bool layout_ok = assignment.process_count() == process_count &&
+                   first_copy.size() ==
+                       static_cast<std::size_t>(process_count) + 1 &&
+                   first_copy[0] == 0;
+  for (int p = 0; layout_ok && p < process_count; ++p) {
+    layout_ok = first_copy[static_cast<std::size_t>(p) + 1] -
+                    first_copy[static_cast<std::size_t>(p)] ==
+                assignment.plan(ProcessId{p}).copy_count();
+  }
+  if (!layout_ok || schedule.copies.size() !=
+                        static_cast<std::size_t>(first_copy.back())) {
+    throw std::invalid_argument(
+        "WCSL DAG: the schedule's copy layout is not the assignment's");
+  }
   a.copy_count = static_cast<int>(schedule.copies.size());
   a.msg_count = static_cast<int>(schedule.messages.size());
   a.width = k + 1;
   const int total = a.copy_count + a.msg_count;
-  const int process_count = app.process_count();
-
-  // Copy vertices are prefix-indexed by construction of the list scheduler
-  // (copy j of process p sits at schedule.first_copy[p] + j), so the
-  // (process, copy) -> vertex lookup is pure arithmetic; this builder runs
-  // once per objective evaluation, so no maps and no scan here.
-  std::vector<int> first_copy(static_cast<std::size_t>(process_count) + 1, 0);
-  for (int p = 0; p < process_count; ++p) {
-    first_copy[static_cast<std::size_t>(p) + 1] =
-        first_copy[static_cast<std::size_t>(p)] +
-        assignment.plan(ProcessId{p}).copy_count();
-  }
   const auto cv = [&](std::int32_t process, int copy) {
     return first_copy[static_cast<std::size_t>(process)] + copy;
   };
 
-  // Same flat scheme for the (message, source copy) -> transmission lookup.
-  std::vector<int> first_tx(static_cast<std::size_t>(app.message_count()) + 1,
-                            0);
-  for (int mi = 0; mi < app.message_count(); ++mi) {
-    first_tx[static_cast<std::size_t>(mi) + 1] =
-        first_tx[static_cast<std::size_t>(mi)] +
-        assignment.plan(app.message(MessageId{mi}).src).copy_count();
+  // Topological order: the commit order.  The scheduler commits one copy
+  // or transmission per event, and a vertex's predecessors (its producers,
+  // the transmissions it waits for, the previous execution on its node or
+  // transmission on the bus) all commit before it -- checked below.
+  WcslGraph& g = a.g;
+  std::vector<int>& event = scratch.event;
+  event.resize(static_cast<std::size_t>(total));
+  g.order.assign(static_cast<std::size_t>(total), -1);
+  for (int v = 0; v < total; ++v) {
+    const int e =
+        v < a.copy_count
+            ? schedule.copies[static_cast<std::size_t>(v)].event
+            : schedule.messages[static_cast<std::size_t>(v - a.copy_count)]
+                  .event;
+    if (e < 0 || e >= total || g.order[static_cast<std::size_t>(e)] >= 0) {
+      throw std::invalid_argument(
+          "WCSL DAG: commit indices are not a permutation of the events");
+    }
+    g.order[static_cast<std::size_t>(e)] = v;
+    event[static_cast<std::size_t>(v)] = e;
   }
-  std::vector<int> tx_of(
-      static_cast<std::size_t>(first_tx[static_cast<std::size_t>(
-          app.message_count())]),
-      -1);
+
+  // The (message, source copy) -> transmission lookup, by prefix offsets.
+  const std::vector<Message>& messages = app.messages();
+  const auto message = [&](MessageId mid) -> const Message& {
+    return messages[static_cast<std::size_t>(mid.get())];
+  };
+  std::vector<int>& first_tx = scratch.first_tx;
+  first_tx.resize(messages.size() + 1);
+  first_tx[0] = 0;
+  for (std::size_t mi = 0; mi < messages.size(); ++mi) {
+    first_tx[mi + 1] =
+        first_tx[mi] + assignment.plan(messages[mi].src).copy_count();
+  }
+  std::vector<int>& tx_of = scratch.tx_of;
+  tx_of.assign(static_cast<std::size_t>(first_tx.back()), -1);
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
     tx_of[static_cast<std::size_t>(
@@ -65,7 +97,8 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
   // Resource edges: each vertex has at most one static-order predecessor,
   // the previous execution on its node or the previous transmission on the
   // bus.
-  std::vector<int> order_pred(static_cast<std::size_t>(total), -1);
+  std::vector<int>& order_pred = scratch.order_pred;
+  order_pred.assign(static_cast<std::size_t>(total), -1);
   for (const auto& order : schedule.node_order) {
     for (std::size_t i = 1; i < order.size(); ++i) {
       order_pred[static_cast<std::size_t>(order[i])] = order[i - 1];
@@ -80,31 +113,43 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
   // per input message and producer copy, the transmission vertex of a
   // cross-node message or the producer copy itself for co-located flow.
   // A transmission's one data predecessor is its sending copy.
-  WcslGraph& g = a.g;
-  std::vector<int> data_count(static_cast<std::size_t>(process_count), 0);
-  for (const Message& msg : app.messages()) {
+  std::vector<int>& data_count = scratch.data_count;
+  data_count.assign(static_cast<std::size_t>(process_count), 0);
+  for (const Message& msg : messages) {
     data_count[static_cast<std::size_t>(msg.dst.get())] +=
         assignment.plan(msg.src).copy_count();
   }
-  g.pred_begin.assign(static_cast<std::size_t>(total) + 1, 0);
-  for (int v = 0; v < total; ++v) {
-    const int data =
-        v < a.copy_count
-            ? data_count[static_cast<std::size_t>(
-                  schedule.copies[static_cast<std::size_t>(v)]
-                      .ref.process.get())]
-            : 1;
+  g.pred_begin.resize(static_cast<std::size_t>(total) + 1);
+  g.pred_begin[0] = 0;
+  for (int p = 0; p < process_count; ++p) {
+    for (int v = first_copy[static_cast<std::size_t>(p)];
+         v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
+      g.pred_begin[static_cast<std::size_t>(v) + 1] =
+          g.pred_begin[static_cast<std::size_t>(v)] +
+          data_count[static_cast<std::size_t>(p)] +
+          (order_pred[static_cast<std::size_t>(v)] >= 0 ? 1 : 0);
+    }
+  }
+  for (int v = a.copy_count; v < total; ++v) {
     g.pred_begin[static_cast<std::size_t>(v) + 1] =
-        g.pred_begin[static_cast<std::size_t>(v)] + data +
+        g.pred_begin[static_cast<std::size_t>(v)] + 1 +
         (order_pred[static_cast<std::size_t>(v)] >= 0 ? 1 : 0);
   }
   g.preds.resize(
       static_cast<std::size_t>(g.pred_begin[static_cast<std::size_t>(total)]));
-  // Writes the sorted `data` list plus v's order predecessor (if any) into
-  // v's slice, keeping the slice sorted.
-  const auto fill = [&](int v, const std::vector<int>& data) {
-    int* out = g.preds.data() + g.pred_begin[static_cast<std::size_t>(v)];
+  // Writes the sorted `data` list, whose latest commit index is
+  // `data_event`, plus v's order predecessor (if any) into v's slice,
+  // keeping the slice sorted.
+  std::vector<int>& data = scratch.data;
+  const auto fill = [&](int v, int data_event) {
     const int prev = order_pred[static_cast<std::size_t>(v)];
+    const int at = event[static_cast<std::size_t>(v)];
+    if (data_event >= at ||
+        (prev >= 0 && event[static_cast<std::size_t>(prev)] >= at)) {
+      throw std::invalid_argument(
+          "WCSL DAG: a predecessor was committed after its successor");
+    }
+    int* out = g.preds.data() + g.pred_begin[static_cast<std::size_t>(v)];
     if (prev < 0) {
       std::copy(data.begin(), data.end(), out);
       return;
@@ -114,93 +159,80 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
     *out++ = prev;
     std::copy(split, data.end(), out);
   };
-  std::vector<int> data;
   for (int p = 0; p < process_count; ++p) {
     data.clear();
+    int data_event = -1;
     for (MessageId mid : app.inputs(ProcessId{p})) {
-      const Message& msg = app.message(mid);
+      const Message& msg = message(mid);
       const int src_copies = assignment.plan(msg.src).copy_count();
       for (int sj = 0; sj < src_copies; ++sj) {
         const int tx = tx_of[static_cast<std::size_t>(
             first_tx[static_cast<std::size_t>(mid.get())] + sj)];
-        data.push_back(tx >= 0 ? a.msg_vertex(tx) : cv(msg.src.get(), sj));
+        const int d = tx >= 0 ? a.msg_vertex(tx) : cv(msg.src.get(), sj);
+        data.push_back(d);
+        data_event = std::max(data_event, event[static_cast<std::size_t>(d)]);
       }
     }
     std::sort(data.begin(), data.end());
     for (int v = first_copy[static_cast<std::size_t>(p)];
          v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
-      fill(v, data);
+      fill(v, data_event);
     }
   }
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    data.assign(1, cv(app.message(sm.msg).src.get(), sm.src_copy));
-    fill(a.msg_vertex(m), data);
+    const int sender = cv(message(sm.msg).src.get(), sm.src_copy);
+    data.assign(1, sender);
+    fill(a.msg_vertex(m), event[static_cast<std::size_t>(sender)]);
   }
 
-  // Topological order: iterative post-order DFS over predecessors (a
-  // vertex is emitted once all its predecessors are).
-  g.order.clear();
-  g.order.reserve(static_cast<std::size_t>(total));
-  std::vector<int> cursor(g.pred_begin.begin(), g.pred_begin.end() - 1);
-  // 0 unvisited, 1 on the stack, 2 emitted.
-  std::vector<char> state(static_cast<std::size_t>(total), 0);
-  std::vector<int> stack;
-  for (int root = 0; root < total; ++root) {
-    if (state[static_cast<std::size_t>(root)] != 0) continue;
-    state[static_cast<std::size_t>(root)] = 1;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      const int v = stack.back();
-      int& next = cursor[static_cast<std::size_t>(v)];
-      if (next == g.pred_begin[static_cast<std::size_t>(v) + 1]) {
-        state[static_cast<std::size_t>(v)] = 2;
-        g.order.push_back(v);
-        stack.pop_back();
+  // Per-vertex weight tables w_v(f), f = 0..k: one execution-time lookup
+  // per copy, and the recovery formula only up to the copy's recoveries
+  // (beyond them the weight stays flat).
+  a.weight.resize(static_cast<std::size_t>(total) *
+                  static_cast<std::size_t>(a.width));
+  a.release.assign(static_cast<std::size_t>(total), 0);
+  for (int p = 0; p < process_count; ++p) {
+    const Process& proc = app.process(ProcessId{p});
+    const ProcessPlan& plan = assignment.plan(ProcessId{p});
+    for (int j = 0; j < plan.copy_count(); ++j) {
+      const int v = cv(p, j);
+      const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
+      const RecoveryParams params{
+          proc.wcet_on(schedule.copies[static_cast<std::size_t>(v)].node),
+          proc.alpha, proc.mu, proc.chi};
+      a.release[static_cast<std::size_t>(v)] = proc.release;
+      Time* w = a.weight.data() + static_cast<std::size_t>(v) *
+                                      static_cast<std::size_t>(a.width);
+      if (cp.checkpoints < 1) {
+        std::fill_n(w, a.width, replica_exec_time(params));
         continue;
       }
-      const int p = g.preds[static_cast<std::size_t>(next++)];
-      if (state[static_cast<std::size_t>(p)] == 1) {
-        throw std::invalid_argument("WCSL DAG has a cycle");
+      for (int f = 0; f <= k; ++f) {
+        w[f] = f == 0 || f <= cp.recoveries
+                   ? checkpointed_exec_time(params, cp.checkpoints,
+                                            std::min(f, cp.recoveries))
+                   : w[f - 1];
       }
-      if (state[static_cast<std::size_t>(p)] == 0) {
-        state[static_cast<std::size_t>(p)] = 1;
-        stack.push_back(p);
-      }
-    }
-  }
-
-  // Per-vertex weight tables w_v(f), f = 0..k.
-  a.weight.assign(static_cast<std::size_t>(total) *
-                      static_cast<std::size_t>(a.width),
-                  0);
-  a.release.assign(static_cast<std::size_t>(total), 0);
-  for (int i = 0; i < a.copy_count; ++i) {
-    const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(i)];
-    const Process& proc = app.process(sc.ref.process);
-    const CopyPlan& cp = assignment.plan(sc.ref.process)
-                             .copies.at(static_cast<std::size_t>(sc.ref.copy));
-    RecoveryParams params{proc.wcet_on(sc.node), proc.alpha, proc.mu,
-                          proc.chi};
-    a.release[static_cast<std::size_t>(i)] = proc.release;
-    Time* w = a.weight.data() + static_cast<std::size_t>(i) *
-                                    static_cast<std::size_t>(a.width);
-    for (int f = 0; f <= k; ++f) {
-      w[f] = cp.checkpoints >= 1
-                 ? checkpointed_exec_time(params, cp.checkpoints,
-                                          std::min(f, cp.recoveries))
-                 : replica_exec_time(params);
     }
   }
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
     const Time w =
-        arch.bus().worst_case_duration(sm.sender, app.message(sm.msg).size);
+        arch.bus().worst_case_duration(sm.sender, message(sm.msg).size);
     std::fill_n(a.weight.data() + static_cast<std::size_t>(a.msg_vertex(m)) *
                                       static_cast<std::size_t>(a.width),
                 a.width, w);
   }
-  return a;
+}
+
+WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
+                       const PolicyAssignment& assignment, int k,
+                       const ListSchedule& schedule) {
+  WcslDag dag;
+  WcslDagScratch scratch;
+  build_wcsl_dag(app, arch, assignment, k, schedule, dag, scratch);
+  return dag;
 }
 
 Time wcsl_dp_row(const WcslDag& dag, int v,
@@ -262,27 +294,6 @@ WcslResult make_result(const Application& app, const WcslDag& a) {
 }
 
 }  // namespace
-
-WcslResult wcsl_result_from_rows(const Application& app,
-                                 const ListSchedule& schedule,
-                                 const WcslDag& dag,
-                                 const std::vector<std::vector<Time>>& L,
-                                 int k) {
-  WcslResult result = make_result(app, dag);
-  for (int v = 0; v < dag.g.vertex_count(); ++v) {
-    Time in_k = 0;
-    for (int p : dag.g.predecessors(v)) {
-      in_k = std::max(
-          in_k, L[static_cast<std::size_t>(p)][static_cast<std::size_t>(k)]);
-    }
-    const Time worst_start =
-        std::max(dag.release[static_cast<std::size_t>(v)], in_k);
-    const Time worst =
-        L[static_cast<std::size_t>(v)][static_cast<std::size_t>(k)];
-    fill_result_vertex(result, schedule, dag, v, worst_start, worst);
-  }
-  return result;
-}
 
 WcslResult worst_case_schedule_length(const Application& app,
                                       const Architecture& arch,

@@ -26,15 +26,20 @@
 //
 // Representation.  The DAG is built once per analysis as flat arrays (no
 // graph object): predecessors in compressed sparse row form, sorted per
-// vertex and kept as a multiset; a topological order computed at build
-// time; and one weight table of width k + 1.  The DP visits that order,
-// and wcsl_dp_row allocates nothing once its row has k + 1 entries.
+// vertex and kept as a multiset; a topological order that is the list
+// scheduler's commit order (ListSchedule's `event` stamps), so no graph
+// search runs; and one weight table of width k + 1.  The DP visits that
+// order, and wcsl_dp_row allocates nothing once its row has k + 1 entries.
+// A caller that analyzes many schedules reuses one WcslDag and one
+// WcslDagScratch, so a warm rebuild allocates nothing either.
 //
 // Thread safety: every function here is pure -- all inputs are taken by
-// const reference, and no global or cached state exists -- so concurrent
-// calls on shared Application/Architecture/PolicyAssignment objects are
-// safe.  The parallel optimizers (opt/) and the batch runner (batch/) rely
-// on this guarantee; keep new code here free of mutable/static state.
+// const reference (only the storage-reusing build_wcsl_dag writes, into
+// the caller's own DAG and scratch), and no global or cached state exists
+// -- so concurrent calls on shared Application/Architecture/
+// PolicyAssignment objects are safe.  The parallel optimizers (opt/) and
+// the batch runner (batch/) rely on this guarantee; keep new code here
+// free of mutable/static state.
 #pragma once
 
 #include <cstddef>
@@ -70,12 +75,11 @@ struct WcslResult {
 /// Predecessor lists of the augmented DAG in compressed sparse row form.
 /// Each vertex's predecessors are sorted ascending and kept as a multiset:
 /// a data edge and a node-order edge joining the same two copies both
-/// appear (the incremental evaluator's row-reuse diff compares these
-/// multisets).  The topological order is computed once, at build time.
+/// appear.  The topological order is the schedule's commit order.
 struct WcslGraph {
   std::vector<int> pred_begin;  ///< vertex_count + 1 offsets into `preds`
   std::vector<int> preds;
-  std::vector<int> order;  ///< a topological order of every vertex
+  std::vector<int> order;  ///< order[event] = the vertex committed then
 
   /// Contiguous predecessor ids of one vertex.
   struct Range {
@@ -102,7 +106,7 @@ struct WcslGraph {
 };
 
 /// The resource-augmented schedule DAG shared by the WCSL analyses below
-/// and the incremental evaluator (opt/eval_context.h): vertices are copies
+/// and the move evaluator (opt/eval_context.h): vertices are copies
 /// (0..copy_count) followed by bus transmissions; edges are data
 /// precedences plus the per-node / bus static orders of the fault-free
 /// schedule; weights(v)[f] is the execution time of v when f faults strike
@@ -122,11 +126,33 @@ struct WcslDag {
   }
 };
 
-/// Builds the augmented DAG for one (assignment, schedule) pair.
+/// Temporaries of build_wcsl_dag, kept by a caller that builds many DAGs.
+struct WcslDagScratch {
+  std::vector<int> event;       ///< per vertex: its commit index
+  std::vector<int> first_tx;    ///< per message: offset into tx_of
+  std::vector<int> tx_of;       ///< (message, source copy) -> transmission
+  std::vector<int> order_pred;  ///< per vertex: node/bus order predecessor
+  std::vector<int> data_count;  ///< per process: data predecessors per copy
+  std::vector<int> data;        ///< one vertex's sorted data predecessors
+};
+
+/// Builds the augmented DAG for one (assignment, schedule) pair.  The
+/// schedule must be a list schedule of the assignment's copy layout.
+/// Throws std::invalid_argument when its copy layout (copies.size(),
+/// first_copy) differs from the assignment's, when its commit indices are
+/// not a permutation of [0, copies + messages), or when a predecessor was
+/// committed after its successor.
 [[nodiscard]] WcslDag build_wcsl_dag(const Application& app,
                                      const Architecture& arch,
                                      const PolicyAssignment& assignment, int k,
                                      const ListSchedule& schedule);
+
+/// The same build into caller-owned storage: `dag` and `scratch` keep
+/// their capacity from call to call.
+void build_wcsl_dag(const Application& app, const Architecture& arch,
+                    const PolicyAssignment& assignment, int k,
+                    const ListSchedule& schedule, WcslDag& dag,
+                    WcslDagScratch& scratch);
 
 /// One row of the budgeted longest-path DP: fills `row` with L(v, b) for
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
@@ -137,14 +163,6 @@ struct WcslDag {
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);
-
-/// Rebuilds the full analysis result from already-computed DP rows `L` (as
-/// filled by wcsl_dp_row over `dag` in topological order).  Used by the
-/// incremental evaluator (opt/eval_context.h) to serve a final
-/// evaluate_full() of the cached base entirely from its cached rows.
-[[nodiscard]] WcslResult wcsl_result_from_rows(
-    const Application& app, const ListSchedule& schedule, const WcslDag& dag,
-    const std::vector<std::vector<Time>>& L, int k);
 
 /// Budgeted longest-path analysis over an existing fault-free schedule.
 [[nodiscard]] WcslResult worst_case_schedule_length(

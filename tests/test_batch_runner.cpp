@@ -123,7 +123,7 @@ TEST(BatchRunner, JsonReportCarriesTasksAndStageMetrics) {
   ASSERT_EQ(report.results.size(), 2u);
   ASSERT_EQ(report.results[0].stages.size(), 3u);
   EXPECT_EQ(report.results[0].stages[0].stage, "policy_assignment");
-  EXPECT_GT(report.results[0].stages[0].cache_hits, 0);
+  EXPECT_GT(report.results[0].stages[0].sched_events_resumed, 0);
 
   const std::string json = format_batch_report_json(report);
   EXPECT_NE(json.find("\"tasks\""), std::string::npos);

@@ -91,6 +91,7 @@ void expect_identical(const ListSchedule& a, const ListSchedule& b,
   for (std::size_t i = 0; i < a.copies.size(); ++i) {
     EXPECT_EQ(a.copies[i].ref, b.copies[i].ref) << what << " copy " << i;
     EXPECT_EQ(a.copies[i].node, b.copies[i].node) << what << " copy " << i;
+    EXPECT_EQ(a.copies[i].event, b.copies[i].event) << what << " copy " << i;
     EXPECT_EQ(a.copies[i].start, b.copies[i].start) << what << " copy " << i;
     EXPECT_EQ(a.copies[i].finish, b.copies[i].finish) << what << " copy " << i;
   }
@@ -101,6 +102,8 @@ void expect_identical(const ListSchedule& a, const ListSchedule& b,
     EXPECT_EQ(a.messages[i].src_copy, b.messages[i].src_copy)
         << what << " msg " << i;
     EXPECT_EQ(a.messages[i].sender, b.messages[i].sender)
+        << what << " msg " << i;
+    EXPECT_EQ(a.messages[i].event, b.messages[i].event)
         << what << " msg " << i;
     EXPECT_EQ(a.messages[i].ready, b.messages[i].ready) << what << " msg " << i;
     EXPECT_EQ(a.messages[i].start, b.messages[i].start) << what << " msg " << i;
@@ -700,8 +703,6 @@ TEST(ListSchedulerIncremental, OptimizerCountersAreThreadCountInvariant) {
   EXPECT_EQ(serial.eval_stats.heap_pops, parallel.eval_stats.heap_pops);
   EXPECT_EQ(serial.eval_stats.rebase_cache_hits,
             parallel.eval_stats.rebase_cache_hits);
-  EXPECT_EQ(serial.eval_stats.dp_vertices_reused,
-            parallel.eval_stats.dp_vertices_reused);
   // The accepted-move rebase path (batching, copy-on-write sharing) runs
   // on the serial accept step, so its counters -- including raw byte
   // counts -- must be exactly thread-count invariant too.

@@ -208,8 +208,10 @@ TEST(Pipeline, StageMetricsCountEvaluationsAndCacheHits) {
   EXPECT_EQ(metrics[0].stage, "policy_assignment");
   EXPECT_FALSE(metrics[0].skipped);
   EXPECT_GT(metrics[0].evaluations, 1);
-  EXPECT_GT(metrics[0].cache_hits, 0);
-  EXPECT_GT(metrics[0].cache_misses, 0);
+  // Cache hits of the schedule layer: candidate placements served by
+  // checkpoint-snapshot resumes.
+  EXPECT_GT(metrics[0].sched_events_total, 0);
+  EXPECT_GT(metrics[0].sched_events_resumed, 0);
   // The optimizer stages account for (almost all of) the facade's legacy
   // evaluation count; the final analysis eval is reported by the tables
   // stage.
@@ -241,7 +243,7 @@ TEST(Pipeline, MetricsSerializeToJson) {
   EXPECT_NE(json.find("\"stage\": \"policy_assignment\""), std::string::npos);
   EXPECT_NE(json.find("\"stage\": \"checkpoint_refine\""), std::string::npos);
   EXPECT_NE(json.find("\"stage\": \"schedule_tables\""), std::string::npos);
-  EXPECT_NE(json.find("\"cache_hits\""), std::string::npos);
+  EXPECT_NE(json.find("\"sched_events_resumed\""), std::string::npos);
   EXPECT_NE(json.find("\"seconds\""), std::string::npos);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
@@ -295,7 +297,7 @@ TEST(Pipeline, SpeculationBitIdenticalAcrossMatrix) {
 // Forced adoption: with max_checkpoints = 1 the refinement has no legal
 // candidate counts, so it never improves and the speculative tables MUST be
 // adopted -- pinning the hit path (and its runtime assertion against the
-// evaluator's cached rows) deterministically.
+// stage's own evaluate_full) deterministically.
 TEST(Pipeline, SpeculationAdoptedWhenRefinementCannotImprove) {
   auto f = fig5_app();
   ThreadPool pool(3);

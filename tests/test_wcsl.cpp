@@ -1,12 +1,14 @@
-// Tests of the worst-case schedule length analysis (fault-budget DP), and
-// of its flat DAG against the historical Digraph-based analysis
-// (bench/reference_wcsl.h).
+// Tests of the worst-case schedule length analysis (fault-budget DP), of
+// its flat DAG against the historical Digraph-based analysis
+// (bench/reference_wcsl.h), and of the DAG builder's schedule validation.
 #include "sched/wcsl.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/recovery.h"
@@ -302,6 +304,93 @@ TEST(WcslReference, CoLocatedPairKeepsEveryEdge) {
     expect_matches_reference(app, arch, pa, model,
                              std::to_string(messages) + " message(s)");
   }
+}
+
+// --- schedule validation -----------------------------------------------------
+
+/// A -> B -> C, every process on node 0 of a 3-node architecture (A may
+/// also run on nodes 1 and 2).
+struct Chain {
+  Application app;
+  Architecture arch = Architecture::homogeneous(3, 5);
+  FaultModel model{2};
+  PolicyAssignment pa;
+  ListSchedule sched;
+};
+
+Chain chain_on_one_node() {
+  Chain c;
+  const ProcessId a = c.app.add_process(
+      "A", {{NodeId{0}, 40}, {NodeId{1}, 40}, {NodeId{2}, 40}}, 2, 2, 2);
+  const ProcessId b = c.app.add_process("B", {{NodeId{0}, 30}}, 2, 2, 2);
+  const ProcessId d = c.app.add_process("C", {{NodeId{0}, 20}}, 2, 2, 2);
+  c.app.connect(a, b);
+  c.app.connect(b, d);
+  c.app.set_deadline(10000);
+  c.pa = single(c.app, NodeId{0}, c.model.k, 2);
+  c.sched = list_schedule(c.app, c.arch, c.pa);
+  return c;
+}
+
+/// Every analysis that builds the DAG rejects `sched` for `pa`.
+void expect_rejected(const Chain& c, const PolicyAssignment& pa,
+                     const ListSchedule& sched) {
+  EXPECT_THROW((void)build_wcsl_dag(c.app, c.arch, pa, c.model.k, sched),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)worst_case_schedule_length(c.app, c.arch, pa, c.model, sched),
+      std::invalid_argument);
+  EXPECT_THROW((void)worst_case_transparent(c.app, c.arch, pa, c.model, sched),
+               std::invalid_argument);
+}
+
+TEST(WcslValidation, CommitIndicesOfAListScheduleAreItsEventOrder) {
+  const Chain c = chain_on_one_node();
+  // Single node: A, B, C placed in that order, no transmissions.
+  ASSERT_EQ(c.sched.copies.size(), 3u);
+  ASSERT_TRUE(c.sched.messages.empty());
+  for (int v = 0; v < 3; ++v) {
+    EXPECT_EQ(c.sched.copies[static_cast<std::size_t>(v)].event, v);
+  }
+  const WcslDag dag = build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched);
+  EXPECT_EQ(dag.g.topological_order(), (std::vector<int>{0, 1, 2}));
+}
+
+TEST(WcslValidation, ScheduleOfAnotherCopyLayoutIsRejected) {
+  // The schedule of the one-copy chain analysed with A replicated to three
+  // copies: without the layout check the builder reads past the
+  // schedule's arrays.
+  const Chain c = chain_on_one_node();
+  PolicyAssignment replicated = c.pa;
+  replicated.plan(ProcessId{0}) = make_replication_plan(c.model.k);
+  for (int j = 0; j < 3; ++j) {
+    replicated.plan(ProcessId{0}).copies[static_cast<std::size_t>(j)].node =
+        NodeId{j};
+  }
+  expect_rejected(c, replicated, c.sched);
+}
+
+TEST(WcslValidation, DuplicatedCommitIndexIsRejected) {
+  const Chain c = chain_on_one_node();
+  ListSchedule sched = c.sched;
+  sched.copies[2].event = sched.copies[1].event;
+  expect_rejected(c, c.pa, sched);
+}
+
+TEST(WcslValidation, DefaultCommitIndexIsRejected) {
+  const Chain c = chain_on_one_node();
+  ListSchedule sched = c.sched;
+  sched.copies[1].event = ScheduledCopy{}.event;
+  ASSERT_EQ(sched.copies[1].event, -1);
+  expect_rejected(c, c.pa, sched);
+}
+
+TEST(WcslValidation, ConsumerCommittedBeforeItsProducerIsRejected) {
+  // Still a permutation, but B now claims to have been committed before A.
+  const Chain c = chain_on_one_node();
+  ListSchedule sched = c.sched;
+  std::swap(sched.copies[0].event, sched.copies[1].event);
+  expect_rejected(c, c.pa, sched);
 }
 
 }  // namespace

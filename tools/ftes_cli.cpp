@@ -422,13 +422,7 @@ int main(int argc, char** argv) {
                   m.fuzz_trials, m.fuzz_failing_trials);
       continue;
     }
-    const long long rows = m.cache_hits + m.cache_misses;
     std::printf("  %s %lld evals", m.stage.c_str(), m.evaluations);
-    if (rows > 0) {
-      std::printf(" (%.1f%% DP rows cached)",
-                  100.0 * static_cast<double>(m.cache_hits) /
-                      static_cast<double>(rows));
-    }
     if (m.sched_events_total > 0) {
       std::printf(" (%.1f%% placements resumed)",
                   100.0 * static_cast<double>(m.sched_events_resumed) /
