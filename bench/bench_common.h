@@ -124,27 +124,6 @@ inline void add_total_entry(BenchReport& report, const EvalStats& total,
   entry.metric("sched_events_replayed",
                static_cast<double>(total.ls_events_total -
                                    total.ls_events_resumed));
-  // Accepted-move rebases: logs produced by record-while-resuming vs
-  // schedules still built from scratch (CI asserts these exist and that
-  // the fig7 sweep actually resumes some).
-  entry.metric("rebase_log_recorded",
-               static_cast<double>(total.rebase_log_recorded));
-  entry.metric("rebase_log_events_resumed",
-               static_cast<double>(total.rebase_log_events_resumed));
-  entry.metric("rebase_full_builds",
-               static_cast<double>(total.rebase_full_builds));
-  // Copy-on-write snapshot storage: prefix snapshots adopted by reference
-  // vs bytes materialized (CI asserts the fig7 sweep shares some and that
-  // per-rebase bytes grow sublinearly with problem size).
-  entry.metric("rebase_batched", static_cast<double>(total.rebase_batched));
-  entry.metric("rebase_interval_mismatch",
-               static_cast<double>(total.rebase_interval_mismatch));
-  entry.metric("snapshot_refs_shared",
-               static_cast<double>(total.snapshot_refs_shared));
-  entry.metric("snapshot_bytes_copied",
-               static_cast<double>(total.snapshot_bytes_copied));
-  entry.metric("snapshot_bytes_shared",
-               static_cast<double>(total.snapshot_bytes_shared));
 }
 
 }  // namespace ftes::bench

@@ -106,40 +106,13 @@ int main(int argc, char** argv) {
     entry.metric("deviation_mr_pct", mean(dev_mr));
     entry.metric("deviation_sfx_pct", mean(dev_sfx));
     entry.metric("deviation_mx_pct", mean(dev_mx));
-    // Per-size rebase cost, in deterministic byte counters rather than
-    // wall-clock, so CI can assert the copy-on-write rebase path stays
-    // sublinear in problem size (ratio check across the largest sizes).
-    const long long records =
-        size_total.rebase_log_recorded + size_total.rebase_full_builds;
     const long long schedules =
         size_total.ls_resumes + size_total.ls_full_builds;
-    entry.metric("snapshot_refs_shared",
-                 static_cast<double>(size_total.snapshot_refs_shared));
-    entry.metric("snapshot_bytes_copied",
-                 static_cast<double>(size_total.snapshot_bytes_copied));
-    entry.metric("rebase_bytes_per_record",
-                 records > 0
-                     ? static_cast<double>(size_total.snapshot_bytes_copied) /
-                           static_cast<double>(records)
-                     : 0.0);
-    entry.metric(
-        "rebase_bytes_if_copied_per_record",
-        records > 0
-            ? static_cast<double>(size_total.snapshot_bytes_copied +
-                                  size_total.snapshot_bytes_shared) /
-                  static_cast<double>(records)
-            : 0.0);
     entry.metric("events_per_schedule",
                  schedules > 0
                      ? static_cast<double>(size_total.ls_events_total) /
                            static_cast<double>(schedules)
                      : 0.0);
-    entry.metric(
-        "rebase_events_replayed_per_record",
-        size_total.rebase_log_recorded > 0
-            ? static_cast<double>(size_total.rebase_log_events_replayed) /
-                  static_cast<double>(size_total.rebase_log_recorded)
-            : 0.0);
   }
   std::printf("\n  overall averages: MXR better than MR by %.1f%%, than SFX "
               "by %.1f%%, than MX by %.1f%%\n",
@@ -151,7 +124,8 @@ int main(int argc, char** argv) {
               total.evaluations, total.incremental_evals,
               total.fault_free_evals, total.rebases);
   std::printf("  list scheduler: %lld of %lld candidate schedules resumed; "
-              "%lld of %lld placements served by snapshots (%.1f%%)\n",
+              "%lld of %lld placements resumed from the base schedule "
+              "(%.1f%%)\n",
               total.ls_resumes, total.ls_resumes + total.ls_full_builds,
               total.ls_events_resumed, total.ls_events_total,
               100.0 * total.ls_resume_fraction());

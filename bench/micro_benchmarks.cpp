@@ -186,10 +186,10 @@ BENCHMARK(BM_MoveScheduleResume)
     ->Args({100, 0});
 
 // ---------------------------------------------------------------------------
-// Accepted-move rebases: rebuilding the new base's schedule *and* its
-// checkpoint log from scratch (what every rebase paid before
-// record-while-resuming) vs replaying the accepted move from the old log
-// while recording the new one.  Same sink/source split as the move benches.
+// Accepted-move rebases: the whole cost of a rebase's schedule -- one
+// from-scratch build that records the new base's checkpoint log.  Same
+// sink/source split as the move benches, for comparison with
+// BM_MoveScheduleFull.
 // ---------------------------------------------------------------------------
 
 void BM_RebaseLogFullRebuild(benchmark::State& state) {
@@ -203,56 +203,6 @@ void BM_RebaseLogFullRebuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RebaseLogFullRebuild)
-    ->Args({50, 1})
-    ->Args({100, 1})
-    ->Args({100, 0});
-
-void BM_RebaseLogRerecord(benchmark::State& state) {
-  const MoveSetup ms =
-      make_move_setup(static_cast<int>(state.range(0)), state.range(1) != 0);
-  ScheduleCheckpointLog fresh;
-  int flip = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(list_schedule_resume(
-        ms.s.app, ms.s.arch, ms.s.assignment, ms.log, ms.candidates[flip ^= 1],
-        ms.pid, nullptr, &fresh));
-  }
-}
-BENCHMARK(BM_RebaseLogRerecord)
-    ->Args({50, 1})
-    ->Args({100, 1})
-    ->Args({100, 0});
-
-// Copy-on-write snapshot sharing: the same record-while-resuming rebase as
-// BM_RebaseLogRerecord, with its prefix-snapshot traffic surfaced as
-// deterministic per-rebase counters -- prefix snapshots adopted by
-// reference (zero bytes) vs bytes actually materialized (the changed
-// suffix).  Across the 50 -> 100 sizes, bytes_copied_per_rebase growing
-// slower than the schedule's event count is the sublinearity the CI ratio
-// check on the fig7 sweep asserts at full scale.
-void BM_RebaseSnapshotShare(benchmark::State& state) {
-  const MoveSetup ms =
-      make_move_setup(static_cast<int>(state.range(0)), state.range(1) != 0);
-  ScheduleCheckpointLog fresh;
-  int flip = 0;
-  double bytes = 0.0;
-  double shared = 0.0;
-  double rebases = 0.0;
-  for (auto _ : state) {
-    ListScheduleResumeStats rstats;
-    benchmark::DoNotOptimize(list_schedule_resume(
-        ms.s.app, ms.s.arch, ms.s.assignment, ms.log, ms.candidates[flip ^= 1],
-        ms.pid, &rstats, &fresh));
-    bytes += static_cast<double>(rstats.snapshot_bytes_copied);
-    shared += static_cast<double>(rstats.snapshots_shared);
-    rebases += 1.0;
-  }
-  if (rebases > 0) {
-    state.counters["bytes_copied_per_rebase"] = bytes / rebases;
-    state.counters["refs_shared_per_rebase"] = shared / rebases;
-  }
-}
-BENCHMARK(BM_RebaseSnapshotShare)
     ->Args({50, 1})
     ->Args({100, 1})
     ->Args({100, 0});

@@ -5,8 +5,8 @@
 // ready queues and a transmission heap, and the copy graph with a
 // process-level rank pass; this reference pins the exact tie-breaking the
 // queues must preserve, the commit index (`event`) stamped on every
-// placement and transmission, the tie groups and ready images a checkpoint
-// log must record (ReferenceTrace), and the ranks the pass must reproduce.
+// placement and transmission, the tie groups a checkpoint log must record
+// (ReferenceTrace), and the ranks the pass must reproduce.
 // Shared by the equivalence property test
 // (tests/test_list_scheduler_incremental.cpp) and the heap-vs-scan
 // micro-benchmarks (bench/micro_benchmarks.cpp) so the pinned behavior and
@@ -83,13 +83,9 @@ inline std::vector<Time> reference_copy_ranks(
 
 /// What the linear scan saw, in the shape a ScheduleCheckpointLog records
 /// it: the start-time tie groups of its copy events (every copy event with
-/// two or more ready copies at the winner's start; contenders ascending)
-/// and, at events 0, I, 2I, ... for I = `snapshot_interval`, the ready
-/// image -- every ready copy with its start, sorted by (start, vertex).
+/// two or more ready copies at the winner's start; contenders ascending).
 struct ReferenceTrace {
-  int snapshot_interval = 0;  ///< input; <= 0 records no ready images
   std::vector<ScheduleCheckpointLog::StartTie> ties;
-  std::vector<std::vector<SnapshotReadyEntry>> ready_images;
 };
 
 inline ListSchedule reference_list_schedule(const Application& app,
@@ -167,22 +163,6 @@ inline ListSchedule reference_list_schedule(const Application& app,
 
   std::size_t remaining = verts.size();
   for (std::size_t event = 0; remaining > 0; ++event) {
-    if (trace && trace->snapshot_interval > 0 &&
-        event % static_cast<std::size_t>(trace->snapshot_interval) == 0) {
-      std::vector<SnapshotReadyEntry> image;
-      for (std::size_t v = 0; v < verts.size(); ++v) {
-        if (is_ready(v)) {
-          image.push_back(SnapshotReadyEntry{start_of(v), static_cast<int>(v)});
-        }
-      }
-      std::stable_sort(image.begin(), image.end(),
-                       [](const SnapshotReadyEntry& a,
-                          const SnapshotReadyEntry& b) {
-                         return a.start < b.start;
-                       });
-      trace->ready_images.push_back(std::move(image));
-    }
-
     Time best_start = kTimeInfinity;
     int best_vertex = -1;
     for (std::size_t v = 0; v < verts.size(); ++v) {

@@ -19,12 +19,6 @@ void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
   metrics.sched_events_total = spent.ls_events_total;
   metrics.sched_events_resumed = spent.ls_events_resumed;
   metrics.rebase_cache_hits = spent.rebase_cache_hits;
-  metrics.rebase_log_recorded = spent.rebase_log_recorded;
-  metrics.rebase_full_builds = spent.rebase_full_builds;
-  metrics.rebase_batched = spent.rebase_batched;
-  metrics.rebase_interval_mismatch = spent.rebase_interval_mismatch;
-  metrics.snapshot_refs_shared = spent.snapshot_refs_shared;
-  metrics.snapshot_bytes_copied = spent.snapshot_bytes_copied;
 }
 
 void fill_search_metrics(StageMetrics& metrics, const SearchStats& stats) {
@@ -53,12 +47,6 @@ std::string StageMetrics::to_json() const {
       << ", \"sched_events_total\": " << sched_events_total
       << ", \"sched_events_resumed\": " << sched_events_resumed
       << ", \"rebase_cache_hits\": " << rebase_cache_hits
-      << ", \"rebase_log_recorded\": " << rebase_log_recorded
-      << ", \"rebase_full_builds\": " << rebase_full_builds
-      << ", \"rebase_batched\": " << rebase_batched
-      << ", \"rebase_interval_mismatch\": " << rebase_interval_mismatch
-      << ", \"snapshot_refs_shared\": " << snapshot_refs_shared
-      << ", \"snapshot_bytes_copied\": " << snapshot_bytes_copied
       << ", \"search_iterations\": " << search_iterations
       << ", \"search_accepted\": " << search_accepted
       << ", \"search_tabu_rejected\": " << search_tabu_rejected

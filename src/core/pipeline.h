@@ -53,24 +53,10 @@ struct StageMetrics {
   bool skipped = false;       ///< disabled by options or cancelled
   long long evaluations = 0;  ///< objective evaluations spent in the stage
   /// List-scheduler incrementality: placement events candidate schedules
-  /// needed, and how many were served by checkpoint-snapshot resumes.
+  /// needed, and how many were restored from the base schedule.
   long long sched_events_total = 0;
   long long sched_events_resumed = 0;
   long long rebase_cache_hits = 0;  ///< rebases served by the move cache
-  /// Accepted-move rebases whose checkpoint log was produced by
-  /// record-while-resuming instead of a from-scratch schedule build, and
-  /// the rebases that still had to rebuild from scratch.
-  long long rebase_log_recorded = 0;
-  long long rebase_full_builds = 0;
-  /// Of the recorded rebases, those that diffed a batch of >1 accepted
-  /// moves against the retained grand-base log, and the rebases forced to
-  /// a full rebuild by the snapshot-interval gate.
-  long long rebase_batched = 0;
-  long long rebase_interval_mismatch = 0;
-  /// Copy-on-write snapshot storage: rebase-record prefix snapshots
-  /// adopted by reference vs bytes actually materialized into snapshots.
-  long long snapshot_refs_shared = 0;
-  long long snapshot_bytes_copied = 0;
   /// Neighborhood-search engine counters (opt/search_engine.h) of the
   /// optimizer driving the stage; all zero for non-search stages.
   long long search_iterations = 0;

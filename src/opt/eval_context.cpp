@@ -110,94 +110,12 @@ std::int32_t EvalContext::single_diff_pid(const PolicyAssignment& base,
   return diffs == 1 ? diff_pid : -1;
 }
 
-void EvalContext::anchor_grand_base(const PolicyAssignment& base,
-                                    const ScheduleCheckpointLog& log) {
-  grand_base_ = base;
-  grand_log_ = log;  // the copy shares snapshot refs -- O(E) indices, 0
-                     // snapshot bytes
-  pending_.clear();
-  grand_valid_ = true;
-}
-
-void EvalContext::rebuild_base_schedule(const PolicyAssignment& base,
-                                        ProcessId accepted) {
-  // Accepted-move fast path: a new base differing from the old in exactly
-  // one plan replays the whole pending batch of accepted moves from the
-  // grand-base log's nearest safe snapshot while recording the new base's
-  // log (record-while-resuming) -- the resulting schedule AND log are
-  // bit-identical to a from-scratch build, and the log's prefix snapshots
-  // are shared with the grand anchor's by reference.
-  std::int32_t diff_pid =
-      base_has_log_ ? single_diff_pid(base, accepted) : -1;
-  // A resume-recorded log inherits the old base's snapshot interval; take
-  // the fast path only when that equals the interval a default from-scratch
-  // rebuild would pick for the new base (the common case -- single-plan
-  // moves rarely shift round(sqrt(E))), so the produced log -- and with it
-  // every later resume decision and counter -- is bit-identical to the
-  // rebuild it replaces.
-  if (diff_pid >= 0 &&
-      default_snapshot_interval(app_, base) != base_log_.snapshot_interval) {
-    rebase_interval_mismatch_.fetch_add(1, std::memory_order_relaxed);
-    diff_pid = -1;
-  }
-  if (diff_pid >= 0) {
-    // Extend the batched run, or open a fresh one anchored at the still-
-    // current base when none exists or the window is full (unbounded runs
-    // would push the shared resume point toward event 0).
-    if (!grand_valid_ || pending_.size() >= kRebaseBatchWindow) {
-      anchor_grand_base(base_, base_log_);
-    }
-    pending_.push_back(ProcessId{diff_pid});
-    ScheduleCheckpointLog new_log;
-    ListScheduleResumeStats rstats;
-    ListSchedule sched =
-        list_schedule_resume(app_, arch_, grand_base_, grand_log_, base,
-                             pending_, &rstats, &new_log);
-    base_sched_ = std::move(sched);
-    base_log_ = std::move(new_log);
-    if (pending_.size() > 1) {
-      rebase_batched_.fetch_add(1, std::memory_order_relaxed);
-    }
-    snapshot_refs_shared_.fetch_add(
-        static_cast<long long>(rstats.snapshots_shared),
-        std::memory_order_relaxed);
-    snapshot_bytes_copied_.fetch_add(
-        static_cast<long long>(rstats.snapshot_bytes_copied),
-        std::memory_order_relaxed);
-    snapshot_bytes_shared_.fetch_add(
-        static_cast<long long>(rstats.snapshot_bytes_shared),
-        std::memory_order_relaxed);
-    if (rstats.resumed) {
-      rebase_log_recorded_.fetch_add(1, std::memory_order_relaxed);
-      rebase_log_events_resumed_.fetch_add(
-          static_cast<long long>(rstats.events_resumed),
-          std::memory_order_relaxed);
-      rebase_log_events_replayed_.fetch_add(
-          static_cast<long long>(rstats.events_replayed),
-          std::memory_order_relaxed);
-    } else {
-      // No snapshot preceded the batch's first affected event: the
-      // recording run degenerated to a (still log-producing) full build.
-      // Re-anchor so the next acceptance starts a fresh window instead of
-      // shrinking this one's resume point further.
-      rebase_full_builds_.fetch_add(1, std::memory_order_relaxed);
-      anchor_grand_base(base, base_log_);
-    }
-  } else {
-    base_sched_ = list_schedule(app_, arch_, base, base_log_);
-    rebase_full_builds_.fetch_add(1, std::memory_order_relaxed);
-    anchor_grand_base(base, base_log_);
-  }
-  base_has_log_ = true;
-}
-
 EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
                                          ProcessId accepted) {
   // Winning-move cache: when the new base is the old base with exactly one
   // plan replaced, and that (process, plan) matches a cached candidate,
   // its outcome is the new base's.  Only the fault-free schedule is
-  // rebuilt -- by record-while-resuming from the grand log, since its
-  // checkpoint log must describe the new base.
+  // rebuilt, since the checkpoint log must describe the new base.
   bool hit = false;
   Outcome out;
   if (base_scored_) {
@@ -215,7 +133,8 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
     }
   }
   invalidate_winner_cache();
-  rebuild_base_schedule(base, accepted);  // resumes from the grand log
+  list_schedule(app_, arch_, base, base_log_);
+  base_has_log_ = true;
   base_ = base;
   ++version_;
   base_scored_ = true;
@@ -225,20 +144,20 @@ EvalContext::Outcome EvalContext::rebase(const PolicyAssignment& base,
     return out;
   }
   std::unique_ptr<Workspace> ws = acquire();
-  out = analyze(*ws, base_, base_sched_);
+  out = analyze(*ws, base_, base_log_.schedule);
   put_back(std::move(ws));
   return out;
 }
 
-Time EvalContext::rebase_fault_free(const PolicyAssignment& base,
-                                    ProcessId accepted) {
+Time EvalContext::rebase_fault_free(const PolicyAssignment& base) {
   invalidate_winner_cache();
   base_scored_ = false;
-  rebuild_base_schedule(base, accepted);
+  list_schedule(app_, arch_, base, base_log_);
+  base_has_log_ = true;
   base_ = base;
   ++version_;
   rebases_.fetch_add(1, std::memory_order_relaxed);
-  return base_sched_.makespan;
+  return base_log_.schedule.makespan;
 }
 
 void EvalContext::record_resume_stats(const ListScheduleResumeStats& stats) {
@@ -351,22 +270,6 @@ EvalStats EvalContext::stats() const {
   s.ls_events_resumed = ls_events_resumed_.load(std::memory_order_relaxed);
   s.heap_pops = heap_pops_.load(std::memory_order_relaxed);
   s.rebase_cache_hits = rebase_cache_hits_.load(std::memory_order_relaxed);
-  s.rebase_log_recorded =
-      rebase_log_recorded_.load(std::memory_order_relaxed);
-  s.rebase_log_events_resumed =
-      rebase_log_events_resumed_.load(std::memory_order_relaxed);
-  s.rebase_log_events_replayed =
-      rebase_log_events_replayed_.load(std::memory_order_relaxed);
-  s.rebase_full_builds = rebase_full_builds_.load(std::memory_order_relaxed);
-  s.rebase_batched = rebase_batched_.load(std::memory_order_relaxed);
-  s.rebase_interval_mismatch =
-      rebase_interval_mismatch_.load(std::memory_order_relaxed);
-  s.snapshot_refs_shared =
-      snapshot_refs_shared_.load(std::memory_order_relaxed);
-  s.snapshot_bytes_copied =
-      snapshot_bytes_copied_.load(std::memory_order_relaxed);
-  s.snapshot_bytes_shared =
-      snapshot_bytes_shared_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -12,22 +12,17 @@
 //     swapping the one plan in and out, so no full assignment is copied
 //     per candidate.
 //   * The base's list schedule is built once with a ScheduleCheckpointLog
-//     (sched/list_scheduler.h); a candidate's schedule resumes from the
-//     last snapshot that provably precedes any placement the move can
-//     affect instead of replaying the whole event sequence.
+//     (sched/list_scheduler.h); a candidate's schedule restores the base's
+//     scheduler state before the first placement the move can affect and
+//     replays only the events from there.
 //   * The candidate's augmented DAG is built in commit order into the
 //     workspace's storage, and wcsl_dp_row runs over every vertex into the
 //     workspace's rows (sched/wcsl.h); a warm workspace allocates nothing
 //     on this side.
 //   * During a sweep the best candidate's outcome is kept; a rebase()
 //     onto exactly that winning move returns it instead of re-running the
-//     analysis.
-//   * Any rebase whose new base differs from the old in a single plan
-//     rebuilds the base schedule by *record-while-resuming*: the accepted
-//     move is replayed from the old log's nearest safe snapshot while a
-//     complete log for the new base is emitted
-//     (list_schedule_resume(..., record)), so accepting a move no longer
-//     pays a from-scratch schedule build to stay resumable.
+//     analysis.  Every rebase records the new base's log with one
+//     from-scratch list-schedule build.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
@@ -68,19 +63,19 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Rebuilds the cached schedule + checkpoint log for `base` and returns
-  /// its outcome.  When `base` is the previous base with exactly the
-  /// cached winning move applied, the candidate's outcome is returned
-  /// instead of re-analyzing (counted as a rebase cache hit).
-  /// Invalidates workspaces lazily.  A valid `accepted` asserts that the
-  /// new base differs from the old in at most that one plan (the engine's
-  /// accept step knows its move), skipping the O(P) diff scans.
+  /// Rebuilds the cached checkpoint log for `base` and returns its
+  /// outcome.  When `base` is the previous base with exactly the cached
+  /// winning move applied, the candidate's outcome is returned instead of
+  /// re-analyzing (counted as a rebase cache hit).  Invalidates workspaces
+  /// lazily.  A valid `accepted` asserts that the new base differs from the
+  /// old in at most that one plan (the engine's accept step knows its
+  /// move), so the winning-move cache lookup skips its O(P) diff scan.
   Outcome rebase(const PolicyAssignment& base, ProcessId accepted = {});
 
   /// Caches `base` for fault-free (list-schedule makespan) move evaluation
-  /// only; builds the base schedule + checkpoint log but no DP.  Returns
-  /// the base's own fault-free makespan.  `accepted` as for rebase().
-  Time rebase_fault_free(const PolicyAssignment& base, ProcessId accepted = {});
+  /// only; builds the base's checkpoint log but no DP.  Returns the base's
+  /// own fault-free makespan.
+  Time rebase_fault_free(const PolicyAssignment& base);
 
   /// WCSL outcome of base-with-plan(pid)-replaced-by-plan: its schedule
   /// resumed from the base's log, then one full analysis.  Requires a
@@ -140,53 +135,25 @@ class EvalContext {
   void maybe_cache_winner(ProcessId pid, const ProcessPlan& plan,
                           const Outcome& outcome);
   void invalidate_winner_cache();
-  /// Rebuilds base_sched_ + base_log_ for `base` (the member base_ still
-  /// holds the OLD base): record-while-resuming when the bases differ in
-  /// exactly one plan and a log exists, from-scratch otherwise.  Accepted
-  /// moves are re-recorded as a batch against the retained grand-base log
-  /// (see grand_base_), so consecutive acceptances share prefix snapshots
-  /// with one anchor instead of chaining per-move copies.  `accepted`
-  /// as for rebase().
-  void rebuild_base_schedule(const PolicyAssignment& base, ProcessId accepted);
   /// The single plan in which `base` differs from the cached base_, or -1
   /// for none/many.  O(1) when the `accepted` hint is valid (debug-checked
   /// against a full scan), O(P) otherwise.
   [[nodiscard]] std::int32_t single_diff_pid(const PolicyAssignment& base,
                                              ProcessId accepted) const;
-  /// Re-anchors the grand base to (base, log) and clears the pending run.
-  void anchor_grand_base(const PolicyAssignment& base,
-                         const ScheduleCheckpointLog& log);
 
   const Application& app_;
   const Architecture& arch_;
   FaultModel model_;
 
-  // Cached base: assignment and its fault-free schedule + checkpoint log.
+  // Cached base: assignment and its checkpoint log (which holds the
+  // base's fault-free schedule).
   PolicyAssignment base_;
   std::uint64_t version_ = 0;
   /// Set by rebase(), cleared by rebase_fault_free(): evaluate_move and
   /// the winning-move cache need a WCSL base.
   bool base_scored_ = false;
   bool base_has_log_ = false;
-  ListSchedule base_sched_;
   ScheduleCheckpointLog base_log_;
-
-  // Batched-accept anchor: consecutive accepted moves are re-recorded as
-  // one *batch* against this retained grand base + log (multi-move
-  // record-while-resuming) instead of each resuming from its immediate
-  // predecessor.  Every recorded log in the run then shares its prefix
-  // snapshots with the one anchor (structural sharing, no chained
-  // copies), while staying bit-identical to a from-scratch log of the
-  // current base.  The run is capped at kRebaseBatchWindow moves -- the
-  // resume point is the min over the whole batch, so an unbounded run
-  // would degenerate toward full replays -- and re-anchored (cheap: log
-  // copies share snapshot refs) when the cap is hit or any full rebuild
-  // breaks the chain.
-  static constexpr std::size_t kRebaseBatchWindow = 2;
-  bool grand_valid_ = false;
-  PolicyAssignment grand_base_;
-  ScheduleCheckpointLog grand_log_;
-  std::vector<ProcessId> pending_;  ///< accepted since the grand anchor
 
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;
@@ -206,15 +173,6 @@ class EvalContext {
   std::atomic<long long> ls_events_resumed_{0};
   std::atomic<long long> heap_pops_{0};
   std::atomic<long long> rebase_cache_hits_{0};
-  std::atomic<long long> rebase_log_recorded_{0};
-  std::atomic<long long> rebase_log_events_resumed_{0};
-  std::atomic<long long> rebase_log_events_replayed_{0};
-  std::atomic<long long> rebase_full_builds_{0};
-  std::atomic<long long> rebase_batched_{0};
-  std::atomic<long long> rebase_interval_mismatch_{0};
-  std::atomic<long long> snapshot_refs_shared_{0};
-  std::atomic<long long> snapshot_bytes_copied_{0};
-  std::atomic<long long> snapshot_bytes_shared_{0};
 };
 
 }  // namespace ftes

@@ -87,11 +87,6 @@ class MappingProblem final : public SearchProblem {
     return eval_.rebase_fault_free(current);
   }
 
-  Time commit_accept(const PolicyAssignment& current,
-                     const Move& accepted) override {
-    return eval_.rebase_fault_free(current, accepted.pid);
-  }
-
  private:
   const Application& app_;
   const Architecture& arch_;

@@ -100,9 +100,9 @@ class SearchProblem {
 
   /// Acceptance commit: `current` is the previous incumbent with exactly
   /// `accepted` applied.  Problems backed by an EvalContext override this
-  /// to forward the accepted process as a rebase hint (the O(P) diff scan
-  /// per acceptance collapses to O(1) and the batched rebase path
-  /// engages); the default ignores the hint.
+  /// to forward the accepted process as a rebase hint (the winning-move
+  /// cache lookup's O(P) diff scan per acceptance collapses to O(1)); the
+  /// default ignores the hint.
   virtual Time commit_accept(const PolicyAssignment& current,
                              const Move& accepted) {
     (void)accepted;

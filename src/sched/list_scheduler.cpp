@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -34,26 +34,8 @@ Time ListSchedule::process_finish(ProcessId p) const {
 }
 
 // `event` occupies alignment padding: stamping commit indices costs no
-// snapshot bytes.
+// memory.
 static_assert(sizeof(ScheduledCopy) == 32 && sizeof(ScheduledMessage) == 40);
-
-std::size_t snapshot_bytes(const ScheduleSnapshot& s) {
-  std::size_t bytes = sizeof(ScheduleSnapshot);
-  bytes += s.node_free.size() * sizeof(Time);
-  bytes += s.placed.size() * sizeof(char);
-  bytes += s.deps_left.size() * sizeof(int);
-  bytes += s.data_ready.size() * sizeof(Time);
-  bytes += s.ready_heap.size() * sizeof(SnapshotReadyEntry);
-  bytes += s.tx_heap.size() * sizeof(TxEntry);
-  bytes += s.partial.copies.size() * sizeof(ScheduledCopy);
-  bytes += s.partial.messages.size() * sizeof(ScheduledMessage);
-  bytes += s.partial.bus_order.size() * sizeof(int);
-  bytes += s.partial.first_copy.size() * sizeof(int);
-  for (const std::vector<int>& order : s.partial.node_order) {
-    bytes += sizeof(order) + order.size() * sizeof(int);
-  }
-  return bytes;
-}
 
 Time fault_free_duration(const Application& app, const CopyPlan& copy,
                          ProcessId pid) {
@@ -85,54 +67,13 @@ PolicyAssignment strip_fault_tolerance(const Application& app,
 
 namespace {
 
-/// Exact event count of a full build: every copy placement plus one bus
-/// transmission per (cross-node message, producer copy).  Shared by
-/// Scheduler::total_events and default_snapshot_interval so the event
-/// definition cannot drift between them.
-std::size_t count_total_events(const Application& app,
-                               const PolicyAssignment& assignment) {
-  std::size_t events = 0;
-  for (int i = 0; i < assignment.process_count(); ++i) {
-    events +=
-        static_cast<std::size_t>(assignment.plan(ProcessId{i}).copy_count());
+/// Whether a message from a copy on `node` to a consumer planned as
+/// `consumer` needs the bus: some consumer copy runs on another node.
+bool crosses_bus(const ProcessPlan& consumer, NodeId node) {
+  for (const CopyPlan& d : consumer.copies) {
+    if (d.node != node) return true;
   }
-  for (const Message& m : app.messages()) {
-    const ProcessPlan& sp = assignment.plan(m.src);
-    const ProcessPlan& dp = assignment.plan(m.dst);
-    for (const CopyPlan& s : sp.copies) {
-      for (const CopyPlan& d : dp.copies) {
-        if (d.node != s.node) {
-          ++events;
-          break;
-        }
-      }
-    }
-  }
-  return events;
-}
-
-/// The default snapshot interval for a build of that many events: the
-/// nearest integer to sqrt(events), in pure integer math so the interval
-/// (and thus every snapshot-resume counter) is bit-identical across libm
-/// implementations.  r = floor(sqrt(n)) by digit-pair isqrt, bumped past
-/// the midpoint since (r + 0.5)^2 = r^2 + r + 0.25.
-int interval_for_events(std::size_t events) {
-  std::size_t r = 0;
-  std::size_t rem = events;
-  std::size_t bit = std::size_t{1}
-                    << (std::numeric_limits<std::size_t>::digits - 2);
-  while (bit > rem) bit >>= 2;
-  while (bit != 0) {
-    if (rem >= r + bit) {
-      rem -= r + bit;
-      r = (r >> 1) + bit;
-    } else {
-      r >>= 1;
-    }
-    bit >>= 2;
-  }
-  if (events - r * r > r) ++r;  // round half up, matching llround(sqrt(n))
-  return std::max(1, static_cast<int>(r));
+  return false;
 }
 
 struct CopyVertex {
@@ -162,20 +103,47 @@ struct BoundLess {
   }
 };
 
+/// Pending-transmission entry.
+struct TxEntry {
+  Time ready = 0;
+  std::int32_t msg = -1;
+  int src_event = 0;  ///< commit index of the producer copy
+  int src_copy = 0;
+  NodeId sender;
+};
+
 /// Min order of the pending-transmission queue: earliest ready, then lowest
-/// message id, then enqueue order -- the historical linear minimum search.
+/// message id, then producer commit index -- the historical FIFO-in-ready-
+/// order bus policy of the linear minimum search.  A copy enqueues all its
+/// transmissions at its own commit and sends each message once, so the
+/// producer's commit index orders equal (ready, message) entries by enqueue
+/// order.
 struct TxLess {
   bool operator()(const TxEntry& a, const TxEntry& b) const {
     if (a.ready != b.ready) return a.ready < b.ready;
     if (a.msg != b.msg) return a.msg < b.msg;
-    return a.seq < b.seq;
+    return a.src_event < b.src_event;
+  }
+};
+
+/// Maps a base schedule's copy vertices to a candidate's when one process's
+/// plan changed: that process's base vertices are the range [lo, hi), and
+/// every later vertex shifts by the change in its copy count.  Monotone
+/// outside the range, so vertex order is preserved.
+struct VertexShift {
+  int lo = 0;
+  int hi = 0;
+  int delta = 0;
+  [[nodiscard]] bool moved(int bv) const { return bv >= lo && bv < hi; }
+  [[nodiscard]] int operator()(int bv) const {
+    return bv < lo ? bv : bv + delta;
   }
 };
 
 /// One list-scheduling run: static problem data (copy vertices, dependency
 /// counts, priorities) plus the dynamic event-loop state.  The dynamic state
 /// either starts fresh (full build) or is restored from a base run's
-/// ScheduleSnapshot with the moved process's vertices re-derived (resume).
+/// schedule up to a given event (resume).
 class Scheduler {
  public:
   Scheduler(const Application& app, const Architecture& arch,
@@ -283,36 +251,98 @@ class Scheduler {
     return first_copy[static_cast<std::size_t>(p.get())] + copy;
   }
 
-  /// Exact event count of a full run (count_total_events above; the copy
-  /// placements equal verts.size() by construction).
-  [[nodiscard]] std::size_t total_events() const {
-    return count_total_events(app_, assignment_);
-  }
-
   // ---- dynamic state ----------------------------------------------------
 
-  void init_dynamic() {
+  /// Restores the state this run reaches before event `limit` from
+  /// `base`, the schedule of a run that coincides with this one up to there
+  /// (`shift` maps its copy vertices to this run's; no copy of the moved
+  /// process commits before `limit`).  The commit indices say what had
+  /// happened: the copies and transmissions committed so far, the
+  /// transmissions their producers had enqueued, and -- counted per
+  /// consumer process, since every copy of a process waits for the same
+  /// deliveries -- the readiness of the rest.  Restoring the empty prefix
+  /// (limit 0) is a full build's initial state.
+  void restore(const ListSchedule& base, std::size_t limit,
+               const VertexShift& shift) {
+    const std::size_t process_count =
+        static_cast<std::size_t>(app_.process_count());
+    const std::size_t node_count = static_cast<std::size_t>(arch_.node_count());
     result.copies.assign(verts.size(), ScheduledCopy{});
     result.first_copy = first_copy;
-    result.node_order.assign(static_cast<std::size_t>(arch_.node_count()), {});
-    node_free.assign(static_cast<std::size_t>(arch_.node_count()), 0);
-    placed.assign(verts.size(), 0);
-    data_ready.assign(verts.size(), 0);
-    deps_left.assign(verts.size(), 0);
-    for (std::size_t v = 0; v < verts.size(); ++v) {
-      deps_left[v] =
-          deps[static_cast<std::size_t>(verts[v].ref.process.get())];
-    }
+    result.node_order.assign(node_count, {});
+    node_free.assign(node_count, 0);
     remaining = verts.size();
-    if (log) {
-      log->snapshots.clear();
-      log->avail_event.assign(verts.size(), 0);
-      log->placed_event.assign(verts.size(), 0);
-      log->ties.clear();
-      log->rank = rank;
+    event = limit;
+    std::vector<int> delivered(process_count, 0);
+    std::vector<Time> latest(process_count, 0);
+    const auto count_delivery = [&](ProcessId dst, Time at) {
+      const std::size_t p = static_cast<std::size_t>(dst.get());
+      ++delivered[p];
+      latest[p] = std::max(latest[p], at);
+    };
+
+    // Committed copies: a node commits its copies in start order, so the
+    // ones before `limit` are a prefix of its order.
+    for (std::size_t n = 0; n < base.node_order.size(); ++n) {
+      result.node_order[n].reserve(base.node_order[n].size());
+      for (const int bv : base.node_order[n]) {
+        const ScheduledCopy& sc = base.copies[static_cast<std::size_t>(bv)];
+        if (static_cast<std::size_t>(sc.event) >= limit) break;
+        assert(!shift.moved(bv));
+        const int v = shift(bv);
+        result.copies[static_cast<std::size_t>(v)] = sc;
+        result.node_order[n].push_back(v);
+        node_free[n] = sc.finish;
+        result.makespan = std::max(result.makespan, sc.finish);
+        --remaining;
+        for (MessageId mid : app_.outputs(sc.ref.process)) {
+          const Message& m = app_.message(mid);
+          if (!crosses_bus(assignment_.plan(m.dst), sc.node)) {
+            count_delivery(m.dst, sc.finish);
+          }
+        }
+      }
     }
+
+    // Transmissions, in commit order: the committed ones, then the pending
+    // ones -- those whose producer copy has committed.
+    result.messages.reserve(base.messages.size());
+    result.bus_order.reserve(base.messages.size());
+    std::vector<TxEntry> pending;
+    for (std::size_t i = 0; i < base.messages.size(); ++i) {
+      const ScheduledMessage& sm = base.messages[i];
+      const Message& m = app_.message(sm.msg);
+      if (static_cast<std::size_t>(sm.event) < limit) {
+        result.bus_order.push_back(static_cast<int>(i));
+        result.messages.push_back(sm);
+        bus_free = sm.finish;
+        count_delivery(m.dst, sm.finish);
+        continue;
+      }
+      const std::size_t producer = static_cast<std::size_t>(
+          base.first_copy[static_cast<std::size_t>(m.src.get())] +
+          sm.src_copy);
+      const int src_event = base.copies[producer].event;
+      if (static_cast<std::size_t>(src_event) < limit) {
+        pending.push_back(
+            TxEntry{sm.ready, sm.msg.get(), src_event, sm.src_copy, sm.sender});
+      }
+    }
+    txq.assign(std::move(pending));
+
+    // Readiness from the deliveries so far, and the ready queues: every
+    // unplaced copy with no missing dependency, filed by its (this run's)
+    // rank and bound against the restored node free times.
+    deps_left.assign(verts.size(), 0);
+    data_ready.assign(verts.size(), 0);
     for (std::size_t v = 0; v < verts.size(); ++v) {
-      if (deps_left[v] == 0) file_ready(static_cast<int>(v));
+      const std::size_t p =
+          static_cast<std::size_t>(verts[v].ref.process.get());
+      deps_left[v] = deps[p] - delivered[p];
+      data_ready[v] = latest[p];
+      if (deps_left[v] == 0 && result.copies[v].event < 0) {
+        file_ready(static_cast<int>(v));
+      }
     }
   }
 
@@ -337,12 +367,6 @@ class Scheduler {
 
   ListSchedule run() {
     while (remaining > 0) {
-      if (log &&
-          event % static_cast<std::size_t>(log->snapshot_interval) == 0 &&
-          event != skip_snapshot_event) {
-        take_snapshot();
-      }
-
       // Best startable copy: the (start, rank desc, vertex) minimum over
       // the nodes' heads.  A node's head is its best `avail` copy, starting
       // at node_free, when there is one (every `future` copy starts later),
@@ -399,7 +423,6 @@ class Scheduler {
     for (const ScheduledMessage& m : result.messages) {
       result.makespan = std::max(result.makespan, m.finish);
     }
-    if (log) log->event_count = event;
     return std::move(result);
   }
 
@@ -412,7 +435,6 @@ class Scheduler {
     sc.start = start;
     sc.finish = start + cv.duration;
     result.copies[static_cast<std::size_t>(v)] = sc;
-    placed[static_cast<std::size_t>(v)] = 1;
     --remaining;
     const std::size_t n = static_cast<std::size_t>(cv.node.get());
     node_free[n] = sc.finish;
@@ -425,18 +447,12 @@ class Scheduler {
     }
     result.node_order[n].push_back(v);
     result.makespan = std::max(result.makespan, sc.finish);
-    if (log) log->placed_event[static_cast<std::size_t>(v)] = event;
 
     // Emit deliveries / enqueue transmissions for outgoing messages.
     for (MessageId mid : app_.outputs(cv.ref.process)) {
       const Message& m = app_.message(mid);
-      const ProcessPlan& dp = assignment_.plan(m.dst);
-      bool cross_node = false;
-      for (const CopyPlan& d : dp.copies) {
-        if (d.node != cv.node) cross_node = true;
-      }
-      if (cross_node) {
-        txq.push(TxEntry{sc.finish, mid.get(), tx_seq++, cv.ref.copy,
+      if (crosses_bus(assignment_.plan(m.dst), cv.node)) {
+        txq.push(TxEntry{sc.finish, mid.get(), sc.event, cv.ref.copy,
                          cv.node});
       } else {
         deliver(m, sc.finish);
@@ -500,52 +516,10 @@ class Scheduler {
     tie.winner = winner;
     tie.contenders = std::move(others);
     tie.contenders.push_back(winner);
-    // Canonical order: the set of contenders is a pure function of the
-    // tied state, but queue order depends on ranks -- which differ between
-    // a base build and a resumed candidate recording its own log.
-    // (tie.winner keeps the actual pick.)
+    // Canonical order, as the linear-scan reference enumerates them
+    // (tie.winner keeps the actual pick).
     std::sort(tie.contenders.begin(), tie.contenders.end());
     log->ties.push_back(std::move(tie));
-  }
-
-  void take_snapshot() {
-    ScheduleSnapshot s;
-    s.event_index = event;
-    s.remaining = remaining;
-    s.bus_free = bus_free;
-    s.tx_seq = tx_seq;
-    s.node_free = node_free;
-    s.placed = placed;
-    s.deps_left = deps_left;
-    s.data_ready = data_ready;
-    // Canonical ready image: every ready copy with its start (node_free
-    // in `avail`, its bound in `future`), sorted by (start, vertex) -- a
-    // pure function of the semantic state (placed / deps / readiness /
-    // node- and bus-free times), independent of queue layout.  Ranks are
-    // NOT stored: they depend on the assignment, not on the placed prefix,
-    // and are re-stamped by the restoring run -- which makes prefix
-    // snapshots bitwise shareable between a base and a candidate with the
-    // same copy layout.
-    for (std::size_t n = 0; n < node_free.size(); ++n) {
-      for (const ReadyEntry& e : avail[n].items()) {
-        s.ready_heap.push_back(SnapshotReadyEntry{node_free[n], e.vertex});
-      }
-      for (const ReadyEntry& e : future[n].items()) {
-        s.ready_heap.push_back(SnapshotReadyEntry{e.bound, e.vertex});
-      }
-    }
-    std::sort(s.ready_heap.begin(), s.ready_heap.end(),
-              [](const SnapshotReadyEntry& a, const SnapshotReadyEntry& b) {
-                return a.start != b.start ? a.start < b.start
-                                          : a.vertex < b.vertex;
-              });
-    s.tx_heap = txq.items();
-    std::sort(s.tx_heap.begin(), s.tx_heap.end(),
-              [](const TxEntry& a, const TxEntry& b) { return TxLess{}(a, b); });
-    s.partial = result;
-    ++snapshots_taken;
-    snapshot_bytes_taken += snapshot_bytes(s);
-    log->snapshots.append(std::move(s));
   }
 
   const Application& app_;
@@ -560,7 +534,6 @@ class Scheduler {
 
   // Dynamic event-loop state.
   ListSchedule result;
-  std::vector<char> placed;
   std::vector<int> deps_left;
   std::vector<Time> data_ready;
   std::vector<Time> node_free;
@@ -570,47 +543,35 @@ class Scheduler {
   /// Per node: ready copies whose bound lies past node_free.
   std::vector<BinaryMinHeap<ReadyEntry, BoundLess>> future;
   BinaryMinHeap<TxEntry, TxLess> txq;
-  int tx_seq = 0;
   std::size_t remaining = 0;
   std::size_t event = 0;
   std::size_t heap_pops = 0;
-  std::size_t snapshots_taken = 0;       ///< snapshots materialized live
-  std::size_t snapshot_bytes_taken = 0;  ///< their snapshot_bytes() total
-  /// A resumed run that transplanted the base snapshot at exactly this
-  /// event (by reference or remapped) suppresses the live re-record.
-  std::size_t skip_snapshot_event = static_cast<std::size_t>(-1);
 
   ScheduleCheckpointLog* log = nullptr;
 };
-
-ListSchedule build_schedule(const Application& app, const Architecture& arch,
-                            const PolicyAssignment& assignment,
-                            ScheduleCheckpointLog* log,
-                            int snapshot_interval) {
-  Scheduler s(app, arch, assignment);
-  s.build_static();
-  if (log) {
-    if (snapshot_interval <= 0) {
-      snapshot_interval = interval_for_events(s.total_events());
-    }
-    log->snapshot_interval = snapshot_interval;
-    s.log = log;
-  }
-  s.init_dynamic();
-  return s.run();
-}
 
 }  // namespace
 
 ListSchedule list_schedule(const Application& app, const Architecture& arch,
                            const PolicyAssignment& assignment) {
-  return build_schedule(app, arch, assignment, nullptr, 0);
+  Scheduler s(app, arch, assignment);
+  s.build_static();
+  s.restore(ListSchedule{}, 0, VertexShift{});
+  return s.run();
 }
 
-ListSchedule list_schedule(const Application& app, const Architecture& arch,
-                           const PolicyAssignment& assignment,
-                           ScheduleCheckpointLog& log, int snapshot_interval) {
-  return build_schedule(app, arch, assignment, &log, snapshot_interval);
+const ListSchedule& list_schedule(const Application& app,
+                                  const Architecture& arch,
+                                  const PolicyAssignment& assignment,
+                                  ScheduleCheckpointLog& log) {
+  Scheduler s(app, arch, assignment);
+  s.build_static();
+  s.log = &log;
+  log.avail_event.assign(s.verts.size(), 0);
+  log.ties.clear();
+  s.restore(ListSchedule{}, 0, VertexShift{});
+  log.schedule = s.run();
+  return log.schedule;
 }
 
 std::vector<Time> partial_critical_path_ranks(
@@ -621,146 +582,78 @@ std::vector<Time> partial_critical_path_ranks(
   return std::move(s.rank);
 }
 
-int default_snapshot_interval(const Application& app,
-                              const PolicyAssignment& assignment) {
-  return interval_for_events(count_total_events(app, assignment));
-}
-
 ListSchedule list_schedule_resume(const Application& app,
                                   const Architecture& arch,
                                   const PolicyAssignment& base,
                                   const ScheduleCheckpointLog& log,
                                   const PolicyAssignment& candidate,
                                   ProcessId moved,
-                                  ListScheduleResumeStats* stats,
-                                  ScheduleCheckpointLog* record) {
-  return list_schedule_resume(app, arch, base, log, candidate,
-                              std::vector<ProcessId>{moved}, stats, record);
-}
-
-ListSchedule list_schedule_resume(const Application& app,
-                                  const Architecture& arch,
-                                  const PolicyAssignment& base,
-                                  const ScheduleCheckpointLog& log,
-                                  const PolicyAssignment& candidate,
-                                  const std::vector<ProcessId>& moved,
-                                  ListScheduleResumeStats* stats,
-                                  ScheduleCheckpointLog* record) {
-  ListScheduleResumeStats local;
+                                  ListScheduleResumeStats* stats) {
   Scheduler s(app, arch, candidate);
   s.build_static();
 
-  // Base-side vertex layout (the log's event indices are per base vertex).
   const int process_count = app.process_count();
   if (base.process_count() != process_count) {
     throw std::invalid_argument("base assignment size mismatch");
   }
-  for (const ProcessId p : moved) {
-    if (p.get() < 0 || p.get() >= process_count) {
-      throw std::invalid_argument("moved process out of range");
-    }
+  if (moved.get() < 0 || moved.get() >= process_count) {
+    throw std::invalid_argument("moved process out of range");
   }
-  std::vector<int> base_first(static_cast<std::size_t>(process_count) + 1, 0);
-  for (int i = 0; i < process_count; ++i) {
-    base_first[static_cast<std::size_t>(i) + 1] =
-        base_first[static_cast<std::size_t>(i)] +
-        base.plan(ProcessId{i}).copy_count();
+  // The log's per-vertex data is indexed by the base's copy layout, its
+  // node orders by `arch`'s nodes.
+  const ListSchedule& sched = log.schedule;
+  bool layout_matches =
+      sched.first_copy.size() == static_cast<std::size_t>(process_count) + 1 &&
+      sched.first_copy.front() == 0 &&
+      sched.node_order.size() == static_cast<std::size_t>(arch.node_count());
+  for (int i = 0; layout_matches && i < process_count; ++i) {
+    const std::size_t p = static_cast<std::size_t>(i);
+    layout_matches = sched.first_copy[p + 1] - sched.first_copy[p] ==
+                     base.plan(ProcessId{i}).copy_count();
   }
-  const int base_total = base_first[static_cast<std::size_t>(process_count)];
-  if (log.avail_event.size() != static_cast<std::size_t>(base_total) ||
-      log.placed_event.size() != static_cast<std::size_t>(base_total)) {
+  if (!layout_matches ||
+      sched.copies.size() !=
+          static_cast<std::size_t>(sched.first_copy.back()) ||
+      log.avail_event.size() != sched.copies.size()) {
     throw std::invalid_argument(
         "checkpoint log not recorded from the base's copy layout");
   }
-
-  // The moved set, deduplicated into ascending pid order.
-  std::vector<char> is_moved(static_cast<std::size_t>(process_count), 0);
-  for (const ProcessId p : moved) {
-    is_moved[static_cast<std::size_t>(p.get())] = 1;
-  }
-  std::vector<ProcessId> mv;
-  mv.reserve(moved.size());
-  for (int i = 0; i < process_count; ++i) {
-    if (is_moved[static_cast<std::size_t>(i)]) mv.push_back(ProcessId{i});
-  }
-
-  std::vector<int> base_proc(static_cast<std::size_t>(base_total), 0);
-  for (int i = 0; i < process_count; ++i) {
-    for (int bv = base_first[static_cast<std::size_t>(i)];
-         bv < base_first[static_cast<std::size_t>(i) + 1]; ++bv) {
-      base_proc[static_cast<std::size_t>(bv)] = i;
-    }
-  }
-  const auto moved_vertex = [&](int bv) {
-    return is_moved[static_cast<std::size_t>(
-               base_proc[static_cast<std::size_t>(bv)])] != 0;
-  };
-  // Candidate vertex of a non-moved base vertex.  Monotone in bv: within
-  // a process the offset is constant and the per-process blocks keep
-  // their relative order, so remapped sorted lists stay sorted.
-  const auto remap = [&](int bv) {
-    assert(!moved_vertex(bv));
-    const int bp = base_proc[static_cast<std::size_t>(bv)];
-    return s.first_copy[static_cast<std::size_t>(bp)] +
-           (bv - base_first[static_cast<std::size_t>(bp)]);
-  };
-  // When every moved process keeps its copy count the remap is the
-  // identity and prefix snapshots are *bitwise* equal to what a
-  // from-scratch candidate build would record (canonical, rank-free, and
-  // free of moved-copy state before the first affected event) -- the
-  // condition for sharing them by reference instead of copying.
-  const bool layout_same = s.first_copy == base_first;
+  const std::size_t mp = static_cast<std::size_t>(moved.get());
+  const VertexShift shift{sched.first_copy[mp], sched.first_copy[mp + 1],
+                          s.first_copy[mp + 1] - sched.first_copy[mp + 1]};
 
   // ---- first affected event --------------------------------------------
   //
   // The candidate run provably coincides with the base run up to (not
   // including) `limit`:
-  //   * a moved process's copies cannot be selected before they are
+  //   * the moved process's copies cannot be selected before they are
   //     ready (avail_event; their readiness index is move-invariant
   //     because it is produced by unaffected producer deliveries),
-  //   * a producer placement whose inbound-to-moved message flips between
-  //     local delivery and a bus transmission behaves differently, so it
-  //     must be replayed (placed_event),
-  //   * a vertex whose priority rank changed (every ancestor of a moved
+  //   * a producer placement whose message to the moved process flips
+  //     between local delivery and a bus transmission behaves differently,
+  //     so it must be replayed,
+  //   * a vertex whose priority rank changed (every ancestor of the moved
   //     process, typically) can win or lose start-time ties -- but ranks
-  //     decide *only* such ties, and ready-queue entries are transplanted
-  //     with the candidate's ranks below, so the resume point only has to
-  //     precede the vertex's first recorded tie, not its readiness.
-  // Everything else depends only on data the moves do not touch.  For a
-  // batch of moves the bound is the min over the whole set.
-  std::size_t limit = log.event_count;
-  for (const ProcessId mp : mv) {
-    const int p = mp.get();
-    for (int bv = base_first[static_cast<std::size_t>(p)];
-         bv < base_first[static_cast<std::size_t>(p) + 1]; ++bv) {
-      limit = std::min(limit, log.avail_event[static_cast<std::size_t>(bv)]);
-    }
-    for (MessageId mid : app.inputs(mp)) {
-      const Message& m = app.message(mid);
-      // A moved producer's placements all happen at/after `limit` (its
-      // copies' readiness bounds limit, and a copy is placed no earlier
-      // than it becomes available), so they are replayed regardless of
-      // how the message flips -- no check needed.
-      if (is_moved[static_cast<std::size_t>(m.src.get())]) continue;
-      const ProcessPlan& sp = base.plan(m.src);
-      const ProcessPlan& base_dp = base.plan(mp);
-      const ProcessPlan& cand_dp = candidate.plan(mp);
-      for (int sj = 0; sj < sp.copy_count(); ++sj) {
-        const NodeId sn = sp.copies[static_cast<std::size_t>(sj)].node;
-        bool cross_base = false;
-        for (const CopyPlan& d : base_dp.copies) {
-          if (d.node != sn) cross_base = true;
-        }
-        bool cross_cand = false;
-        for (const CopyPlan& d : cand_dp.copies) {
-          if (d.node != sn) cross_cand = true;
-        }
-        if (cross_base != cross_cand) {
-          limit = std::min(
-              limit, log.placed_event[static_cast<std::size_t>(
-                         base_first[static_cast<std::size_t>(m.src.get())] +
-                         sj)]);
-        }
+  //     decide *only* such ties, and the restored ready queues carry the
+  //     candidate's ranks, so the resume point only has to precede the
+  //     vertex's first recorded tie, not its readiness.
+  // Everything else depends only on data the move does not touch.
+  std::size_t limit = sched.copies.size() + sched.messages.size();
+  for (int bv = shift.lo; bv < shift.hi; ++bv) {
+    limit = std::min(limit, log.avail_event[static_cast<std::size_t>(bv)]);
+  }
+  for (MessageId mid : app.inputs(moved)) {
+    const Message& m = app.message(mid);
+    const ProcessPlan& sp = base.plan(m.src);
+    for (int sj = 0; sj < sp.copy_count(); ++sj) {
+      const NodeId sn = sp.copies[static_cast<std::size_t>(sj)].node;
+      if (crosses_bus(base.plan(moved), sn) !=
+          crosses_bus(candidate.plan(moved), sn)) {
+        const ScheduledCopy& producer =
+            sched.copies[static_cast<std::size_t>(
+                sched.first_copy[static_cast<std::size_t>(m.src.get())] +
+                sj)];
+        limit = std::min(limit, static_cast<std::size_t>(producer.event));
       }
     }
   }
@@ -774,339 +667,36 @@ ListSchedule list_schedule_resume(const Application& app,
     Time best_rank = 0;
     bool involves_moved = false;
     for (const int bv : tie.contenders) {
-      if (moved_vertex(bv)) {
-        // Unreachable while limit <= every moved process's readiness, but
-        // be conservative if it ever is.
+      if (shift.moved(bv)) {
+        // Unreachable while limit <= the moved process's readiness, but be
+        // conservative if it ever is.
         involves_moved = true;
         break;
       }
-      const int cv = remap(bv);
+      const int cv = shift(bv);
       const Time r = s.rank[static_cast<std::size_t>(cv)];
       // Same pick rule as the ready queue: max rank, then min vertex id
-      // (remapping preserves the relative id order of non-moved vertices).
+      // (the shift preserves the relative id order of unmoved vertices).
       if (best < 0 || r > best_rank || (r == best_rank && cv < best)) {
         best = cv;
         best_rank = r;
       }
     }
-    if (involves_moved || best != remap(tie.winner)) {
+    if (involves_moved || best != shift(tie.winner)) {
       limit = tie.event;
       break;
     }
   }
 
-  // ---- nearest usable snapshot -----------------------------------------
-  const ScheduleSnapshot* snap = nullptr;
-  for (auto it = log.snapshots.rbegin(); it != log.snapshots.rend(); ++it) {
-    if ((*it)->event_index <= limit) {
-      snap = it->get();
-      break;
-    }
-  }
-
-  if (record) {
-    // Record-while-resuming: the replayed suffix records live through the
-    // normal logging hooks; prefix content is transplanted from the base
-    // log below (resume path) or recorded in full (fallback path).  The
-    // recorded log inherits the base interval so its prefix snapshots can
-    // be taken verbatim from the base's (both sit at multiples of it).
-    // `record` must be a distinct object: clearing it in place would free
-    // the very snapshots the transplant still reads.
-    assert(record != &log);
-    record->snapshot_interval = log.snapshot_interval;
-    record->snapshots.clear();
-    record->ties.clear();
-    record->event_count = 0;
-    s.log = record;
-  }
-
-  if (!snap || snap->event_index == 0) {
-    s.init_dynamic();
-  } else {
-    // ---- transplant the snapshot into the candidate's vertex space ------
-    const std::size_t cand_total = s.verts.size();
-#ifndef NDEBUG
-    for (const ProcessId mp : mv) {
-      // Moved processes are untouched before the resume point.
-      for (int bv = base_first[static_cast<std::size_t>(mp.get())];
-           bv < base_first[static_cast<std::size_t>(mp.get()) + 1]; ++bv) {
-        assert(!snap->placed[static_cast<std::size_t>(bv)]);
-      }
-    }
-#endif
-
-    s.result.first_copy = s.first_copy;
-    s.result.messages = snap->partial.messages;
-    s.result.bus_order = snap->partial.bus_order;
-    s.result.makespan = snap->partial.makespan;
-    if (layout_same) {
-      // Identity remap: take the read-only prefix wholesale instead of
-      // copying it element by element (moved copies are unplaced with
-      // default slots, and their readiness is re-seeded below).
-      s.result.copies = snap->partial.copies;
-      s.result.node_order = snap->partial.node_order;
-      s.placed = snap->placed;
-      s.deps_left = snap->deps_left;
-      s.data_ready = snap->data_ready;
-    } else {
-      s.result.copies.assign(cand_total, ScheduledCopy{});
-      s.result.node_order.assign(static_cast<std::size_t>(arch.node_count()),
-                                 {});
-      for (std::size_t n = 0; n < snap->partial.node_order.size(); ++n) {
-        for (int v : snap->partial.node_order[n]) {
-          s.result.node_order[n].push_back(remap(v));
-        }
-      }
-      s.placed.assign(cand_total, 0);
-      s.deps_left.assign(cand_total, 0);
-      s.data_ready.assign(cand_total, 0);
-      for (int bv = 0; bv < base_total; ++bv) {
-        if (moved_vertex(bv)) continue;
-        const std::size_t cv = static_cast<std::size_t>(remap(bv));
-        s.placed[cv] = snap->placed[static_cast<std::size_t>(bv)];
-        if (s.placed[cv]) {
-          s.result.copies[cv] =
-              snap->partial.copies[static_cast<std::size_t>(bv)];
-        }
-        s.deps_left[cv] = snap->deps_left[static_cast<std::size_t>(bv)];
-        s.data_ready[cv] = snap->data_ready[static_cast<std::size_t>(bv)];
-      }
-    }
-    // All copies of one process share (deps_left, data_ready): deliveries
-    // broadcast to every copy and the predecessor count is independent of
-    // the process's own plan.  Seed every moved process's candidate copies
-    // from its base copy 0, then adjust the consumers of moved producers
-    // whose copy count changed (one dependency per producer copy; no
-    // deliveries from moved producers happened yet).  The adjustment runs
-    // after the seeding so a moved consumer of a moved producer is
-    // corrected too.
-    for (const ProcessId mp : mv) {
-      const int bf = base_first[static_cast<std::size_t>(mp.get())];
-      const int shared_deps = snap->deps_left[static_cast<std::size_t>(bf)];
-      const Time shared_ready =
-          snap->data_ready[static_cast<std::size_t>(bf)];
-      const int count = candidate.plan(mp).copy_count();
-      for (int j = 0; j < count; ++j) {
-        const std::size_t cv = static_cast<std::size_t>(s.vertex_of(mp, j));
-        s.deps_left[cv] = shared_deps;
-        s.data_ready[cv] = shared_ready;
-      }
-    }
-    for (const ProcessId mp : mv) {
-      const int delta_p =
-          candidate.plan(mp).copy_count() - base.plan(mp).copy_count();
-      if (delta_p == 0) continue;
-      for (MessageId mid : app.outputs(mp)) {
-        const Message& m = app.message(mid);
-        const int count = candidate.plan(m.dst).copy_count();
-        for (int dj = 0; dj < count; ++dj) {
-          s.deps_left[static_cast<std::size_t>(s.vertex_of(m.dst, dj))] +=
-              delta_p;
-        }
-      }
-    }
-
-    s.node_free = snap->node_free;
-    s.bus_free = snap->bus_free;
-    s.tx_seq = snap->tx_seq;
-    s.remaining =
-        snap->remaining + (cand_total - static_cast<std::size_t>(base_total));
-    s.event = snap->event_index;
-
-    // Ready queues: file every restored ready copy by its restored bound
-    // against the restored node_free, with the *candidate's* rank -- a
-    // rank change only breaks future ties, which the resume-point bound
-    // already guarantees did not occur in the kept prefix -- and re-derive
-    // the moved processes' copies with the candidate's mapping and rank.
-    for (const SnapshotReadyEntry& e : snap->ready_heap) {
-      if (!moved_vertex(e.vertex)) s.file_ready(remap(e.vertex));
-    }
-    for (const ProcessId mp : mv) {
-      if (s.deps_left[static_cast<std::size_t>(s.vertex_of(mp, 0))] != 0) {
-        continue;
-      }
-      const int count = candidate.plan(mp).copy_count();
-      for (int j = 0; j < count; ++j) s.file_ready(s.vertex_of(mp, j));
-    }
-    s.txq.assign(snap->tx_heap);
-
-    if (record) {
-      // ---- transplant the skipped prefix's log content ------------------
-      //
-      // Everything the replay does not re-execute is move-invariant by the
-      // resume-point bound: event indices (avail/placed) of prefix events,
-      // tie groups before the resume point (same contender sets -- a pure
-      // function of the tied state -- and same winners, re-judged above),
-      // and prefix snapshots (canonical, so equal to what a from-scratch
-      // candidate build would record at the same event).  Entries whose
-      // events fall at or past the resume point are overwritten by the
-      // replay's own recording.
-      record->rank = s.rank;
-      if (layout_same) {
-        // Identity remap: per-vertex indices transplant wholesale.  Moved
-        // copies' base values are correct too -- their readiness index is
-        // shared per process and move-invariant, and their placed entries
-        // (base suffix placements) are overwritten when the replay places
-        // them.
-        record->avail_event = log.avail_event;
-        record->placed_event = log.placed_event;
-      } else {
-        record->avail_event.assign(cand_total, 0);
-        record->placed_event.assign(cand_total, 0);
-        for (int bv = 0; bv < base_total; ++bv) {
-          if (moved_vertex(bv)) continue;
-          const std::size_t cv = static_cast<std::size_t>(remap(bv));
-          record->avail_event[cv] =
-              log.avail_event[static_cast<std::size_t>(bv)];
-          record->placed_event[cv] =
-              log.placed_event[static_cast<std::size_t>(bv)];
-        }
-        // All copies of one process share their readiness index.  When a
-        // moved process's last inbound delivery happened in the prefix,
-        // the replay never re-delivers it, so the index must come from the
-        // base; a delivery during replay overwrites it.
-        for (const ProcessId mp : mv) {
-          const std::size_t shared_avail =
-              log.avail_event[static_cast<std::size_t>(
-                  base_first[static_cast<std::size_t>(mp.get())])];
-          const int count = candidate.plan(mp).copy_count();
-          for (int j = 0; j < count; ++j) {
-            record->avail_event[static_cast<std::size_t>(
-                s.vertex_of(mp, j))] = shared_avail;
-          }
-        }
-      }
-      for (const ScheduleCheckpointLog::StartTie& tie : log.ties) {
-        if (tie.event >= snap->event_index) break;
-        if (layout_same) {
-          record->ties.push_back(tie);
-          continue;
-        }
-        ScheduleCheckpointLog::StartTie t;
-        t.event = tie.event;
-        t.winner = remap(tie.winner);
-        t.contenders.reserve(tie.contenders.size());
-        // Contenders are sorted by vertex id and the remap is monotone.
-        for (const int bv : tie.contenders) t.contenders.push_back(remap(bv));
-        record->ties.push_back(std::move(t));
-      }
-      // Prefix snapshots, including the resume-point snapshot itself (the
-      // live re-record at that event is suppressed): shared by reference
-      // when the copy layout is unchanged, materialized remapped
-      // otherwise.  A shared snapshot must predate `limit` -- at
-      // event_index == limit a moved copy can already sit in the ready
-      // image with a start key that depends on its (changed) plan; the
-      // materialized rebuild below recomputes the ready image from the
-      // transplanted semantic state, so it has no such restriction.
-      for (const auto& bs_ref : log.snapshots) {
-        const ScheduleSnapshot& bs = *bs_ref;
-        if (bs.event_index > snap->event_index) break;
-        if (layout_same) {
-          if (bs.event_index >= limit) break;
-          record->snapshots.share(bs_ref);
-          ++local.snapshots_shared;
-          local.snapshot_bytes_shared += snapshot_bytes(bs);
-          if (bs.event_index == snap->event_index) {
-            s.skip_snapshot_event = snap->event_index;
-          }
-          continue;
-        }
-        ScheduleSnapshot ns;
-        ns.event_index = bs.event_index;
-        ns.remaining =
-            bs.remaining + (cand_total - static_cast<std::size_t>(base_total));
-        ns.bus_free = bs.bus_free;
-        ns.tx_seq = bs.tx_seq;
-        ns.node_free = bs.node_free;
-        ns.placed.assign(cand_total, 0);
-        ns.deps_left.assign(cand_total, 0);
-        ns.data_ready.assign(cand_total, 0);
-        ns.partial.first_copy = s.first_copy;
-        ns.partial.copies.assign(cand_total, ScheduledCopy{});
-        for (int bv = 0; bv < base_total; ++bv) {
-          if (moved_vertex(bv)) continue;
-          const std::size_t cv = static_cast<std::size_t>(remap(bv));
-          ns.placed[cv] = bs.placed[static_cast<std::size_t>(bv)];
-          ns.deps_left[cv] = bs.deps_left[static_cast<std::size_t>(bv)];
-          ns.data_ready[cv] = bs.data_ready[static_cast<std::size_t>(bv)];
-          ns.partial.copies[cv] =
-              bs.partial.copies[static_cast<std::size_t>(bv)];
-        }
-        // Same seeding rules as the dynamic-state transplant above.
-        for (const ProcessId mp : mv) {
-          const int bf = base_first[static_cast<std::size_t>(mp.get())];
-          const int snap_deps = bs.deps_left[static_cast<std::size_t>(bf)];
-          const Time snap_ready =
-              bs.data_ready[static_cast<std::size_t>(bf)];
-          const int count = candidate.plan(mp).copy_count();
-          for (int j = 0; j < count; ++j) {
-            const std::size_t cv =
-                static_cast<std::size_t>(s.vertex_of(mp, j));
-            ns.deps_left[cv] = snap_deps;
-            ns.data_ready[cv] = snap_ready;
-          }
-        }
-        for (const ProcessId mp : mv) {
-          const int delta_p =
-              candidate.plan(mp).copy_count() - base.plan(mp).copy_count();
-          if (delta_p == 0) continue;
-          for (MessageId mid : app.outputs(mp)) {
-            const Message& m = app.message(mid);
-            const int count = candidate.plan(m.dst).copy_count();
-            for (int dj = 0; dj < count; ++dj) {
-              ns.deps_left[static_cast<std::size_t>(
-                  s.vertex_of(m.dst, dj))] += delta_p;
-            }
-          }
-        }
-        ns.partial.node_order.assign(
-            static_cast<std::size_t>(arch.node_count()), {});
-        for (std::size_t n = 0; n < bs.partial.node_order.size(); ++n) {
-          for (const int v : bs.partial.node_order[n]) {
-            ns.partial.node_order[n].push_back(remap(v));
-          }
-        }
-        ns.partial.messages = bs.partial.messages;
-        ns.partial.bus_order = bs.partial.bus_order;
-        ns.partial.makespan = bs.partial.makespan;
-        // Canonical ready image, rebuilt from the transplanted semantic
-        // state (ready == available and unplaced).
-        for (std::size_t cv = 0; cv < cand_total; ++cv) {
-          if (ns.placed[cv] || ns.deps_left[cv] != 0) continue;
-          const Time start = std::max(
-              {ns.data_ready[cv], s.verts[cv].release,
-               ns.node_free[static_cast<std::size_t>(
-                   s.verts[cv].node.get())]});
-          ns.ready_heap.push_back(
-              SnapshotReadyEntry{start, static_cast<int>(cv)});
-        }
-        std::sort(ns.ready_heap.begin(), ns.ready_heap.end(),
-                  [](const SnapshotReadyEntry& a, const SnapshotReadyEntry& b) {
-                    return a.start != b.start ? a.start < b.start
-                                              : a.vertex < b.vertex;
-                  });
-        ns.tx_heap = bs.tx_heap;  // canonical and move-invariant (no moved
-                                  // producer placed, senders untouched)
-        ++local.snapshots_copied;
-        local.snapshot_bytes_copied += snapshot_bytes(ns);
-        if (bs.event_index == snap->event_index) {
-          s.skip_snapshot_event = snap->event_index;
-        }
-        record->snapshots.append(std::move(ns));
-      }
-    }
-
-    local.resumed = true;
-    local.events_resumed = snap->event_index;
-  }
-
+  s.restore(sched, limit, shift);
   ListSchedule out = s.run();
-  local.events_total = s.event;
-  local.events_replayed = s.event - local.events_resumed;
-  local.heap_pops = s.heap_pops;
-  local.snapshots_copied += s.snapshots_taken;
-  local.snapshot_bytes_copied += s.snapshot_bytes_taken;
-  if (stats) *stats = local;
+  if (stats) {
+    stats->resumed = limit > 0;
+    stats->events_total = s.event;
+    stats->events_resumed = limit;
+    stats->events_replayed = s.event - limit;
+    stats->heap_pops = s.heap_pops;
+  }
   return out;
 }
 

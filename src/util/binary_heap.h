@@ -3,13 +3,13 @@
 // (sched/list_scheduler.cpp).
 //
 // std::priority_queue would do for push/top/pop, but it hides its storage;
-// the scheduler reads every queued item to emit snapshot images and
-// start-time tie groups, and restores the transmission queue of a snapshot
-// wholesale into a resumed run, so the container must expose its items.
-// Comparators here must induce a *total* order (the scheduler keys carry a
-// unique vertex id / sequence number), which makes the pop order
-// independent of the internal array arrangement -- a heap rebuilt via
-// assign() pops identically to one grown via push().
+// the scheduler reads every queued item to emit start-time tie groups, and
+// restores the pending transmissions of a resumed run wholesale, so the
+// container must expose its items.  Comparators here must induce a *total*
+// order (the scheduler keys carry a unique vertex id / producer commit
+// index), which makes the pop order independent of the internal array
+// arrangement -- a heap rebuilt via assign() pops identically to one grown
+// via push().
 #pragma once
 
 #include <algorithm>
@@ -40,10 +40,11 @@ class BinaryMinHeap {
   [[nodiscard]] bool empty() const { return items_.empty(); }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
 
-  /// Underlying storage in heap order (for snapshots).
+  /// Underlying storage in heap order (for tie groups).
   [[nodiscard]] const std::vector<T>& items() const { return items_; }
 
-  /// Replaces the contents (heapifies in O(n)); used to restore snapshots.
+  /// Replaces the contents (heapifies in O(n)); used to restore a resumed
+  /// run's pending transmissions.
   void assign(std::vector<T> items) {
     items_ = std::move(items);
     std::make_heap(items_.begin(), items_.end(), Inverted{});

@@ -291,14 +291,14 @@ TEST(EvalContext, ConcurrentMoveEvaluationsMatchSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
-// Regression guard for the accepted-move path (ROADMAP: "resume logs for
-// accepted moves"): a rebase served by the winning-move cache skips the DP
-// rebuild but MUST still rebuild the base schedule's checkpoint log --
-// otherwise the next round of list_schedule_resume would replay against a
-// stale log and silently produce wrong schedules.  The test forces a
-// cache-hit rebase, then pins (a) that subsequent incremental evaluations
-// against the new base are bit-identical to from-scratch evaluations and
-// (b) that they are actually served by snapshot resumes from the fresh log.
+// Regression guard for the accepted-move path: a rebase served by the
+// winning-move cache skips the DP rebuild but MUST still rebuild the base
+// schedule's checkpoint log -- otherwise the next round of
+// list_schedule_resume would replay against a stale log and silently
+// produce wrong schedules.  The test forces a cache-hit rebase, then pins
+// (a) that subsequent incremental evaluations against the new base are
+// bit-identical to from-scratch evaluations and (b) that they actually
+// resume from the fresh log.
 TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
   const Instance inst = make_instance(20, 3, 31);
   const FaultModel model{2};
@@ -339,8 +339,8 @@ TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
       << "the accepted move must hit the winning-move cache";
   EXPECT_EQ(accepted.cost, best_cost);
 
-  // Next round: moves against the new base must resume from the freshly
-  // recorded log and match from-scratch evaluations exactly.
+  // Next round: moves against the new base must resume from the fresh log
+  // and match from-scratch evaluations exactly.
   Rng rng(77);
   for (int round = 0; round < 25; ++round) {
     const ProcessId mover{static_cast<std::int32_t>(
@@ -358,114 +358,10 @@ TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
       << "post-rebase evaluations must be served by the rebuilt log";
 }
 
-// The accepted-move fast path itself: a rebase onto a single-plan diff
-// must obtain the new base's checkpoint log by record-while-resuming (not
-// a from-scratch build), and the resulting evaluator state must be
-// indistinguishable from a full rebuild.
-TEST(EvalContext, AcceptedMoveRebaseRecordsLogViaResume) {
-  const Instance inst = make_instance(30, 3, 77);
-  const FaultModel model{2};
-  PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                         PolicySpace::kCheckpointingOnly, 8);
-  EvalContext eval(inst.app, inst.arch, model);
-  eval.rebase(base);
-
-  // A checkpoint flip on the topological sink keeps the event count (and
-  // with it the default snapshot interval) unchanged and leaves a long
-  // resumable prefix.
-  const ProcessId pid = inst.app.topological_order().back();
-  ProcessPlan plan = base.plan(pid);
-  plan.copies[0].checkpoints = plan.copies[0].checkpoints == 1 ? 2 : 1;
-  (void)eval.evaluate_move(pid, plan);
-
-  const EvalStats before = eval.stats();
-  EXPECT_EQ(before.rebase_full_builds, 1);  // only the initial rebase
-  base.plan(pid) = plan;
-  eval.rebase(base);
-  const EvalStats spent = eval.stats().since(before);
-  EXPECT_EQ(spent.rebase_cache_hits, 1);
-  EXPECT_EQ(spent.rebase_log_recorded, 1)
-      << "the accepted-move rebase must record its log via resume";
-  EXPECT_EQ(spent.rebase_full_builds, 0);
-  EXPECT_GT(spent.rebase_log_events_resumed, 0);
-  // Move-evaluation counters stay untouched by the rebase path.
-  EXPECT_EQ(spent.ls_resumes + spent.ls_full_builds, 0);
-
-  // The recorded log must serve the next round exactly like a fresh one.
-  Rng rng(5);
-  for (int round = 0; round < 20; ++round) {
-    const ProcessId mover{static_cast<std::int32_t>(
-        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-    const ProcessPlan moved = random_move(inst, base, mover, model, rng);
-    PolicyAssignment candidate = base;
-    candidate.plan(mover) = moved;
-    EXPECT_EQ(eval.evaluate_move(mover, moved).makespan,
-              evaluate_wcsl(inst.app, inst.arch, candidate, model).makespan)
-        << "round " << round;
-  }
-}
-
-// Consecutive acceptances are re-recorded as a batch against the retained
-// grand-base log (kRebaseBatchWindow).  A run of layout-preserving
-// checkpoint flips -- the common accepted move -- must (a) stay
-// bit-identical to from-scratch evaluation after every rebase, (b)
-// actually batch (>1 pending move diffed against one anchor), and (c)
-// share prefix snapshots by reference instead of copying them.
-TEST(EvalContext, BatchedAcceptRunSharesSnapshotsAndStaysExact) {
-  const Instance inst = make_instance(26, 3, 99);
-  const FaultModel model{2};
-  PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
-                                         PolicySpace::kCheckpointingOnly, 8);
-  EvalContext eval(inst.app, inst.arch, model);
-  eval.rebase(base);
-
-  // Checkpoint flips keep the event count (and with it the layout and the
-  // default snapshot interval) unchanged, so every acceptance is eligible
-  // for prefix sharing.  Cycle over the three latest processes in
-  // topological order to keep the resumable prefix long.
-  const auto& topo = inst.app.topological_order();
-  for (int accept = 0; accept < 9; ++accept) {
-    const ProcessId pid = topo[topo.size() - 1 -
-                               static_cast<std::size_t>(accept % 3)];
-    ProcessPlan plan = base.plan(pid);
-    plan.copies[0].checkpoints = plan.copies[0].checkpoints == 1 ? 2 : 1;
-    base.plan(pid) = plan;
-    const EvalContext::Outcome out = eval.rebase(base, pid);
-    EXPECT_EQ(out.makespan,
-              evaluate_wcsl(inst.app, inst.arch, base, model).makespan)
-        << "accept " << accept;
-    EXPECT_EQ(out.cost, assignment_cost(inst.app, inst.arch, base, model))
-        << "accept " << accept;
-  }
-
-  const EvalStats stats = eval.stats();
-  EXPECT_GT(stats.rebase_log_recorded, 0);
-  EXPECT_GT(stats.rebase_batched, 0)
-      << "consecutive accepts never diffed a >1-move batch";
-  EXPECT_GT(stats.snapshot_refs_shared, 0)
-      << "no prefix snapshot was adopted by reference";
-  EXPECT_GT(stats.snapshot_bytes_shared, 0);
-
-  // The evaluator must still be exact for the next neighborhood.
-  Rng rng(808);
-  for (int round = 0; round < 15; ++round) {
-    const ProcessId mover{static_cast<std::int32_t>(
-        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
-    const ProcessPlan plan = random_move(inst, base, mover, model, rng);
-    PolicyAssignment candidate = base;
-    candidate.plan(mover) = plan;
-    EXPECT_EQ(eval.evaluate_move(mover, plan).makespan,
-              evaluate_wcsl(inst.app, inst.arch, candidate, model).makespan)
-        << "round " << round;
-  }
-}
-
-// Random accepted moves of all three families: the batched rebase path
-// must stay exact under layout changes and interval-gate misses, and
-// every interval mismatch must be accounted as a full rebuild (the gate
-// that keeps recorded logs bit-identical never records through a
-// mismatched interval).
-TEST(EvalContext, RandomAcceptChainIsExactAndCountsIntervalMisses) {
+// Random accepted moves of all three families, each rebased with the
+// accepted-process hint: every rebase outcome, and a move evaluated against
+// the new base's log, must stay exact under copy layout changes.
+TEST(EvalContext, RandomAcceptChainIsExact) {
   const Instance inst = make_instance(18, 3, 404);
   const FaultModel model{2};
   PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
@@ -482,11 +378,15 @@ TEST(EvalContext, RandomAcceptChainIsExactAndCountsIntervalMisses) {
     EXPECT_EQ(out.makespan,
               evaluate_wcsl(inst.app, inst.arch, base, model).makespan)
         << "accept " << accept;
+    const ProcessId mover{static_cast<std::int32_t>(
+        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+    const ProcessPlan plan = random_move(inst, base, mover, model, rng);
+    PolicyAssignment candidate = base;
+    candidate.plan(mover) = plan;
+    EXPECT_EQ(eval.evaluate_move(mover, plan).makespan,
+              evaluate_wcsl(inst.app, inst.arch, candidate, model).makespan)
+        << "accept " << accept;
   }
-  const EvalStats stats = eval.stats();
-  EXPECT_GT(stats.rebase_log_recorded + stats.rebase_full_builds, 0);
-  EXPECT_LE(stats.rebase_interval_mismatch, stats.rebase_full_builds)
-      << "an interval-gate miss must always fall back to a full rebuild";
 }
 
 TEST(EvalContext, EvaluateMoveWithoutRebaseThrows) {

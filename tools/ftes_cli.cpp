@@ -431,19 +431,6 @@ int main(int argc, char** argv) {
     if (m.search_accepted > 0) {
       std::printf(" (%lld moves accepted)", m.search_accepted);
     }
-    if (m.rebase_log_recorded > 0) {
-      std::printf(" (%lld rebase logs resumed)", m.rebase_log_recorded);
-    }
-    if (m.rebase_batched > 0) {
-      std::printf(" (%lld rebases batched)", m.rebase_batched);
-    }
-    if (m.rebase_interval_mismatch > 0) {
-      std::printf(" (%lld interval-gate misses)", m.rebase_interval_mismatch);
-    }
-    if (m.snapshot_refs_shared > 0) {
-      std::printf(" (%lld snapshots shared, %lld KiB copied)",
-                  m.snapshot_refs_shared, m.snapshot_bytes_copied / 1024);
-    }
     // Only printed when the features fired, so default runs stay
     // bit-identical to older goldens; speculation hit/miss is itself
     // deterministic for a fixed seed and any --threads.
