@@ -113,11 +113,6 @@ inline void add_total_entry(BenchReport& report, const EvalStats& total,
                    ? static_cast<double>(total.evaluations) / seconds
                    : 0.0);
   entry.metric("sched_resume_rate", total.ls_resume_fraction());
-  entry.metric("rebase_cache_hit_rate",
-               total.rebases > 0
-                   ? static_cast<double>(total.rebase_cache_hits) /
-                         static_cast<double>(total.rebases)
-                   : 0.0);
   // Queue pops and the events the move schedules executed (resumed
   // prefixes excluded): CI bounds their ratio.
   entry.metric("heap_pops", static_cast<double>(total.heap_pops));

@@ -129,8 +129,6 @@ int main(int argc, char** argv) {
               total.ls_resumes, total.ls_resumes + total.ls_full_builds,
               total.ls_events_resumed, total.ls_events_total,
               100.0 * total.ls_resume_fraction());
-  std::printf("  rebases: %lld of %lld served by the winning-move cache\n",
-              total.rebase_cache_hits, total.rebases);
   const double seconds = watch.seconds();
   std::printf("  wall-clock: %.2fs\n", seconds);
 

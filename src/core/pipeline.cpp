@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include <cassert>
 #include <sstream>
 #include <utility>
 
@@ -18,7 +17,6 @@ void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
   metrics.evaluations = spent.evaluations;
   metrics.sched_events_total = spent.ls_events_total;
   metrics.sched_events_resumed = spent.ls_events_resumed;
-  metrics.rebase_cache_hits = spent.rebase_cache_hits;
 }
 
 void fill_search_metrics(StageMetrics& metrics, const SearchStats& stats) {
@@ -26,14 +24,6 @@ void fill_search_metrics(StageMetrics& metrics, const SearchStats& stats) {
   metrics.search_accepted = stats.accepted_moves;
   metrics.search_tabu_rejected = stats.tabu_rejected;
   metrics.search_aspiration = stats.aspiration_accepted;
-}
-
-bool same_assignment(const PolicyAssignment& a, const PolicyAssignment& b) {
-  if (a.process_count() != b.process_count()) return false;
-  for (int i = 0; i < a.process_count(); ++i) {
-    if (a.plan(ProcessId{i}) != b.plan(ProcessId{i})) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -46,15 +36,11 @@ std::string StageMetrics::to_json() const {
       << ", \"evaluations\": " << evaluations
       << ", \"sched_events_total\": " << sched_events_total
       << ", \"sched_events_resumed\": " << sched_events_resumed
-      << ", \"rebase_cache_hits\": " << rebase_cache_hits
       << ", \"search_iterations\": " << search_iterations
       << ", \"search_accepted\": " << search_accepted
       << ", \"search_tabu_rejected\": " << search_tabu_rejected
       << ", \"search_aspiration\": " << search_aspiration
-      << ", \"spec_hits\": " << spec_hits
-      << ", \"spec_misses\": " << spec_misses << ", \"spec_seconds\": ";
-  json_seconds(out, spec_seconds);
-  out << ", \"timed_out\": " << (timed_out ? "true" : "false")
+      << ", \"timed_out\": " << (timed_out ? "true" : "false")
       << ", \"cancel_latency_seconds\": ";
   json_seconds(out, cancel_latency_seconds);
   out << ", \"fuzz_trials\": " << fuzz_trials
@@ -94,106 +80,6 @@ SynthesisContext::SynthesisContext(Application app, Architecture arch,
 ThreadPool& SynthesisContext::pool() const {
   return options_.optimize.pool ? *options_.optimize.pool
                                 : ThreadPool::shared();
-}
-
-// --- speculative stage execution --------------------------------------------
-
-SpeculationTask::SpeculationTask(SynthesisContext& ctx,
-                                 PolicyAssignment incumbent)
-    : app_(ctx.app()),
-      arch_(ctx.arch()),
-      model_(ctx.model()),
-      sched_(ctx.options().schedule),
-      build_tables_(ctx.options().build_schedule_tables),
-      incumbent_(std::move(incumbent)),
-      cancel_(&ctx.cancel_token()) {
-  sched_.threads = ctx.options().optimize.threads;
-  sched_.pool = ctx.options().optimize.pool;
-  sched_.cancel = &cancel_;
-}
-
-std::shared_ptr<SpeculationTask> SpeculationTask::launch(
-    SynthesisContext& ctx, const PolicyAssignment& incumbent) {
-  std::shared_ptr<SpeculationTask> task(new SpeculationTask(ctx, incumbent));
-  // The job only captures the shared_ptr: if the task is abandoned before a
-  // worker picks it up, run() no-ops without touching the ctx references.
-  ctx.pool().submit([task] { task->run(); });
-  return task;
-}
-
-void SpeculationTask::run() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != kPending) return;  // claimed inline or abandoned
-    state_ = kRunning;
-  }
-  run_body();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_ = kDone;
-  }
-  cv_.notify_all();
-}
-
-void SpeculationTask::run_body() {
-  const Stopwatch watch;
-  // No exception may escape: this runs on a pool worker (an escape would
-  // terminate the process) and finish()/abandon() wait for kDone.  The
-  // error is rethrown by finish(), where the serial stage would have
-  // thrown it; abandon() swallows it with the rest of the dead result.
-  try {
-    if (cancel_.poll()) {  // already dead: let abandon() drain instantly
-      ok_ = false;
-    } else {
-      // Full evaluation, deliberately not through the shared
-      // EvalContext (the refinement stage owns it right now):
-      // bit-identical to the serial stage's evaluate_full, which adoption
-      // asserts.
-      wcsl_ = evaluate_wcsl(app_, arch_, incumbent_, model_);
-      ok_ = !cancel_.poll();
-      if (ok_ && build_tables_) {
-        try {
-          schedule_ = conditional_schedule(app_, arch_, incumbent_, model_,
-                                           sched_);
-        } catch (const CancelledError&) {
-          ok_ = false;
-        } catch (const std::length_error& e) {
-          // Same downgrade as the serial stage: analytic bound only.
-          FTES_LOG(kInfo) << "speculative tables skipped: " << e.what();
-        }
-      }
-    }
-  } catch (...) {
-    error_ = std::current_exception();
-    ok_ = false;
-  }
-  seconds_ = watch.seconds();
-}
-
-bool SpeculationTask::finish() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (state_ == kPending) {
-    state_ = kRunning;
-    lock.unlock();
-    run_body();
-    lock.lock();
-    state_ = kDone;
-    cv_.notify_all();
-  } else {
-    cv_.wait(lock, [&] { return state_ == kDone; });
-  }
-  if (error_) std::rethrow_exception(error_);
-  return ok_;
-}
-
-void SpeculationTask::abandon() {
-  cancel_.request_cancel();
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (state_ == kPending) {
-    state_ = kAbandoned;
-    return;
-  }
-  cv_.wait(lock, [&] { return state_ == kDone || state_ == kAbandoned; });
 }
 
 // --- stages -----------------------------------------------------------------
@@ -238,48 +124,13 @@ void CheckpointRefineStage::run(SynthesisContext& ctx, SynthesisState& state,
 void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
                              StageMetrics& metrics) {
   const SynthesisOptions& options = ctx.options();
-  std::shared_ptr<SpeculationTask> spec = state.speculation;
   const EvalStats before = ctx.eval().stats();
   state.wcsl = ctx.eval().evaluate_full(state.assignment);
   state.schedulable = state.wcsl.meets_deadlines(ctx.app());
   fill_eval_metrics(metrics, ctx.eval().stats().since(before));
-  if (!options.build_schedule_tables) {
-    return;  // an (impossible) stray speculation drains in Pipeline::run
-  }
+  if (!options.build_schedule_tables) return;
 
   CancellationToken& cancel = ctx.cancel_token();
-  if (spec && !same_assignment(spec->incumbent(), state.assignment)) {
-    // Refinement improved past the incumbent: the speculative tables
-    // describe a dead assignment.  Cancel it but do NOT join here -- the
-    // serial rebuild below overlaps with the dead task winding down, and
-    // Pipeline::run's drain guard (which still holds it through
-    // state.speculation) joins afterwards.
-    spec->discard();
-    metrics.spec_misses = 1;
-    spec.reset();
-  }
-  if (spec) {
-    state.speculation.reset();  // consumed: finish() below joins it
-    const bool usable = spec->finish() && !cancel.cancelled();
-    metrics.spec_seconds = spec->seconds();
-    if (usable && spec->wcsl().makespan == state.wcsl.makespan &&
-        spec->wcsl().process_finish == state.wcsl.process_finish) {
-      // Adoption: bit-identical to the serial stage by construction (the
-      // equality above cross-checks the task's analysis against the
-      // stage's own; conditional_schedule is a pure function of the
-      // adopted assignment).
-      metrics.spec_hits = 1;
-      state.schedule = std::move(spec->schedule());
-      if (state.schedule) {
-        state.schedulable = state.schedulable ||
-                            state.schedule->wcsl <= ctx.app().deadline();
-      }
-      return;
-    }
-    assert(!usable && "speculative WCSL diverged from evaluate_full");
-    metrics.spec_misses = 1;
-  }
-
   if (cancel.poll()) return;
   try {
     CondScheduleOptions sched = options.schedule;
@@ -310,16 +161,6 @@ Pipeline& Pipeline::add(std::unique_ptr<Stage> stage) {
 SynthesisResult Pipeline::run(SynthesisContext& ctx) {
   metrics_.assign(stages_.size(), StageMetrics{});
   SynthesisState state;
-  // A speculation nobody consumed (its consumer was skipped by a cancel, a
-  // custom stage list never reached it, or a stage / progress callback
-  // threw) must drain before the context it references can go away --
-  // including on the exceptional path, hence the scope guard.
-  struct SpeculationDrain {
-    SynthesisState& state;
-    ~SpeculationDrain() {
-      if (state.speculation) state.speculation->abandon();
-    }
-  } drain{state};
   const SynthesisOptions& options = ctx.options();
   CancellationToken& cancel = ctx.cancel_token();
   if (options.total_budget_ms >= 0) {
@@ -329,19 +170,13 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
     Stage& stage = *stages_[i];
     StageMetrics& metrics = metrics_[i];
     metrics.stage = stage.name();
-    if (cancel.poll()) {
+    // The first stage runs even on a fired token: it returns at its first
+    // cancellation point with the start, so a cancelled run still reports
+    // a valid assignment and its bound.
+    if (i > 0 && cancel.poll()) {
       metrics.skipped = true;
       metrics.timed_out = cancel.deadline_expired();
       continue;
-    }
-    if (options.speculate && options.build_schedule_tables &&
-        !state.speculation && stage.refines_incumbent()) {
-      for (std::size_t j = i + 1; j < stages_.size(); ++j) {
-        if (stages_[j]->consumes_speculation()) {
-          state.speculation = SpeculationTask::launch(ctx, state.assignment);
-          break;
-        }
-      }
     }
     StageProgress progress{static_cast<int>(i), stage_count(), stage.name(),
                            false};

@@ -40,11 +40,6 @@ struct SynthesisOptions {
   /// Generate schedule tables (exponential in k; skip for large designs and
   /// use the WCSL bound only).
   bool build_schedule_tables = true;
-  /// Speculative stage execution: while the checkpoint refinement runs,
-  /// generate schedule tables for its incumbent in the background; adopt
-  /// them when the refinement does not improve (bit-identical results,
-  /// asserted -- see core/pipeline.h).
-  bool speculate = false;
   /// Deadline watchdog (core/pipeline.h): wall-clock budget per stage /
   /// for the whole run, in milliseconds.  Negative = unlimited; 0 cancels
   /// at the first cancellation point.  On expiry the run's cancellation

@@ -106,12 +106,12 @@ class CheckpointDescentProblem final : public SearchProblem {
   }
 
   Time commit(const PolicyAssignment& current) override {
-    return eval_.rebase(current).makespan;
+    eval_.rebase(current);
+    return eval_.evaluate_base().makespan;
   }
 
-  Time commit_accept(const PolicyAssignment& current,
-                     const Move& accepted) override {
-    return eval_.rebase(current, accepted.pid).makespan;
+  void accept(const PolicyAssignment& current) override {
+    eval_.rebase(current);
   }
 
  private:
@@ -156,19 +156,6 @@ CheckpointOptResult optimize_checkpoints_global(
   result.search_stats = found.stats;
   result.eval_stats = eval->stats().since(stats_before);
   return result;
-}
-
-CheckpointOptResult optimize_checkpoints_global(const Application& app,
-                                                const Architecture& arch,
-                                                const FaultModel& model,
-                                                PolicyAssignment initial,
-                                                int max_checkpoints,
-                                                int max_rounds) {
-  CheckpointOptOptions options;
-  options.max_checkpoints = max_checkpoints;
-  options.max_rounds = max_rounds;
-  return optimize_checkpoints_global(app, arch, model, std::move(initial),
-                                     options);
 }
 
 CheckpointOptResult optimize_checkpoints_exact(const Application& app,

@@ -64,11 +64,6 @@ struct CheckpointOptOptions {
     const Application& app, const Architecture& arch, const FaultModel& model,
     PolicyAssignment initial, const CheckpointOptOptions& options);
 
-/// Back-compatible convenience overload.
-[[nodiscard]] CheckpointOptResult optimize_checkpoints_global(
-    const Application& app, const Architecture& arch, const FaultModel& model,
-    PolicyAssignment initial, int max_checkpoints, int max_rounds = 8);
-
 /// Exhaustive search over all checkpoint-count vectors in
 /// [1, max_checkpoints]^(#checkpointed copies).  Exponential; guarded by
 /// `max_combinations` (throws std::length_error beyond it).  Test oracle.

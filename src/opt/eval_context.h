@@ -19,21 +19,20 @@
 //     workspace's storage, and wcsl_dp_row runs over every vertex into the
 //     workspace's rows (sched/wcsl.h); a warm workspace allocates nothing
 //     on this side.
-//   * During a sweep the best candidate's outcome is kept; a rebase()
-//     onto exactly that winning move returns it instead of re-running the
-//     analysis.  Every rebase records the new base's log with one
-//     from-scratch list-schedule build.
+//   * A rebase() records the new base's log with one from-scratch
+//     list-schedule build and returns its fault-free makespan -- all the
+//     mapping search needs, and all an accepted move needs, since the
+//     search engine already holds the winner's evaluated objective.  The
+//     WCSL objective of a search's start comes from evaluate_base().
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
 // rebuilds), and the analysis on top of it is the full one.  EvalStats
-// reports the reuse rates of the schedule and rebase layers.
+// reports the reuse rate of the schedule layer.
 //
 // Thread safety: evaluate_move / fault_free_makespan may run concurrently
 // (the parallel neighborhood evaluation relies on this); rebase /
-// rebase_fault_free must not race with in-flight evaluations.  The
-// winning-move cache resolves cost ties by a total order on moves, so its
-// content -- and therefore every counter -- is thread-count invariant.
+// evaluate_base must not race with in-flight evaluations.
 #pragma once
 
 #include <atomic>
@@ -63,19 +62,17 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Rebuilds the cached checkpoint log for `base` and returns its
-  /// outcome.  When `base` is the previous base with exactly the cached
-  /// winning move applied, the candidate's outcome is returned instead of
-  /// re-analyzing (counted as a rebase cache hit).  Invalidates workspaces
-  /// lazily.  A valid `accepted` asserts that the new base differs from the
-  /// old in at most that one plan (the engine's accept step knows its
-  /// move), so the winning-move cache lookup skips its O(P) diff scan.
-  Outcome rebase(const PolicyAssignment& base, ProcessId accepted = {});
+  /// Caches `base` and records its checkpoint log with one full list
+  /// schedule; returns the base's fault-free makespan.  Invalidates
+  /// workspaces lazily.  The ProcessId is ignored: it stays only because
+  /// the benchmark driver (perfbench/src/driver.cpp) calls
+  /// rebase(candidate, pid).
+  Time rebase(const PolicyAssignment& base, ProcessId = {});
 
-  /// Caches `base` for fault-free (list-schedule makespan) move evaluation
-  /// only; builds the base's checkpoint log but no DP.  Returns the base's
-  /// own fault-free makespan.
-  Time rebase_fault_free(const PolicyAssignment& base);
+  /// WCSL outcome of the base itself: one full analysis of the recorded
+  /// base schedule.  Counts nothing (a start's objective is not a search
+  /// evaluation).  Throws std::logic_error without a prior rebase().
+  [[nodiscard]] Outcome evaluate_base();
 
   /// WCSL outcome of base-with-plan(pid)-replaced-by-plan: its schedule
   /// resumed from the base's log, then one full analysis.  Requires a
@@ -83,7 +80,7 @@ class EvalContext {
   [[nodiscard]] Outcome evaluate_move(ProcessId pid, const ProcessPlan& plan);
 
   /// Fault-free list-schedule makespan of the same move (the mapping
-  /// optimizer's objective).  Requires any prior rebase.
+  /// optimizer's objective).  Requires a prior rebase().
   [[nodiscard]] Time fault_free_makespan(ProcessId pid,
                                          const ProcessPlan& plan);
 
@@ -107,18 +104,6 @@ class EvalContext {
     std::vector<Time> process_finish;
   };
 
-  /// Winning-move cache: the best candidate evaluated since the last
-  /// rebase, one slot per selection metric (the policy tabu search accepts
-  /// by cost, the checkpoint refinement by makespan).  Ties resolve by a
-  /// total order on (process, plan) so the cached entry is identical for
-  /// every thread count.
-  struct CacheEntry {
-    bool valid = false;
-    ProcessId pid;
-    ProcessPlan plan;
-    Outcome outcome;
-  };
-
   [[nodiscard]] std::unique_ptr<Workspace> acquire();
   void put_back(std::unique_ptr<Workspace> ws);
 
@@ -132,14 +117,6 @@ class EvalContext {
                                 const PolicyAssignment& assignment,
                                 const ListSchedule& sched) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
-  void maybe_cache_winner(ProcessId pid, const ProcessPlan& plan,
-                          const Outcome& outcome);
-  void invalidate_winner_cache();
-  /// The single plan in which `base` differs from the cached base_, or -1
-  /// for none/many.  O(1) when the `accepted` hint is valid (debug-checked
-  /// against a full scan), O(P) otherwise.
-  [[nodiscard]] std::int32_t single_diff_pid(const PolicyAssignment& base,
-                                             ProcessId accepted) const;
 
   const Application& app_;
   const Architecture& arch_;
@@ -149,18 +126,11 @@ class EvalContext {
   // base's fault-free schedule).
   PolicyAssignment base_;
   std::uint64_t version_ = 0;
-  /// Set by rebase(), cleared by rebase_fault_free(): evaluate_move and
-  /// the winning-move cache need a WCSL base.
-  bool base_scored_ = false;
-  bool base_has_log_ = false;
+  bool base_has_log_ = false;  ///< set by the first rebase()
   ScheduleCheckpointLog base_log_;
 
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;
-
-  std::mutex cache_mutex_;
-  CacheEntry best_cost_;  ///< minimizes (cost, move key)
-  CacheEntry best_span_;  ///< minimizes (makespan, move key)
 
   std::atomic<long long> evaluations_{0};
   std::atomic<long long> full_evals_{0};
@@ -172,7 +142,6 @@ class EvalContext {
   std::atomic<long long> ls_events_total_{0};
   std::atomic<long long> ls_events_resumed_{0};
   std::atomic<long long> heap_pops_{0};
-  std::atomic<long long> rebase_cache_hits_{0};
 };
 
 }  // namespace ftes

@@ -5,9 +5,7 @@
 // `evaluations` counts objective evaluations of any kind; the remaining
 // counters break down how they were served.  The list-schedule checkpoint
 // log is the cache layer: a resumed event is a copy/transmission placement
-// restored from the base schedule instead of replayed.  `rebase_cache_hits`
-// counts base recomputations served by the winning candidate's cached
-// outcome.
+// restored from the base schedule instead of replayed.
 #pragma once
 
 namespace ftes {
@@ -36,7 +34,10 @@ struct EvalStats {
   /// Queue pops in move schedules: picks from the ready and tx queues
   /// plus future->avail promotions (list_scheduler.h, ReadyEntry).
   long long heap_pops = 0;
-  long long rebase_cache_hits = 0;  ///< rebases served by the move cache
+  /// Always 0: a rebase only records the base's checkpoint log, and no
+  /// candidate outcome is cached.  Kept for readers of the historical
+  /// winning-move cache counter.
+  long long rebase_cache_hits = 0;
 
   /// Fraction of list-schedule placement events restored from the base.
   [[nodiscard]] double ls_resume_fraction() const {
@@ -57,7 +58,6 @@ struct EvalStats {
     ls_events_total += other.ls_events_total;
     ls_events_resumed += other.ls_events_resumed;
     heap_pops += other.heap_pops;
-    rebase_cache_hits += other.rebase_cache_hits;
   }
 
   /// Counter deltas since `earlier` (used to attribute a shared context's
@@ -74,7 +74,6 @@ struct EvalStats {
     d.ls_events_total -= earlier.ls_events_total;
     d.ls_events_resumed -= earlier.ls_events_resumed;
     d.heap_pops -= earlier.heap_pops;
-    d.rebase_cache_hits -= earlier.rebase_cache_hits;
     return d;
   }
 };

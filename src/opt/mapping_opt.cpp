@@ -84,7 +84,7 @@ class MappingProblem final : public SearchProblem {
     // Rebasing builds the base schedule + checkpoint log (so candidate
     // moves resume instead of rescheduling from scratch) and reports its
     // makespan.
-    return eval_.rebase_fault_free(current);
+    return eval_.rebase(current);
   }
 
  private:

@@ -236,12 +236,12 @@ class PolicyAssignmentProblem final : public SearchProblem {
   }
 
   Time commit(const PolicyAssignment& current) override {
-    return eval_.rebase(current).cost;
+    eval_.rebase(current);
+    return eval_.evaluate_base().cost;
   }
 
-  Time commit_accept(const PolicyAssignment& current,
-                     const Move& accepted) override {
-    return eval_.rebase(current, accepted.pid).cost;
+  void accept(const PolicyAssignment& current) override {
+    eval_.rebase(current);
   }
 
  private:

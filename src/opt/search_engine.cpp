@@ -78,7 +78,7 @@ SearchResult neighborhood_search(SearchProblem& problem,
 
     // --- phase 4: accept -------------------------------------------------
     current.plan(selected->pid) = selected->plan;
-    problem.commit_accept(current, *selected);
+    problem.accept(current);
     current_cost = threshold;
     ++stats.accepted_moves;
     // A selected move that is still tabu-recent got past the filter only

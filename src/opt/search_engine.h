@@ -73,9 +73,9 @@ struct SearchStats {
   }
 };
 
-/// A neighborhood + objective definition.  The engine calls neighborhood()
-/// and commit() serially; evaluate() must be pure and thread-safe (it runs
-/// concurrently over one neighborhood).
+/// A neighborhood + objective definition.  The engine calls neighborhood(),
+/// commit() and accept() serially; evaluate() must be pure and thread-safe
+/// (it runs concurrently over one neighborhood).
 class SearchProblem {
  public:
   virtual ~SearchProblem() = default;
@@ -92,21 +92,16 @@ class SearchProblem {
   [[nodiscard]] virtual Time evaluate(const Move& move) = 0;
 
   /// Re-anchors incremental state (typically EvalContext::rebase) onto the
-  /// incumbent; called once before the first iteration -- the return value
-  /// is the incumbent's starting objective -- and after every acceptance
-  /// (the engine then keeps the accepted candidate's evaluated objective,
-  /// which equals the return value bit-for-bit).
+  /// start and returns its objective; called once, before the first
+  /// iteration.
   virtual Time commit(const PolicyAssignment& current) = 0;
 
-  /// Acceptance commit: `current` is the previous incumbent with exactly
-  /// `accepted` applied.  Problems backed by an EvalContext override this
-  /// to forward the accepted process as a rebase hint (the winning-move
-  /// cache lookup's O(P) diff scan per acceptance collapses to O(1)); the
-  /// default ignores the hint.
-  virtual Time commit_accept(const PolicyAssignment& current,
-                             const Move& accepted) {
-    (void)accepted;
-    return commit(current);
+  /// Re-anchors onto `current` after an acceptance.  The engine keeps the
+  /// accepted candidate's evaluated objective, so nothing is scored here;
+  /// problems backed by an EvalContext override this with a bare rebase.
+  /// The default re-commits and discards the objective.
+  virtual void accept(const PolicyAssignment& current) {
+    (void)commit(current);
   }
 };
 

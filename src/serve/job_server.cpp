@@ -151,7 +151,6 @@ std::string result_payload(Time deadline, const SynthesisResult& result,
                            std::vector<StageMetrics> stages) {
   for (StageMetrics& m : stages) {
     m.seconds = 0.0;
-    m.spec_seconds = 0.0;
     m.cancel_latency_seconds = 0.0;
   }
   std::ostringstream out;

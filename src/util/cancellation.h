@@ -1,9 +1,8 @@
 // Cooperative cancellation with an optional deadline watchdog.
 //
 // One CancellationToken is shared by everything a synthesis run spawns: the
-// pipeline, the optimizers' parallel_for chunk bodies, the conditional
-// scheduler's per-scenario simulations, and any speculative background
-// tasks.  Cancellation has two sources:
+// pipeline, the optimizers' parallel_for chunk bodies and the conditional
+// scheduler's per-scenario simulations.  Cancellation has two sources:
 //
 //   * request_cancel() -- an external caller (a UI, a batch supervisor, a
 //     watchdog *thread* in tests) flips the flag directly; and
@@ -12,18 +11,17 @@
 //     This is the *cooperative* watchdog path: no extra thread exists, the
 //     workers polling at their cancellation points are the watchdog.  The
 //     cancel latency is therefore bounded by one chunk of work between
-//     polls -- one candidate evaluation, one scenario simulation, or a
-//     speculative task's single full WCSL evaluation (the one chunk with
-//     no interior cancellation point).
+//     polls -- one candidate evaluation, one scenario simulation, or one
+//     full WCSL evaluation (which has no interior cancellation point).
 //
-// Tokens chain: a child token (e.g. a speculative table-generation task)
-// observes its parent's *flag*, so cancelling the run cancels the
-// speculation, while discarding the speculation (cancelling the child)
-// leaves the run alive.  A child deliberately does NOT evaluate the
-// parent's armed deadlines: deadlines are enforced only by the threads
-// the pipeline owns, so a background task can never flip a stage budget
-// in the window between a stage completing under budget and the pipeline
-// clearing the stage deadline.
+// Tokens chain: a child token (e.g. a server job's token, chained to the
+// job server's server-wide token) observes its parent's *flag*, so the
+// server's cancel_all() cancels every job, while one job's expiring budget
+// (cancelling the child) leaves the server and the other jobs alive.  A
+// child deliberately does NOT evaluate the parent's armed deadlines: a
+// token's deadlines are enforced only by the threads that poll that token
+// itself, so one job's workers can never flip a deadline that belongs to
+// another run.
 //
 // Determinism: in a run that is never cancelled, poll() only reads relaxed
 // atomics (and the clock, whose value it ignores), so polling sites do not

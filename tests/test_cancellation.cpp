@@ -276,35 +276,11 @@ TEST(Cancellation, BatchContinuesPastTimedOutTasks) {
             std::string::npos);
 }
 
-// --- speculation under cancellation ------------------------------------------
-
-TEST(Cancellation, SpeculationIsDrainedWhenCancelledMidRefinement) {
-  ThreadPool pool(3);
-  for (std::uint64_t seed : {2ull, 9ull}) {
-    const Instance inst = make_instance(12, 2, seed);
-    SynthesisOptions opts = quick(2, seed);
-    opts.speculate = true;
-    opts.optimize.threads = 4;
-    opts.optimize.pool = &pool;
-    SynthesisContext ctx(inst.app, inst.arch, opts);
-    // Cancel the moment the refinement stage starts: the just-launched
-    // speculative task must be cancelled and drained, not leaked.
-    ctx.on_progress([&](const StageProgress& p) {
-      if (p.index == 1 && !p.finished) ctx.request_cancel();
-    });
-    Pipeline pipeline = Pipeline::default_pipeline();
-    const SynthesisResult result = pipeline.run(ctx);
-    expect_well_formed(result, pipeline, inst.app, opts.fault_model);
-    EXPECT_TRUE(result.cancelled);
-    EXPECT_FALSE(result.schedule.has_value());
-  }
-}
-
 // --- the randomized stress core ----------------------------------------------
 
 // Every run mixes a watchdog thread with pseudo-random fire time, random
-// budgets, random thread counts and speculation; the invariants (and TSAN
-// in CI) do the judging.  Instances are tiny to keep wall time bounded.
+// budgets and random thread counts; the invariants (and TSAN in CI) do the
+// judging.  Instances are tiny to keep wall time bounded.
 TEST(Cancellation, RandomizedStressMatrix) {
   ThreadPool pool(3);
   Rng rng(424242);
@@ -315,7 +291,6 @@ TEST(Cancellation, RandomizedStressMatrix) {
     SynthesisOptions opts = quick(2, seed);
     opts.optimize.threads = rng.chance(0.5) ? 4 : 1;
     opts.optimize.pool = &pool;
-    opts.speculate = rng.chance(0.5);
     if (rng.chance(0.3)) {
       opts.stage_budget_ms = static_cast<long long>(rng.uniform_int(0, 20));
     }

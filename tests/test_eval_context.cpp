@@ -77,7 +77,7 @@ ProcessPlan random_move(const Instance& inst, const PolicyAssignment& base,
 
 // Every third process gets a local deadline at ~60% of its base worst-case
 // finish, so most candidates miss some and pay the soft penalty: costs
-// from evaluate_move and rebase must equal assignment_cost's.
+// from evaluate_move and evaluate_base must equal assignment_cost's.
 TEST(EvalContext, IncrementalMatchesFullForRandomMoves) {
   Instance inst = make_instance(18, 3, 77);
   const FaultModel model{2};
@@ -89,7 +89,8 @@ TEST(EvalContext, IncrementalMatchesFullForRandomMoves) {
         base_wcsl.process_finish[static_cast<std::size_t>(i)] * 3 / 5;
   }
   EvalContext eval(inst.app, inst.arch, model);
-  ASSERT_EQ(eval.rebase(base).cost,
+  eval.rebase(base);
+  ASSERT_EQ(eval.evaluate_base().cost,
             assignment_cost(inst.app, inst.arch, base, model));
 
   Rng rng(4242);
@@ -114,7 +115,8 @@ TEST(EvalContext, IncrementalMatchesFullForRandomMoves) {
     // Occasionally accept the move so later moves run against fresh bases.
     if (move % 17 == 0) {
       base = std::move(candidate);
-      ASSERT_EQ(eval.rebase(base).cost, full_cost) << "move " << move;
+      eval.rebase(base);
+      ASSERT_EQ(eval.evaluate_base().cost, full_cost) << "move " << move;
     }
   }
   EXPECT_GT(penalized, 0) << "no move paid a local-deadline penalty";
@@ -156,7 +158,7 @@ void expect_moves_match_reference(const Instance& inst,
     ASSERT_EQ(out.cost, ref_cost) << "seed " << seed << " move " << move;
     if (move % 7 == 0) {
       base = std::move(candidate);
-      eval.rebase(base, pid);
+      eval.rebase(base);
     }
   }
 }
@@ -224,7 +226,8 @@ TEST(EvalContext, RebaseOutcomeMatchesFullEvaluation) {
   const PolicyAssignment base = greedy_initial(
       inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
   EvalContext eval(inst.app, inst.arch, model);
-  const EvalContext::Outcome out = eval.rebase(base);
+  eval.rebase(base);
+  const EvalContext::Outcome out = eval.evaluate_base();
   EXPECT_EQ(out.makespan,
             evaluate_wcsl(inst.app, inst.arch, base, model).makespan);
   EXPECT_EQ(out.cost, assignment_cost(inst.app, inst.arch, base, model));
@@ -237,7 +240,8 @@ TEST(EvalContext, FaultFreeMakespanMatchesListSchedule) {
       inst.app, greedy_initial(inst.app, inst.arch, FaultModel{1},
                                PolicySpace::kReexecutionOnly, 4));
   EvalContext eval(inst.app, inst.arch, model);
-  eval.rebase_fault_free(base);
+  EXPECT_EQ(eval.rebase(base),
+            list_schedule(inst.app, inst.arch, base).makespan);
 
   Rng rng(3);
   for (int move = 0; move < 40; ++move) {
@@ -291,15 +295,16 @@ TEST(EvalContext, ConcurrentMoveEvaluationsMatchSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
-// Regression guard for the accepted-move path: a rebase served by the
-// winning-move cache skips the DP rebuild but MUST still rebuild the base
-// schedule's checkpoint log -- otherwise the next round of
+// Regression guard for the accepted-move path: the search engine keeps the
+// winner's evaluated objective and only rebases, which MUST rebuild the
+// base schedule's checkpoint log -- otherwise the next round of
 // list_schedule_resume would replay against a stale log and silently
-// produce wrong schedules.  The test forces a cache-hit rebase, then pins
-// (a) that subsequent incremental evaluations against the new base are
-// bit-identical to from-scratch evaluations and (b) that they actually
-// resume from the fresh log.
-TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
+// produce wrong schedules.  The test accepts the best of a sweep, then pins
+// (a) that the new base's own outcome is the winner's, (b) that subsequent
+// incremental evaluations against the new base are bit-identical to
+// from-scratch evaluations and (c) that they actually resume from the
+// fresh log.
+TEST(EvalContext, AcceptedRebaseLeavesUsableCheckpointLog) {
   const Instance inst = make_instance(20, 3, 31);
   const FaultModel model{2};
   PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
@@ -307,9 +312,7 @@ TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
   EvalContext eval(inst.app, inst.arch, model);
   eval.rebase(base);
 
-  // Candidate moves on one process, generated in increasing move-key
-  // order (checkpoint count ascending): picking the first strict minimum
-  // below then matches the winning-move cache's deterministic tie-break.
+  // Candidate moves on one process: its copy 0's checkpoint count.
   const ProcessId pid = inst.app.topological_order().front();
   std::vector<ProcessPlan> moves;
   for (int count = 1; count <= 6; ++count) {
@@ -330,14 +333,11 @@ TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
     }
   }
 
-  // Accept the winning move: this rebase must be served by the cache.
+  // Accept the winning move.
   const EvalStats before = eval.stats();
   base.plan(pid) = moves[best];
-  const EvalContext::Outcome accepted = eval.rebase(base);
-  const EvalStats after_rebase = eval.stats().since(before);
-  ASSERT_EQ(after_rebase.rebase_cache_hits, 1)
-      << "the accepted move must hit the winning-move cache";
-  EXPECT_EQ(accepted.cost, best_cost);
+  eval.rebase(base);
+  EXPECT_EQ(eval.evaluate_base().cost, best_cost);
 
   // Next round: moves against the new base must resume from the fresh log
   // and match from-scratch evaluations exactly.
@@ -358,9 +358,9 @@ TEST(EvalContext, CacheHitRebaseLeavesUsableCheckpointLog) {
       << "post-rebase evaluations must be served by the rebuilt log";
 }
 
-// Random accepted moves of all three families, each rebased with the
-// accepted-process hint: every rebase outcome, and a move evaluated against
-// the new base's log, must stay exact under copy layout changes.
+// Random accepted moves of all three families, each followed by a rebase:
+// every new base's outcome, and a move evaluated against the new base's
+// log, must stay exact under copy layout changes.
 TEST(EvalContext, RandomAcceptChainIsExact) {
   const Instance inst = make_instance(18, 3, 404);
   const FaultModel model{2};
@@ -374,7 +374,8 @@ TEST(EvalContext, RandomAcceptChainIsExact) {
     const ProcessId pid{static_cast<std::int32_t>(
         rng.index(static_cast<std::size_t>(inst.app.process_count())))};
     base.plan(pid) = random_move(inst, base, pid, model, rng);
-    const EvalContext::Outcome out = eval.rebase(base, pid);
+    eval.rebase(base);
+    const EvalContext::Outcome out = eval.evaluate_base();
     EXPECT_EQ(out.makespan,
               evaluate_wcsl(inst.app, inst.arch, base, model).makespan)
         << "accept " << accept;
@@ -397,6 +398,13 @@ TEST(EvalContext, EvaluateMoveWithoutRebaseThrows) {
       inst.app, inst.arch, model, PolicySpace::kReexecutionOnly, 4);
   EXPECT_THROW((void)eval.evaluate_move(ProcessId{0}, base.plan(ProcessId{0})),
                std::logic_error);
+}
+
+TEST(EvalContext, EvaluateBaseWithoutRebaseThrows) {
+  const Instance inst = make_instance(6, 2, 1);
+  const FaultModel model{1};
+  EvalContext eval(inst.app, inst.arch, model);
+  EXPECT_THROW((void)eval.evaluate_base(), std::logic_error);
 }
 
 }  // namespace

@@ -256,11 +256,11 @@ TEST(JobServer, InjectedCancellationIsTypedNotRetried) {
 // Fault schedules are matched per job (fi::JobScope): a hit's schedule
 // key is the job's stream index plus its own per-site hit count, and
 // `limit` is charged per job.  Only a handful of jobs in this stream
-// ever run the pipeline (the rest are cache hits, parse failures or
-// zero-budget jobs that cancel before the stage seam), so the
-// pipeline.stage rule uses every=3:limit=1 -- each pipeline-running job
-// takes exactly one bad_alloc somewhere in its three stage hits and
-// then completes on retry.
+// run the whole pipeline (the rest are cache hits, parse failures or
+// zero-budget jobs, whose attempts reach the stage seam for the first
+// stage only), so the pipeline.stage rule uses every=3:limit=1 -- each
+// full-pipeline job takes exactly one bad_alloc somewhere in its three
+// stage hits and then completes on retry.
 TEST(JobServerSoak, FiveHundredFaultInjectedJobsNeverKillTheServer) {
   const DisarmGuard guard;
   fi::configure({

@@ -55,7 +55,6 @@ TEST(CanonicalKey, ThreadsPoolAndBudgetsAreExcluded) {
   b.optimize.threads = 8;
   b.stage_budget_ms = 5000;
   b.total_budget_ms = 60000;
-  b.speculate = true;
   // None of these change the result's value, only how fast (or whether)
   // it is computed -- so they must not fragment the cache.
   EXPECT_EQ(key_of(kProblem, a), key_of(kProblem, b));

@@ -2,14 +2,15 @@
 // against scripted toy problems: tabu tenure expiry, the
 // aspiration-by-objective criterion, cancellation mid-neighborhood (the
 // partially evaluated sample must be abandoned wholesale), coordinate-
-// descent acceptance, and thread-count invariance of the accepted
-// trajectory.  The real optimizers' equivalence to their pre-engine
+// descent acceptance, acceptance without rescoring, and thread-count
+// invariance of the accepted trajectory.  The real optimizers' equivalence to their pre-engine
 // implementations is pinned elsewhere (goldens + optimizer suites); these
 // tests isolate the engine's own contract.
 #include "opt/search_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -322,6 +323,60 @@ TEST(SearchEngine, AcceptedTrajectoryIsThreadCountInvariant) {
   EXPECT_EQ(serial.stats.aspiration_accepted,
             parallel.stats.aspiration_accepted);
   EXPECT_EQ(serial.stats.sampled_moves, parallel.stats.sampled_moves);
+}
+
+/// Fixed landscape (a hash of the value; the start, value 0, costs more
+/// than any move) whose accept hook re-anchors without scoring, as the
+/// EvalContext-backed problems do.
+class AcceptOnlyProblem final : public SearchProblem {
+ public:
+  bool neighborhood(int /*iteration*/, const PolicyAssignment& /*current*/,
+                    bool /*accepted_last*/, std::vector<Move>& out) override {
+    for (int s = 0; s < 4; ++s) {
+      const int value = 1 + static_cast<int>(rng_.uniform_int(0, 30));
+      out.push_back(move_to(value, value % 4));
+    }
+    return true;
+  }
+  Time evaluate(const Move& move) override {
+    return cost_of(move.plan.copies[0].checkpoints);
+  }
+  Time commit(const PolicyAssignment& current) override {
+    ++commits;
+    return cost_of(decode(current));
+  }
+  void accept(const PolicyAssignment& current) override {
+    accepted_costs.push_back(cost_of(decode(current)));
+  }
+  static Time cost_of(int value) {
+    if (value == 0) return 5000;
+    std::uint64_t x = static_cast<std::uint64_t>(value) * 2654435761u;
+    x ^= x >> 13;
+    return static_cast<Time>(100 + (x % 1000));
+  }
+  int commits = 0;
+  std::vector<Time> accepted_costs;  ///< evaluate() of each accepted move
+
+ private:
+  Rng rng_{7};
+};
+
+TEST(SearchEngine, AcceptRebasesWithoutRescoring) {
+  AcceptOnlyProblem problem;
+  SearchOptions options;
+  options.max_iterations = 30;
+  options.tenure = 2;
+  const SearchResult r = neighborhood_search(problem, encode(0), options);
+
+  // commit() scores the start only; every acceptance goes through accept()
+  // and the engine keeps the winner's evaluated objective itself.
+  EXPECT_EQ(problem.commits, 1);
+  ASSERT_EQ(static_cast<long long>(problem.accepted_costs.size()),
+            r.stats.accepted_moves);
+  ASSERT_FALSE(problem.accepted_costs.empty());
+  EXPECT_EQ(r.best_cost, *std::min_element(problem.accepted_costs.begin(),
+                                           problem.accepted_costs.end()));
+  EXPECT_EQ(AcceptOnlyProblem::cost_of(decode(r.best)), r.best_cost);
 }
 
 }  // namespace

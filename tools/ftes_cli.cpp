@@ -14,8 +14,6 @@
 //                       the analytic WCSL only (tables are never built),
 //                       and the per-problem output flags below (except
 //                       --json) are rejected
-//   --speculate         overlap schedule-table generation with checkpoint
-//                       refinement (bit-identical results; single mode)
 //   --stage-budget-ms <n>   wall-clock budget per pipeline stage; on expiry
 //                       the run is cancelled and the partial result
 //                       reported as timed out (-1 = unlimited, default)
@@ -106,7 +104,6 @@ struct CliOptions {
   std::uint64_t seed = 1;
   int iterations = 300;
   int threads = 1;
-  bool speculate = false;
   long long stage_budget_ms = -1;
   long long total_budget_ms = -1;
   bool tables = true;
@@ -130,7 +127,7 @@ struct CliOptions {
 int usage() {
   std::fprintf(stderr,
                "usage: ftes_cli <problem.ftes> [--seed n] [--iterations n] "
-               "[--threads n] [--speculate] [--stage-budget-ms n] "
+               "[--threads n] [--stage-budget-ms n] "
                "[--total-budget-ms n] [--no-tables] [--root] [--json] "
                "[--c-source] [--dot] [--gantt] [--fuzz n] [--fuzz-seed n] "
                "[--fuzz-out file] [--replay file]\n"
@@ -155,8 +152,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       opts.threads = std::atoi(argv[++i]);
     } else if (arg == "--batch" && i + 1 < argc) {
       opts.batch_dir = argv[++i];
-    } else if (arg == "--speculate") {
-      opts.speculate = true;
     } else if (arg == "--stage-budget-ms" && i + 1 < argc) {
       opts.stage_budget_ms = std::atoll(argv[++i]);
     } else if (arg == "--total-budget-ms" && i + 1 < argc) {
@@ -206,14 +201,12 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
 
 int run_batch_mode(const CliOptions& opts) {
   // Per-problem output flags have nowhere to go in the batch report
-  // (--json switches the report itself to JSON instead), and speculation
-  // only overlaps table generation, which batch mode never performs --
-  // reject rather than silently ignore.
-  if (opts.root || opts.c_source || opts.dot || opts.gantt ||
-      opts.speculate) {
+  // (--json switches the report itself to JSON instead) -- reject rather
+  // than silently ignore.
+  if (opts.root || opts.c_source || opts.dot || opts.gantt) {
     std::fprintf(stderr,
-                 "ftes_cli: --root/--c-source/--dot/--gantt/--speculate are "
-                 "not available in --batch mode\n");
+                 "ftes_cli: --root/--c-source/--dot/--gantt are not "
+                 "available in --batch mode\n");
     return 1;
   }
   if (!opts.replay_path.empty() || !opts.fuzz_out.empty()) {
@@ -266,7 +259,7 @@ int run_batch_mode(const CliOptions& opts) {
 int run_serve_mode(const CliOptions& opts) {
   if (!opts.input.empty() || !opts.batch_dir.empty() || opts.fuzz_trials > 0 ||
       !opts.replay_path.empty() || !opts.fuzz_out.empty() || opts.root ||
-      opts.c_source || opts.dot || opts.gantt || opts.json || opts.speculate) {
+      opts.c_source || opts.dot || opts.gantt || opts.json) {
     std::fprintf(stderr,
                  "ftes_cli: --serve takes job requests on stdin; problem "
                  "files and per-problem output flags are not available\n");
@@ -326,14 +319,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ftes_cli: --inject requires --serve\n");
     return 1;
   }
-  if (opts.speculate && !opts.tables) {
-    // Speculation only overlaps table generation: reject the combination
-    // rather than silently ignore the flag.
-    std::fprintf(stderr,
-                 "ftes_cli: --speculate has nothing to overlap with "
-                 "--no-tables\n");
-    return 1;
-  }
   if ((opts.fuzz_trials > 0 || !opts.replay_path.empty()) && !opts.tables) {
     std::fprintf(stderr,
                  "ftes_cli: --fuzz/--replay need the schedule tables "
@@ -365,7 +350,6 @@ int main(int argc, char** argv) {
   synth.optimize.seed = opts.seed;
   synth.optimize.threads = opts.threads;
   synth.build_schedule_tables = opts.tables;
-  synth.speculate = opts.speculate;
   synth.stage_budget_ms = opts.stage_budget_ms;
   synth.total_budget_ms = opts.total_budget_ms;
 
@@ -430,12 +414,6 @@ int main(int argc, char** argv) {
     }
     if (m.search_accepted > 0) {
       std::printf(" (%lld moves accepted)", m.search_accepted);
-    }
-    // Only printed when the features fired, so default runs stay
-    // bit-identical to older goldens; speculation hit/miss is itself
-    // deterministic for a fixed seed and any --threads.
-    if (m.spec_hits + m.spec_misses > 0) {
-      std::printf(" (speculation %s)", m.spec_hits > 0 ? "hit" : "miss");
     }
     if (m.timed_out) std::printf(" timed out");
     std::printf(";");
