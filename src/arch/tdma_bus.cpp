@@ -22,11 +22,15 @@ TdmaBus TdmaBus::from_slots(std::vector<TdmaSlot> slots) {
   bus.slots_ = std::move(slots);
   bus.offsets_.reserve(bus.slots_.size());
   Time at = 0;
-  for (const TdmaSlot& s : bus.slots_) {
+  for (std::size_t i = 0; i < bus.slots_.size(); ++i) {
+    const TdmaSlot& s = bus.slots_[i];
     if (s.length <= 0) throw std::invalid_argument("slot length must be > 0");
     if (!s.owner.valid()) throw std::invalid_argument("slot without owner");
     bus.offsets_.push_back(at);
     at += s.length;
+    const std::size_t owner = static_cast<std::size_t>(s.owner.get());
+    if (bus.slots_of_.size() <= owner) bus.slots_of_.resize(owner + 1);
+    bus.slots_of_[owner].push_back(i);
   }
   bus.round_length_ = at;
   return bus;
@@ -43,41 +47,41 @@ Time TdmaBus::slot_offset(std::size_t slot_index) const {
   return offsets_[slot_index];
 }
 
-Time TdmaBus::next_slot_start(NodeId sender, Time ready) const {
-  assert(round_length_ > 0);
+const std::vector<std::size_t>& TdmaBus::own_slots(NodeId sender) const {
+  // Checked before any division: a default-constructed bus has no slots
+  // and a zero round length.
+  const std::size_t id = static_cast<std::size_t>(sender.get());
+  if (!sender.valid() || id >= slots_of_.size() || slots_of_[id].empty()) {
+    throw std::logic_error("sender owns no TDMA slot");
+  }
+  return slots_of_[id];
+}
+
+std::pair<std::size_t, Time> TdmaBus::next_own_slot(
+    const std::vector<std::size_t>& own, Time ready) const {
+  // The sender's first slot of the round containing `ready` that has not
+  // begun yet, else its first slot of the next round.
   const Time round_begin = (ready / round_length_) * round_length_;
-  // Scan this round and the next; the sender owns at least one slot per
-  // round in every valid configuration, otherwise it simply cannot send.
-  for (int round = 0; round < 2; ++round) {
-    const Time base = round_begin + round * round_length_;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].owner != sender) continue;
-      const Time start = base + offsets_[i];
-      if (start >= ready) return start;
+  for (std::size_t i : own) {
+    if (round_begin + offsets_[i] >= ready) {
+      return {i, round_begin + offsets_[i]};
     }
   }
-  throw std::logic_error("sender owns no TDMA slot");
+  return {own.front(), round_begin + round_length_ + offsets_[own.front()]};
+}
+
+Time TdmaBus::next_slot_start(NodeId sender, Time ready) const {
+  return next_own_slot(own_slots(sender), ready).second;
 }
 
 Time TdmaBus::transmission_finish(NodeId sender, Time ready,
                                   std::int64_t size) const {
+  const std::vector<std::size_t>& own = own_slots(sender);
   const int frames = frames_needed(size);
-  Time at = ready;
   Time finish = ready;
   for (int f = 0; f < frames; ++f) {
-    const Time start = next_slot_start(sender, at);
-    // Find the slot we started in to know its length.
-    const Time in_round = start % round_length_;
-    Time slot_len = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (offsets_[i] == in_round && slots_[i].owner == sender) {
-        slot_len = slots_[i].length;
-        break;
-      }
-    }
-    assert(slot_len > 0);
-    finish = start + slot_len;
-    at = finish;
+    const auto [slot, start] = next_own_slot(own, finish);
+    finish = start + slots_[slot].length;
   }
   return finish;
 }
@@ -85,11 +89,8 @@ Time TdmaBus::transmission_finish(NodeId sender, Time ready,
 Time TdmaBus::worst_case_duration(NodeId sender, std::int64_t size) const {
   // Worst case: readiness occurs just after the sender's slot began, so we
   // wait almost a full round, then occupy `frames` rounds' worth of slots.
-  Time slot_len = 0;
-  for (const TdmaSlot& s : slots_) {
-    if (s.owner == sender) slot_len = s.length;
-  }
-  if (slot_len == 0) throw std::logic_error("sender owns no TDMA slot");
+  // The frame length is that of the sender's last slot in the round.
+  const Time slot_len = slots_[own_slots(sender).back()].length;
   const int frames = frames_needed(size);
   return round_length_ + (frames - 1) * round_length_ + slot_len;
 }

@@ -8,7 +8,9 @@
 // (Section 5.2 of the paper) travel as one-slot broadcast frames.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/time_types.h"
@@ -46,8 +48,12 @@ class TdmaBus {
   /// Number of frames (slots of the sender) needed for `size` payload units.
   [[nodiscard]] int frames_needed(std::int64_t size) const;
 
+  // The three timing functions below scan only the sender's own slots and
+  // throw std::logic_error("sender owns no TDMA slot") when it owns none
+  // (including a negative id or one past every owner).
+
   /// Earliest time >= `ready` at which `sender` may begin transmitting,
-  /// i.e. the start of the sender's next slot.  O(slots per round).
+  /// i.e. the start of the sender's next slot.  O(slots of the sender).
   [[nodiscard]] Time next_slot_start(NodeId sender, Time ready) const;
 
   /// Completion time of a transmission of `size` payload units by `sender`
@@ -65,8 +71,16 @@ class TdmaBus {
   [[nodiscard]] Time slot_offset(std::size_t slot_index) const;
 
  private:
+  /// The indices of `sender`'s slots in round order; throws when empty.
+  [[nodiscard]] const std::vector<std::size_t>& own_slots(NodeId sender) const;
+  /// Index of the sender's first slot (of `own`) that starts at or after
+  /// `ready`, and that start.
+  [[nodiscard]] std::pair<std::size_t, Time> next_own_slot(
+      const std::vector<std::size_t>& own, Time ready) const;
+
   std::vector<TdmaSlot> slots_;
   std::vector<Time> offsets_;  ///< prefix sums of slot lengths
+  std::vector<std::vector<std::size_t>> slots_of_;  ///< per node id
   Time round_length_ = 0;
   std::int64_t slot_payload_ = 1;
 };

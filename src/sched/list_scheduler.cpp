@@ -215,21 +215,25 @@ class Scheduler {
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const ProcessId pid{queue[head]};
       const std::vector<MessageId>& outputs = app_.outputs(pid);
+      // The bus term is the worst-case duration of the heaviest output:
+      // for a fixed sender, worst_case_duration is nondecreasing in size
+      // (and every size <= 0 takes one frame, like size 0).
       Time downstream = 0;
+      std::int64_t heaviest = 0;
       for (MessageId mid : outputs) {
-        downstream = std::max(
-            downstream,
-            best[static_cast<std::size_t>(app_.message(mid).dst.get())]);
+        const Message& m = app_.message(mid);
+        downstream =
+            std::max(downstream, best[static_cast<std::size_t>(m.dst.get())]);
+        heaviest = std::max(heaviest, m.size);
       }
       Time& process_best = best[static_cast<std::size_t>(pid.get())];
       for (int v = first_copy[static_cast<std::size_t>(pid.get())];
            v < first_copy[static_cast<std::size_t>(pid.get()) + 1]; ++v) {
         const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
-        Time comm = 0;
-        for (MessageId mid : outputs) {
-          comm = std::max(comm, arch_.bus().worst_case_duration(
-                                    cv.node, app_.message(mid).size));
-        }
+        const Time comm =
+            outputs.empty()
+                ? 0
+                : arch_.bus().worst_case_duration(cv.node, heaviest);
         const Time r = downstream + (cv.duration + comm);
         rank[static_cast<std::size_t>(v)] = r;
         process_best = std::max(process_best, r);

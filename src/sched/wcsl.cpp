@@ -1,6 +1,8 @@
 #include "sched/wcsl.h"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -46,7 +48,6 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
   }
   a.copy_count = static_cast<int>(schedule.copies.size());
   a.msg_count = static_cast<int>(schedule.messages.size());
-  a.width = k + 1;
   const int total = a.copy_count + a.msg_count;
   const auto cv = [&](std::int32_t process, int copy) {
     return first_copy[static_cast<std::size_t>(process)] + copy;
@@ -90,8 +91,14 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
   tx_of.assign(static_cast<std::size_t>(first_tx.back()), -1);
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    tx_of[static_cast<std::size_t>(
-        first_tx[static_cast<std::size_t>(sm.msg.get())] + sm.src_copy)] = m;
+    const std::size_t mi = static_cast<std::size_t>(sm.msg.get());
+    if (!sm.msg.valid() || mi >= messages.size() || sm.src_copy < 0 ||
+        sm.src_copy >= first_tx[mi + 1] - first_tx[mi]) {
+      throw std::invalid_argument(
+          "WCSL DAG: a transmission names no (message, source copy) of the "
+          "assignment");
+    }
+    tx_of[static_cast<std::size_t>(first_tx[mi] + sm.src_copy)] = m;
   }
 
   // Resource edges: each vertex has at most one static-order predecessor,
@@ -100,13 +107,23 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
   std::vector<int>& order_pred = scratch.order_pred;
   order_pred.assign(static_cast<std::size_t>(total), -1);
   for (const auto& order : schedule.node_order) {
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      order_pred[static_cast<std::size_t>(order[i])] = order[i - 1];
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (order[i] < 0 || order[i] >= a.copy_count) {
+        throw std::invalid_argument("WCSL DAG: a node order names no copy");
+      }
+      if (i > 0) order_pred[static_cast<std::size_t>(order[i])] = order[i - 1];
     }
   }
-  for (std::size_t i = 1; i < schedule.bus_order.size(); ++i) {
-    order_pred[static_cast<std::size_t>(a.msg_vertex(schedule.bus_order[i]))] =
-        a.msg_vertex(schedule.bus_order[i - 1]);
+  for (std::size_t i = 0; i < schedule.bus_order.size(); ++i) {
+    const int m = schedule.bus_order[i];
+    if (m < 0 || m >= a.msg_count) {
+      throw std::invalid_argument(
+          "WCSL DAG: the bus order names no transmission");
+    }
+    if (i > 0) {
+      order_pred[static_cast<std::size_t>(a.msg_vertex(m))] =
+          a.msg_vertex(schedule.bus_order[i - 1]);
+    }
   }
 
   // Data edges.  Every copy of a consumer has the same data predecessors:
@@ -137,9 +154,8 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
   }
   g.preds.resize(
       static_cast<std::size_t>(g.pred_begin[static_cast<std::size_t>(total)]));
-  // Writes the sorted `data` list, whose latest commit index is
-  // `data_event`, plus v's order predecessor (if any) into v's slice,
-  // keeping the slice sorted.
+  // Writes the `data` list, whose latest commit index is `data_event`,
+  // then v's order predecessor (if any) into v's slice.
   std::vector<int>& data = scratch.data;
   const auto fill = [&](int v, int data_event) {
     const int prev = order_pred[static_cast<std::size_t>(v)];
@@ -149,15 +165,10 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
       throw std::invalid_argument(
           "WCSL DAG: a predecessor was committed after its successor");
     }
-    int* out = g.preds.data() + g.pred_begin[static_cast<std::size_t>(v)];
-    if (prev < 0) {
-      std::copy(data.begin(), data.end(), out);
-      return;
-    }
-    const auto split = std::upper_bound(data.begin(), data.end(), prev);
-    out = std::copy(data.begin(), split, out);
-    *out++ = prev;
-    std::copy(split, data.end(), out);
+    int* out = std::copy(data.begin(), data.end(),
+                         g.preds.data() +
+                             g.pred_begin[static_cast<std::size_t>(v)]);
+    if (prev >= 0) *out = prev;
   };
   for (int p = 0; p < process_count; ++p) {
     data.clear();
@@ -173,7 +184,6 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
         data_event = std::max(data_event, event[static_cast<std::size_t>(d)]);
       }
     }
-    std::sort(data.begin(), data.end());
     for (int v = first_copy[static_cast<std::size_t>(p)];
          v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
       fill(v, data_event);
@@ -186,43 +196,43 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
     fill(a.msg_vertex(m), event[static_cast<std::size_t>(sender)]);
   }
 
-  // Per-vertex weight tables w_v(f), f = 0..k: one execution-time lookup
-  // per copy, and the recovery formula only up to the copy's recoveries
-  // (beyond them the weight stays flat).
-  a.weight.resize(static_cast<std::size_t>(total) *
-                  static_cast<std::size_t>(a.width));
+  // Per-vertex weights: one execution-time lookup per copy, and the
+  // per-fault step only where some E(n, f >= 1) is needed (cap >= 1), so
+  // segment_length rejects a bad WCET exactly where the law is used.
+  a.weight.resize(static_cast<std::size_t>(total));
   a.release.assign(static_cast<std::size_t>(total), 0);
   for (int p = 0; p < process_count; ++p) {
     const Process& proc = app.process(ProcessId{p});
     const ProcessPlan& plan = assignment.plan(ProcessId{p});
     for (int j = 0; j < plan.copy_count(); ++j) {
       const int v = cv(p, j);
+      const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(v)];
+      if (sc.ref.process.get() != p || sc.ref.copy != j) {
+        throw std::invalid_argument(
+            "WCSL DAG: a copy's ref is not its place in the copy layout");
+      }
       const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
-      const RecoveryParams params{
-          proc.wcet_on(schedule.copies[static_cast<std::size_t>(v)].node),
-          proc.alpha, proc.mu, proc.chi};
+      const RecoveryParams params{proc.wcet_on(sc.node), proc.alpha, proc.mu,
+                                  proc.chi};
       a.release[static_cast<std::size_t>(v)] = proc.release;
-      Time* w = a.weight.data() + static_cast<std::size_t>(v) *
-                                      static_cast<std::size_t>(a.width);
+      WcslWeight& w = a.weight[static_cast<std::size_t>(v)];
       if (cp.checkpoints < 1) {
-        std::fill_n(w, a.width, replica_exec_time(params));
+        w = WcslWeight{replica_exec_time(params), 0, 0};
         continue;
       }
-      for (int f = 0; f <= k; ++f) {
-        w[f] = f == 0 || f <= cp.recoveries
-                   ? checkpointed_exec_time(params, cp.checkpoints,
-                                            std::min(f, cp.recoveries))
-                   : w[f - 1];
+      w = WcslWeight{checkpointed_exec_time(params, cp.checkpoints, 0), 0,
+                     std::min(cp.recoveries, k)};
+      if (w.cap >= 1) {
+        w.step = segment_length(params.wcet, cp.checkpoints) + params.alpha +
+                 params.mu;
       }
     }
   }
   for (int m = 0; m < a.msg_count; ++m) {
     const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    const Time w =
-        arch.bus().worst_case_duration(sm.sender, message(sm.msg).size);
-    std::fill_n(a.weight.data() + static_cast<std::size_t>(a.msg_vertex(m)) *
-                                      static_cast<std::size_t>(a.width),
-                a.width, w);
+    a.weight[static_cast<std::size_t>(a.msg_vertex(m))] = WcslWeight{
+        arch.bus().worst_case_duration(sm.sender, message(sm.msg).size), 0,
+        0};
   }
 }
 
@@ -239,27 +249,45 @@ Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row) {
   // best_in[b] = max over predecessors p of L(p, b), accumulated in `row`
-  // itself; nondecreasing in b by construction of L.  Faults spent on a
-  // transmission never help the adversary (constant weight), so the DP
-  // naturally assigns f = 0 there.
+  // itself; nondecreasing in b because every row wcsl_dp_row writes is
+  // (by induction from the sources, whose best_in is all zeros).
   row.assign(static_cast<std::size_t>(k) + 1, 0);
   Time* best_in = row.data();
   for (int p : dag.g.predecessors(v)) {
     const Time* lp = L[static_cast<std::size_t>(p)].data();
     for (int b = 0; b <= k; ++b) best_in[b] = std::max(best_in[b], lp[b]);
   }
+  assert(std::is_sorted(best_in, best_in + k + 1));
   const Time in_k = best_in[k];
   const Time release = dag.release[static_cast<std::size_t>(v)];
-  const Time* w = dag.weights(v);
-  // L(v, b) = max_{f <= b} [w(f) + max(release, best_in[b - f])].  Row b
-  // reads best_in[0..b] only, so filling b = k down to 0 overwrites each
-  // entry after its last read.
-  for (int b = k; b >= 0; --b) {
-    Time best = 0;
-    for (int f = 0; f <= b; ++f) {
-      best = std::max(best, std::max(release, best_in[b - f]) + w[f]);
+  const WcslWeight w = dag.weight[static_cast<std::size_t>(v)];
+  // L(v, b) = max_{f <= b} [w(f) + g(b - f)] with g(j) = max(release,
+  // best_in[j]), by the closed forms of the header comment, written over
+  // best_in in place.
+  if (w.step == 0 || w.cap <= 0) {
+    for (int b = 0; b <= k; ++b) {
+      best_in[b] = w.base + std::max(release, best_in[b]);
     }
-    row[static_cast<std::size_t>(b)] = best;
+  } else if (w.cap >= k) {
+    // Running max of h(j) = g(j) - j * step over j <= b, ascending b:
+    // best_in[b] is read just before it is overwritten.
+    Time best_h = std::numeric_limits<Time>::lowest();
+    for (int b = 0; b <= k; ++b) {
+      const Time stepped = static_cast<Time>(b) * w.step;
+      best_h = std::max(best_h, std::max(release, best_in[b]) - stepped);
+      best_in[b] = w.base + stepped + best_h;
+    }
+  } else {
+    // Window b - cap <= j <= b, descending b: row b reads best_in[j] for
+    // j <= b only, so each entry is overwritten after its last read.
+    for (int b = k; b >= 0; --b) {
+      Time best_h = std::numeric_limits<Time>::lowest();
+      for (int j = std::max(0, b - w.cap); j <= b; ++j) {
+        best_h = std::max(best_h, std::max(release, best_in[j]) -
+                                      static_cast<Time>(j) * w.step);
+      }
+      best_in[b] = w.base + static_cast<Time>(b) * w.step + best_h;
+    }
   }
   return in_k;
 }
@@ -344,7 +372,7 @@ WcslResult worst_case_transparent(const Application& app,
     for (int p : a.g.predecessors(v)) {
       s = std::max(s, finish[static_cast<std::size_t>(p)]);
     }
-    finish[static_cast<std::size_t>(v)] = s + a.weights(v)[k];
+    finish[static_cast<std::size_t>(v)] = s + a.weight_at(v, k);
     fill_result_vertex(result, schedule, a, v, s,
                        finish[static_cast<std::size_t>(v)]);
   }

@@ -18,18 +18,34 @@
 // recoveries the copy is dead and stops delaying its timeline -- a pure
 // replica contributes C regardless (a fault kills it; consumers wait for
 // the slowest copy, which is already in the DAG via the all-copies join),
-// and a bus transmission contributes its worst-case TDMA duration.
+// and a bus transmission contributes its worst-case TDMA duration.  Every
+// weight is therefore linear up to a cap and flat after it,
+//
+//     w_v(f) = base + min(f, cap) * step,
+//
+// and because each row L(p, .) is nondecreasing in b (a larger budget
+// only adds options), a fault beyond the cap only adds waiting: f = cap
+// dominates it.  With g(j) = max(rel_v, max_p L(p, j)) and
+// h(j) = g(j) - j * step, a row is therefore
+//
+//     L(v, b) = base + g(b)                    if step = 0 or cap = 0
+//     L(v, b) = base + b * step + max_{max(0, b - cap) <= j <= b} h(j)
+//
+// which is O(k) per row for a constant weight or cap >= k (a running max)
+// and a window of cap + 1 entries per b for a hybrid copy (0 < cap < k).
+// The rows' monotonicity is an induction over the topological order: a
+// vertex without predecessors sees g constant.
 //
 // Conservative choices (both standard in [13,16]): the static order of the
 // fault-free schedule is kept (the run-time scheduler can only do better),
 // and transmissions pay the full worst-case round wait.
 //
 // Representation.  The DAG is built once per analysis as flat arrays (no
-// graph object): predecessors in compressed sparse row form, sorted per
-// vertex and kept as a multiset; a topological order that is the list
-// scheduler's commit order (ListSchedule's `event` stamps), so no graph
-// search runs; and one weight table of width k + 1.  The DP visits that
-// order, and wcsl_dp_row allocates nothing once its row has k + 1 entries.
+// graph object): predecessors in compressed sparse row form, an unordered
+// multiset per vertex; a topological order that is the list scheduler's
+// commit order (ListSchedule's `event` stamps), so no graph search runs;
+// and one {base, step, cap} weight per vertex.  The DP visits that order,
+// and wcsl_dp_row allocates nothing once its row has k + 1 entries.
 // A caller that analyzes many schedules reuses one WcslDag and one
 // WcslDagScratch, so a warm rebuild allocates nothing either.
 //
@@ -42,6 +58,7 @@
 // free of mutable/static state.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -73,9 +90,9 @@ struct WcslResult {
 };
 
 /// Predecessor lists of the augmented DAG in compressed sparse row form.
-/// Each vertex's predecessors are sorted ascending and kept as a multiset:
-/// a data edge and a node-order edge joining the same two copies both
-/// appear.  The topological order is the schedule's commit order.
+/// Each vertex's predecessors are an unordered multiset: a data edge and a
+/// node-order edge joining the same two copies both appear.  The
+/// topological order is the schedule's commit order.
 struct WcslGraph {
   std::vector<int> pred_begin;  ///< vertex_count + 1 offsets into `preds`
   std::vector<int> preds;
@@ -105,24 +122,33 @@ struct WcslGraph {
   }
 };
 
+/// Execution time of a DAG vertex when f faults strike it:
+/// base + min(f, cap) * step.  A checkpointed copy has base E(n, 0),
+/// step ceil(C/n) + alpha + mu and cap min(R, k); a replica (base C) and a
+/// transmission (base its worst-case TDMA duration) have step 0, cap 0.
+struct WcslWeight {
+  Time base = 0;
+  Time step = 0;
+  int cap = 0;
+};
+
 /// The resource-augmented schedule DAG shared by the WCSL analyses below
 /// and the move evaluator (opt/eval_context.h): vertices are copies
 /// (0..copy_count) followed by bus transmissions; edges are data
 /// precedences plus the per-node / bus static orders of the fault-free
-/// schedule; weights(v)[f] is the execution time of v when f faults strike
-/// it (capped at its recoveries), f = 0..k.
+/// schedule; weight[v] is v's weight law, w_v(f) for f = 0..k.
 struct WcslDag {
   WcslGraph g;
   int copy_count = 0;
   int msg_count = 0;
-  int width = 1;              ///< k + 1 weight entries per vertex
-  std::vector<Time> weight;   ///< vertex-major, `width` entries per vertex
+  std::vector<WcslWeight> weight;
   std::vector<Time> release;
 
   [[nodiscard]] int msg_vertex(int m) const { return copy_count + m; }
-  [[nodiscard]] const Time* weights(int v) const {
-    return weight.data() + static_cast<std::size_t>(v) *
-                               static_cast<std::size_t>(width);
+  /// w_v(f): the execution time of v when f faults strike it.
+  [[nodiscard]] Time weight_at(int v, int f) const {
+    const WcslWeight& w = weight[static_cast<std::size_t>(v)];
+    return w.base + static_cast<Time>(std::min(f, w.cap)) * w.step;
   }
 };
 
@@ -133,15 +159,19 @@ struct WcslDagScratch {
   std::vector<int> tx_of;       ///< (message, source copy) -> transmission
   std::vector<int> order_pred;  ///< per vertex: node/bus order predecessor
   std::vector<int> data_count;  ///< per process: data predecessors per copy
-  std::vector<int> data;        ///< one vertex's sorted data predecessors
+  std::vector<int> data;        ///< one process's data predecessors
 };
 
 /// Builds the augmented DAG for one (assignment, schedule) pair.  The
 /// schedule must be a list schedule of the assignment's copy layout.
 /// Throws std::invalid_argument when its copy layout (copies.size(),
-/// first_copy) differs from the assignment's, when its commit indices are
-/// not a permutation of [0, copies + messages), or when a predecessor was
-/// committed after its successor.
+/// first_copy) differs from the assignment's, when a copy's `ref` is not
+/// its (process, copy) place in that layout, when a transmission names a
+/// message the application lacks or a source copy its producer lacks, when
+/// a node_order entry is not a copy or a bus_order entry not a
+/// transmission, when its commit indices are not a permutation of
+/// [0, copies + messages), or when a predecessor was committed after its
+/// successor.
 [[nodiscard]] WcslDag build_wcsl_dag(const Application& app,
                                      const Architecture& arch,
                                      const PolicyAssignment& assignment, int k,
@@ -156,10 +186,12 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
 
 /// One row of the budgeted longest-path DP: fills `row` with L(v, b) for
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
-/// (aliasing row == L[v] is fine, v never precedes itself).  Returns the
-/// incoming bound max_p L(p, k), i.e. the worst-case start of v before its
-/// release is applied.  Allocates nothing when `row` already holds k + 1
-/// entries.
+/// (aliasing row == L[v] is fine, v never precedes itself), by the closed
+/// form in the header comment.  Precondition: those rows are rows
+/// wcsl_dp_row wrote (so each is nondecreasing in b), as in a pass over
+/// the topological order.  Returns the incoming bound max_p L(p, k), i.e.
+/// the worst-case start of v before its release is applied.  Allocates
+/// nothing when `row` already holds k + 1 entries.
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "arch/architecture.h"
 
 namespace ftes {
@@ -73,6 +75,65 @@ TEST(TdmaBus, HeterogeneousSlotLengths) {
   // N1 owns two slots per round: at 0 and at 20.
   EXPECT_EQ(bus.next_slot_start(NodeId{0}, 1), 20);
   EXPECT_EQ(bus.next_slot_start(NodeId{0}, 21), 25);
+}
+
+TEST(TdmaBus, NodeOwningTwoSlotsOfDifferentLengthsMatchesATickScan) {
+  // N1 owns a 5- and an 8-tick slot; N3 owns no slot and N5's id is past
+  // every owner.
+  TdmaBus bus = TdmaBus::from_slots(
+      {TdmaSlot{NodeId{0}, 5}, TdmaSlot{NodeId{1}, 15},
+       TdmaSlot{NodeId{0}, 8}, TdmaSlot{NodeId{3}, 6}});
+  bus.set_slot_payload(2);
+  const Time round = bus.round_length();
+  ASSERT_EQ(round, 34);
+  // The length of the sender's slot that starts at tick t, or 0.
+  const auto slot_at = [&](NodeId sender, Time t) -> Time {
+    for (std::size_t i = 0; i < bus.slots().size(); ++i) {
+      if (bus.slots()[i].owner == sender && bus.slot_offset(i) == t % round) {
+        return bus.slots()[i].length;
+      }
+    }
+    return 0;
+  };
+  const auto scan_start = [&](NodeId sender, Time ready) {
+    Time t = ready;
+    while (slot_at(sender, t) == 0) ++t;
+    return t;
+  };
+  for (NodeId sender : {NodeId{0}, NodeId{1}, NodeId{3}}) {
+    for (Time ready = 0; ready < 2 * round; ++ready) {
+      EXPECT_EQ(bus.next_slot_start(sender, ready), scan_start(sender, ready))
+          << "sender=" << sender.get() << " ready=" << ready;
+      for (std::int64_t size : {1, 2, 3, 4, 5, 6}) {  // 1-3 frames
+        Time finish = ready;
+        for (int f = 0; f < bus.frames_needed(size); ++f) {
+          const Time start = scan_start(sender, finish);
+          finish = start + slot_at(sender, start);
+        }
+        EXPECT_EQ(bus.transmission_finish(sender, ready, size), finish)
+            << "sender=" << sender.get() << " ready=" << ready
+            << " size=" << size;
+        EXPECT_LE(finish - ready, bus.worst_case_duration(sender, size))
+            << "sender=" << sender.get() << " ready=" << ready
+            << " size=" << size;
+      }
+    }
+  }
+  // The bound waits a round per frame plus the sender's last slot.
+  EXPECT_EQ(bus.worst_case_duration(NodeId{0}, 5), 3 * round + 8);
+
+  const auto expect_no_slot = [](const TdmaBus& b, NodeId sender) {
+    EXPECT_THROW((void)b.next_slot_start(sender, 3), std::logic_error)
+        << sender.get();
+    EXPECT_THROW((void)b.transmission_finish(sender, 3, 1), std::logic_error)
+        << sender.get();
+    EXPECT_THROW((void)b.worst_case_duration(sender, 1), std::logic_error)
+        << sender.get();
+  };
+  expect_no_slot(bus, NodeId{2});
+  expect_no_slot(bus, NodeId{4});
+  expect_no_slot(bus, NodeId{-1});
+  expect_no_slot(TdmaBus{}, NodeId{0});  // zero round: throw, not divide
 }
 
 TEST(Architecture, HomogeneousFactory) {

@@ -187,9 +187,9 @@ void expect_same_result(const WcslResult& a, const WcslResult& b,
   EXPECT_EQ(a.msg_worst_ready, b.msg_worst_ready) << what;
 }
 
-/// Same vertices; per vertex the same predecessor multiset (stored sorted),
-/// weights and release; and a topological order listing every vertex once,
-/// after all of its predecessors.
+/// Same vertices; per vertex the same predecessor multiset, weights w(f)
+/// for f = 0..k and release; and a topological order listing every vertex
+/// once, after all of its predecessors.
 void expect_same_dag(const WcslDag& dag,
                      const ftes::testing::ReferenceWcslDag& ref, int k,
                      const std::string& what) {
@@ -208,15 +208,17 @@ void expect_same_dag(const WcslDag& dag,
     std::vector<int> expected = ref.g.predecessors(v);
     std::sort(expected.begin(), expected.end());
     const WcslGraph::Range preds = dag.g.predecessors(v);
-    EXPECT_EQ(std::vector<int>(preds.begin(), preds.end()), expected)
-        << what << " vertex " << v;
+    std::vector<int> actual(preds.begin(), preds.end());
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected) << what << " vertex " << v;
     for (int p : preds) {
       EXPECT_LT(position[static_cast<std::size_t>(p)],
                 position[static_cast<std::size_t>(v)])
           << what << " edge " << p << " -> " << v;
     }
-    EXPECT_EQ(std::vector<Time>(dag.weights(v), dag.weights(v) + k + 1),
-              ref.weight[static_cast<std::size_t>(v)])
+    std::vector<Time> weights;
+    for (int f = 0; f <= k; ++f) weights.push_back(dag.weight_at(v, f));
+    EXPECT_EQ(weights, ref.weight[static_cast<std::size_t>(v)])
         << what << " vertex " << v;
     EXPECT_EQ(dag.release[static_cast<std::size_t>(v)],
               ref.release[static_cast<std::size_t>(v)])
@@ -246,26 +248,73 @@ void expect_matches_reference(const Application& app, const Architecture& arch,
       what + " transparent");
 }
 
+/// Gives every `stride`-th process, from the first, a hybrid plan
+/// (1..k-1 extra replicas, recoveries capped below k) spread over the
+/// nodes it can run on.  Needs k >= 2.
+void hybridize_every(const Application& app, const Architecture& arch,
+                     const FaultModel& model, int stride,
+                     PolicyAssignment& assignment) {
+  for (int i = 1; i < app.process_count(); i += stride) {
+    const Process& proc = app.process(ProcessId{i});
+    if (proc.fixed_policy || proc.fixed_mapping) continue;
+    std::vector<NodeId> allowed;
+    for (NodeId n : arch.node_ids()) {
+      if (proc.can_run_on(n)) allowed.push_back(n);
+    }
+    ProcessPlan plan =
+        make_hybrid_plan(model.k, 1 + i % (model.k - 1), 1 + i % 3);
+    for (std::size_t j = 0; j < plan.copies.size(); ++j) {
+      plan.copies[j].node = allowed[j % allowed.size()];
+    }
+    assignment.plan(ProcessId{i}) = plan;
+  }
+}
+
 TEST(WcslReference, FlatDagMatchesDigraphOnRandomInstances) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+  // k spans 1..7 (the paper's range is 3-7), and the plans give every row
+  // form of wcsl_dp_row: constant weights (replicas, transmissions),
+  // linear up to k (checkpointing) and, for k >= 2, linear with a cap
+  // below k (hybrid copies).
+  for (std::uint64_t seed = 1; seed <= 14; ++seed) {
     TaskGenParams params;
     params.process_count = 12 + 4 * static_cast<int>(seed);
     params.node_count = 2 + static_cast<int>(seed % 3);
     Rng rng(seed);
     const Application app = generate_application(params, rng);
     const Architecture arch = generate_architecture(params);
-    const FaultModel model{1 + static_cast<int>(seed % 3)};
+    const FaultModel model{1 + static_cast<int>(seed % 7)};
     PolicyAssignment pa =
         greedy_initial(app, arch, model, PolicySpace::kFull, 8);
-    // Varied checkpoint counts (so weights differ per f), then replicas.
+    // Varied checkpoint counts (so weights differ per f), then replicas
+    // and hybrids.
     for (int i = 0; i < app.process_count(); ++i) {
       CopyPlan& copy = pa.plan(ProcessId{i}).copies[0];
       if (copy.checkpoints >= 1) copy.checkpoints = 1 + i % 4;
     }
     ftes::testing::replicate_every(app, arch, model,
                                    2 + static_cast<int>(seed % 2), pa);
-    expect_matches_reference(app, arch, pa, model,
-                             "seed " + std::to_string(seed));
+    if (model.k >= 2) hybridize_every(app, arch, model, 4, pa);
+    const std::string what =
+        "seed " + std::to_string(seed) + " k " + std::to_string(model.k);
+
+    const WcslDag dag =
+        build_wcsl_dag(app, arch, pa, model.k, list_schedule(app, arch, pa));
+    int constant = 0;
+    int capped = 0;
+    int full = 0;
+    for (const WcslWeight& w : dag.weight) {
+      if (w.step == 0 || w.cap <= 0) {
+        ++constant;
+      } else {
+        ++(w.cap < model.k ? capped : full);
+      }
+    }
+    EXPECT_GT(constant, 0) << what;
+    EXPECT_GT(full, 0) << what;
+    if (model.k >= 2) {
+      EXPECT_GT(capped, 0) << what;
+    }
+    expect_matches_reference(app, arch, pa, model, what);
   }
 }
 
@@ -308,8 +357,7 @@ TEST(WcslReference, CoLocatedPairKeepsEveryEdge) {
 
 // --- schedule validation -----------------------------------------------------
 
-/// A -> B -> C, every process on node 0 of a 3-node architecture (A may
-/// also run on nodes 1 and 2).
+/// A process chain, its assignment and its list schedule.
 struct Chain {
   Application app;
   Architecture arch = Architecture::homogeneous(3, 5);
@@ -318,6 +366,8 @@ struct Chain {
   ListSchedule sched;
 };
 
+/// A -> B -> C, every process on node 0 of a 3-node architecture (A may
+/// also run on nodes 1 and 2).
 Chain chain_on_one_node() {
   Chain c;
   const ProcessId a = c.app.add_process(
@@ -342,6 +392,22 @@ void expect_rejected(const Chain& c, const PolicyAssignment& pa,
       std::invalid_argument);
   EXPECT_THROW((void)worst_case_transparent(c.app, c.arch, pa, c.model, sched),
                std::invalid_argument);
+}
+
+/// A -> B with A on node 0 and B on node 1 of a 2-node architecture: two
+/// copies and one transmission.
+Chain pair_across_the_bus() {
+  Chain c;
+  c.arch = Architecture::homogeneous(2, 5);
+  const ProcessId a = c.app.add_process("A", {{NodeId{0}, 40}}, 2, 2, 2);
+  const ProcessId b = c.app.add_process("B", {{NodeId{1}, 30}}, 2, 2, 2);
+  c.app.connect(a, b);
+  c.app.set_deadline(10000);
+  c.pa = uniform_assignment(c.app, make_checkpointing_plan(c.model.k, 2));
+  c.pa.plan(a).copies[0].node = NodeId{0};
+  c.pa.plan(b).copies[0].node = NodeId{1};
+  c.sched = list_schedule(c.app, c.arch, c.pa);
+  return c;
 }
 
 TEST(WcslValidation, CommitIndicesOfAListScheduleAreItsEventOrder) {
@@ -382,6 +448,50 @@ TEST(WcslValidation, DefaultCommitIndexIsRejected) {
   ListSchedule sched = c.sched;
   sched.copies[1].event = ScheduledCopy{}.event;
   ASSERT_EQ(sched.copies[1].event, -1);
+  expect_rejected(c, c.pa, sched);
+}
+
+TEST(WcslValidation, TransmissionFromAMissingSourceCopyIsRejected) {
+  const Chain c = pair_across_the_bus();
+  ASSERT_EQ(c.sched.messages.size(), 1u);
+  ListSchedule sched = c.sched;
+  sched.messages[0].src_copy = 1;  // A has one copy
+  expect_rejected(c, c.pa, sched);
+}
+
+TEST(WcslValidation, TransmissionOfAMissingMessageIsRejected) {
+  const Chain c = pair_across_the_bus();
+  ASSERT_EQ(c.sched.messages.size(), 1u);
+  ListSchedule sched = c.sched;
+  sched.messages[0].msg = MessageId{c.app.message_count()};
+  expect_rejected(c, c.pa, sched);
+}
+
+TEST(WcslValidation, NodeOrderEntryThatIsNoCopyIsRejected) {
+  // The first id past the copies is a transmission vertex; the first past
+  // every vertex is out of all range.
+  const Chain c = pair_across_the_bus();
+  const int copies = static_cast<int>(c.sched.copies.size());
+  for (int bad : {copies, copies + static_cast<int>(c.sched.messages.size())}) {
+    ListSchedule sched = c.sched;
+    sched.node_order[0].push_back(bad);
+    expect_rejected(c, c.pa, sched);
+  }
+}
+
+TEST(WcslValidation, BusOrderEntryThatIsNoTransmissionIsRejected) {
+  const Chain c = pair_across_the_bus();
+  ASSERT_EQ(c.sched.bus_order.size(), 1u);
+  ListSchedule sched = c.sched;
+  sched.bus_order.push_back(static_cast<int>(c.sched.messages.size()));
+  expect_rejected(c, c.pa, sched);
+}
+
+TEST(WcslValidation, CopyRefOutsideTheLayoutIsRejected) {
+  // The analyses index process_finish by the copy's ref.
+  const Chain c = pair_across_the_bus();
+  ListSchedule sched = c.sched;
+  sched.copies[1].ref.process = ProcessId{5};
   expect_rejected(c, c.pa, sched);
 }
 
