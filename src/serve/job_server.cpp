@@ -51,36 +51,24 @@ struct JobServer::Outcome {
   Class cls = kInternal;
   bool cached = false;
   std::string error;
-  std::string payload;    ///< result JSON; may be empty (pure error)
-  std::string cache_key;  ///< set once parse + setup succeeded
+  std::string payload;  ///< result JSON; may be empty (pure error)
 };
 
-/// Everything one job hands back to its caller: the formatted response
-/// plus the stats deltas and cache mutations to apply *in sequence
-/// order* (immediately in serial mode, at drain time in concurrent
-/// mode).  This is the single funnel the `responses == jobs` invariant
-/// rests on: every job -- normal, degraded, faulted, even one whose
-/// response formatting threw -- produces exactly one JobTrace-shaped
-/// record, and the applier bumps exactly one terminal-outcome counter
-/// and writes exactly one line per record.
+/// Everything one job hands back to the loop: the formatted response
+/// plus the stats deltas and cache insert that the drain applies in
+/// stream order.  This is the single funnel the `responses == jobs`
+/// invariant rests on: every job -- normal, degraded, faulted, malformed,
+/// even one whose response formatting threw -- produces exactly one
+/// JobTrace, and the drain bumps exactly one terminal-outcome counter and
+/// writes exactly one line per trace.
 struct JobServer::JobTrace {
   std::string response;
   Outcome::Class cls = Outcome::kInternal;
   long long retries = 0;
   bool degraded = false;
-  std::string cache_key;
-  bool do_insert = false;
+  std::string cache_key;  ///< the key the job consulted (empty if none)
+  bool do_insert = false;  ///< insert insert_payload under cache_key
   std::string insert_payload;
-};
-
-/// The exactly-once cache decision seam of a job.  run_attempt() invokes
-/// consult() at the first attempt that computes the canonical key (never
-/// on degraded attempts); a true return is a hit and short-circuits the
-/// attempt with the cached payload.
-class JobServer::CacheConsult {
- public:
-  virtual ~CacheConsult() = default;
-  virtual bool consult(const std::string& key, std::string& payload) = 0;
 };
 
 namespace {
@@ -166,10 +154,9 @@ std::string result_payload(Time deadline, const SynthesisResult& result,
 }
 
 /// The one response-line formatter: every per-job line -- fresh, cached,
-/// degraded, inline parse_error -- funnels through here, so serial and
-/// concurrent mode cannot drift apart in shape.  Everything emitted
-/// except `seconds` is a deterministic function of the job and its
-/// stream index (`backoff_ms` is computed, not measured).
+/// degraded, inline parse_error -- funnels through here.  Everything
+/// emitted except `seconds` is a deterministic function of the job and
+/// its stream index (`backoff_ms` is computed, not measured).
 std::string format_response(const std::string& id, const char* status,
                             int attempts, bool cached, bool degraded,
                             long long backoff_ms, double seconds,
@@ -230,52 +217,6 @@ void guarded_insert(ResultCache& cache, const std::string& key,
   }
 }
 
-/// Serial mode: the decision *is* the sequenced application, because
-/// jobs run one at a time in request order.
-class SerialConsult final : public JobServer::CacheConsult {
- public:
-  explicit SerialConsult(ResultCache& cache) : cache_(cache) {}
-  bool consult(const std::string& key, std::string& payload) override {
-    return cache_.lookup(key, payload);
-  }
-
- private:
-  ResultCache& cache_;
-};
-
-// ------------------------------------------------------- concurrency --
-
-/// Resolution of one in-flight computation of a cache key: same-key
-/// successors block on it instead of recomputing, exactly as the serial
-/// order would have served them from the cache.
-struct KeyState {
-  std::mutex m;
-  std::condition_variable cv;
-  bool resolved = false;
-  bool cacheable = false;
-  std::string payload;
-
-  void resolve(bool cacheable_now, std::string payload_now) {
-    {
-      const std::lock_guard<std::mutex> lock(m);
-      resolved = true;
-      cacheable = cacheable_now;
-      payload = std::move(payload_now);
-    }
-    cv.notify_all();
-  }
-
-  /// Blocks until resolved; true (payload filled) iff the predecessor
-  /// completed with a cacheable payload.
-  bool wait_cacheable(std::string& out) {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return resolved; });
-    if (!cacheable) return false;
-    out = payload;
-    return true;
-  }
-};
-
 /// Admits jobs to their cache decision strictly in stream order, so the
 /// decision each job sees depends only on lower-sequence jobs -- the
 /// serial order's data dependency, nothing else.  Every sequence number
@@ -318,176 +259,112 @@ class SequenceGate {
   std::set<std::uint64_t> skipped_;
 };
 
-/// One drained-in-order completion record (JobTrace plus the concurrent
-/// bookkeeping the drain needs).
-struct Completed {
-  std::string response;
-  JobServer::Outcome::Class cls = JobServer::Outcome::kInternal;
-  long long retries = 0;
-  bool degraded = false;
-  bool do_insert = false;
-  std::string cache_key;       ///< insert target (== consulted key)
-  std::string insert_payload;
-  bool did_consult = false;    ///< replay one ordered lookup at drain
-  bool predicted_hit = false;
-  std::string consulted_key;
-  std::string hit_payload;     ///< re-convergence payload for a mispredict
-  std::shared_ptr<KeyState> self_state;
-};
-
 }  // namespace
 
-/// Shared state of one serve_concurrent() run.  Lock order, outermost
-/// first: gate / drain mutex (never both), then key_owners_mutex, then the
-/// cache's internal mutex.
+/// Shared state of one serve() run.  Lock order, outermost first: gate /
+/// drain mutex (never both), then key_owners_mutex, then the cache's
+/// internal mutex.
 struct JobServer::ServeState {
   SequenceGate gate;
   std::mutex key_owners_mutex;
-  /// Latest decided-but-undrained computation per key; erased when its
-  /// job drains (the real cache carries the fact from then on).
-  std::unordered_map<std::string, std::shared_ptr<KeyState>> key_owners;
+  /// Key -> sequence number of its latest consulter that has not drained
+  /// yet; erased when that job drains.
+  std::unordered_map<std::string, std::uint64_t> key_owners;
 
   std::mutex mu;                ///< guards everything below + the output
-  std::condition_variable cv;   ///< backpressure + barrier + drain wakeups
-  std::map<std::uint64_t, Completed> ready;  ///< reorder buffer
-  std::uint64_t next_drain = 0;
+  std::condition_variable cv;   ///< backpressure, barrier and turn wakeups
+  std::map<std::uint64_t, JobTrace> ready;  ///< reorder buffer
+  std::uint64_t next_drain = 0;  ///< `seq`'s turn: next_drain == seq
+};
+
+/// The exactly-once cache decision of one job, taken where a width-1 run
+/// takes it.  run_attempt() calls consult() at the first attempt that
+/// computes the canonical key (never on a degraded attempt); a true
+/// return is a hit and answers the attempt with the cached payload.
+class JobServer::CacheDecision {
+ public:
+  CacheDecision(ServeState& st, ResultCache& cache, std::uint64_t seq)
+      : st_(st), cache_(cache), seq_(seq) {}
+
+  /// The cache gains a key only through the drain-time insert of a job
+  /// that consulted that key.  So when no undrained job has consulted
+  /// `key` and the cache lacks it as this job passes the gate, the lookup
+  /// at this job's turn must miss: it is taken at once (a miss moves no
+  /// LRU entry).  Any other job waits for its turn -- every earlier job
+  /// drained, no later one -- and looks up exactly where a width-1 run
+  /// does, so a hit refreshes LRU recency at the same point too.
+  bool consult(const std::string& key, std::string& payload) {
+    bool possible_hit = false;
+    st_.gate.reach(seq_, [&] {
+      const std::lock_guard<std::mutex> lock(st_.key_owners_mutex);
+      const bool undrained = !st_.key_owners.insert_or_assign(key, seq_).second;
+      possible_hit = undrained || cache_.contains(key);
+      key_ = key;  // last: key_ is set iff this job passed the gate
+    });
+    if (possible_hit) {
+      std::unique_lock<std::mutex> lock(st_.mu);
+      st_.cv.wait(lock, [&] { return st_.next_drain == seq_; });
+    }
+    return cache_.lookup(key, payload);
+  }
+
+  /// The key consulted so far (empty until the job consults).
+  [[nodiscard]] const std::string& key() const { return key_; }
+
+  /// Settles the decision once the job is done: lets the gate pass a job
+  /// that never consulted, and hands over the consulted key for the
+  /// drain's insert and key_owners release.
+  std::string finish() {
+    if (key_.empty()) st_.gate.skip(seq_);
+    return std::move(key_);
+  }
+
+ private:
+  ServeState& st_;
+  ResultCache& cache_;
+  std::uint64_t seq_;
+  std::string key_;
 };
 
 namespace {
 
-/// Concurrent mode: predict the sequenced lookup at the ordered gate,
-/// coalescing same-key jobs onto the first in-flight computation.
-class ConcurrentConsult final : public JobServer::CacheConsult {
- public:
-  ConcurrentConsult(JobServer::ServeState& st, ResultCache& cache,
-                    std::uint64_t seq)
-      : st_(st), cache_(cache), seq_(seq) {}
-
-  bool consult(const std::string& key, std::string& payload) override {
-    bool peek_hit = false;
-    std::string peeked;
-    std::shared_ptr<KeyState> pred;
-    st_.gate.reach(seq_, [&] {
-      const std::lock_guard<std::mutex> lock(st_.key_owners_mutex);
-      auto it = st_.key_owners.find(key);
-      if (it != st_.key_owners.end()) {
-        // A lower-sequence job owns this key and has not drained yet;
-        // chain behind it (and become the latest for our successors).
-        pred = it->second;
-        self_ = std::make_shared<KeyState>();
-        it->second = self_;
-      } else if (cache_.peek(key, peeked)) {
-        peek_hit = true;
-      } else {
-        self_ = std::make_shared<KeyState>();
-        st_.key_owners.emplace(key, self_);
-      }
-    });
-    gate_passed_ = true;
-    consulted_key_ = key;
-    if (peek_hit) {
-      predicted_hit_ = true;
-      hit_payload_ = std::move(peeked);
-      payload = hit_payload_;
-      return true;
-    }
-    if (pred != nullptr) {
-      std::string p;
-      if (pred->wait_cacheable(p)) {
-        // The predecessor completed cacheably: the serial order would
-        // have answered us from its insert.
-        self_->resolve(true, p);
-        resolved_ = true;
-        predicted_hit_ = true;
-        hit_payload_ = std::move(p);
-        payload = hit_payload_;
-        return true;
-      }
-      // The predecessor failed or degraded (nothing was inserted): the
-      // serial order would have missed, so this job runs and owns the
-      // resolution its own successors wait on.
-    }
-    return false;
-  }
-
-  /// Folds the decision state into the completion record and settles
-  /// the gate/registry bookkeeping exactly once, whatever path the job
-  /// took (including the catch-everything one).
-  void finish(Completed& c) {
-    if (self_ != nullptr && !resolved_) {
-      self_->resolve(c.do_insert, c.insert_payload);
-      resolved_ = true;
-    }
-    if (!gate_passed_) {
-      st_.gate.skip(seq_);
-      gate_passed_ = true;
-    }
-    c.did_consult = !consulted_key_.empty();
-    c.predicted_hit = predicted_hit_;
-    c.consulted_key = consulted_key_;
-    c.hit_payload = hit_payload_;
-    c.self_state = self_;
-  }
-
- private:
-  JobServer::ServeState& st_;
-  ResultCache& cache_;
-  std::uint64_t seq_;
-  bool gate_passed_ = false;
-  bool predicted_hit_ = false;
-  bool resolved_ = false;
-  std::string consulted_key_;
-  std::string hit_payload_;
-  std::shared_ptr<KeyState> self_;
-};
-
-/// Drain-time application of one job, in sequence order: replay the
-/// cache mutations the serial order would have made, bump exactly one
-/// terminal counter, write exactly one line.  Caller holds st.mu.
-void apply_completed(JobServer::ServeState& st, Completed&& c,
-                     ResultCache& cache, ServerStats& stats,
-                     std::ostream& out) {
-  bump_class(stats, c.cls);
-  stats.retries += c.retries;
-  if (c.degraded) ++stats.degraded;
-  if (c.did_consult) {
-    std::string tmp;
-    const bool hit = cache.lookup(c.consulted_key, tmp);
-    if (c.predicted_hit && !hit && !c.hit_payload.empty()) {
-      // Eviction-pressure mispredict (docs/SERVER.md): an intermediate
-      // insert evicted the entry between the gate's peek and this
-      // ordered replay.  The response (already formatted from the
-      // byte-identical predecessor payload) stands; re-inserting keeps
-      // the cache's contents on the serial trajectory.
-      guarded_insert(cache, c.consulted_key, c.hit_payload);
-    }
-  }
-  if (c.do_insert) guarded_insert(cache, c.cache_key, c.insert_payload);
-  if (c.self_state != nullptr) {
+/// Drain-time application of one job, in sequence order: the cache
+/// insert, exactly one terminal counter bump, exactly one line.  The
+/// insert precedes the key_owners release, so a later job that finds no
+/// undrained consulter of the key also finds the key in the cache (unless
+/// evicted since).  Caller holds st.mu.
+void drain(JobServer::ServeState& st, std::uint64_t seq,
+           JobServer::JobTrace&& t, ResultCache& cache, ServerStats& stats,
+           std::ostream& out) {
+  bump_class(stats, t.cls);
+  stats.retries += t.retries;
+  if (t.degraded) ++stats.degraded;
+  if (t.do_insert) guarded_insert(cache, t.cache_key, t.insert_payload);
+  if (!t.cache_key.empty()) {
     const std::lock_guard<std::mutex> lock(st.key_owners_mutex);
-    const auto it = st.key_owners.find(c.consulted_key);
-    if (it != st.key_owners.end() && it->second == c.self_state) {
+    const auto it = st.key_owners.find(t.cache_key);
+    if (it != st.key_owners.end() && it->second == seq) {
       st.key_owners.erase(it);
     }
   }
   ++stats.responses;
-  out << c.response << "\n" << std::flush;
+  out << t.response << "\n" << std::flush;
 }
 
-/// Parks `seq`'s record in the reorder buffer and drains every
-/// consecutive ready record.  Whichever worker (or the reader, for
-/// inline responses) completes the next-in-order job performs the drain;
-/// no dedicated writer thread exists.
-void complete_job(JobServer::ServeState& st, std::uint64_t seq, Completed&& c,
-                  ResultCache& cache, ServerStats& stats, std::ostream& out) {
+/// Parks `seq`'s trace in the reorder buffer and drains every
+/// consecutive ready trace.  Whichever thread completes the next-in-order
+/// job performs the drain; no dedicated writer thread exists.
+void complete_job(JobServer::ServeState& st, std::uint64_t seq,
+                  JobServer::JobTrace&& t, ResultCache& cache,
+                  ServerStats& stats, std::ostream& out) {
   const std::lock_guard<std::mutex> lock(st.mu);
-  st.ready.emplace(seq, std::move(c));
+  st.ready.emplace(seq, std::move(t));
   for (;;) {
     const auto it = st.ready.find(st.next_drain);
     if (it == st.ready.end()) break;
-    Completed done = std::move(it->second);
+    JobServer::JobTrace done = std::move(it->second);
     st.ready.erase(it);
-    apply_completed(st, std::move(done), cache, stats, out);
+    drain(st, st.next_drain, std::move(done), cache, stats, out);
     ++st.next_drain;
   }
   // Notify under the lock so the state cannot be torn down between a
@@ -509,11 +386,13 @@ bool JobServer::parse_request(const std::string& line, Request& req,
     error = "unknown command '" + tok + "' (expected job, stats or quit)";
     return false;
   }
+  // A malformed token does not stop the scan, so that a later id= is
+  // still echoed; the first error is the one reported.
   while (in >> tok) {
     const std::size_t eq = tok.find('=');
     if (eq == std::string::npos) {
-      error = "expected key=value, got '" + tok + "'";
-      return false;
+      if (error.empty()) error = "expected key=value, got '" + tok + "'";
+      continue;
     }
     const std::string key = tok.substr(0, eq);
     std::string value = tok.substr(eq + 1);
@@ -523,28 +402,31 @@ bool JobServer::parse_request(const std::string& line, Request& req,
       std::string rest;
       std::getline(in, rest);
       value += rest;
-      if (!unescape_text(value, req.text, error)) return false;
-      req.has_text = true;
+      if (error.empty() && unescape_text(value, req.text, error)) {
+        req.has_text = true;
+      }
       continue;
     }
     if (key == "id") {
       req.id = value;
+    } else if (!error.empty()) {
+      continue;
     } else if (key == "file") {
       req.file = value;
     } else if (key == "seed") {
       if (!parse_u64(value, req.seed)) {
         error = "seed= expects an unsigned integer, got '" + value + "'";
-        return false;
+      } else {
+        req.has_seed = true;
       }
-      req.has_seed = true;
     } else if (key == "iterations") {
       long long it = 0;
       if (!parse_ll(value, it) || it < 1 || it > 1'000'000) {
         error = "iterations= expects 1..1000000, got '" + value + "'";
-        return false;
+      } else {
+        req.iterations = static_cast<int>(it);
+        req.has_iterations = true;
       }
-      req.iterations = static_cast<int>(it);
-      req.has_iterations = true;
     } else if (key == "tables") {
       if (value == "0") {
         req.tables = false;
@@ -552,25 +434,22 @@ bool JobServer::parse_request(const std::string& line, Request& req,
         req.tables = true;
       } else {
         error = "tables= expects 0 or 1, got '" + value + "'";
-        return false;
       }
     } else if (key == "stage-budget-ms") {
       if (!parse_ll(value, req.stage_budget_ms) || req.stage_budget_ms < -1) {
         error = "stage-budget-ms= expects an integer >= -1, got '" + value +
                 "'";
-        return false;
       }
     } else if (key == "total-budget-ms") {
       if (!parse_ll(value, req.total_budget_ms) || req.total_budget_ms < -1) {
         error = "total-budget-ms= expects an integer >= -1, got '" + value +
                 "'";
-        return false;
       }
     } else {
       error = "unknown request key '" + key + "'";
-      return false;
     }
   }
+  if (!error.empty()) return false;
   if (req.file.empty() == !req.has_text) {
     error = "exactly one of file= or text= is required";
     return false;
@@ -579,8 +458,7 @@ bool JobServer::parse_request(const std::string& line, Request& req,
 }
 
 JobServer::Outcome JobServer::run_attempt(const Request& req, bool degraded,
-                                          bool& consulted,
-                                          CacheConsult& consult) {
+                                          CacheDecision& decision) {
   Outcome out;
   enum Phase { kSetup, kRun } phase = kSetup;
   try {
@@ -609,17 +487,15 @@ JobServer::Outcome JobServer::run_attempt(const Request& req, bool degraded,
     synth.build_schedule_tables = req.tables && !degraded;
     synth.stage_budget_ms = req.stage_budget_ms;
     synth.total_budget_ms = req.total_budget_ms;
-    out.cache_key =
-        canonical_key(problem.app, problem.arch, problem.model, synth);
-    if (!degraded && options_.cache_bytes > 0 && !consulted) {
-      // The seam fires before the decision is marked done, so an
-      // injected cache fault is classified (and retried) exactly like
-      // any other attempt failure and the next attempt consults afresh.
+    if (!degraded && options_.cache_bytes > 0 && decision.key().empty()) {
+      // The seam fires before the decision is taken, so an injected cache
+      // fault is classified (and retried) exactly like any other attempt
+      // failure and the next attempt consults afresh.
       FTES_FAULT_POINT("cache.lookup");
+      const std::string key =
+          canonical_key(problem.app, problem.arch, problem.model, synth);
       std::string cached;
-      const bool hit = consult.consult(out.cache_key, cached);
-      consulted = true;
-      if (hit) {
+      if (decision.consult(key, cached)) {
         out.cls = Outcome::kOk;
         out.cached = true;
         out.payload = std::move(cached);
@@ -688,12 +564,11 @@ long long JobServer::backoff_delay_ms(int attempts) const {
 }
 
 JobServer::JobTrace JobServer::handle_job(const Request& req,
-                                          CacheConsult& consult) {
+                                          CacheDecision& decision) {
   const Stopwatch watch;
   JobTrace trace;
   int attempts = 0;
   bool degraded = false;
-  bool consulted = false;
   long long backoff_total = 0;
   Outcome out;
   for (;;) {
@@ -706,7 +581,7 @@ JobServer::JobTrace JobServer::handle_job(const Request& req,
       }
     }
     ++attempts;
-    out = run_attempt(req, degraded, consulted, consult);
+    out = run_attempt(req, degraded, decision);
     if (out.cls == Outcome::kOk || out.cls == Outcome::kParseError ||
         out.cls == Outcome::kCancelled) {
       break;
@@ -732,13 +607,14 @@ JobServer::JobTrace JobServer::handle_job(const Request& req,
 
   trace.cls = out.cls;
   trace.degraded = degraded;
-  trace.cache_key = out.cache_key;
+  // A non-degraded ok attempt ran after the consult, so it computed the
+  // consulted key: the drain inserts under that key.
   if (out.cls == Outcome::kOk && !out.cached && !degraded &&
-      options_.cache_bytes > 0 && !out.cache_key.empty()) {
+      !decision.key().empty()) {
     try {
       // The insert seam fires here, on the job's own thread inside its
-      // fi::JobScope -- the ordered application (serial: right after
-      // this returns; concurrent: at drain) is replay, not a fault site.
+      // fi::JobScope; the drain applies the insert in stream order and
+      // is not a fault site.
       FTES_FAULT_POINT("cache.insert");
       trace.insert_payload = out.payload;
       trace.do_insert = true;
@@ -783,75 +659,14 @@ std::string JobServer::stats_line(const ServerStats& stats) const {
 }
 
 ServerStats JobServer::serve(std::istream& in, std::ostream& out) {
-  // A worker-less shared pool (single-core hardware) would never run a
-  // submitted job; requests then fall back to the serial loop, which is
-  // byte-identical by definition.
-  const bool concurrent =
-      options_.serve_jobs > 1 && ThreadPool::shared().worker_count() > 0;
-  return concurrent ? serve_concurrent(in, out) : serve_serial(in, out);
-}
-
-ServerStats JobServer::serve_serial(std::istream& in, std::ostream& out) {
-  ServerStats stats;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream head(line);
-    std::string cmd;
-    head >> cmd;
-    if (cmd == "quit") break;
-    if (cmd == "stats") {
-      out << stats_line(stats) << "\n" << std::flush;
-      continue;
-    }
-    const std::uint64_t seq = static_cast<std::uint64_t>(stats.jobs);
-    ++stats.jobs;
-    std::string response;
-    try {
-      Request req;
-      std::string perr;
-      if (!parse_request(line, req, perr)) {
-        ++stats.parse_error;
-        response = format_response(req.id, "parse_error", 0, false, false, 0,
-                                   0.0, perr, std::string());
-      } else {
-        // The job scope pins fault-injection schedules to the job's
-        // stream index, so this serial loop and serve_concurrent()
-        // inject identically for the same request stream.
-        const fi::JobScope scope(seq);
-        SerialConsult consult(cache_);
-        JobTrace trace = handle_job(req, consult);
-        bump_class(stats, trace.cls);
-        stats.retries += trace.retries;
-        if (trace.degraded) ++stats.degraded;
-        if (trace.do_insert) {
-          guarded_insert(cache_, trace.cache_key, trace.insert_payload);
-        }
-        response = std::move(trace.response);
-      }
-    } catch (...) {
-      // Last-ditch per-request guard: even a failure while *formatting*
-      // the response must not kill the server or skip a response line.
-      ++stats.internal;
-      response = kLastDitchResponse;
-    }
-    ++stats.responses;
-    out << response << "\n" << std::flush;
-  }
-  stats.cache_hits = cache_.hits();
-  stats.cache_misses = cache_.misses();
-  stats.cache_evictions = cache_.evictions();
-  out << stats_line(stats) << "\n" << std::flush;
-  return stats;
-}
-
-ServerStats JobServer::serve_concurrent(std::istream& in, std::ostream& out) {
   ServerStats stats;
   ServeState st;
-  ThreadPool& pool = ThreadPool::shared();
-  const std::uint64_t window = static_cast<std::uint64_t>(options_.serve_jobs);
+  const std::uint64_t window =
+      static_cast<std::uint64_t>(std::max(1, options_.serve_jobs));
+  // Width 1 runs every job on this thread and never starts the shared
+  // pool; so does a worker-less pool (single-core hardware), which would
+  // never run a submitted job.
+  const bool pooled = window > 1 && ThreadPool::shared().worker_count() > 0;
 
   // Every in-flight job drains before the line is written: quit, EOF and
   // stats are barriers, so no response is ever dropped or reordered.
@@ -877,10 +692,9 @@ ServerStats JobServer::serve_concurrent(std::istream& in, std::ostream& out) {
     const std::uint64_t seq = static_cast<std::uint64_t>(stats.jobs);
     ++stats.jobs;
     {
-      // Backpressure: at most `serve_jobs` jobs submitted-but-undrained.
-      // In-flight jobs always progress (the gate and the coalescing
-      // chains only ever wait on lower sequence numbers), so this wait
-      // always clears.
+      // Backpressure: at most `window` jobs submitted-but-undrained.
+      // In-flight jobs always progress (they only ever wait on lower
+      // sequence numbers), so this wait always clears.
       std::unique_lock<std::mutex> lock(st.mu);
       st.cv.wait(lock, [&] { return seq - st.next_drain < window; });
     }
@@ -890,54 +704,52 @@ ServerStats JobServer::serve_concurrent(std::istream& in, std::ostream& out) {
     bool parse_threw = false;
     try {
       parsed = parse_request(line, req, perr);
+      if (req.id.empty()) req.id = "job" + std::to_string(seq + 1);
     } catch (...) {
       parse_threw = true;
     }
     if (!parsed) {
-      // Malformed requests complete inline on the reader thread; they
-      // still occupy their sequence slot so the response stream stays in
-      // request order.
-      Completed c;
+      // Malformed requests complete inline; they still occupy their
+      // sequence slot so the response stream stays in request order.
+      JobTrace t;
       try {
         if (parse_threw) {
-          c.cls = Outcome::kInternal;
-          c.response = kLastDitchResponse;
+          t.response = kLastDitchResponse;
         } else {
-          c.cls = Outcome::kParseError;
-          c.response = format_response(req.id, "parse_error", 0, false, false,
+          t.cls = Outcome::kParseError;
+          t.response = format_response(req.id, "parse_error", 0, false, false,
                                        0, 0.0, perr, std::string());
         }
       } catch (...) {
-        c.cls = Outcome::kInternal;
-        c.response = kLastDitchResponse;
+        t.cls = Outcome::kInternal;
+        t.response = kLastDitchResponse;
       }
       st.gate.skip(seq);
-      complete_job(st, seq, std::move(c), cache_, stats, out);
+      complete_job(st, seq, std::move(t), cache_, stats, out);
       continue;
     }
-    pool.submit([this, &st, &stats, &out, seq, req]() {
-      Completed c;
-      ConcurrentConsult consult(st, cache_, seq);
+    auto job = [this, &st, &stats, &out, seq, req = std::move(req)] {
+      JobTrace t;
+      CacheDecision decision(st, cache_, seq);
       try {
+        // The job scope pins fault-injection schedules to the job's
+        // stream index, whichever thread runs it.
         const fi::JobScope scope(seq);
-        JobTrace trace = handle_job(req, consult);
-        c.response = std::move(trace.response);
-        c.cls = trace.cls;
-        c.retries = trace.retries;
-        c.degraded = trace.degraded;
-        c.do_insert = trace.do_insert;
-        c.cache_key = std::move(trace.cache_key);
-        c.insert_payload = std::move(trace.insert_payload);
+        t = handle_job(req, decision);
       } catch (...) {
-        // Last-ditch per-job guard, as in the serial loop: one response
-        // per sequence slot, no matter what.
-        c = Completed{};
-        c.cls = Outcome::kInternal;
-        c.response = kLastDitchResponse;
+        // Last-ditch per-job guard: even a failure while *formatting* the
+        // response must not kill the server or skip a response line.
+        t = JobTrace{};
+        t.response = kLastDitchResponse;
       }
-      consult.finish(c);
-      complete_job(st, seq, std::move(c), cache_, stats, out);
-    });
+      t.cache_key = decision.finish();
+      complete_job(st, seq, std::move(t), cache_, stats, out);
+    };
+    if (pooled) {
+      ThreadPool::shared().submit(std::move(job));
+    } else {
+      job();
+    }
   }
 
   drain_barrier(static_cast<std::uint64_t>(stats.jobs));

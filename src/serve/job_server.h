@@ -1,5 +1,5 @@
 // Synthesis-as-a-service: a long-running, self-healing job server
-// (ROADMAP item 3; `ftes_cli --serve`).
+// (`ftes_cli --serve`).
 //
 // The server reads newline-delimited requests from an input stream and
 // answers exactly one JSON line per request, in order (the line protocol,
@@ -24,20 +24,20 @@
 //     cached under their canonical key (serve/result_cache.h) and repeat
 //     submissions are answered bit-identically without recomputation.
 //
-// Concurrency (`serve_jobs` > 1): the reader thread parses request lines
-// and dispatches independent jobs to the shared util/thread_pool; each
+// One request loop serves every width (`serve_jobs`): the reader thread
+// parses request lines and numbers them; at width 1 each job runs on the
+// reader thread, at larger widths on the shared util/thread_pool.  Each
 // job runs in its own SynthesisContext whose CancellationToken chains to
 // the server-wide token, under a fi::JobScope so fault-injection
-// schedules stay a function of the job's stream index.  Responses flow
-// through a sequence-numbered reorder buffer, cache decisions pass a
-// sequence-ordered gate (with same-key jobs coalescing onto the first
-// in-flight computation), and cache mutations plus stats bumps are
-// replayed in sequence order at drain time -- so the output stream is
-// byte-identical to a serial run, wall-clock `seconds` aside (see
-// docs/SERVER.md for the exact guarantee and its one eviction-pressure
-// caveat).  A bounded in-flight window backpressures the reader;
-// `quit`/EOF/`stats` drain every in-flight job before emitting, so no
-// response is ever dropped.
+// schedules stay a function of the job's stream index.  Cache decisions
+// pass a sequence-ordered gate: a lookup that must miss is taken at
+// once, any other waits for the job's turn (every earlier job drained),
+// which is where a width-1 run takes it.  Responses flow through a
+// sequence-numbered reorder buffer whose drain applies cache inserts and
+// stats bumps in stream order -- so the output stream is byte-identical
+// at every width, wall-clock `seconds` aside (docs/SERVER.md).  A bounded
+// in-flight window backpressures the reader; `quit`/EOF/`stats` drain
+// every in-flight job before emitting, so no response is ever dropped.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +52,7 @@ namespace ftes::serve {
 
 struct ServerOptions {
   int threads = 1;                 ///< worker threads per job (0 = all)
-  int serve_jobs = 1;              ///< max concurrent in-flight jobs (>= 1)
+  int serve_jobs = 1;              ///< max in-flight jobs (below 1 acts as 1)
   std::uint64_t default_seed = 1;  ///< seed when the request has none
   int default_iterations = 300;    ///< tabu iterations when none given
   std::size_t cache_bytes = 8u << 20;  ///< result-cache budget (0 = off)
@@ -102,8 +102,8 @@ class JobServer {
   struct Request;
   struct Outcome;
   struct JobTrace;
-  class CacheConsult;
   struct ServeState;
+  class CacheDecision;
 
  private:
 
@@ -112,21 +112,18 @@ class JobServer {
   static bool parse_request(const std::string& line, Request& req,
                             std::string& error);
   /// One synthesis attempt; never throws (every failure is classified
-  /// into the returned Outcome).  The first attempt to compute the cache
-  /// key invokes `consult` exactly once (flagging `consulted`); a hit
+  /// into the returned Outcome).  The first non-degraded attempt to
+  /// compute the cache key consults `decision` exactly once; a hit
   /// short-circuits the attempt.
-  Outcome run_attempt(const Request& req, bool degraded, bool& consulted,
-                      CacheConsult& consult);
+  Outcome run_attempt(const Request& req, bool degraded,
+                      CacheDecision& decision);
   /// The full job: attempt/retry/degradation loop, insert-intent
-  /// recording, response formatting.  Cache *application* (the ordered
-  /// lookup/insert replay) is the caller's job -- immediate in serial
-  /// mode, at drain time in concurrent mode.
-  JobTrace handle_job(const Request& req, CacheConsult& consult);
+  /// recording, response formatting.  The insert itself is applied by
+  /// the drain, in stream order.
+  JobTrace handle_job(const Request& req, CacheDecision& decision);
   /// Saturating capped exponential backoff before attempt `attempts`+1.
   [[nodiscard]] long long backoff_delay_ms(int attempts) const;
 
-  ServerStats serve_serial(std::istream& in, std::ostream& out);
-  ServerStats serve_concurrent(std::istream& in, std::ostream& out);
   std::string stats_line(const ServerStats& stats) const;
 
   ServerOptions options_;

@@ -83,12 +83,9 @@ bool ResultCache::lookup(const std::string& key, std::string& payload) {
   return true;
 }
 
-bool ResultCache::peek(const std::string& key, std::string& payload) const {
+bool ResultCache::contains(const std::string& key) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  payload = it->second->payload;
-  return true;
+  return entries_.count(key) != 0;
 }
 
 void ResultCache::insert(const std::string& key, const std::string& payload) {

@@ -1,4 +1,4 @@
-// Structural result cache for the job server (ROADMAP item 3).
+// Structural result cache for the job server.
 //
 // A job's synthesis result is a pure function of the *structure* of the
 // problem -- (application, architecture, k) -- and of the
@@ -20,15 +20,16 @@
 // not stored at all.  Counters surface through a StageMetrics
 // ("result_cache" pseudo-stage) in the server's stats report.
 //
-// Thread safety: every operation -- lookup, peek, insert (including the
-// duplicate-key refresh), eviction and every counter read -- holds the
-// one internal mutex, so `bytes_used_` always equals the sum of the live
-// entries' charges (asserted after every mutation; audit() exposes the
-// same check to tests).  The fault-injection seams for `cache.lookup` /
-// `cache.insert` live in the *caller* (serve/job_server.cpp), not here:
-// the server replays cache mutations in request-sequence order, and an
-// injected fault must fire on the job's own thread where it can be
-// classified and retried, not during that ordered replay.
+// Thread safety: every operation -- lookup, contains, insert (including
+// the duplicate-key refresh), eviction and every counter read -- holds
+// the one internal mutex, so `bytes_used_` always equals the sum of the
+// live entries' charges (asserted after every mutation; audit() exposes
+// the same check to tests).  The fault-injection seams for
+// `cache.lookup` / `cache.insert` live in the *caller*
+// (serve/job_server.cpp), not here: the server applies inserts in
+// request-sequence order at drain time, and an injected fault must fire
+// on the job's own thread where it can be classified and retried, not
+// during that ordered drain.
 #pragma once
 
 #include <cstddef>
@@ -60,10 +61,8 @@ class ResultCache {
   /// counts a miss and leaves `payload` untouched.
   [[nodiscard]] bool lookup(const std::string& key, std::string& payload);
 
-  /// Read-only probe: copies the payload on a hit but refreshes nothing
-  /// and counts nothing.  The concurrent server uses it to *predict* the
-  /// sequence-ordered lookup it will replay later.
-  [[nodiscard]] bool peek(const std::string& key, std::string& payload) const;
+  /// True iff `key` is stored; refreshes nothing and counts nothing.
+  [[nodiscard]] bool contains(const std::string& key) const;
 
   /// Inserts (or refreshes) `key` -> `payload`, evicting LRU entries
   /// until the byte budget holds.  A payload that cannot fit even in an

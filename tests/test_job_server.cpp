@@ -68,31 +68,42 @@ TEST(JobServer, AnswersInlineFileAndMalformedRequestsInOrder) {
   in << "# comment line\n"
      << "\n"
      << "job id=good seed=3 tables=0 text=" << kInlineProblem << "\n"
+     << "job seed=3 tables=0 text=" << kInlineProblem << "\n"
      << "job id=nofile file=/nonexistent/problem.ftes\n"
      << "job id=bad text=utter garbage\n"
      << "job id=keyless wibble\n"
+     << "job tables=2 id=late\n"
      << "wibble\n"
      << "quit\n"
      << "job id=after-quit text=" << kInlineProblem << "\n";
   ServerStats stats;
   const std::vector<std::string> lines = run_server(options, in.str(), &stats);
 
-  ASSERT_EQ(lines.size(), 6u);  // 5 responses + the final stats line
+  ASSERT_EQ(lines.size(), 8u);  // 7 responses + the final stats line
   EXPECT_EQ(field(lines[0], "id"), "\"good\"");
   EXPECT_EQ(field(lines[0], "status"), "\"ok\"");
   EXPECT_NE(result_of(lines[0]).find("\"schedulable\": true"),
             std::string::npos);
-  EXPECT_EQ(field(lines[1], "id"), "\"nofile\"");
-  EXPECT_EQ(field(lines[1], "status"), "\"parse_error\"");
+  // A request without id= is answered as job<N>, N its 1-based index.
+  EXPECT_EQ(field(lines[1], "id"), "\"job2\"");
+  EXPECT_EQ(field(lines[1], "status"), "\"ok\"");
+  EXPECT_EQ(field(lines[1], "cached"), "true");
+  EXPECT_EQ(field(lines[2], "id"), "\"nofile\"");
   EXPECT_EQ(field(lines[2], "status"), "\"parse_error\"");
   EXPECT_EQ(field(lines[3], "status"), "\"parse_error\"");
+  EXPECT_EQ(field(lines[4], "id"), "\"keyless\"");
   EXPECT_EQ(field(lines[4], "status"), "\"parse_error\"");
-  EXPECT_EQ(field(lines[5], "status"), "\"stats\"");
+  // An id= after the malformed token is still echoed.
+  EXPECT_EQ(field(lines[5], "id"), "\"late\"");
+  EXPECT_NE(field(lines[5], "error").find("tables="), std::string::npos);
+  EXPECT_EQ(field(lines[6], "id"), "\"job7\"");  // the wibble line
+  EXPECT_EQ(field(lines[6], "status"), "\"parse_error\"");
+  EXPECT_EQ(field(lines[7], "status"), "\"stats\"");
 
-  EXPECT_EQ(stats.jobs, 5);  // after-quit is never read
-  EXPECT_EQ(stats.responses, 5);
-  EXPECT_EQ(stats.ok, 1);
-  EXPECT_EQ(stats.parse_error, 4);
+  EXPECT_EQ(stats.jobs, 7);  // after-quit is never read
+  EXPECT_EQ(stats.responses, 7);
+  EXPECT_EQ(stats.ok, 2);
+  EXPECT_EQ(stats.parse_error, 5);
 }
 
 TEST(JobServer, RepeatSubmissionsAreCacheHitsAndBitIdentical) {

@@ -198,11 +198,9 @@ TEST(ResultCache, ConcurrentHammeringKeepsByteAccountingExact) {
           case 2:  // oversized: must be dropped without touching state
             cache.insert(key, std::string(1000, 'x'));
             break;
-          default: {  // read-only probe alongside the mutations
-            std::string out;
-            (void)cache.peek(key, out);
+          default:  // read-only probe alongside the mutations
+            (void)cache.contains(key);
             break;
-          }
         }
         if (!cache.audit()) {
           failed.store(true);

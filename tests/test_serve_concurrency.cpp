@@ -1,8 +1,8 @@
-// Tests of the job server's concurrent execution mode (--serve-jobs N):
-// the response stream at any job width must be byte-identical to the
-// serial stream apart from the wall-clock `seconds` field -- including
-// cache hit/miss patterns, retry counts, injected-fault schedules and
-// the final stats line -- and quit/EOF must drain every in-flight job
+// Tests of the job server's job width (--serve-jobs N): the response
+// stream at any width must be byte-identical to the width-1 stream apart
+// from the wall-clock `seconds` field -- including cache hit/miss
+// patterns under eviction, retry counts, injected-fault schedules and
+// every stats line -- and quit/EOF must drain every in-flight job
 // (exactly one response per request, never a dropped line).  Also pins
 // the saturating retry-backoff arithmetic and the surfaced `backoff_ms`
 // field.
@@ -123,64 +123,80 @@ void expect_taxonomy_identity(const ServerStats& stats, int jobs) {
 
 // ------------------------------------------------------- determinism --
 
-// The tentpole guarantee: the same request stream answered at widths 1,
-// 2 and 8 produces byte-identical output (after blanking the wall-clock
-// seconds), including which jobs were cache hits, every attempt count,
-// every injected fault and the mid-stream + final stats lines.
+// The determinism guarantee: the same request stream answered at widths
+// 1, 2 and 8 produces byte-identical output (after blanking the
+// wall-clock seconds), including which jobs were cache hits, every
+// attempt count, every injected fault and the mid-stream + final stats
+// lines.  Widths 0 and -1 act as width 1.  It holds at the default cache
+// budget and at one that keeps evicting, where the LRU order decides
+// which duplicates hit.
 TEST(ServeConcurrency, OutputIsByteIdenticalAcrossJobWidths) {
   const DisarmGuard guard;
   constexpr int kJobs = 60;
   const std::string stream = mixed_stream(kJobs);
+  // 3000 bytes holds one tables=0 payload (~2.5 KB).
+  constexpr std::size_t kEvictingBudget = 3000;
 
-  std::vector<std::vector<std::string>> outputs;
-  std::vector<ServerStats> stats;
-  for (const int width : {1, 2, 8}) {
-    fi::configure({
-        fi::parse_rule("parse:throw:every=11"),
-        fi::parse_rule("pipeline.stage:bad-alloc:every=3:limit=1"),
-        fi::parse_rule("serve.job:cancel:every=17"),
-    });
-    ServerOptions options;
-    options.threads = 1;
-    options.serve_jobs = width;
-    ServerStats s;
-    outputs.push_back(normalized(run_server(options, stream, &s)));
-    stats.push_back(s);
-  }
+  for (const std::size_t budget :
+       {ServerOptions{}.cache_bytes, kEvictingBudget}) {
+    SCOPED_TRACE("cache_bytes " + std::to_string(budget));
+    std::vector<std::vector<std::string>> outputs;
+    std::vector<ServerStats> stats;
+    const std::vector<int> widths = {1, 0, -1, 2, 8};
+    for (const int width : widths) {
+      fi::configure({
+          fi::parse_rule("parse:throw:every=11"),
+          fi::parse_rule("pipeline.stage:bad-alloc:every=3:limit=1"),
+          fi::parse_rule("serve.job:cancel:every=17"),
+      });
+      ServerOptions options;
+      options.threads = 1;
+      options.serve_jobs = width;
+      options.cache_bytes = budget;
+      ServerStats s;
+      outputs.push_back(normalized(run_server(options, stream, &s)));
+      stats.push_back(s);
+    }
 
-  ASSERT_EQ(outputs[0].size(), static_cast<std::size_t>(kJobs) + 2);
-  for (std::size_t w = 1; w < outputs.size(); ++w) {
-    ASSERT_EQ(outputs[w].size(), outputs[0].size()) << "width " << w;
-    for (std::size_t i = 0; i < outputs[0].size(); ++i) {
-      EXPECT_EQ(outputs[w][i], outputs[0][i])
-          << "line " << i << " diverges from serial at width index " << w;
+    ASSERT_EQ(outputs[0].size(), static_cast<std::size_t>(kJobs) + 2);
+    for (std::size_t w = 1; w < outputs.size(); ++w) {
+      ASSERT_EQ(outputs[w].size(), outputs[0].size())
+          << "width " << widths[w];
+      for (std::size_t i = 0; i < outputs[0].size(); ++i) {
+        EXPECT_EQ(outputs[w][i], outputs[0][i])
+            << "line " << i << " at width " << widths[w]
+            << " diverges from width 1";
+      }
+    }
+    for (const ServerStats& s : stats) {
+      expect_taxonomy_identity(s, kJobs);
+      EXPECT_EQ(s.ok, stats[0].ok);
+      EXPECT_EQ(s.parse_error, stats[0].parse_error);
+      EXPECT_EQ(s.timed_out, stats[0].timed_out);
+      EXPECT_EQ(s.cancelled, stats[0].cancelled);
+      EXPECT_EQ(s.resource_exhausted, stats[0].resource_exhausted);
+      EXPECT_EQ(s.internal, stats[0].internal);
+      EXPECT_EQ(s.retries, stats[0].retries);
+      EXPECT_EQ(s.degraded, stats[0].degraded);
+      EXPECT_EQ(s.cache_hits, stats[0].cache_hits);
+      EXPECT_EQ(s.cache_misses, stats[0].cache_misses);
+      EXPECT_EQ(s.cache_evictions, stats[0].cache_evictions);
+    }
+    // The stream has real work in every class it can force.
+    EXPECT_GT(stats[0].ok, 0);
+    EXPECT_GT(stats[0].cache_hits, 0);
+    EXPECT_GT(stats[0].parse_error, 0);
+    EXPECT_GT(stats[0].timed_out, 0);
+    EXPECT_GT(stats[0].retries, 0);
+    if (budget == kEvictingBudget) {
+      EXPECT_GT(stats[0].cache_evictions, 0);
     }
   }
-  for (const ServerStats& s : stats) {
-    expect_taxonomy_identity(s, kJobs);
-    EXPECT_EQ(s.ok, stats[0].ok);
-    EXPECT_EQ(s.parse_error, stats[0].parse_error);
-    EXPECT_EQ(s.timed_out, stats[0].timed_out);
-    EXPECT_EQ(s.cancelled, stats[0].cancelled);
-    EXPECT_EQ(s.resource_exhausted, stats[0].resource_exhausted);
-    EXPECT_EQ(s.internal, stats[0].internal);
-    EXPECT_EQ(s.retries, stats[0].retries);
-    EXPECT_EQ(s.degraded, stats[0].degraded);
-    EXPECT_EQ(s.cache_hits, stats[0].cache_hits);
-    EXPECT_EQ(s.cache_misses, stats[0].cache_misses);
-    EXPECT_EQ(s.cache_evictions, stats[0].cache_evictions);
-  }
-  // The stream has real work in every class it can force.
-  EXPECT_GT(stats[0].ok, 0);
-  EXPECT_GT(stats[0].cache_hits, 0);
-  EXPECT_GT(stats[0].parse_error, 0);
-  EXPECT_GT(stats[0].timed_out, 0);
-  EXPECT_GT(stats[0].retries, 0);
 }
 
-// Same-key coalescing: at width 8, a burst of identical jobs behind one
-// fresh compute must all come back ok with bit-identical payloads and
-// count as cache hits, exactly as the serial order would have served
+// Same-key duplicates: at width 8, each job of a burst of identical jobs
+// behind one fresh compute waits for its turn instead of recomputing;
+// every one must come back ok as a cache hit, exactly as width 1 serves
 // them.
 TEST(ServeConcurrency, ConcurrentDuplicateBurstCoalescesIntoCacheHits) {
   std::ostringstream in;
@@ -241,8 +257,8 @@ TEST(ServeConcurrency, QuitMidStreamDrainsEveryInFlightJob) {
 
 // The invariant under fault pressure at both widths: a fault-injected
 // mixed soak must answer every job exactly once, with the terminal
-// classes summing to the job count, serial and concurrent alike -- and
-// the two runs must agree on every counter.
+// classes summing to the job count, at width 1 and 4 alike -- and the
+// two runs must agree on every counter.
 TEST(ServeConcurrency, FaultInjectedSoakKeepsResponsesEqualJobsAtAnyWidth) {
   const DisarmGuard guard;
   constexpr int kJobs = 120;

@@ -49,10 +49,10 @@
 //                       (docs/SERVER.md); job failures are reported
 //                       in-band, never through the exit status
 //   --serve-jobs <n>    --serve: max concurrently in-flight jobs
-//                       (default 1: serial; 0 = one per hardware thread).
-//                       The response stream is byte-identical to
-//                       --serve-jobs 1 apart from the wall-clock
-//                       `seconds` field (docs/SERVER.md)
+//                       (default 1: jobs run on the reader thread; 0 = one
+//                       per hardware thread).  The response stream is
+//                       byte-identical to --serve-jobs 1 apart from the
+//                       wall-clock `seconds` field (docs/SERVER.md)
 //   --cache-bytes <n>   --serve: result-cache byte budget (default 8 MiB;
 //                       0 disables the cache)
 //   --max-retries <n>   --serve: extra attempts for transient job failures

@@ -15,11 +15,15 @@ armed on a fixed schedule, then asserts the robustness contract:
   * duplicate submissions that completed are answered byte-identically.
 
 With --serve-jobs N (N > 1) the same stream additionally runs through a
-concurrent server, and its output must be byte-identical to the serial
-run modulo the wall-clock `seconds` field -- the --serve-jobs ordering
-and determinism guarantee (docs/SERVER.md).
+server of width N, and its output must be byte-identical to the width-1
+run modulo the wall-clock `seconds` field, stats line included -- the
+--serve-jobs ordering and determinism guarantee (docs/SERVER.md).
+--cache-bytes N sets both runs' result-cache budget; 3000 bytes holds one
+payload, so the stream evicts throughout and the LRU order decides which
+duplicates hit.
 
 Usage: tools/serve_soak.py <path-to-ftes_cli> [--jobs N] [--serve-jobs N]
+                           [--cache-bytes N]
 """
 
 import argparse
@@ -83,10 +87,12 @@ def normalize_seconds(text):
     return re.sub(r'"seconds": [0-9.eE+-]+', '"seconds": _', text)
 
 
-def run_server(cli, stream, serve_jobs):
+def run_server(cli, stream, serve_jobs, cache_bytes):
     cmd = [cli, "--serve", "--max-retries", "2"]
     if serve_jobs > 1:
         cmd += ["--serve-jobs", str(serve_jobs)]
+    if cache_bytes is not None:
+        cmd += ["--cache-bytes", str(cache_bytes)]
     for spec in INJECT:
         cmd += ["--inject", spec]
     proc = subprocess.run(
@@ -164,28 +170,34 @@ def main():
     ap.add_argument("--jobs", type=int, default=200)
     ap.add_argument(
         "--serve-jobs", type=int, default=0,
-        help="additionally run the stream through a concurrent server of "
-             "this width and byte-diff its output against the serial run",
+        help="additionally run the stream through a server of this width "
+             "and byte-diff its output against the width-1 run",
+    )
+    ap.add_argument(
+        "--cache-bytes", type=int, default=None,
+        help="result-cache budget of both runs (default: the server's)",
     )
     args = ap.parse_args()
 
     stream = make_stream(args.jobs)
-    serial_out = run_server(args.cli, stream, serve_jobs=1)
-    lines = serial_out.splitlines()
+    width1_out = run_server(args.cli, stream, 1, args.cache_bytes)
+    lines = width1_out.splitlines()
     assert len(lines) == args.jobs + 1, (
         f"expected {args.jobs} responses + 1 stats line, got {len(lines)}"
     )
-    seen, stats = check_contract(lines, args.jobs, "serial")
+    seen, stats = check_contract(lines, args.jobs, "width 1")
 
     diffed = ""
     if args.serve_jobs > 1:
-        concurrent_out = run_server(args.cli, stream, args.serve_jobs)
+        wide_out = run_server(
+            args.cli, stream, args.serve_jobs, args.cache_bytes
+        )
         check_contract(
-            concurrent_out.splitlines(), args.jobs,
+            wide_out.splitlines(), args.jobs,
             f"serve-jobs={args.serve_jobs}",
         )
-        want = normalize_seconds(serial_out)
-        got = normalize_seconds(concurrent_out)
+        want = normalize_seconds(width1_out)
+        got = normalize_seconds(wide_out)
         if want != got:
             for n, (a, b) in enumerate(
                 zip(want.splitlines(), got.splitlines())
@@ -193,13 +205,13 @@ def main():
                 if a != b:
                     sys.stderr.write(
                         f"first divergence at line {n}:\n"
-                        f"  serial:     {a}\n"
-                        f"  concurrent: {b}\n"
+                        f"  width 1: {a}\n"
+                        f"  width {args.serve_jobs}: {b}\n"
                     )
                     break
             raise AssertionError(
                 f"--serve-jobs {args.serve_jobs} output is not "
-                f"byte-identical to the serial run (modulo seconds)"
+                f"byte-identical to the width-1 run (modulo seconds)"
             )
         diffed = (
             f"; serve-jobs={args.serve_jobs} byte-identical modulo seconds"
