@@ -41,7 +41,6 @@ BatchTaskResult run_one(const BatchTask& task, const BatchOptions& options,
     r.stages = pipeline.metrics();
     if (options.fuzz_trials > 0 && result.schedule &&
         !result.schedule->traces.empty()) {
-      const Stopwatch fuzz_watch;
       const ScheduleFuzzer fuzzer(problem.app, problem.arch,
                                   result.assignment, problem.model,
                                   *result.schedule);
@@ -49,15 +48,7 @@ BatchTaskResult run_one(const BatchTask& task, const BatchOptions& options,
       fuzz.trials = options.fuzz_trials;
       fuzz.seed = options.fuzz_seed;
       fuzz.threads = 1;  // the batch already fans out across tasks
-      const FuzzReport fr = fuzzer.fuzz(fuzz);
-      StageMetrics fm;
-      fm.stage = "fuzz";
-      fm.fuzz_trials = fr.trials;
-      fm.fuzz_failing_trials = fr.failing_trials;
-      fm.fuzz_violations = fr.violations;
-      fm.fuzz_worst_completion = fr.worst_completion;
-      fm.seconds = fuzz_watch.seconds();
-      r.stages.push_back(std::move(fm));
+      r.stages.push_back(fuzz_stage_metrics(fuzzer.fuzz(fuzz)));
     }
   } catch (const std::exception& e) {
     r.ok = false;
@@ -74,6 +65,17 @@ BatchTaskResult run_one(const BatchTask& task, const BatchOptions& options,
 }
 
 }  // namespace
+
+StageMetrics fuzz_stage_metrics(const FuzzReport& report) {
+  StageMetrics m;
+  m.stage = "fuzz";
+  m.fuzz_trials = report.trials;
+  m.fuzz_failing_trials = report.failing_trials;
+  m.fuzz_violations = report.violations;
+  m.fuzz_worst_completion = report.worst_completion;
+  m.seconds = report.seconds;
+  return m;
+}
 
 std::uint64_t derive_task_seed(std::uint64_t base_seed, std::size_t index) {
   return derive_stream_seed(base_seed,

@@ -31,6 +31,7 @@ struct BatchTask {
 };
 
 class ThreadPool;
+struct FuzzReport;
 
 struct BatchOptions {
   /// Concurrent tasks (1 = serial; 0 = all hardware threads).
@@ -95,6 +96,11 @@ struct BatchReport {
 /// indices).  A missing/unreadable directory throws std::runtime_error;
 /// unparsable files surface later as failed tasks in the report.
 [[nodiscard]] std::vector<BatchTask> load_batch_dir(const std::string& dir);
+
+/// The "fuzz" pseudo-stage a fuzz sweep appends to a stage list (batch
+/// tasks and the single-problem CLI): its trial and violation counters and
+/// wall-clock.
+[[nodiscard]] StageMetrics fuzz_stage_metrics(const FuzzReport& report);
 
 /// Human-readable table of a batch report (one line per task + summary).
 [[nodiscard]] std::string format_batch_report(const BatchReport& report);

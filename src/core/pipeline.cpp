@@ -11,35 +11,18 @@
 
 namespace ftes {
 
-namespace {
-
-void fill_eval_metrics(StageMetrics& metrics, const EvalStats& spent) {
-  metrics.evaluations = spent.evaluations;
-  metrics.sched_events_total = spent.ls_events_total;
-  metrics.sched_events_resumed = spent.ls_events_resumed;
-}
-
-void fill_search_metrics(StageMetrics& metrics, const SearchStats& stats) {
-  metrics.search_iterations = stats.iterations;
-  metrics.search_accepted = stats.accepted_moves;
-  metrics.search_tabu_rejected = stats.tabu_rejected;
-  metrics.search_aspiration = stats.aspiration_accepted;
-}
-
-}  // namespace
-
 std::string StageMetrics::to_json() const {
   std::ostringstream out;
   out << "{\"stage\": ";
   json_escape(out, stage);
   out << ", \"skipped\": " << (skipped ? "true" : "false")
-      << ", \"evaluations\": " << evaluations
-      << ", \"sched_events_total\": " << sched_events_total
-      << ", \"sched_events_resumed\": " << sched_events_resumed
-      << ", \"search_iterations\": " << search_iterations
-      << ", \"search_accepted\": " << search_accepted
-      << ", \"search_tabu_rejected\": " << search_tabu_rejected
-      << ", \"search_aspiration\": " << search_aspiration
+      << ", \"evaluations\": " << eval.evaluations
+      << ", \"sched_events_total\": " << eval.ls_events_total
+      << ", \"sched_events_resumed\": " << eval.ls_events_resumed
+      << ", \"search_iterations\": " << search.iterations
+      << ", \"search_accepted\": " << search.accepted_moves
+      << ", \"search_tabu_rejected\": " << search.tabu_rejected
+      << ", \"search_aspiration\": " << search.aspiration_accepted
       << ", \"timed_out\": " << (timed_out ? "true" : "false")
       << ", \"cancel_latency_seconds\": ";
   json_seconds(out, cancel_latency_seconds);
@@ -94,9 +77,8 @@ void PolicyAssignmentStage::run(SynthesisContext& ctx, SynthesisState& state,
   state.assignment = std::move(r.assignment);
   state.wcsl_bound = r.wcsl;
   state.schedulable = r.schedulable;
-  state.evaluations += r.evaluations;
-  fill_eval_metrics(metrics, r.eval_stats);
-  fill_search_metrics(metrics, r.search_stats);
+  metrics.eval = r.eval_stats;
+  metrics.search = r.search_stats;
 }
 
 void CheckpointRefineStage::run(SynthesisContext& ctx, SynthesisState& state,
@@ -116,9 +98,8 @@ void CheckpointRefineStage::run(SynthesisContext& ctx, SynthesisState& state,
       ctx.app(), ctx.arch(), ctx.model(), std::move(state.assignment), opt);
   state.assignment = std::move(r.assignment);
   state.wcsl_bound = r.wcsl;
-  state.evaluations += r.evaluations;
-  fill_eval_metrics(metrics, r.eval_stats);
-  fill_search_metrics(metrics, r.search_stats);
+  metrics.eval = r.eval_stats;
+  metrics.search = r.search_stats;
 }
 
 void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
@@ -127,7 +108,7 @@ void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
   const EvalStats before = ctx.eval().stats();
   state.wcsl = ctx.eval().evaluate_full(state.assignment);
   state.schedulable = state.wcsl.meets_deadlines(ctx.app());
-  fill_eval_metrics(metrics, ctx.eval().stats().since(before));
+  metrics.eval = ctx.eval().stats().since(before);
   if (!options.build_schedule_tables) return;
 
   CancellationToken& cancel = ctx.cancel_token();
@@ -207,7 +188,9 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
   }
   result.schedule = std::move(state.schedule);
   result.schedulable = state.schedulable;
-  result.evaluations = state.evaluations;
+  for (const StageMetrics& metrics : metrics_) {
+    result.evaluations += metrics.search.evaluations;
+  }
   result.cancelled = cancel.cancelled();
   result.timed_out = cancel.deadline_expired();
   return result;

@@ -33,6 +33,7 @@
 
 #include "core/synthesis.h"
 #include "opt/eval_context.h"
+#include "opt/search_engine.h"
 #include "util/cancellation.h"
 
 namespace ftes {
@@ -42,18 +43,13 @@ class ThreadPool;
 /// Structured report of one stage run.
 struct StageMetrics {
   std::string stage;
-  bool skipped = false;       ///< disabled by options or cancelled
-  long long evaluations = 0;  ///< objective evaluations spent in the stage
-  /// List-scheduler incrementality: placement events candidate schedules
-  /// needed, and how many were restored from the base schedule.
-  long long sched_events_total = 0;
-  long long sched_events_resumed = 0;
+  bool skipped = false;  ///< disabled by options or cancelled
+  /// Evaluator counters spent in the stage: every EvalContext call it
+  /// made (opt/eval_stats.h).
+  EvalStats eval;
   /// Neighborhood-search engine counters (opt/search_engine.h) of the
   /// optimizer driving the stage; all zero for non-search stages.
-  long long search_iterations = 0;
-  long long search_accepted = 0;
-  long long search_tabu_rejected = 0;
-  long long search_aspiration = 0;
+  SearchStats search;
   double seconds = 0.0;  ///< wall-clock of the stage
   /// Deadline watchdog: the stage was cut short by a wall-clock budget;
   /// cancel latency is how long it kept working past the cancellation
@@ -99,7 +95,6 @@ struct SynthesisState {
   WcslResult wcsl;              ///< full analytic result (analysis stage)
   std::optional<CondScheduleResult> schedule;  ///< S, if built
   bool schedulable = false;
-  int evaluations = 0;          ///< objective evaluations, legacy counting
 };
 
 /// Shared per-run context: problem, options, pool, seed, progress and
@@ -155,8 +150,9 @@ class SynthesisContext {
 };
 
 /// One synthesis stage.  Implementations read/write the SynthesisState and
-/// fill the evaluation counters of their StageMetrics (the pipeline fills
-/// name, wall-clock and skip state).
+/// fill the evaluation and search counters of their StageMetrics (the
+/// pipeline fills name, wall-clock and skip state, and sums the stages'
+/// search evaluations into SynthesisResult::evaluations).
 class Stage {
  public:
   virtual ~Stage() = default;

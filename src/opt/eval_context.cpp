@@ -58,7 +58,7 @@ Time EvalContext::rebase(const PolicyAssignment& base, ProcessId) {
   base_has_log_ = true;
   base_ = base;
   ++version_;
-  rebases_.fetch_add(1, std::memory_order_relaxed);
+  count<&EvalStats::rebases>();
   return base_log_.schedule.makespan;
 }
 
@@ -73,14 +73,13 @@ EvalContext::Outcome EvalContext::evaluate_base() {
 }
 
 void EvalContext::record_resume_stats(const ListScheduleResumeStats& stats) {
-  (stats.resumed ? ls_resumes_ : ls_full_builds_)
-      .fetch_add(1, std::memory_order_relaxed);
-  ls_events_total_.fetch_add(static_cast<long long>(stats.events_total),
-                             std::memory_order_relaxed);
-  ls_events_resumed_.fetch_add(static_cast<long long>(stats.events_resumed),
-                               std::memory_order_relaxed);
-  heap_pops_.fetch_add(static_cast<long long>(stats.heap_pops),
-                       std::memory_order_relaxed);
+  stats.resumed ? count<&EvalStats::ls_resumes>()
+                : count<&EvalStats::ls_full_builds>();
+  count<&EvalStats::ls_events_total>(
+      static_cast<long long>(stats.events_total));
+  count<&EvalStats::ls_events_resumed>(
+      static_cast<long long>(stats.events_resumed));
+  count<&EvalStats::heap_pops>(static_cast<long long>(stats.heap_pops));
 }
 
 EvalContext::Outcome EvalContext::analyze(Workspace& ws,
@@ -116,8 +115,8 @@ EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
   if (!base_has_log_) {
     throw std::logic_error("EvalContext::evaluate_move without rebase()");
   }
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  incremental_evals_.fetch_add(1, std::memory_order_relaxed);
+  count<&EvalStats::evaluations>();
+  count<&EvalStats::incremental_evals>();
   return with_move(pid, plan, [&](Workspace& ws) {
     ListScheduleResumeStats rstats;
     ws.sched = list_schedule_resume(app_, arch_, base_, base_log_,
@@ -131,8 +130,8 @@ Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {
   if (!base_has_log_) {
     throw std::logic_error("EvalContext::fault_free_makespan without rebase");
   }
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  fault_free_evals_.fetch_add(1, std::memory_order_relaxed);
+  count<&EvalStats::evaluations>();
+  count<&EvalStats::fault_free_evals>();
   return with_move(pid, plan, [&](Workspace& ws) {
     ListScheduleResumeStats rstats;
     const Time makespan =
@@ -145,23 +144,16 @@ Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {
 }
 
 WcslResult EvalContext::evaluate_full(const PolicyAssignment& assignment) {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  full_evals_.fetch_add(1, std::memory_order_relaxed);
+  count<&EvalStats::evaluations>();
+  count<&EvalStats::full_evals>();
   return evaluate_wcsl(app_, arch_, assignment, model_);
 }
 
 EvalStats EvalContext::stats() const {
   EvalStats s;
-  s.evaluations = evaluations_.load(std::memory_order_relaxed);
-  s.full_evals = full_evals_.load(std::memory_order_relaxed);
-  s.incremental_evals = incremental_evals_.load(std::memory_order_relaxed);
-  s.fault_free_evals = fault_free_evals_.load(std::memory_order_relaxed);
-  s.rebases = rebases_.load(std::memory_order_relaxed);
-  s.ls_full_builds = ls_full_builds_.load(std::memory_order_relaxed);
-  s.ls_resumes = ls_resumes_.load(std::memory_order_relaxed);
-  s.ls_events_total = ls_events_total_.load(std::memory_order_relaxed);
-  s.ls_events_resumed = ls_events_resumed_.load(std::memory_order_relaxed);
-  s.heap_pops = heap_pops_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kEvalCounters.size(); ++i) {
+    s.*kEvalCounters[i] = counters_[i].load(std::memory_order_relaxed);
+  }
   return s;
 }
 

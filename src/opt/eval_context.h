@@ -35,6 +35,7 @@
 // evaluate_base must not race with in-flight evaluations.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -117,6 +118,13 @@ class EvalContext {
                                 const PolicyAssignment& assignment,
                                 const ListSchedule& sched) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
+  /// Relaxed add to the live counter `Counter` (a kEvalCounters entry).
+  template <long long EvalStats::*Counter>
+  void count(long long n = 1) {
+    constexpr std::size_t slot = eval_counter_slot(Counter);
+    static_assert(slot < kEvalCounters.size(), "not a live EvalStats counter");
+    counters_[slot].fetch_add(n, std::memory_order_relaxed);
+  }
 
   const Application& app_;
   const Architecture& arch_;
@@ -132,16 +140,8 @@ class EvalContext {
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;
 
-  std::atomic<long long> evaluations_{0};
-  std::atomic<long long> full_evals_{0};
-  std::atomic<long long> incremental_evals_{0};
-  std::atomic<long long> fault_free_evals_{0};
-  std::atomic<long long> rebases_{0};
-  std::atomic<long long> ls_full_builds_{0};
-  std::atomic<long long> ls_resumes_{0};
-  std::atomic<long long> ls_events_total_{0};
-  std::atomic<long long> ls_events_resumed_{0};
-  std::atomic<long long> heap_pops_{0};
+  /// The live counters, in kEvalCounters order.
+  std::array<std::atomic<long long>, kEvalCounters.size()> counters_{};
 };
 
 }  // namespace ftes

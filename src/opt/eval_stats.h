@@ -6,7 +6,14 @@
 // counters break down how they were served.  The list-schedule checkpoint
 // log is the cache layer: a resumed event is a copy/transmission placement
 // restored from the base schedule instead of replayed.
+//
+// A live counter is declared once: its field below and its entry in
+// kEvalCounters.  add(), since() and EvalContext's counter array all walk
+// that list, so a new counter needs no other edit than its increment site.
 #pragma once
+
+#include <array>
+#include <cstddef>
 
 namespace ftes {
 
@@ -16,14 +23,6 @@ struct EvalStats {
   long long incremental_evals = 0;  ///< move evals against the cached base
   long long fault_free_evals = 0;   ///< list-schedule-only makespan evals
   long long rebases = 0;            ///< base recomputations
-  /// Always 0: every candidate runs the full DP (EvalContext keeps no DP
-  /// rows).  Kept for readers of the historical row-reuse counters.
-  long long dp_vertices_total = 0;
-  long long dp_vertices_reused = 0;
-  /// Always 0: no scheduler state is snapshotted (a checkpoint log is the
-  /// base schedule itself).  Kept for readers of the historical
-  /// copy-on-write snapshot counter.
-  long long snapshot_bytes_copied = 0;
 
   // List-scheduler incrementality (move evaluations only; every rebase
   // builds its schedule from scratch).
@@ -34,9 +33,15 @@ struct EvalStats {
   /// Queue pops in move schedules: picks from the ready and tx queues
   /// plus future->avail promotions (list_scheduler.h, ReadyEntry).
   long long heap_pops = 0;
-  /// Always 0: a rebase only records the base's checkpoint log, and no
-  /// candidate outcome is cached.  Kept for readers of the historical
-  /// winning-move cache counter.
+
+  /// Always 0 and never counted: the layers they measured (DP-row reuse,
+  /// scheduler snapshots, the winning-move cache) were deleted.  They stay
+  /// only because perfbench/src/driver.cpp reads them for its
+  /// opt.dp_row_reuse, opt.snapshot_bytes_copied and opt.rebase_cache_hit
+  /// rows; ROADMAP item 4 removes them together with those rows.
+  long long dp_vertices_total = 0;
+  long long dp_vertices_reused = 0;
+  long long snapshot_bytes_copied = 0;
   long long rebase_cache_hits = 0;
 
   /// Fraction of list-schedule placement events restored from the base.
@@ -47,35 +52,59 @@ struct EvalStats {
                : 0.0;
   }
 
-  void add(const EvalStats& other) {
-    evaluations += other.evaluations;
-    full_evals += other.full_evals;
-    incremental_evals += other.incremental_evals;
-    fault_free_evals += other.fault_free_evals;
-    rebases += other.rebases;
-    ls_full_builds += other.ls_full_builds;
-    ls_resumes += other.ls_resumes;
-    ls_events_total += other.ls_events_total;
-    ls_events_resumed += other.ls_events_resumed;
-    heap_pops += other.heap_pops;
-  }
+  void add(const EvalStats& other);
 
   /// Counter deltas since `earlier` (used to attribute a shared context's
   /// work to one optimizer run / pipeline stage).
-  [[nodiscard]] EvalStats since(const EvalStats& earlier) const {
-    EvalStats d = *this;
-    d.evaluations -= earlier.evaluations;
-    d.full_evals -= earlier.full_evals;
-    d.incremental_evals -= earlier.incremental_evals;
-    d.fault_free_evals -= earlier.fault_free_evals;
-    d.rebases -= earlier.rebases;
-    d.ls_full_builds -= earlier.ls_full_builds;
-    d.ls_resumes -= earlier.ls_resumes;
-    d.ls_events_total -= earlier.ls_events_total;
-    d.ls_events_resumed -= earlier.ls_events_resumed;
-    d.heap_pops -= earlier.heap_pops;
-    return d;
-  }
+  [[nodiscard]] EvalStats since(const EvalStats& earlier) const;
 };
+
+/// The live counters, each once, in the order of EvalContext's counters.
+inline constexpr std::array kEvalCounters{
+    &EvalStats::evaluations,       &EvalStats::full_evals,
+    &EvalStats::incremental_evals, &EvalStats::fault_free_evals,
+    &EvalStats::rebases,           &EvalStats::ls_full_builds,
+    &EvalStats::ls_resumes,        &EvalStats::ls_events_total,
+    &EvalStats::ls_events_resumed, &EvalStats::heap_pops};
+
+/// The always-zero fields kept for perfbench (see above).
+inline constexpr std::array kPerfbenchOnlyEvalFields{
+    &EvalStats::dp_vertices_total, &EvalStats::dp_vertices_reused,
+    &EvalStats::snapshot_bytes_copied, &EvalStats::rebase_cache_hits};
+
+/// Position of `counter` in kEvalCounters; kEvalCounters.size() if absent.
+constexpr std::size_t eval_counter_slot(long long EvalStats::*counter) {
+  std::size_t slot = 0;
+  while (slot < kEvalCounters.size() && kEvalCounters[slot] != counter) ++slot;
+  return slot;
+}
+
+constexpr bool every_eval_field_listed_once() {
+  std::array<long long EvalStats::*,
+             kEvalCounters.size() + kPerfbenchOnlyEvalFields.size()>
+      listed{};
+  std::size_t n = 0;
+  for (auto field : kEvalCounters) listed[n++] = field;
+  for (auto field : kPerfbenchOnlyEvalFields) listed[n++] = field;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (listed[i] == listed[j]) return false;
+    }
+  }
+  return sizeof(EvalStats) == n * sizeof(long long);
+}
+static_assert(every_eval_field_listed_once(),
+              "each EvalStats field must be in kEvalCounters exactly once, "
+              "or be one of the perfbench-only fields");
+
+inline void EvalStats::add(const EvalStats& other) {
+  for (auto counter : kEvalCounters) this->*counter += other.*counter;
+}
+
+inline EvalStats EvalStats::since(const EvalStats& earlier) const {
+  EvalStats d = *this;
+  for (auto counter : kEvalCounters) d.*counter -= earlier.*counter;
+  return d;
+}
 
 }  // namespace ftes

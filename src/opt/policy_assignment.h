@@ -74,8 +74,9 @@ struct OptimizeResult {
   Time wcsl = 0;
   bool schedulable = false;
   int evaluations = 0;
-  /// Evaluator counters spent by this run (cache reuse, full vs
-  /// incremental evaluations); see opt/eval_stats.h.
+  /// Evaluator counters spent by this run (full vs incremental
+  /// evaluations, placements resumed from the base schedule); see
+  /// opt/eval_stats.h.
   EvalStats eval_stats;
   /// Engine counters of the tabu search (opt/search_engine.h).
   SearchStats search_stats;

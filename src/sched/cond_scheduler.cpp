@@ -114,12 +114,10 @@ class CondSim {
         result.frozen_starts[copies_[ci].name] = copy_pins_[ci];
       }
     }
-    for (const Message& m : app_.messages()) {
-      if (opts_.respect_transparency && m.frozen) {
-        // Report pinned frozen message starts alongside process pins.
-        result.frozen_starts[m.name] =
-            msg_pins_[static_cast<std::size_t>(&m - app_.messages().data())];
-      }
+    // Report pinned frozen message starts alongside process pins.
+    for (MessageId mid : frozen_msgs_) {
+      result.frozen_starts[app_.message(mid).name] =
+          msg_pins_[static_cast<std::size_t>(mid.get())];
     }
     build_tables(result);
     result.tables.wcsl = result.wcsl;
@@ -133,12 +131,7 @@ class CondSim {
     // Flat (process, copy) -> global copy index via per-process prefix
     // offsets: the simulate() inner loops and the fixpoint pin updates hit
     // this lookup constantly, so no std::map on that path.
-    first_copy_.assign(static_cast<std::size_t>(app_.process_count()) + 1, 0);
-    for (int i = 0; i < app_.process_count(); ++i) {
-      first_copy_[static_cast<std::size_t>(i) + 1] =
-          first_copy_[static_cast<std::size_t>(i)] +
-          pa_.plan(ProcessId{i}).copy_count();
-    }
+    first_copy_ = copy_offsets(app_, pa_);
     for (int i = 0; i < app_.process_count(); ++i) {
       const ProcessId pid{i};
       const Process& proc = app_.process(pid);
@@ -155,15 +148,16 @@ class CondSim {
         info.recoveries = cp.recoveries;
         info.release = proc.release;
         info.frozen = opts_.respect_transparency && proc.frozen;
-        info.name = plan.copy_count() > 1
-                        ? proc.name + "(" + std::to_string(j + 1) + ")"
-                        : proc.name;
+        info.name = copy_row_name(proc.name, plan, j);
         assert(copy_at(pid.get(), j) == static_cast<int>(copies_.size()));
         copies_.push_back(info);
       }
     }
     copy_pins_.assign(copies_.size(), 0);
     msg_pins_.assign(static_cast<std::size_t>(app_.message_count()), 0);
+    for (int mi = 0; mi < app_.message_count(); ++mi) {
+      if (is_frozen_msg(MessageId{mi})) frozen_msgs_.push_back(MessageId{mi});
+    }
 
     // Priorities: the list scheduler's partial critical path ranks (same
     // copy indexing).
@@ -288,9 +282,10 @@ class CondSim {
     };
     std::vector<PendingTx> pending;
     int tx_seq = 0;
-    // Frozen messages: emitted once all producer copies committed.
-    std::vector<bool> frozen_emitted(
-        static_cast<std::size_t>(app_.message_count()), false);
+    // Frozen messages (by frozen_msgs_ slot): emitted once all producer
+    // copies committed.
+    std::vector<bool> frozen_emitted(frozen_msgs_.size(), false);
+    std::size_t frozen_unemitted = frozen_msgs_.size();
 
     std::vector<Time> node_free(static_cast<std::size_t>(arch_.node_count()),
                                 0);
@@ -380,14 +375,12 @@ class CondSim {
 
     // ---- main event loop -------------------------------------------------
     while (committed < copies_.size() || !pending.empty() ||
-           has_unemitted_frozen(frozen_emitted, runs)) {
-      // Emit frozen messages whose producers are all committed.
-      for (int mi = 0; mi < app_.message_count(); ++mi) {
-        const MessageId mid{mi};
-        if (!is_frozen_msg(mid) ||
-            frozen_emitted[static_cast<std::size_t>(mi)]) {
-          continue;
-        }
+           frozen_unemitted > 0) {
+      // Emit frozen messages whose producers are all committed, in id
+      // order.
+      for (std::size_t f = 0; f < frozen_msgs_.size(); ++f) {
+        if (frozen_emitted[f]) continue;
+        const MessageId mid = frozen_msgs_[f];
         const Message& m = app_.message(mid);
         const ProcessPlan& sp = pa_.plan(m.src);
         bool all_committed = true;
@@ -413,11 +406,12 @@ class CondSim {
         tx.tx.sender =
             copies_[static_cast<std::size_t>(copy_at(m.src.get(), 0))]
                 .node;
-        tx.tx.ready =
-            std::max(earliest, msg_pins_[static_cast<std::size_t>(mi)]);
+        tx.tx.ready = std::max(
+            earliest, msg_pins_[static_cast<std::size_t>(mid.get())]);
         tx.seq = ++tx_seq;
         pending.push_back(tx);
-        frozen_emitted[static_cast<std::size_t>(mi)] = true;
+        frozen_emitted[f] = true;
+        --frozen_unemitted;
       }
 
       // Earliest startable copy.
@@ -517,17 +511,6 @@ class CondSim {
     return trace;
   }
 
-  [[nodiscard]] bool has_unemitted_frozen(
-      const std::vector<bool>& emitted,
-      const std::vector<CopyRun>& runs) const {
-    for (int mi = 0; mi < app_.message_count(); ++mi) {
-      if (!is_frozen_msg(MessageId{mi})) continue;
-      if (!emitted[static_cast<std::size_t>(mi)]) return true;
-    }
-    (void)runs;
-    return false;
-  }
-
   /// Registers, in deterministic copy / fault-index order, every condition
   /// id the given scenario reveals (the same sequence a lazy registration
   /// inside simulate() would produce).
@@ -596,12 +579,9 @@ class CondSim {
                                       tx.start, guard_at(tx.ready)});
       } else {
         const Message& m = app_.message(tx.msg);
-        std::string label = m.name;
-        if (tx.src_copy >= 0 && pa_.plan(m.src).copy_count() > 1) {
-          label += "(" + std::to_string(tx.src_copy + 1) + ")";
-        }
-        records.push_back(
-            TableRecord{-1, m.name, label, tx.start, guard_at(tx.ready)});
+        records.push_back(TableRecord{
+            -1, m.name, copy_row_name(m.name, pa_.plan(m.src), tx.src_copy),
+            tx.start, guard_at(tx.ready)});
       }
     }
     return records;
@@ -695,6 +675,7 @@ class CondSim {
   std::vector<int> first_copy_;
   std::vector<Time> copy_pins_;
   std::vector<Time> msg_pins_;
+  std::vector<MessageId> frozen_msgs_;  ///< is_frozen_msg ids, ascending
   CondRegistry registry_;
   std::vector<CopyRef> cond_copy_;
   std::vector<int> cond_index_;

@@ -5,6 +5,24 @@
 
 namespace ftes {
 
+std::string copy_row_name(const std::string& name, const ProcessPlan& plan,
+                          int copy) {
+  if (copy < 0 || plan.copy_count() <= 1) return name;
+  return name + "(" + std::to_string(copy + 1) + ")";
+}
+
+std::vector<int> copy_offsets(const Application& app,
+                              const PolicyAssignment& pa) {
+  std::vector<int> offsets(static_cast<std::size_t>(app.process_count()) + 1,
+                           0);
+  for (int i = 0; i < app.process_count(); ++i) {
+    offsets[static_cast<std::size_t>(i) + 1] =
+        offsets[static_cast<std::size_t>(i)] +
+        pa.plan(ProcessId{i}).copy_count();
+  }
+  return offsets;
+}
+
 int CondRegistry::id(CopyRef copy, int fault_index, const std::string& name) {
   const auto key = std::make_pair(
       std::make_pair(copy.process.get(), copy.copy), fault_index);

@@ -13,6 +13,7 @@
 
 #include "app/application.h"
 #include "arch/architecture.h"
+#include "fault/policy.h"
 #include "fault/scenario.h"
 #include "ftcpg/ftcpg.h"  // reuses Guard/Literal
 #include "util/time_types.h"
@@ -61,6 +62,20 @@ struct TableEntry {
 // lint: cold-path -- final exported table rows, built once per schedule;
 // the ordered keys are what makes table printing/diffing deterministic
 using TableRows = std::map<std::string, std::vector<TableEntry>>;
+
+/// Row name of copy `copy` of the process or message `name`, whose
+/// producing process runs under `plan`: `name`, or `name(copy+1)` when the
+/// plan has several copies.  A negative `copy` (a frozen message's sync
+/// transmission, sent for no particular copy) gives `name`.  The table
+/// producer (sched/cond_scheduler.cpp) and its checkers (sim/executor.cpp,
+/// sim/fuzzer.cpp) must agree on every name, so all of them use this.
+[[nodiscard]] std::string copy_row_name(const std::string& name,
+                                        const ProcessPlan& plan, int copy);
+
+/// The flat copy numbering of the table producer and its checkers: copy j
+/// of process i is number offsets[i] + j; offsets.back() counts the copies.
+[[nodiscard]] std::vector<int> copy_offsets(const Application& app,
+                                            const PolicyAssignment& pa);
 
 struct ScheduleTables {
   std::vector<TableRows> node_rows;  ///< indexed by NodeId

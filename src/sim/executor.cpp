@@ -42,12 +42,8 @@ bool entry_matches(const TableRows& rows, const std::string& row, Time start,
 
 std::string copy_display_name(const Application& app,
                               const PolicyAssignment& pa, CopyRef ref) {
-  const ProcessPlan& plan = pa.plan(ref.process);
-  const std::string base = app.process(ref.process).name;
-  if (plan.copy_count() > 1) {
-    return base + "(" + std::to_string(ref.copy + 1) + ")";
-  }
-  return base;
+  return copy_row_name(app.process(ref.process).name, pa.plan(ref.process),
+                       ref.copy);
 }
 
 }  // namespace

@@ -104,12 +104,7 @@ ScheduleFuzzer::ScheduleFuzzer(const Application& app,
         "fuzzer needs a schedule with per-scenario traces");
   }
 
-  first_copy_.assign(static_cast<std::size_t>(app_.process_count()) + 1, 0);
-  for (int i = 0; i < app_.process_count(); ++i) {
-    first_copy_[static_cast<std::size_t>(i) + 1] =
-        first_copy_[static_cast<std::size_t>(i)] +
-        pa_.plan(ProcessId{i}).copy_count();
-  }
+  first_copy_ = copy_offsets(app_, pa_);
   for (int i = 0; i < app_.process_count(); ++i) {
     const ProcessId pid{i};
     const Process& proc = app_.process(pid);
@@ -124,9 +119,7 @@ ScheduleFuzzer::ScheduleFuzzer(const Application& app,
       info.checkpoints = cp.checkpoints;
       info.recoveries = cp.recoveries;
       info.release = proc.release;
-      info.name = plan.copy_count() > 1
-                      ? proc.name + "(" + std::to_string(j + 1) + ")"
-                      : proc.name;
+      info.name = copy_row_name(proc.name, plan, j);
       const auto pin = schedule_.frozen_starts.find(info.name);
       if (pin != schedule_.frozen_starts.end()) {
         info.frozen = true;
@@ -333,10 +326,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     } else {
       const Message& m = app_.message(tx.msg);
       row = m.name;
-      label = m.name;
-      if (tx.src_copy >= 0 && pa_.plan(m.src).copy_count() > 1) {
-        label += "(" + std::to_string(tx.src_copy + 1) + ")";
-      }
+      label = copy_row_name(m.name, pa_.plan(m.src), tx.src_copy);
       size = m.size;
     }
     const std::string what =
@@ -772,30 +762,13 @@ FuzzPerturbation ScheduleFuzzer::shrink(const FuzzPerturbation& failing,
 
 namespace {
 
-struct CopyNaming {
-  std::vector<int> first_copy;  ///< per-process prefix offsets
-  int total = 0;
-};
-
-CopyNaming copy_naming(const Application& app, const PolicyAssignment& pa) {
-  CopyNaming n;
-  n.first_copy.assign(static_cast<std::size_t>(app.process_count()) + 1, 0);
-  for (int i = 0; i < app.process_count(); ++i) {
-    n.first_copy[static_cast<std::size_t>(i) + 1] =
-        n.first_copy[static_cast<std::size_t>(i)] +
-        pa.plan(ProcessId{i}).copy_count();
-  }
-  n.total = n.first_copy.back();
-  return n;
-}
-
 void emit_scales(std::ostringstream& out, const char* directive,
                  const std::vector<int>& scales, const Application& app,
-                 const CopyNaming& naming) {
+                 const std::vector<int>& first_copy) {
   if (scales.empty()) return;
   for (int pid = 0; pid < app.process_count(); ++pid) {
-    const int lo = naming.first_copy[static_cast<std::size_t>(pid)];
-    const int hi = naming.first_copy[static_cast<std::size_t>(pid) + 1];
+    const int lo = first_copy[static_cast<std::size_t>(pid)];
+    const int hi = first_copy[static_cast<std::size_t>(pid) + 1];
     for (int gi = lo; gi < hi; ++gi) {
       if (gi >= static_cast<int>(scales.size())) break;
       const int s = scales[static_cast<std::size_t>(gi)];
@@ -811,7 +784,7 @@ void emit_scales(std::ostringstream& out, const char* directive,
 std::string fixture_to_text(const FuzzFixture& fixture,
                             const Application& app,
                             const PolicyAssignment& assignment) {
-  const CopyNaming naming = copy_naming(app, assignment);
+  const std::vector<int> first_copy = copy_offsets(app, assignment);
   std::ostringstream out;
   out << "# ftes fuzz fixture v1\n";
   if (!fixture.note.empty()) {
@@ -828,9 +801,9 @@ std::string fixture_to_text(const FuzzFixture& fixture,
         << " " << count << "\n";
   }
   emit_scales(out, "exec-scale", fixture.perturbation.exec_scale, app,
-              naming);
+              first_copy);
   emit_scales(out, "arrival-scale", fixture.perturbation.arrival_scale, app,
-              naming);
+              first_copy);
   for (const TableCorruption& c : fixture.corruptions) {
     out << "corrupt ";
     if (c.node < 0) {
@@ -859,7 +832,7 @@ std::string fixture_to_text(const FuzzFixture& fixture,
 
 FuzzFixture parse_fixture(std::istream& in, const Application& app,
                           const PolicyAssignment& assignment) {
-  const CopyNaming naming = copy_naming(app, assignment);
+  const std::vector<int> first_copy = copy_offsets(app, assignment);
   FuzzFixture f;
   std::string line;
   int lineno = 0;
@@ -933,10 +906,10 @@ FuzzFixture parse_fixture(std::istream& in, const Application& app,
                                 ? f.perturbation.exec_scale
                                 : f.perturbation.arrival_scale;
       if (v.empty()) {
-        v.assign(static_cast<std::size_t>(naming.total), kFuzzScaleOne);
+        v.assign(static_cast<std::size_t>(first_copy.back()), kFuzzScaleOne);
       }
       v[static_cast<std::size_t>(
-          naming.first_copy[static_cast<std::size_t>(pid)] + copy)] = scale;
+          first_copy[static_cast<std::size_t>(pid)] + copy)] = scale;
     } else if (cmd == "corrupt") {
       std::string where;
       if (!(ls >> where)) fail("expected 'corrupt node|bus ...'");

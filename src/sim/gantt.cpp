@@ -53,13 +53,10 @@ std::string render_gantt(const Application& app, const Architecture& arch,
         lane[static_cast<std::size_t>(c)] = t >= first_recovery ? 'x' : '#';
       }
       if (e.died) lane[static_cast<std::size_t>(to)] = '!';
-      std::ostringstream lbl;
-      lbl << app.process(e.copy.process).name;
-      if (assignment.plan(e.copy.process).copy_count() > 1) {
-        lbl << "(" << e.copy.copy + 1 << ")";
-      }
-      lbl << "@" << e.start;
-      labels.push_back(lbl.str());
+      labels.push_back(copy_row_name(app.process(e.copy.process).name,
+                                     assignment.plan(e.copy.process),
+                                     e.copy.copy) +
+                       "@" + std::to_string(e.start));
     }
     out << "  " << arch.node(NodeId{n}).name << " |" << lane << "|";
     for (const std::string& l : labels) out << " " << l;

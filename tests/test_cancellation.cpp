@@ -67,11 +67,11 @@ void expect_well_formed(const SynthesisResult& result,
   EXPECT_EQ(m[1].stage, "checkpoint_refine");
   EXPECT_EQ(m[2].stage, "schedule_tables");
   for (const StageMetrics& s : m) {
-    EXPECT_GE(s.evaluations, 0);
+    EXPECT_GE(s.eval.evaluations, 0);
     EXPECT_GE(s.seconds, 0.0);
     EXPECT_GE(s.cancel_latency_seconds, 0.0);
     if (s.skipped) {
-      EXPECT_EQ(s.evaluations, 0) << s.stage;
+      EXPECT_EQ(s.eval.evaluations, 0) << s.stage;
     }
   }
   // Once a stage is skipped by a cancellation, everything after it is too.

@@ -215,17 +215,19 @@ TEST(Pipeline, StageMetricsCountEvaluationsAndCacheHits) {
   ASSERT_EQ(metrics.size(), 3u);
   EXPECT_EQ(metrics[0].stage, "policy_assignment");
   EXPECT_FALSE(metrics[0].skipped);
-  EXPECT_GT(metrics[0].evaluations, 1);
-  // Cache hits of the schedule layer: candidate placements served by
-  // checkpoint-snapshot resumes.
-  EXPECT_GT(metrics[0].sched_events_total, 0);
-  EXPECT_GT(metrics[0].sched_events_resumed, 0);
-  // The optimizer stages account for (almost all of) the facade's legacy
-  // evaluation count; the final analysis eval is reported by the tables
-  // stage.
-  EXPECT_LE(metrics[0].evaluations + metrics[1].evaluations,
+  EXPECT_GT(metrics[0].eval.evaluations, 1);
+  // Cache hits of the schedule layer: candidate placements restored from
+  // the base schedule instead of replayed.
+  EXPECT_GT(metrics[0].eval.ls_events_total, 0);
+  EXPECT_GT(metrics[0].eval.ls_events_resumed, 0);
+  // The facade's count is the search engines' (each start plus every
+  // candidate); the optimizer stages' evaluator calls account for almost
+  // all of it, and the final analysis eval is reported by the tables stage.
+  EXPECT_EQ(result.evaluations,
+            metrics[0].search.evaluations + metrics[1].search.evaluations);
+  EXPECT_LE(metrics[0].eval.evaluations + metrics[1].eval.evaluations,
             result.evaluations);
-  EXPECT_EQ(metrics[2].evaluations, 1);
+  EXPECT_EQ(metrics[2].eval.evaluations, 1);
   EXPECT_GE(metrics[0].seconds, 0.0);
 }
 

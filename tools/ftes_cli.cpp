@@ -374,14 +374,7 @@ int main(int argc, char** argv) {
     fuzz.seed = opts.fuzz_seed;
     fuzz.threads = opts.threads;
     fuzz_report = fuzzer.fuzz(fuzz);
-    StageMetrics fm;
-    fm.stage = "fuzz";
-    fm.fuzz_trials = fuzz_report->trials;
-    fm.fuzz_failing_trials = fuzz_report->failing_trials;
-    fm.fuzz_violations = fuzz_report->violations;
-    fm.fuzz_worst_completion = fuzz_report->worst_completion;
-    fm.seconds = fuzz_report->seconds;
-    stage_metrics.push_back(std::move(fm));
+    stage_metrics.push_back(fuzz_stage_metrics(*fuzz_report));
   }
 
   std::printf("ftes: %d processes, %d messages, %d nodes, k = %d\n",
@@ -406,14 +399,14 @@ int main(int argc, char** argv) {
                   m.fuzz_trials, m.fuzz_failing_trials);
       continue;
     }
-    std::printf("  %s %lld evals", m.stage.c_str(), m.evaluations);
-    if (m.sched_events_total > 0) {
+    std::printf("  %s %lld evals", m.stage.c_str(), m.eval.evaluations);
+    if (m.eval.ls_events_total > 0) {
       std::printf(" (%.1f%% placements resumed)",
-                  100.0 * static_cast<double>(m.sched_events_resumed) /
-                      static_cast<double>(m.sched_events_total));
+                  100.0 * static_cast<double>(m.eval.ls_events_resumed) /
+                      static_cast<double>(m.eval.ls_events_total));
     }
-    if (m.search_accepted > 0) {
-      std::printf(" (%lld moves accepted)", m.search_accepted);
+    if (m.search.accepted_moves > 0) {
+      std::printf(" (%lld moves accepted)", m.search.accepted_moves);
     }
     if (m.timed_out) std::printf(" timed out");
     std::printf(";");
