@@ -9,13 +9,27 @@
 
 namespace ftes {
 
+Guard Guard::of(std::vector<Literal> lits) {
+  std::sort(lits.begin(), lits.end());
+  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  // Sorted by (vertex, polarity): an opposite pair sits side by side.
+  for (std::size_t i = 1; i < lits.size(); ++i) {
+    if (lits[i].vertex == lits[i - 1].vertex) {
+      throw std::logic_error("contradictory literals in guard");
+    }
+  }
+  Guard g;
+  g.lits_ = std::move(lits);
+  return g;
+}
+
 void Guard::add(Literal lit) {
   if (contains(Literal{lit.vertex, !lit.faulted})) {
     throw std::logic_error("contradictory literal added to guard");
   }
-  if (contains(lit)) return;
-  lits_.push_back(lit);
-  std::sort(lits_.begin(), lits_.end());
+  const auto at = std::lower_bound(lits_.begin(), lits_.end(), lit);
+  if (at != lits_.end() && *at == lit) return;
+  lits_.insert(at, lit);
 }
 
 bool Guard::contains(Literal lit) const {

@@ -18,6 +18,7 @@
 // schedule tables are exactly such guards).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,7 +49,20 @@ class Guard {
  public:
   Guard() = default;
 
+  /// The conjunction of `lits`: sorted once, duplicates collapsed.  Throws
+  /// std::logic_error if some vertex appears with both polarities.
+  [[nodiscard]] static Guard of(std::vector<Literal> lits);
+
+  /// Inserts `lit` in order (no-op if present); throws std::logic_error if
+  /// its opposite is present.
   void add(Literal lit);
+  /// Drops, in place, every literal for which `keep` is false.
+  template <typename Keep>
+  void retain(Keep keep) {
+    lits_.erase(std::remove_if(lits_.begin(), lits_.end(),
+                               [&](const Literal& l) { return !keep(l); }),
+                lits_.end());
+  }
   [[nodiscard]] const std::vector<Literal>& literals() const { return lits_; }
   [[nodiscard]] bool contains(Literal lit) const;
   /// Number of positive (faulted) literals == faults consumed on this path.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "fault/recovery.h"
 #include "sched/list_scheduler.h"
@@ -543,102 +544,168 @@ class CondSim {
   }
 
   // --------------------------------------------------------------- tables
-  /// One prospective table activation extracted from one scenario trace.
-  struct TableRecord {
+  /// The integer identity of a table row's activations: a copy's attempt,
+  /// a condition broadcast, or a message sent by one source copy.
+  struct RowKey {
     int node = -1;  ///< -1 = bus row
-    std::string row;
-    std::string label;
-    Time start = 0;
-    Guard guard;
+    int copy = -1;  ///< global copy index of an attempt row; -1 otherwise
+    int index = 0;  ///< attempt, condition id, or source copy (-1 = sync)
+    MessageId msg;  ///< message rows only
   };
 
-  [[nodiscard]] std::vector<TableRecord> trace_records(
-      const ScenarioTrace& tr) const {
-    auto guard_at = [&](Time t) {
-      Guard g;
-      for (const Reveal& r : tr.reveals) {
-        if (r.at > t) break;
-        g.add(Literal{r.cond_id, r.value});
-      }
-      return g;
-    };
-    std::vector<TableRecord> records;
-    for (const ExecTrace& e : tr.execs) {
-      const CopyInfo& ci = copies_[static_cast<std::size_t>(
-          copy_at(e.copy.process.get(), e.copy.copy))];
-      for (std::size_t a = 0; a < e.attempt_starts.size(); ++a) {
-        const Time t = e.attempt_starts[a];
-        records.push_back(TableRecord{ci.node.get(), ci.name,
-                                      ci.name + "/" + std::to_string(a + 1),
-                                      t, guard_at(t)});
-      }
+  /// Row and label strings of `key`, as the tables print them.
+  [[nodiscard]] std::pair<std::string, std::string> render(
+      const RowKey& key) const {
+    if (key.copy >= 0) {
+      const std::string& name = copies_[static_cast<std::size_t>(key.copy)].name;
+      return {name, name + "/" + std::to_string(key.index + 1)};
     }
-    for (const TxTrace& tx : tr.txs) {
-      if (tx.is_condition) {
-        records.push_back(TableRecord{-1, registry_.label(tx.cond_id), "",
-                                      tx.start, guard_at(tx.ready)});
-      } else {
-        const Message& m = app_.message(tx.msg);
-        records.push_back(TableRecord{
-            -1, m.name, copy_row_name(m.name, pa_.plan(m.src), tx.src_copy),
-            tx.start, guard_at(tx.ready)});
-      }
-    }
-    return records;
+    if (!key.msg.valid()) return {registry_.label(key.index), ""};
+    const Message& m = app_.message(key.msg);
+    return {m.name, copy_row_name(m.name, pa_.plan(m.src), key.index)};
   }
 
+  /// Every condition value `tr` revealed by `t`, sorted once.
+  [[nodiscard]] static Guard guard_at(const ScenarioTrace& tr, Time t) {
+    std::vector<Literal> lits;
+    for (const Reveal& r : tr.reveals) {
+      if (r.at > t) break;
+      lits.push_back(Literal{r.cond_id, r.value});
+    }
+    return Guard::of(std::move(lits));
+  }
+
+  // A column's guard is the intersection, over every scenario that fires
+  // the same activation (row, label, start), of the condition values that
+  // scenario has revealed when the activation's guard is read.  The fold
+  // runs scenario by scenario: an activation's first record builds its
+  // guard from the scenario's reveal prefix, and each later record drops
+  // the literals its own scenario had not revealed by then.
   void build_tables(CondScheduleResult& result) {
     ScheduleTables& tables = result.tables;
     tables.node_rows.assign(static_cast<std::size_t>(arch_.node_count()),
                             TableRows{});
-    struct Agg {
-      Guard guard;
-      bool first = true;
-    };
-    // key: (node or -1 for bus, row, label, start)
-    // lint: cold-path -- guard aggregation when emitting the final tables,
-    // once per synthesized schedule; ordered keys double as the
-    // deterministic row order of the exported tables
-    std::map<std::tuple<int, std::string, std::string, Time>, Agg> agg;
 
-    auto intersect = [](const Guard& a, const Guard& b) {
-      Guard g;
-      for (const Literal& lit : a.literals()) {
-        if (b.contains(lit)) g.add(lit);
+    // Row ids: every copy's attempts, then the condition ids, then each
+    // message's source copies (-1 first).
+    std::vector<RowKey> keys;
+    std::vector<int> attempt_row(copies_.size());
+    for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
+      const CopyInfo& info = copies_[ci];
+      attempt_row[ci] = static_cast<int>(keys.size());
+      const int attempts = 1 + (info.checkpoints >= 1 ? info.recoveries : 0);
+      for (int a = 0; a < attempts; ++a) {
+        keys.push_back(RowKey{info.node.get(), static_cast<int>(ci), a, {}});
       }
-      return g;
+    }
+    const int cond_row = static_cast<int>(keys.size());
+    for (int id = 0; id < registry_.size(); ++id) {
+      keys.push_back(RowKey{-1, -1, id, {}});
+    }
+    std::vector<int> sync_row(static_cast<std::size_t>(app_.message_count()));
+    for (int mi = 0; mi < app_.message_count(); ++mi) {
+      const MessageId mid{mi};
+      sync_row[static_cast<std::size_t>(mi)] = static_cast<int>(keys.size());
+      const int copies = pa_.plan(app_.message(mid).src).copy_count();
+      for (int j = -1; j < copies; ++j) keys.push_back(RowKey{-1, -1, j, mid});
+    }
+
+    struct Entry {
+      int row;
+      Time start;
+      Guard guard;
     };
-
-    // Per-scenario record extraction is independent (pure reads of the
-    // traces); the guard-intersecting fold below stays serial in scenario
-    // order.
-    std::vector<std::vector<TableRecord>> per_trace(result.traces.size());
-    parallel_for(*pool_, result.traces.size(), threads_, [&](std::size_t i) {
-      if (opts_.cancel && opts_.cancel->poll()) return;
-      per_trace[i] = trace_records(result.traces[i]);
-    });
-    throw_if_cancelled();
-
-    for (const std::vector<TableRecord>& records : per_trace) {
-      for (const TableRecord& r : records) {
-        auto key = std::make_tuple(r.node, r.row, r.label, r.start);
-        auto [it, inserted] = agg.emplace(key, Agg{r.guard, false});
-        if (!inserted) it->second.guard = intersect(it->second.guard, r.guard);
+    std::vector<Entry> entries;
+    // Per row id: (start, entry index), sorted by start.
+    std::vector<std::vector<std::pair<Time, int>>> by_start(keys.size());
+    for (const ScenarioTrace& tr : result.traces) {
+      throw_if_cancelled();
+      const RevealIndex revealed(tr.reveals);
+      auto fold = [&](int row, Time start, Time known_at) {
+        auto& list = by_start[static_cast<std::size_t>(row)];
+        const auto at = std::lower_bound(
+            list.begin(), list.end(), start,
+            [](const std::pair<Time, int>& e, Time t) { return e.first < t; });
+        if (at != list.end() && at->first == start) {
+          entries[static_cast<std::size_t>(at->second)].guard.retain(
+              [&](Literal lit) { return revealed.known(lit, known_at); });
+          return;
+        }
+        list.insert(at, {start, static_cast<int>(entries.size())});
+        entries.push_back(Entry{row, start, guard_at(tr, known_at)});
+      };
+      for (const ExecTrace& e : tr.execs) {
+        const int first = attempt_row[static_cast<std::size_t>(
+            copy_at(e.copy.process.get(), e.copy.copy))];
+        for (std::size_t a = 0; a < e.attempt_starts.size(); ++a) {
+          fold(first + static_cast<int>(a), e.attempt_starts[a],
+               e.attempt_starts[a]);
+        }
+      }
+      for (const TxTrace& tx : tr.txs) {
+        const int row =
+            tx.is_condition
+                ? cond_row + tx.cond_id
+                : sync_row[static_cast<std::size_t>(tx.msg.get())] +
+                      tx.src_copy + 1;
+        fold(row, tx.start, tx.ready);
       }
     }
 
-    for (auto& [key, a] : agg) {
-      const auto& [node, row, label, start] = key;
-      TableEntry entry{a.guard, start, label};
-      if (node < 0) {
-        tables.bus_rows[row].push_back(entry);
-      } else {
-        tables.node_rows[static_cast<std::size_t>(node)][row].push_back(entry);
+    // Emission in (node, row, label, start) order.  Row ids that render
+    // alike (a frozen sync and copy 0 of a single-copy plan both print
+    // "m1") share a rank, and their entries at one start merge by
+    // intersection.
+    std::vector<std::pair<std::string, std::string>> text(keys.size());
+    std::vector<int> used;
+    for (std::size_t row = 0; row < keys.size(); ++row) {
+      if (by_start[row].empty()) continue;
+      text[row] = render(keys[row]);
+      used.push_back(static_cast<int>(row));
+    }
+    auto rendered = [&](int row) {
+      const auto& [name, label] = text[static_cast<std::size_t>(row)];
+      return std::tie(keys[static_cast<std::size_t>(row)].node, name, label);
+    };
+    std::sort(used.begin(), used.end(),
+              [&](int a, int b) { return rendered(a) < rendered(b); });
+    std::vector<int> rank(keys.size(), -1);
+    std::vector<std::vector<TableEntry>*> dest;
+    for (std::size_t u = 0; u < used.size(); ++u) {
+      const int row = used[u];
+      if (u == 0 || rendered(used[u - 1]) != rendered(row)) {
+        const int node = keys[static_cast<std::size_t>(row)].node;
+        TableRows& rows =
+            node < 0 ? tables.bus_rows
+                     : tables.node_rows[static_cast<std::size_t>(node)];
+        dest.push_back(&rows[text[static_cast<std::size_t>(row)].first]);
       }
+      rank[static_cast<std::size_t>(row)] = static_cast<int>(dest.size()) - 1;
+    }
+    auto position = [&](const Entry& e) {
+      return std::make_pair(rank[static_cast<std::size_t>(e.row)], e.start);
+    };
+    std::vector<std::size_t> order(entries.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return position(entries[a]) < position(entries[b]);
+    });
+    for (std::size_t i = 0; i < order.size();) {
+      Entry& e = entries[order[i]];
+      std::size_t j = i + 1;
+      for (; j < order.size() && position(entries[order[j]]) == position(e);
+           ++j) {
+        const Guard& other = entries[order[j]].guard;
+        e.guard.retain([&](Literal lit) { return other.contains(lit); });
+      }
+      dest[static_cast<std::size_t>(rank[static_cast<std::size_t>(e.row)])]
+          ->push_back(TableEntry{std::move(e.guard), e.start,
+                                 text[static_cast<std::size_t>(e.row)].second});
+      i = j;
     }
     auto sort_rows = [](TableRows& rows) {
-      for (auto& [name, entries] : rows) {
-        std::sort(entries.begin(), entries.end(),
+      for (auto& [name, row_entries] : rows) {
+        std::sort(row_entries.begin(), row_entries.end(),
                   [](const TableEntry& x, const TableEntry& y) {
                     return x.start < y.start;
                   });
@@ -682,6 +749,19 @@ class CondSim {
 };
 
 }  // namespace
+
+RevealIndex::RevealIndex(const std::vector<Reveal>& reveals) {
+  int ids = 0;
+  for (const Reveal& r : reveals) ids = std::max(ids, r.cond_id + 1);
+  for (std::vector<Time>& at : at_) {
+    at.assign(static_cast<std::size_t>(ids), kTimeInfinity);
+  }
+  for (const Reveal& r : reveals) {
+    if (r.cond_id < 0) continue;
+    Time& at = at_[r.value ? 1 : 0][static_cast<std::size_t>(r.cond_id)];
+    at = std::min(at, r.at);
+  }
+}
 
 CondScheduleResult conditional_schedule(const Application& app,
                                         const Architecture& arch,

@@ -28,6 +28,7 @@
 // either delivered or is known dead (the conservative join of DESIGN.md §4).
 #pragma once
 
+#include <array>
 #include <map>
 #include <vector>
 
@@ -77,8 +78,28 @@ struct ScenarioTrace {
   FaultScenario scenario;
   std::vector<ExecTrace> execs;
   std::vector<TxTrace> txs;
-  std::vector<Reveal> reveals;
+  std::vector<Reveal> reveals;  ///< sorted by time
   Time makespan = 0;
+};
+
+/// The condition values one scenario reveals, indexed by condition id: the
+/// earliest reveal time of each (condition, value).  Built in O(reveals);
+/// asking whether a literal is known by a time is two array reads.
+class RevealIndex {
+ public:
+  explicit RevealIndex(const std::vector<Reveal>& reveals);
+
+  /// True if condition `lit.vertex` was revealed with value `lit.faulted`
+  /// at or before `t`.  A condition the scenario never revealed (or an id
+  /// no registry issued) is unknown.
+  [[nodiscard]] bool known(Literal lit, Time t) const {
+    const auto id = static_cast<std::size_t>(lit.vertex);
+    return lit.vertex >= 0 && id < at_[0].size() &&
+           at_[lit.faulted ? 1 : 0][id] <= t;
+  }
+
+ private:
+  std::array<std::vector<Time>, 2> at_;  ///< [value][id]; infinity = never
 };
 
 struct CondScheduleOptions {
@@ -94,15 +115,15 @@ struct CondScheduleOptions {
   /// (including copy deaths) instantly.  Used by ablations and by tests
   /// comparing against the WCSL DP, which ignores broadcast contention.
   bool schedule_condition_broadcasts = true;
-  /// Concurrent per-scenario simulations / table-record extractions
-  /// (1 = serial; 0 = all hardware threads).  Scenarios are independent
-  /// within a fixpoint iteration and results are collected in scenario
-  /// order, so the output is identical for every thread count.
+  /// Concurrent per-scenario simulations (1 = serial; 0 = all hardware
+  /// threads).  Scenarios are independent within a fixpoint iteration and
+  /// results are collected in scenario order; the table fold is serial, so
+  /// the output is identical for every thread count.
   int threads = 1;
   /// Pool supplying the helper threads; nullptr = ThreadPool::shared().
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation: polled per simulated scenario and per
-  /// extracted trace.  Tables built from a scenario subset would be wrong
+  /// trace folded into the tables.  Tables built from a scenario subset would be wrong
   /// (not partial), so the generator throws CancelledError when the token
   /// fires.  nullptr = never cancelled.
   CancellationToken* cancel = nullptr;

@@ -10,30 +10,21 @@ namespace ftes {
 
 namespace {
 
-/// True if `guard` is entailed by the values revealed in `trace` strictly
-/// up to (and including) time `t`.
-bool guard_entailed(const Guard& guard, const ScenarioTrace& trace, Time t) {
+/// True if every literal of `guard` was revealed by time `t`.
+bool guard_entailed(const Guard& guard, const RevealIndex& revealed, Time t) {
   for (const Literal& lit : guard.literals()) {
-    bool found = false;
-    for (const Reveal& r : trace.reveals) {
-      if (r.at > t) break;
-      if (r.cond_id == lit.vertex && r.value == lit.faulted) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
+    if (!revealed.known(lit, t)) return false;
   }
   return true;
 }
 
 /// Finds a table entry for (rows, row, start) whose guard is entailed.
 bool entry_matches(const TableRows& rows, const std::string& row, Time start,
-                   const ScenarioTrace& trace) {
+                   const RevealIndex& revealed) {
   auto it = rows.find(row);
   if (it == rows.end()) return false;
   for (const TableEntry& e : it->second) {
-    if (e.start == start && guard_entailed(e.guard, trace, start)) {
+    if (e.start == start && guard_entailed(e.guard, revealed, start)) {
       return true;
     }
   }
@@ -83,6 +74,7 @@ ExecutionReport execute_scenario(const Application& app,
   report.completion = trace.makespan;
 
   // Property 2: every activation is covered by a matching table column.
+  const RevealIndex revealed(trace.reveals);
   for (const ExecTrace& e : trace.execs) {
     const std::string name = copy_display_name(app, assignment, e.copy);
     const NodeId node =
@@ -92,7 +84,7 @@ ExecutionReport execute_scenario(const Application& app,
     const TableRows& rows =
         schedule.tables.node_rows.at(static_cast<std::size_t>(node.get()));
     for (Time start : e.attempt_starts) {
-      if (!entry_matches(rows, name, start, trace)) {
+      if (!entry_matches(rows, name, start, revealed)) {
         report.fail("activation of " + name + " at t=" +
                     std::to_string(start) +
                     " has no entailed table entry in scenario " +
@@ -104,7 +96,7 @@ ExecutionReport execute_scenario(const Application& app,
     const std::string row = tx.is_condition
                                 ? schedule.tables.conds.label(tx.cond_id)
                                 : app.message(tx.msg).name;
-    if (!entry_matches(schedule.tables.bus_rows, row, tx.start, trace)) {
+    if (!entry_matches(schedule.tables.bus_rows, row, tx.start, revealed)) {
       report.fail("bus activation of " + row + " at t=" +
                   std::to_string(tx.start) +
                   " has no entailed table entry in scenario " +

@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.h"
+#include "gen/taskgen.h"
+#include "opt/policy_assignment.h"
+#include "reference_cond_tables.h"
+#include "sched/table_export.h"
 #include "sim/executor.h"
 
 namespace ftes {
 namespace {
 
 using ::ftes::testing::fig5_app;
+using ::ftes::testing::reference_build_tables;
+using ::ftes::testing::replicate_every;
 
 TEST(CondScheduler, FaultFreeScenarioMatchesListScheduleShape) {
   auto f = fig5_app();
@@ -196,6 +202,52 @@ TEST(CondScheduler, TextRenderingMentionsAllRows) {
                             "F_P1^1", "WCSL"}) {
     EXPECT_NE(text.find(token), std::string::npos) << token;
   }
+}
+
+// The integer-keyed fold must print exactly the tables of the historical
+// string-keyed fold (bench/reference_cond_tables.h) on random instances
+// that reach every record kind: frozen processes and messages (the
+// fixpoint and sync transmissions), replicated and hybrid plans (several
+// copies per row), k 1-2, transparency on and off, and condition
+// broadcasts on and off.
+TEST(CondScheduler, FoldMatchesReferenceOnRandomInstances) {
+  Rng pick(2026);
+  int compared = 0;
+  int with_frozen = 0;
+  int with_replicas = 0;
+  for (int i = 0; i < 200; ++i) {
+    TaskGenParams params;
+    params.process_count = 5 + static_cast<int>(pick.index(11));
+    params.node_count = 2 + static_cast<int>(pick.index(2));
+    const double frozen = 0.2 * static_cast<double>(pick.index(3));
+    params.frozen_process_fraction = frozen;
+    params.frozen_message_fraction = frozen;
+    Rng rng(derive_stream_seed(77, static_cast<std::uint64_t>(i)));
+    const Application app = generate_application(params, rng);
+    const Architecture arch = generate_architecture(params);
+    const FaultModel model{1 + static_cast<int>(pick.index(2))};
+    PolicyAssignment pa =
+        greedy_initial(app, arch, model, PolicySpace::kCheckpointingOnly,
+                       1 + static_cast<int>(pick.index(3)));
+    if (pick.chance(0.5)) {
+      replicate_every(app, arch, model, 2 + static_cast<int>(pick.index(3)),
+                      pa);
+      ++with_replicas;
+    }
+    CondScheduleOptions opts;
+    opts.respect_transparency = pick.chance(0.7);
+    opts.schedule_condition_broadcasts = pick.chance(0.7);
+    if (frozen > 0 && opts.respect_transparency) ++with_frozen;
+    const CondScheduleResult r = conditional_schedule(app, arch, pa, model, opts);
+    const ScheduleTables ref = reference_build_tables(app, arch, pa, r);
+    ASSERT_EQ(r.tables.to_text(arch), ref.to_text(arch)) << "instance " << i;
+    ASSERT_EQ(tables_to_json(r.tables, arch), tables_to_json(ref, arch))
+        << "instance " << i;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 200);
+  EXPECT_GT(with_frozen, 20);
+  EXPECT_GT(with_replicas, 50);
 }
 
 }  // namespace

@@ -238,6 +238,188 @@ TEST(ExecutorStrings, FrozenMessageDivergence) {
       << "missing: " << expected;
 }
 
+// --- guard entailment: the reveal index against the linear scan -------------
+
+// The scan the executor's reveal index replaced, kept as the oracle: a
+// literal is entailed at `t` if some reveal at or before `t` (reveals are
+// sorted by time) carries its condition and value.
+bool scan_known(const Literal& lit, const std::vector<Reveal>& reveals, Time t) {
+  for (const Reveal& r : reveals) {
+    if (r.at > t) break;
+    if (r.cond_id == lit.vertex && r.value == lit.faulted) return true;
+  }
+  return false;
+}
+
+bool scan_entailed(const Guard& guard, const ScenarioTrace& trace, Time t) {
+  for (const Literal& lit : guard.literals()) {
+    if (!scan_known(lit, trace.reveals, t)) return false;
+  }
+  return true;
+}
+
+/// Activations of `trace` that no table entry covers, by the scan.
+int scan_unentailed(const Application& app, const PolicyAssignment& pa,
+                    const CondScheduleResult& r, const ScenarioTrace& trace) {
+  auto matches = [&](const TableRows& rows, const std::string& row,
+                     Time start) {
+    const auto it = rows.find(row);
+    if (it == rows.end()) return false;
+    for (const TableEntry& e : it->second) {
+      if (e.start == start && scan_entailed(e.guard, trace, start)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  int missing = 0;
+  for (const ExecTrace& e : trace.execs) {
+    const ProcessPlan& plan = pa.plan(e.copy.process);
+    const std::string name = copy_row_name(app.process(e.copy.process).name,
+                                           plan, e.copy.copy);
+    const TableRows& rows = r.tables.node_rows.at(static_cast<std::size_t>(
+        plan.copies.at(static_cast<std::size_t>(e.copy.copy)).node.get()));
+    for (Time start : e.attempt_starts) {
+      if (!matches(rows, name, start)) ++missing;
+    }
+  }
+  for (const TxTrace& tx : trace.txs) {
+    const std::string row = tx.is_condition ? r.tables.conds.label(tx.cond_id)
+                                            : app.message(tx.msg).name;
+    if (!matches(r.tables.bus_rows, row, tx.start)) ++missing;
+  }
+  return missing;
+}
+
+int unentailed(const ExecutionReport& report) {
+  int n = 0;
+  for (const std::string& v : report.violations) {
+    if (v.find("has no entailed table entry") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+void sort_reveals(std::vector<Reveal>& reveals) {
+  std::stable_sort(reveals.begin(), reveals.end(),
+                   [](const Reveal& a, const Reveal& b) { return a.at < b.at; });
+}
+
+// Hand-built reveals: condition 1 revealed twice with one value, condition
+// 2 revealed with both values, conditions 3-4 never revealed (no registry
+// issued them).  Every literal at every time answers as the scan does.
+TEST(RevealIndex, AnswersAsTheLinearScan) {
+  std::vector<Reveal> reveals{{0, false, 5}, {1, true, 5},  {2, false, 8},
+                              {1, true, 12}, {2, true, 15}, {0, false, 15}};
+  sort_reveals(reveals);
+  const RevealIndex index(reveals);
+  int known = 0;
+  for (int id = -1; id <= 4; ++id) {
+    for (bool value : {false, true}) {
+      for (Time t = -1; t <= 20; ++t) {
+        const Literal lit{id, value};
+        EXPECT_EQ(index.known(lit, t), scan_known(lit, reveals, t))
+            << "id " << id << " value " << value << " t " << t;
+        known += index.known(lit, t) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(known, 0);
+  EXPECT_FALSE(index.known(Literal{1, true}, 4));  // revealed after t
+  EXPECT_TRUE(index.known(Literal{1, true}, 5));
+  EXPECT_TRUE(index.known(Literal{2, true}, 15));  // both values revealed
+  EXPECT_TRUE(index.known(Literal{2, false}, 15));
+  EXPECT_FALSE(index.known(Literal{4, false}, 20));  // never issued
+  EXPECT_FALSE(RevealIndex({}).known(Literal{0, false}, 100));
+}
+
+// The same three cases end to end: P1's unconditional first activation is
+// rewritten to need a literal the registry never issued, then one the
+// fault-free scenario reveals only at P1's end; a second, earlier reveal
+// of that value makes it entailed again.  The wording of the violation is
+// the pinned one.
+TEST(ExecutorEntailment, HandBuiltGuardsAnswerAsTheScan) {
+  auto f = fig5_app();
+  CondScheduleResult r =
+      conditional_schedule(f.app, f.arch, f.assignment, f.model);
+  ScenarioTrace trace = r.traces.front();  // fault-free
+  TableEntry* first = nullptr;
+  for (TableEntry& e : r.tables.node_rows[0].at("P1")) {
+    if (e.start == 0) first = &e;
+  }
+  ASSERT_NE(first, nullptr);
+  ASSERT_TRUE(first->guard.literals().empty());
+  const std::string missing = "activation of P1 at t=0 has no entailed table "
+                              "entry in scenario " +
+                              trace.scenario.to_string(f.app);
+
+  first->guard = Guard::of({Literal{r.tables.conds.size() + 3, false}});
+  ExecutionReport report = execute_scenario(f.app, f.assignment, r, trace);
+  EXPECT_EQ(report.violations, std::vector<std::string>{missing});
+  EXPECT_EQ(unentailed(report), scan_unentailed(f.app, f.assignment, r, trace));
+
+  // F_P1^1 = false is revealed when P1 completes, after t = 0.
+  const Reveal* end_of_p1 = nullptr;
+  for (const Reveal& rv : trace.reveals) {
+    if (r.tables.conds.copy_of(rv.cond_id).process == f.p1) end_of_p1 = &rv;
+  }
+  ASSERT_NE(end_of_p1, nullptr);
+  ASSERT_GT(end_of_p1->at, 0);
+  const Reveal late = *end_of_p1;
+  first->guard = Guard::of({Literal{late.cond_id, late.value}});
+  report = execute_scenario(f.app, f.assignment, r, trace);
+  EXPECT_EQ(report.violations, std::vector<std::string>{missing});
+  EXPECT_EQ(unentailed(report), scan_unentailed(f.app, f.assignment, r, trace));
+
+  trace.reveals.push_back(Reveal{late.cond_id, late.value, 0});
+  sort_reveals(trace.reveals);
+  report = execute_scenario(f.app, f.assignment, r, trace);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(scan_unentailed(f.app, f.assignment, r, trace), 0);
+}
+
+// Randomly tightened tables and traces with repeated reveals: the reveal
+// index flags exactly the activations the scan flags, in every scenario.
+TEST(ExecutorEntailment, RandomGuardsAnswerAsTheScan) {
+  auto f = fig5_app();
+  const CondScheduleResult base =
+      conditional_schedule(f.app, f.arch, f.assignment, f.model);
+  const int ids = base.tables.conds.size() + 2;  // two ids never issued
+  Rng rng(31);
+  int flagged = 0;
+  for (int round = 0; round < 40; ++round) {
+    CondScheduleResult r = base;
+    auto tighten = [&](TableRows& rows) {
+      for (auto& [name, entries] : rows) {
+        for (TableEntry& e : entries) {
+          if (!rng.chance(0.3)) continue;
+          const Literal lit{static_cast<int>(rng.index(
+                                static_cast<std::size_t>(ids))),
+                            rng.chance(0.5)};
+          if (!e.guard.contains(Literal{lit.vertex, !lit.faulted})) {
+            e.guard.add(lit);
+          }
+        }
+      }
+    };
+    for (TableRows& rows : r.tables.node_rows) tighten(rows);
+    tighten(r.tables.bus_rows);
+    for (ScenarioTrace trace : r.traces) {
+      if (!trace.reveals.empty() && rng.chance(0.5)) {
+        Reveal again = trace.reveals[rng.index(trace.reveals.size())];
+        again.at = static_cast<Time>(rng.uniform_int(0, base.wcsl));
+        trace.reveals.push_back(again);
+        sort_reveals(trace.reveals);
+      }
+      const int want = scan_unentailed(f.app, f.assignment, r, trace);
+      EXPECT_EQ(unentailed(execute_scenario(f.app, f.assignment, r, trace)),
+                want)
+          << "round " << round;
+      flagged += want;
+    }
+  }
+  EXPECT_GT(flagged, 0);
+}
+
 // --- deterministic ordering under parallel checking --------------------------
 
 TEST(Executor, ViolationOrderIsThreadCountInvariant) {

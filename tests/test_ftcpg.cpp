@@ -23,6 +23,48 @@ TEST(Guard, AddAndContains) {
   EXPECT_THROW(g.add(Literal{3, false}), std::logic_error);
 }
 
+TEST(Guard, OfSortsOnceAndCollapsesDuplicates) {
+  const Guard g = Guard::of({Literal{4, false}, Literal{1, true},
+                             Literal{4, false}, Literal{2, true},
+                             Literal{1, true}});
+  const std::vector<Literal> want{Literal{1, true}, Literal{2, true},
+                                  Literal{4, false}};
+  EXPECT_EQ(g.literals(), want);
+  Guard added;
+  for (const Literal& lit : {Literal{2, true}, Literal{4, false},
+                             Literal{1, true}, Literal{4, false}}) {
+    added.add(lit);
+  }
+  EXPECT_EQ(g, added);
+  EXPECT_EQ(g.faults(), 2);
+}
+
+TEST(Guard, OfRejectsAnOppositePair) {
+  EXPECT_THROW((void)Guard::of({Literal{3, true}, Literal{1, false},
+                                Literal{3, false}}),
+               std::logic_error);
+  EXPECT_THROW((void)Guard::of({Literal{0, false}, Literal{0, true}}),
+               std::logic_error);
+}
+
+TEST(Guard, OfEmptyIsTheTrueGuard) {
+  const Guard g = Guard::of({});
+  EXPECT_TRUE(g.literals().empty());
+  EXPECT_EQ(g, Guard{});
+  EXPECT_EQ(g.faults(), 0);
+}
+
+TEST(Guard, RetainKeepsOrder) {
+  Guard g = Guard::of({Literal{5, true}, Literal{2, false}, Literal{9, true},
+                       Literal{7, false}});
+  g.retain([](const Literal& lit) { return lit.vertex != 7; });
+  const std::vector<Literal> want{Literal{2, false}, Literal{5, true},
+                                  Literal{9, true}};
+  EXPECT_EQ(g.literals(), want);
+  g.retain([](const Literal&) { return false; });
+  EXPECT_EQ(g, Guard{});
+}
+
 TEST(Guard, ContradictionAndConjunction) {
   Guard a;
   a.add(Literal{1, true});
