@@ -610,14 +610,9 @@ class CondSim {
       for (int j = -1; j < copies; ++j) keys.push_back(RowKey{-1, -1, j, mid});
     }
 
-    struct Entry {
-      int row;
-      Time start;
-      Guard guard;
-    };
-    std::vector<Entry> entries;
-    // Per row id: (start, entry index), sorted by start.
+    // Per row id: (start, index into `guards`), sorted by start.
     std::vector<std::vector<std::pair<Time, int>>> by_start(keys.size());
+    std::vector<Guard> guards;
     for (const ScenarioTrace& tr : result.traces) {
       throw_if_cancelled();
       const RevealIndex revealed(tr.reveals);
@@ -627,12 +622,12 @@ class CondSim {
             list.begin(), list.end(), start,
             [](const std::pair<Time, int>& e, Time t) { return e.first < t; });
         if (at != list.end() && at->first == start) {
-          entries[static_cast<std::size_t>(at->second)].guard.retain(
+          guards[static_cast<std::size_t>(at->second)].retain(
               [&](Literal lit) { return revealed.known(lit, known_at); });
           return;
         }
-        list.insert(at, {start, static_cast<int>(entries.size())});
-        entries.push_back(Entry{row, start, guard_at(tr, known_at)});
+        list.insert(at, {start, static_cast<int>(guards.size())});
+        guards.push_back(guard_at(tr, known_at));
       };
       for (const ExecTrace& e : tr.execs) {
         const int first = attempt_row[static_cast<std::size_t>(
@@ -652,9 +647,11 @@ class CondSim {
       }
     }
 
-    // Emission in (node, row, label, start) order.  Row ids that render
-    // alike (a frozen sync and copy 0 of a single-copy plan both print
-    // "m1") share a rank, and their entries at one start merge by
+    // Emission in (node, row, label, start) order: the per-row sort by
+    // start below is not stable, so this order decides how entries with
+    // equal starts print.  Row ids that render alike (a frozen sync and
+    // copy 0 of a single-copy plan both print "m1", and so do reused
+    // names) form one group, and their entries at one start merge by
     // intersection.
     std::vector<std::pair<std::string, std::string>> text(keys.size());
     std::vector<int> used;
@@ -669,39 +666,32 @@ class CondSim {
     };
     std::sort(used.begin(), used.end(),
               [&](int a, int b) { return rendered(a) < rendered(b); });
-    std::vector<int> rank(keys.size(), -1);
-    std::vector<std::vector<TableEntry>*> dest;
-    for (std::size_t u = 0; u < used.size(); ++u) {
-      const int row = used[u];
-      if (u == 0 || rendered(used[u - 1]) != rendered(row)) {
-        const int node = keys[static_cast<std::size_t>(row)].node;
-        TableRows& rows =
-            node < 0 ? tables.bus_rows
-                     : tables.node_rows[static_cast<std::size_t>(node)];
-        dest.push_back(&rows[text[static_cast<std::size_t>(row)].first]);
+    for (std::size_t u = 0; u < used.size();) {
+      const auto row = static_cast<std::size_t>(used[u]);
+      std::vector<std::pair<Time, int>> starts = std::move(by_start[row]);
+      std::size_t v = u + 1;
+      for (; v < used.size() && rendered(used[v]) == rendered(used[u]); ++v) {
+        const auto& more = by_start[static_cast<std::size_t>(used[v])];
+        starts.insert(starts.end(), more.begin(), more.end());
       }
-      rank[static_cast<std::size_t>(row)] = static_cast<int>(dest.size()) - 1;
-    }
-    auto position = [&](const Entry& e) {
-      return std::make_pair(rank[static_cast<std::size_t>(e.row)], e.start);
-    };
-    std::vector<std::size_t> order(entries.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return position(entries[a]) < position(entries[b]);
-    });
-    for (std::size_t i = 0; i < order.size();) {
-      Entry& e = entries[order[i]];
-      std::size_t j = i + 1;
-      for (; j < order.size() && position(entries[order[j]]) == position(e);
-           ++j) {
-        const Guard& other = entries[order[j]].guard;
-        e.guard.retain([&](Literal lit) { return other.contains(lit); });
+      if (v > u + 1) std::sort(starts.begin(), starts.end());
+      const int node = keys[row].node;
+      TableRows& rows = node < 0
+                            ? tables.bus_rows
+                            : tables.node_rows[static_cast<std::size_t>(node)];
+      std::vector<TableEntry>& out = rows[text[row].first];
+      for (std::size_t i = 0; i < starts.size();) {
+        Guard& guard = guards[static_cast<std::size_t>(starts[i].second)];
+        std::size_t j = i + 1;
+        for (; j < starts.size() && starts[j].first == starts[i].first; ++j) {
+          const Guard& other = guards[static_cast<std::size_t>(starts[j].second)];
+          guard.retain([&](Literal lit) { return other.contains(lit); });
+        }
+        out.push_back(TableEntry{std::move(guard), starts[i].first,
+                                 text[row].second});
+        i = j;
       }
-      dest[static_cast<std::size_t>(rank[static_cast<std::size_t>(e.row)])]
-          ->push_back(TableEntry{std::move(e.guard), e.start,
-                                 text[static_cast<std::size_t>(e.row)].second});
-      i = j;
+      u = v;
     }
     auto sort_rows = [](TableRows& rows) {
       for (auto& [name, row_entries] : rows) {

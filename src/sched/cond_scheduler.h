@@ -9,8 +9,9 @@
 // make identical decisions up to the divergence point, so the per-scenario
 // activations merge into consistent table columns.  Column guards are the
 // intersection of the revealed condition values over all scenarios that
-// produce the same activation -- exactly the minimal conjunctions of the
-// paper's Fig. 6.
+// produce the same activation.  They can keep literals that separate no
+// columns, so they are not always the paper's minimal conjunctions
+// (Fig. 6).
 //
 // Transparency (frozen processes/messages) is honoured by a fixpoint: the
 // start of a frozen item is pinned to the maximum over all scenarios of its

@@ -209,12 +209,15 @@ TEST(CondScheduler, TextRenderingMentionsAllRows) {
 // that reach every record kind: frozen processes and messages (the
 // fixpoint and sync transmissions), replicated and hybrid plans (several
 // copies per row), k 1-2, transparency on and off, and condition
-// broadcasts on and off.
+// broadcasts on and off.  A quarter of the instances reuse names (process
+// pairs share one, every message is "m"), so distinct row keys render to
+// the same row and label and must merge as the string keys did.
 TEST(CondScheduler, FoldMatchesReferenceOnRandomInstances) {
   Rng pick(2026);
   int compared = 0;
   int with_frozen = 0;
   int with_replicas = 0;
+  int renamed = 0;
   for (int i = 0; i < 200; ++i) {
     TaskGenParams params;
     params.process_count = 5 + static_cast<int>(pick.index(11));
@@ -223,7 +226,16 @@ TEST(CondScheduler, FoldMatchesReferenceOnRandomInstances) {
     params.frozen_process_fraction = frozen;
     params.frozen_message_fraction = frozen;
     Rng rng(derive_stream_seed(77, static_cast<std::uint64_t>(i)));
-    const Application app = generate_application(params, rng);
+    Application app = generate_application(params, rng);
+    if (pick.chance(0.25)) {
+      for (int p = 0; p < app.process_count(); ++p) {
+        app.process(ProcessId{p}).name = "P" + std::to_string(p / 2);
+      }
+      for (int m = 0; m < app.message_count(); ++m) {
+        app.message(MessageId{m}).name = "m";
+      }
+      ++renamed;
+    }
     const Architecture arch = generate_architecture(params);
     const FaultModel model{1 + static_cast<int>(pick.index(2))};
     PolicyAssignment pa =
@@ -248,6 +260,7 @@ TEST(CondScheduler, FoldMatchesReferenceOnRandomInstances) {
   EXPECT_EQ(compared, 200);
   EXPECT_GT(with_frozen, 20);
   EXPECT_GT(with_replicas, 50);
+  EXPECT_GT(renamed, 25);
 }
 
 }  // namespace
