@@ -343,7 +343,8 @@ TEST(ScaleFamilies, GenerateValidLargeGraphs) {
 TEST(ScaleFamilies, ScaledInstanceFuzzesClean) {
   TaskGenParams params = scale_family_params(500, 2);
   // Trim to a tractable tier-1 instance while keeping the family's shape:
-  // the full 500-process run is the CI smoke job's job, not a unit test's.
+  // the full 500-process run is CI's "scale500 table smoke" step
+  // (table_golden --scale500), not a unit test's.
   params.process_count = 60;
   Rng rng(77);
   const Application app = generate_application(params, rng);
