@@ -46,7 +46,8 @@ inline ScheduleTables reference_build_tables(
     };
     auto fold = [&](int node, const std::string& row,
                     const std::string& label, Time start, const Guard& g) {
-      auto [it, inserted] = agg.emplace(std::make_tuple(node, row, label, start), g);
+      auto [it, inserted] =
+          agg.emplace(std::make_tuple(node, row, label, start), g);
       if (!inserted) it->second = intersect(it->second, g);
     };
     for (const ExecTrace& e : tr.execs) {

@@ -557,7 +557,8 @@ class CondSim {
   [[nodiscard]] std::pair<std::string, std::string> render(
       const RowKey& key) const {
     if (key.copy >= 0) {
-      const std::string& name = copies_[static_cast<std::size_t>(key.copy)].name;
+      const std::string& name =
+          copies_[static_cast<std::size_t>(key.copy)].name;
       return {name, name + "/" + std::to_string(key.index + 1)};
     }
     if (!key.msg.valid()) return {registry_.label(key.index), ""};
@@ -684,7 +685,8 @@ class CondSim {
         Guard& guard = guards[static_cast<std::size_t>(starts[i].second)];
         std::size_t j = i + 1;
         for (; j < starts.size() && starts[j].first == starts[i].first; ++j) {
-          const Guard& other = guards[static_cast<std::size_t>(starts[j].second)];
+          const Guard& other =
+              guards[static_cast<std::size_t>(starts[j].second)];
           guard.retain([&](Literal lit) { return other.contains(lit); });
         }
         out.push_back(TableEntry{std::move(guard), starts[i].first,

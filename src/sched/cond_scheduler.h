@@ -85,7 +85,7 @@ struct ScenarioTrace {
 
 /// The condition values one scenario reveals, indexed by condition id: the
 /// earliest reveal time of each (condition, value).  Built in O(reveals);
-/// asking whether a literal is known by a time is two array reads.
+/// asking whether a literal is known by a time is one array read.
 class RevealIndex {
  public:
   explicit RevealIndex(const std::vector<Reveal>& reveals);
@@ -124,9 +124,9 @@ struct CondScheduleOptions {
   /// Pool supplying the helper threads; nullptr = ThreadPool::shared().
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation: polled per simulated scenario and per
-  /// trace folded into the tables.  Tables built from a scenario subset would be wrong
-  /// (not partial), so the generator throws CancelledError when the token
-  /// fires.  nullptr = never cancelled.
+  /// trace folded into the tables.  Tables built from a scenario subset
+  /// would be wrong (not partial), so the generator throws CancelledError
+  /// when the token fires.  nullptr = never cancelled.
   CancellationToken* cancel = nullptr;
 };
 

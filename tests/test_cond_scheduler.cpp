@@ -250,7 +250,8 @@ TEST(CondScheduler, FoldMatchesReferenceOnRandomInstances) {
     opts.respect_transparency = pick.chance(0.7);
     opts.schedule_condition_broadcasts = pick.chance(0.7);
     if (frozen > 0 && opts.respect_transparency) ++with_frozen;
-    const CondScheduleResult r = conditional_schedule(app, arch, pa, model, opts);
+    const CondScheduleResult r =
+        conditional_schedule(app, arch, pa, model, opts);
     const ScheduleTables ref = reference_build_tables(app, arch, pa, r);
     ASSERT_EQ(r.tables.to_text(arch), ref.to_text(arch)) << "instance " << i;
     ASSERT_EQ(tables_to_json(r.tables, arch), tables_to_json(ref, arch))

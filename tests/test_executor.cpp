@@ -243,7 +243,8 @@ TEST(ExecutorStrings, FrozenMessageDivergence) {
 // The scan the executor's reveal index replaced, kept as the oracle: a
 // literal is entailed at `t` if some reveal at or before `t` (reveals are
 // sorted by time) carries its condition and value.
-bool scan_known(const Literal& lit, const std::vector<Reveal>& reveals, Time t) {
+bool scan_known(const Literal& lit, const std::vector<Reveal>& reveals,
+                Time t) {
   for (const Reveal& r : reveals) {
     if (r.at > t) break;
     if (r.cond_id == lit.vertex && r.value == lit.faulted) return true;
@@ -301,7 +302,9 @@ int unentailed(const ExecutionReport& report) {
 
 void sort_reveals(std::vector<Reveal>& reveals) {
   std::stable_sort(reveals.begin(), reveals.end(),
-                   [](const Reveal& a, const Reveal& b) { return a.at < b.at; });
+                   [](const Reveal& a, const Reveal& b) {
+                     return a.at < b.at;
+                   });
 }
 
 // Hand-built reveals: condition 1 revealed twice with one value, condition
