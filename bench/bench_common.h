@@ -48,14 +48,18 @@ inline OptimizeOptions bench_options(std::uint64_t seed) {
 
 /// Command line shared by the sweep benches:
 ///   <bench> [seeds_per_size] [--threads n] [--bench-json <file>]
+///           [--verify-every n]
 /// Threads parallelize across instances (the per-instance optimizers stay
 /// serial so per-seed results are identical for every thread count).
 /// --bench-json additionally writes a machine-readable BenchReport
-/// (bench_report.h) to the given path.
+/// (bench_report.h) to the given path.  --verify-every sets
+/// OptimizeOptions::verify_every (shadow verification); a bench that does
+/// not support it rejects it.
 struct SweepConfig {
   int seeds_per_size = 5;
   int threads = 1;
   const char* bench_json = nullptr;
+  int verify_every = 0;
 };
 
 inline SweepConfig parse_sweep_args(int argc, char** argv) {
@@ -73,12 +77,19 @@ inline SweepConfig parse_sweep_args(int argc, char** argv) {
         std::exit(1);
       }
       cfg.bench_json = argv[++i];
+    } else if (std::strcmp(argv[i], "--verify-every") == 0) {
+      if (i + 1 >= argc || std::atoi(argv[i + 1]) < 0) {
+        std::fprintf(stderr, "%s: --verify-every needs a count >= 0\n",
+                     argv[0]);
+        std::exit(1);
+      }
+      cfg.verify_every = std::atoi(argv[++i]);
     } else if (argv[i][0] >= '0' && argv[i][0] <= '9') {
       cfg.seeds_per_size = std::atoi(argv[i]);
     } else {
       std::fprintf(stderr,
                    "usage: %s [seeds_per_size] [--threads n] "
-                   "[--bench-json <file>]\n",
+                   "[--bench-json <file>] [--verify-every n]\n",
                    argv[0]);
       std::exit(1);
     }

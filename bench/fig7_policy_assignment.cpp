@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
                                      static_cast<std::uint64_t>(s);
           const Instance inst = make_instance(size, seed);
           const FaultModel fm{inst.k};
-          const OptimizeOptions opts = bench_options(seed);
+          OptimizeOptions opts = bench_options(seed);
+          opts.verify_every = cfg.verify_every;
 
           const Time nft = non_ft_reference(inst.app, inst.arch, opts);
           const OptimizeResult mxr = run_mxr(inst.app, inst.arch, fm, opts);
@@ -129,6 +130,12 @@ int main(int argc, char** argv) {
               total.ls_resumes, total.ls_resumes + total.ls_full_builds,
               total.ls_events_resumed, total.ls_events_total,
               100.0 * total.ls_resume_fraction());
+  if (cfg.verify_every > 0) {
+    // Printed only on request, so the golden output stays unchanged.
+    std::printf("  shadow verification: every %d move evaluation(s), %lld "
+                "mismatches\n",
+                cfg.verify_every, total.verify_mismatches);
+  }
   const double seconds = watch.seconds();
   std::printf("  wall-clock: %.2fs\n", seconds);
 

@@ -32,6 +32,10 @@ struct SeedResult {
 
 int main(int argc, char** argv) {
   const SweepConfig cfg = parse_sweep_args(argc, argv);
+  if (cfg.verify_every > 0) {
+    std::fprintf(stderr, "%s: --verify-every is not supported\n", argv[0]);
+    return 1;
+  }
   const std::vector<int> sizes{40, 60, 80, 100};
   const int max_checkpoints = 8;
 

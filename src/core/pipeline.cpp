@@ -55,7 +55,8 @@ SynthesisContext::SynthesisContext(Application app, Architecture arch,
     : app_(std::move(app)),
       arch_(std::move(arch)),
       options_(std::move(options)),
-      eval_(app_, arch_, options_.fault_model) {
+      eval_(app_, arch_, options_.fault_model,
+            options_.optimize.verify_every) {
   app_.validate(arch_);
   options_.fault_model.validate();
 }

@@ -9,8 +9,8 @@
 namespace ftes {
 
 EvalContext::EvalContext(const Application& app, const Architecture& arch,
-                         FaultModel model)
-    : app_(app), arch_(arch), model_(model) {
+                         FaultModel model, int verify_every)
+    : app_(app), arch_(arch), model_(model), verify_every_(verify_every) {
   model_.validate();
 }
 
@@ -116,14 +116,34 @@ EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
     throw std::logic_error("EvalContext::evaluate_move without rebase()");
   }
   count<&EvalStats::evaluations>();
-  count<&EvalStats::incremental_evals>();
+  const long long index = count<&EvalStats::incremental_evals>();
   return with_move(pid, plan, [&](Workspace& ws) {
     ListScheduleResumeStats rstats;
     ws.sched = list_schedule_resume(app_, arch_, base_, base_log_,
                                     ws.assignment, pid, &rstats);
     record_resume_stats(rstats);
-    return analyze(ws, ws.assignment, ws.sched);
+    const Outcome out = analyze(ws, ws.assignment, ws.sched);
+    if (verify_every_ > 0 && (index + 1) % verify_every_ == 0) {
+      verify(ws.assignment, out);
+    }
+    return out;
   });
+}
+
+void EvalContext::verify(const PolicyAssignment& candidate,
+                         const Outcome& out) {
+  const WcslResult full = worst_case_schedule_length(
+      app_, arch_, candidate, model_, list_schedule(app_, arch_, candidate));
+  if (full.makespan == out.makespan &&
+      penalized_cost(app_, full.process_finish, full.makespan) == out.cost) {
+    return;
+  }
+  count<&EvalStats::verify_mismatches>();
+#ifndef NDEBUG
+  throw std::logic_error(
+      "EvalContext: a move evaluation differs from its from-scratch "
+      "evaluation");
+#endif
 }
 
 Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {

@@ -30,6 +30,13 @@
 // rebuilds), and the analysis on top of it is the full one.  EvalStats
 // reports the reuse rate of the schedule layer.
 //
+// Shadow verification (`verify_every` N > 0) checks that claim in real
+// runs: the N-th, 2N-th, ... move evaluation, by evaluation index, is
+// recomputed from scratch (list_schedule + worst_case_schedule_length +
+// penalized_cost).  A differing makespan or cost counts a
+// verify_mismatches and, in builds with assertions, throws
+// std::logic_error.  Sampling by index keeps the counters thread-invariant.
+//
 // Thread safety: evaluate_move / fault_free_makespan may run concurrently
 // (the parallel neighborhood evaluation relies on this); rebase /
 // evaluate_base must not race with in-flight evaluations.
@@ -55,8 +62,10 @@ namespace ftes {
 class EvalContext {
  public:
   /// The referenced application/architecture must outlive the context.
+  /// `verify_every` > 0 shadow-verifies every such move evaluation (see
+  /// above); 0 turns verification off.
   EvalContext(const Application& app, const Architecture& arch,
-              FaultModel model);
+              FaultModel model, int verify_every = 0);
 
   struct Outcome {
     Time makespan = 0;  ///< analytic WCSL makespan
@@ -118,17 +127,21 @@ class EvalContext {
                                 const PolicyAssignment& assignment,
                                 const ListSchedule& sched) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
-  /// Relaxed add to the live counter `Counter` (a kEvalCounters entry).
+  /// Compares `out` with a from-scratch evaluation of `candidate`.
+  void verify(const PolicyAssignment& candidate, const Outcome& out);
+  /// Relaxed add to the live counter `Counter` (a kEvalCounters entry);
+  /// returns its value before the add.
   template <long long EvalStats::*Counter>
-  void count(long long n = 1) {
+  long long count(long long n = 1) {
     constexpr std::size_t slot = eval_counter_slot(Counter);
     static_assert(slot < kEvalCounters.size(), "not a live EvalStats counter");
-    counters_[slot].fetch_add(n, std::memory_order_relaxed);
+    return counters_[slot].fetch_add(n, std::memory_order_relaxed);
   }
 
   const Application& app_;
   const Architecture& arch_;
   FaultModel model_;
+  int verify_every_ = 0;
 
   // Cached base: assignment and its checkpoint log (which holds the
   // base's fault-free schedule).

@@ -33,6 +33,9 @@ struct EvalStats {
   /// Queue pops in move schedules: picks from the ready and tx queues
   /// plus future->avail promotions (list_scheduler.h, ReadyEntry).
   long long heap_pops = 0;
+  /// Shadow-verified move evaluations (OptimizeOptions::verify_every)
+  /// whose makespan or cost differed from a from-scratch evaluation.
+  long long verify_mismatches = 0;
 
   /// Always 0 and never counted: the layers they measured (DP-row reuse,
   /// scheduler snapshots, the winning-move cache) were deleted.  They stay
@@ -65,7 +68,8 @@ inline constexpr std::array kEvalCounters{
     &EvalStats::incremental_evals, &EvalStats::fault_free_evals,
     &EvalStats::rebases,           &EvalStats::ls_full_builds,
     &EvalStats::ls_resumes,        &EvalStats::ls_events_total,
-    &EvalStats::ls_events_resumed, &EvalStats::heap_pops};
+    &EvalStats::ls_events_resumed, &EvalStats::heap_pops,
+    &EvalStats::verify_mismatches};
 
 /// The always-zero fields kept for perfbench (see above).
 inline constexpr std::array kPerfbenchOnlyEvalFields{

@@ -307,7 +307,8 @@ OptimizeResult optimize_from(const Application& app, const Architecture& arch,
   std::unique_ptr<EvalContext> owned_eval;
   EvalContext* eval = options.eval;
   if (!eval) {
-    owned_eval = std::make_unique<EvalContext>(app, arch, model);
+    owned_eval = std::make_unique<EvalContext>(app, arch, model,
+                                               options.verify_every);
     eval = owned_eval.get();
   }
   const EvalStats stats_before = eval->stats();

@@ -61,6 +61,11 @@ struct OptimizeOptions {
   /// one across stages (core/pipeline.h) reuses its workspaces and
   /// aggregates its statistics (the search rebases it on its own start).
   EvalContext* eval = nullptr;
+  /// Shadow verification: every N-th move evaluation is recomputed from
+  /// scratch and compared (opt/eval_context.h); 0 = off.  Read where an
+  /// evaluator is built: the private one above and the pipeline's shared
+  /// one (core/pipeline.h).
+  int verify_every = 0;
   /// Cooperative cancellation: polled at every tabu iteration AND inside
   /// every parallel evaluation chunk (so an armed deadline fires within
   /// one candidate evaluation, not one full neighborhood); the search

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "fixtures.h"
@@ -388,6 +389,72 @@ TEST(EvalContext, RandomAcceptChainIsExact) {
               evaluate_wcsl(inst.app, inst.arch, candidate, model).makespan)
         << "accept " << accept;
   }
+}
+
+// Shadow verification recomputes every sampled move from scratch: on a
+// correct evaluator it finds nothing and leaves every other counter as an
+// unverified run leaves it.
+TEST(EvalContext, ShadowVerificationFindsNoMismatchAndCountsNothingElse) {
+  const Instance inst = make_instance(18, 3, 91);
+  const FaultModel model{2};
+  PolicyAssignment base =
+      greedy_initial(inst.app, inst.arch, model, PolicySpace::kFull, 8);
+  ftes::testing::replicate_every(inst.app, inst.arch, model, 4, base);
+  EvalContext plain(inst.app, inst.arch, model);
+  EvalContext verified(inst.app, inst.arch, model, 1);
+  plain.rebase(base);
+  verified.rebase(base);
+  Rng rng(8);
+  for (int move = 0; move < 60; ++move) {
+    const ProcessId pid{static_cast<std::int32_t>(
+        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+    const ProcessPlan plan = random_move(inst, base, pid, model, rng);
+    const EvalContext::Outcome a = plain.evaluate_move(pid, plan);
+    const EvalContext::Outcome b = verified.evaluate_move(pid, plan);
+    ASSERT_EQ(a.makespan, b.makespan) << "move " << move;
+    ASSERT_EQ(a.cost, b.cost) << "move " << move;
+  }
+  const EvalStats p = plain.stats();
+  const EvalStats v = verified.stats();
+  EXPECT_EQ(v.verify_mismatches, 0);
+  for (auto counter : kEvalCounters) EXPECT_EQ(p.*counter, v.*counter);
+}
+
+// A base whose application changed after its rebase (the context holds the
+// application by reference) yields resumed evaluations that are no longer
+// exact: their prefix is the stale base's.  With N = 2 every second move
+// evaluation is checked; each checked one is caught, counted and, with
+// assertions, thrown.
+TEST(EvalContext, ShadowVerificationCatchesAStaleBase) {
+  Instance inst = make_instance(16, 2, 12);
+  const FaultModel model{1};
+  const PolicyAssignment base = greedy_initial(
+      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 4);
+  EvalContext eval(inst.app, inst.arch, model, 2);
+  eval.rebase(base);
+  for (int i = 0; i < inst.app.process_count(); i += 3) {
+    for (auto& [node, wcet] : inst.app.process(ProcessId{i}).wcet) wcet *= 5;
+  }
+  // The last process in topological order: its moves resume past event 0,
+  // so their prefix comes from the stale base.
+  const ProcessId pid = inst.app.topological_order().back();
+  ProcessPlan plan = base.plan(pid);
+  plan.copies[0].checkpoints = plan.copies[0].checkpoints == 1 ? 2 : 1;
+  int thrown = 0;
+  for (int move = 0; move < 6; ++move) {
+    try {
+      (void)eval.evaluate_move(pid, plan);
+    } catch (const std::logic_error&) {
+      ++thrown;
+    }
+  }
+  EXPECT_EQ(eval.stats().verify_mismatches, 3);
+#ifdef NDEBUG
+  EXPECT_EQ(thrown, 0);
+#else
+  EXPECT_EQ(thrown, 3);
+#endif
+  EXPECT_GT(eval.stats().ls_events_resumed, 0);
 }
 
 TEST(EvalContext, EvaluateMoveWithoutRebaseThrows) {

@@ -38,6 +38,9 @@
 //   --fuzz-seed <n>     base seed of the fuzz sweep (default 1)
 //   --fuzz-out <file>   write the first (shrunk) counterexample as a
 //                       replayable fixture (single mode)
+//   --verify-every <n>  single mode: recompute every n-th move evaluation
+//                       from scratch and print the mismatch count (0 = off,
+//                       the default; see opt/eval_context.h)
 //   --replay <file>     replay a fuzz fixture (tests/fixtures/*.fuzz)
 //                       against the synthesized tables: apply its table
 //                       corruptions, replay its perturbation, and require
@@ -116,6 +119,7 @@ struct CliOptions {
   std::uint64_t fuzz_seed = 1;
   std::string fuzz_out;
   std::string replay_path;
+  int verify_every = 0;
   bool serve = false;
   int serve_jobs = 1;
   long long cache_bytes = 8ll << 20;
@@ -130,7 +134,7 @@ int usage() {
                "[--threads n] [--stage-budget-ms n] "
                "[--total-budget-ms n] [--no-tables] [--root] [--json] "
                "[--c-source] [--dot] [--gantt] [--fuzz n] [--fuzz-seed n] "
-               "[--fuzz-out file] [--replay file]\n"
+               "[--fuzz-out file] [--replay file] [--verify-every n]\n"
                "       ftes_cli --batch <dir> [--seed n] [--iterations n] "
                "[--threads n] [--stage-budget-ms n] [--total-budget-ms n] "
                "[--json] [--fuzz n] [--fuzz-seed n]\n"
@@ -176,6 +180,8 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       opts.fuzz_out = argv[++i];
     } else if (arg == "--replay" && i + 1 < argc) {
       opts.replay_path = argv[++i];
+    } else if (arg == "--verify-every" && i + 1 < argc) {
+      opts.verify_every = std::atoi(argv[++i]);
     } else if (arg == "--serve") {
       opts.serve = true;
     } else if (arg == "--serve-jobs" && i + 1 < argc) {
@@ -312,6 +318,17 @@ int run_serve_mode(const CliOptions& opts) {
 int main(int argc, char** argv) {
   CliOptions opts;
   if (!parse_args(argc, argv, opts)) return usage();
+  if (opts.verify_every < 0) {
+    std::fprintf(stderr, "ftes_cli: --verify-every must be >= 0\n");
+    return 1;
+  }
+  if (opts.verify_every > 0 && (opts.serve || !opts.batch_dir.empty())) {
+    // The batch and serve reports have no place for the mismatch count.
+    std::fprintf(stderr,
+                 "ftes_cli: --verify-every is only available for a single "
+                 "problem\n");
+    return 1;
+  }
   if (opts.serve) return run_serve_mode(opts);
   if (!opts.inject_specs.empty()) {
     // Only the server's soak harness injects faults; the one-shot modes
@@ -352,6 +369,7 @@ int main(int argc, char** argv) {
   synth.build_schedule_tables = opts.tables;
   synth.stage_budget_ms = opts.stage_budget_ms;
   synth.total_budget_ms = opts.total_budget_ms;
+  synth.optimize.verify_every = opts.verify_every;
 
   // Drive the stage pipeline directly so per-stage metrics can be shown.
   SynthesisContext ctx(problem.app, problem.arch, synth);
@@ -412,6 +430,13 @@ int main(int argc, char** argv) {
     std::printf(";");
   }
   std::printf("\n");
+  if (opts.verify_every > 0) {
+    // Printed only on request, so the default output stays unchanged.
+    const EvalStats stats = ctx.eval().stats();
+    std::printf("Shadow verification: every %d move evaluation(s), %lld "
+                "mismatches\n",
+                opts.verify_every, stats.verify_mismatches);
+  }
 
   bool fuzz_ok = true;
   bool replay_ok = true;
