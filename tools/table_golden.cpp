@@ -26,17 +26,30 @@
 // fuzz finds a violation of any other kind (the family is not schedulable
 // on two nodes, so every scenario misses the deadline).
 //
+// --search instead runs the default pipeline (core/pipeline.h) on the
+// scale500, scale750 and scale1000 families at k = 1: 20 tabu iterations,
+// seed 2008, tables off.  Per family it prints one line:
+//
+//   <name> wcsl=<n> assignment=<16 hex digits> evaluations=<n>
+//     rebases=<n> events=<n> events_resumed=<n> heap_pops=<n>
+//
+// (one line in the output): the final WCSL, an FNV-1a hash of the
+// assignment's summary, and the evaluator's work counters.
+// --verify-every n shadow-verifies every n-th move evaluation
+// (opt/eval_context.h) and adds a `shadow verification:` line per family.
+//
 // Usage:
-//   table_golden [--threads n] [--scale500]
+//   table_golden [--threads n] [--scale500 | --search [--verify-every n]]
 //
 // Exit status: 0 done, 1 a --scale500 violation other than a deadline
-// miss, 2 usage error.
+// miss or a --search verification mismatch, 2 usage error.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "gen/taskgen.h"
 #include "opt/policy_assignment.h"
 #include "sched/cond_scheduler.h"
@@ -239,23 +252,71 @@ int run_scale500(int threads) {
   return failures == 0 ? 0 : 1;
 }
 
+int run_search(int threads, int verify_every) {
+  long long mismatches = 0;
+  for (const ScaleFamily& family : scale_families()) {
+    Rng rng(2008);
+    Application app = generate_application(family.params, rng);
+    Architecture arch = generate_architecture(family.params);
+    SynthesisOptions options;
+    options.fault_model.k = 1;
+    options.optimize.iterations = 20;
+    options.optimize.seed = 2008;
+    options.optimize.threads = threads;
+    options.optimize.verify_every = verify_every;
+    options.build_schedule_tables = false;
+    SynthesisContext ctx(std::move(app), std::move(arch), options);
+    const SynthesisResult result = Pipeline::default_pipeline().run(ctx);
+    const EvalStats stats = ctx.eval().stats();
+    Fnv1a h;
+    h.add(result.assignment.summary(ctx.app()));
+    std::printf("%s wcsl=%lld assignment=%s evaluations=%lld rebases=%lld "
+                "events=%lld events_resumed=%lld heap_pops=%lld\n",
+                family.name, static_cast<long long>(result.wcsl.makespan),
+                h.hex().c_str(), stats.evaluations, stats.rebases,
+                stats.ls_events_total, stats.ls_events_resumed,
+                stats.heap_pops);
+    if (verify_every > 0) {
+      std::printf("%s shadow verification: every %d move evaluation(s), "
+                  "%lld mismatches\n",
+                  family.name, verify_every, stats.verify_mismatches);
+    }
+    mismatches += stats.verify_mismatches;
+  }
+  return mismatches == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int threads = 1;
+  int verify_every = 0;
   bool scale500 = false;
-  for (int i = 1; i < argc; ++i) {
+  bool search = false;
+  bool known = true;
+  for (int i = 1; known && i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
+    } else if (arg == "--verify-every" && i + 1 < argc) {
+      verify_every = std::atoi(argv[++i]);
     } else if (arg == "--scale500") {
       scale500 = true;
+    } else if (arg == "--search") {
+      search = true;
     } else {
-      std::fprintf(stderr, "usage: table_golden [--threads n] [--scale500]\n");
-      return 2;
+      known = false;
     }
   }
+  if (!known || (scale500 && search) || verify_every < 0 ||
+      (verify_every > 0 && !search)) {
+    std::fprintf(stderr,
+                 "usage: table_golden [--threads n] "
+                 "[--scale500 | --search [--verify-every n]]\n");
+    return 2;
+  }
   if (scale500) return run_scale500(threads);
+  if (search) return run_search(threads, verify_every);
   for (const Instance& inst : golden_instances()) {
     std::printf("%s\n", build(inst, threads).line.c_str());
   }
