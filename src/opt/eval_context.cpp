@@ -54,22 +54,32 @@ auto EvalContext::with_move(ProcessId pid, const ProcessPlan& plan,
 }
 
 Time EvalContext::rebase(const PolicyAssignment& base, ProcessId) {
-  list_schedule(app_, arch_, base, base_log_);
-  base_has_log_ = true;
+  Base& next = *spare_;
+  const ListSchedule& sched = list_schedule(app_, arch_, base, next.log);
+  std::unique_ptr<Workspace> ws = acquire();
+  next.outcome =
+      analyze(next.analysis, ws->scratch, ws->process_finish, base, sched, 0);
+  put_back(std::move(ws));
+  const std::size_t k = static_cast<std::size_t>(model_.k);
+  const std::vector<std::vector<Time>>& rows = next.analysis.L;
+  next.prefix_max.resize(rows.size() + 1);
+  next.prefix_max[0] = 0;
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    next.prefix_max[e + 1] = std::max(next.prefix_max[e], rows[e][k]);
+  }
   base_ = base;
+  std::swap(recorded_, spare_);
+  base_has_log_ = true;
   ++version_;
   count<&EvalStats::rebases>();
-  return base_log_.schedule.makespan;
+  return recorded_->log.schedule.makespan;
 }
 
 EvalContext::Outcome EvalContext::evaluate_base() {
   if (!base_has_log_) {
     throw std::logic_error("EvalContext::evaluate_base without rebase()");
   }
-  std::unique_ptr<Workspace> ws = acquire();
-  const Outcome out = analyze(*ws, base_, base_log_.schedule);
-  put_back(std::move(ws));
-  return out;
+  return recorded_->outcome;
 }
 
 void EvalContext::record_resume_stats(const ListScheduleResumeStats& stats) {
@@ -82,32 +92,38 @@ void EvalContext::record_resume_stats(const ListScheduleResumeStats& stats) {
   count<&EvalStats::heap_pops>(static_cast<long long>(stats.heap_pops));
 }
 
-EvalContext::Outcome EvalContext::analyze(Workspace& ws,
+EvalContext::Outcome EvalContext::analyze(Analysis& out,
+                                          WcslDagScratch& scratch,
+                                          std::vector<Time>& process_finish,
                                           const PolicyAssignment& assignment,
-                                          const ListSchedule& sched) const {
+                                          const ListSchedule& sched,
+                                          int first) const {
   const int k = model_.k;
-  build_wcsl_dag(app_, arch_, assignment, k, sched, ws.dag, ws.scratch);
-  const WcslDag& dag = ws.dag;
-  // Rows keep their storage from candidate to candidate; wcsl_dp_row
-  // rewrites each one before any successor reads it.
-  ws.L.resize(static_cast<std::size_t>(dag.g.vertex_count()));
-  Outcome out;
-  for (int v : dag.g.topological_order()) {
-    std::vector<Time>& row = ws.L[static_cast<std::size_t>(v)];
-    wcsl_dp_row(dag, v, ws.L, k, row);
-    out.makespan = std::max(out.makespan, row[static_cast<std::size_t>(k)]);
-  }
-  ws.process_finish.assign(static_cast<std::size_t>(app_.process_count()), 0);
+  const std::size_t kk = static_cast<std::size_t>(k);
+  build_wcsl_dag(app_, arch_, assignment, k, sched, out.dag, scratch, first);
+  const std::vector<std::vector<Time>>& base = recorded_->analysis.L;
+  // Rows keep their storage from candidate to candidate; the pass rewrites
+  // each one before any successor reads it.
+  out.L.resize(static_cast<std::size_t>(out.dag.g.vertex_count()));
+  Outcome result;
+  result.makespan = std::max(
+      first > 0 ? recorded_->prefix_max[static_cast<std::size_t>(first)] : 0,
+      wcsl_dp_from(out.dag, first, base, out.L, k));
+  // Worst-case finishes of the processes penalized_cost reads: those with
+  // a local deadline.
+  process_finish.assign(static_cast<std::size_t>(app_.process_count()), 0);
   for (int p = 0; p < app_.process_count(); ++p) {
-    Time& pf = ws.process_finish[static_cast<std::size_t>(p)];
-    for (int v = sched.first_copy[static_cast<std::size_t>(p)];
-         v < sched.first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
-      pf = std::max(pf, ws.L[static_cast<std::size_t>(v)]
-                            [static_cast<std::size_t>(k)]);
+    if (!app_.process(ProcessId{p}).local_deadline) continue;
+    Time& pf = process_finish[static_cast<std::size_t>(p)];
+    for (int c = sched.first_copy[static_cast<std::size_t>(p)];
+         c < sched.first_copy[static_cast<std::size_t>(p) + 1]; ++c) {
+      const int e = sched.copies[static_cast<std::size_t>(c)].event;
+      pf = std::max(pf, (e < first ? base : out.L)[static_cast<std::size_t>(e)]
+                                                   [kk]);
     }
   }
-  out.cost = penalized_cost(app_, ws.process_finish, out.makespan);
-  return out;
+  result.cost = penalized_cost(app_, process_finish, result.makespan);
+  return result;
 }
 
 EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
@@ -119,10 +135,15 @@ EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
   const long long index = count<&EvalStats::incremental_evals>();
   return with_move(pid, plan, [&](Workspace& ws) {
     ListScheduleResumeStats rstats;
-    ws.sched = list_schedule_resume(app_, arch_, base_, base_log_,
+    ws.sched = list_schedule_resume(app_, arch_, base_, recorded_->log,
                                     ws.assignment, pid, &rstats);
     record_resume_stats(rstats);
-    const Outcome out = analyze(ws, ws.assignment, ws.sched);
+    const int limit = static_cast<int>(rstats.events_resumed);
+    const Outcome out = analyze(ws.analysis, ws.scratch, ws.process_finish,
+                                ws.assignment, ws.sched, limit);
+    count<&EvalStats::dp_vertices_total>(
+        static_cast<long long>(rstats.events_total));
+    count<&EvalStats::dp_vertices_reused>(limit);
     if (verify_every_ > 0 && (index + 1) % verify_every_ == 0) {
       verify(ws.assignment, out);
     }
@@ -155,8 +176,8 @@ Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {
   return with_move(pid, plan, [&](Workspace& ws) {
     ListScheduleResumeStats rstats;
     const Time makespan =
-        list_schedule_resume(app_, arch_, base_, base_log_, ws.assignment,
-                             pid, &rstats)
+        list_schedule_resume(app_, arch_, base_, recorded_->log,
+                             ws.assignment, pid, &rstats)
             .makespan;
     record_resume_stats(rstats);
     return makespan;

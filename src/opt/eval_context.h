@@ -5,7 +5,8 @@
 // assignment in a single process plan.  Evaluating a candidate from
 // scratch pays twice over: a full PolicyAssignment copy per candidate and
 // a full fault-free list schedule rebuild.  EvalContext removes both, and
-// scores each candidate with one full, allocation-free WCSL pass:
+// scores each candidate with an allocation-free WCSL pass over the events
+// its schedule replayed:
 //
 //   * Moves are expressed as (process, new ProcessPlan) against a cached
 //     *base* assignment.  Per-thread workspaces materialize a candidate by
@@ -15,20 +16,31 @@
 //     (sched/list_scheduler.h); a candidate's schedule restores the base's
 //     scheduler state before the first placement the move can affect and
 //     replays only the events from there.
-//   * The candidate's augmented DAG is built in commit order into the
-//     workspace's storage, and wcsl_dp_row runs over every vertex into the
-//     workspace's rows (sched/wcsl.h); a warm workspace allocates nothing
-//     on this side.
+//   * The WCSL DAG and its DP rows are indexed by commit index
+//     (sched/wcsl.h), so every event before the resume point `limit` has
+//     exactly the base's slice, weight and row: predecessors commit before
+//     their successors, and the moved process's copies, its sends and any
+//     producer whose message to it flips between local and bus all commit
+//     at or after `limit` (the bound list_schedule_resume proves).  A
+//     candidate builds only the slices and weights of events limit..V-1
+//     into its workspace and runs wcsl_dp_row only for them, reading
+//     earlier rows from the base's; the makespan joins the suffix's maxima
+//     with the base's prefix maximum before `limit`.  A warm workspace
+//     allocates nothing on this side.
 //   * A rebase() records the new base's log with one from-scratch
-//     list-schedule build and returns its fault-free makespan -- all the
-//     mapping search needs, and all an accepted move needs, since the
-//     search engine already holds the winner's evaluated objective.  The
-//     WCSL objective of a search's start comes from evaluate_base().
+//     list-schedule build, then the same analysis from event 0: the base's
+//     DAG, rows, prefix maxima of row[k] and outcome, which evaluate_base()
+//     returns.  It returns the fault-free makespan -- all the mapping
+//     search needs, and all an accepted move needs, since the search
+//     engine already holds the winner's evaluated objective.  The new base
+//     is built aside, so a rebase that throws leaves the previous one in
+//     place.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
-// rebuilds), and the analysis on top of it is the full one.  EvalStats
-// reports the reuse rate of the schedule layer.
+// rebuilds), and so is the analysis over its suffix.  EvalStats reports
+// the reuse rate of both layers (placement events and DP rows restored
+// from the base).
 //
 // Shadow verification (`verify_every` N > 0) checks that claim in real
 // runs: the N-th, 2N-th, ... move evaluation, by evaluation index, is
@@ -72,21 +84,22 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Caches `base` and records its checkpoint log with one full list
-  /// schedule; returns the base's fault-free makespan.  Invalidates
-  /// workspaces lazily.  The ProcessId is ignored: it stays only because
-  /// the benchmark driver (perfbench/src/driver.cpp) calls
+  /// Caches `base`, records its checkpoint log with one full list schedule
+  /// and its analysis from event 0; returns the base's fault-free
+  /// makespan.  Invalidates workspaces lazily.  On a throw the previous
+  /// base stays.  The ProcessId is ignored: it stays only because the
+  /// benchmark driver (perfbench/src/driver.cpp) calls
   /// rebase(candidate, pid).
   Time rebase(const PolicyAssignment& base, ProcessId = {});
 
-  /// WCSL outcome of the base itself: one full analysis of the recorded
-  /// base schedule.  Counts nothing (a start's objective is not a search
-  /// evaluation).  Throws std::logic_error without a prior rebase().
+  /// WCSL outcome of the base itself, as recorded by rebase().  Counts
+  /// nothing (a start's objective is not a search evaluation).  Throws
+  /// std::logic_error without a prior rebase().
   [[nodiscard]] Outcome evaluate_base();
 
   /// WCSL outcome of base-with-plan(pid)-replaced-by-plan: its schedule
-  /// resumed from the base's log, then one full analysis.  Requires a
-  /// prior rebase().
+  /// resumed from the base's log, then the analysis from the resume point.
+  /// Requires a prior rebase().
   [[nodiscard]] Outcome evaluate_move(ProcessId pid, const ProcessPlan& plan);
 
   /// Fault-free list-schedule makespan of the same move (the mapping
@@ -104,14 +117,29 @@ class EvalContext {
   [[nodiscard]] EvalStats stats() const;
 
  private:
+  /// One analyzed schedule: its WCSL DAG and DP rows, indexed by event.
+  struct Analysis {
+    WcslDag dag;
+    std::vector<std::vector<Time>> L;
+  };
+
   struct Workspace {
     PolicyAssignment assignment;
     std::uint64_t version = 0;
     ListSchedule sched;
-    WcslDag dag;
+    Analysis analysis;
     WcslDagScratch scratch;
-    std::vector<std::vector<Time>> L;
     std::vector<Time> process_finish;
+  };
+
+  /// A recorded base: its checkpoint log, its analysis from event 0, the
+  /// prefix maxima of its rows' L(e, k) (prefix_max[e] = the maximum over
+  /// events before e) and its outcome.
+  struct Base {
+    ScheduleCheckpointLog log;
+    Analysis analysis;
+    std::vector<Time> prefix_max;
+    Outcome outcome;
   };
 
   [[nodiscard]] std::unique_ptr<Workspace> acquire();
@@ -121,11 +149,14 @@ class EvalContext {
   template <class Body>
   auto with_move(ProcessId pid, const ProcessPlan& plan, const Body& body);
 
-  /// One full WCSL pass over `sched`, a list schedule of `assignment`, in
-  /// `ws`'s storage: the DAG, every DP row, then makespan and cost.
-  [[nodiscard]] Outcome analyze(Workspace& ws,
+  /// The WCSL pass over events first..V-1 of `sched`, a list schedule of
+  /// `assignment` that shares its events before `first` with the recorded
+  /// base (first = 0: none): their DAG slices and DP rows into `out`,
+  /// earlier rows read from the base, then makespan and cost.
+  [[nodiscard]] Outcome analyze(Analysis& out, WcslDagScratch& scratch,
+                                std::vector<Time>& process_finish,
                                 const PolicyAssignment& assignment,
-                                const ListSchedule& sched) const;
+                                const ListSchedule& sched, int first) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
   /// Compares `out` with a from-scratch evaluation of `candidate`.
   void verify(const PolicyAssignment& candidate, const Outcome& out);
@@ -143,12 +174,13 @@ class EvalContext {
   FaultModel model_;
   int verify_every_ = 0;
 
-  // Cached base: assignment and its checkpoint log (which holds the
-  // base's fault-free schedule).
+  // Cached base: assignment and its recorded log and analysis.  rebase()
+  // builds the next base in spare_ and swaps it in once it is complete.
   PolicyAssignment base_;
   std::uint64_t version_ = 0;
   bool base_has_log_ = false;  ///< set by the first rebase()
-  ScheduleCheckpointLog base_log_;
+  std::unique_ptr<Base> recorded_ = std::make_unique<Base>();
+  std::unique_ptr<Base> spare_ = std::make_unique<Base>();
 
   std::mutex ws_mutex_;
   std::vector<std::unique_ptr<Workspace>> idle_ws_;

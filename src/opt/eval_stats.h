@@ -5,7 +5,8 @@
 // `evaluations` counts objective evaluations of any kind; the remaining
 // counters break down how they were served.  The list-schedule checkpoint
 // log is the cache layer: a resumed event is a copy/transmission placement
-// restored from the base schedule instead of replayed.
+// restored from the base schedule instead of replayed, and the WCSL DP row
+// of every resumed event is the base's, read instead of recomputed.
 //
 // A live counter is declared once: its field below and its entry in
 // kEvalCounters.  add(), since() and EvalContext's counter array all walk
@@ -33,17 +34,20 @@ struct EvalStats {
   /// Queue pops in move schedules: picks from the ready and tx queues
   /// plus future->avail promotions (list_scheduler.h, ReadyEntry).
   long long heap_pops = 0;
+  /// WCSL DP rows move evaluations needed (one per event of the move's
+  /// schedule), and of those the rows read from the base's analysis (the
+  /// events before the resume point).
+  long long dp_vertices_total = 0;
+  long long dp_vertices_reused = 0;
   /// Shadow-verified move evaluations (OptimizeOptions::verify_every)
   /// whose makespan or cost differed from a from-scratch evaluation.
   long long verify_mismatches = 0;
 
-  /// Always 0 and never counted: the layers they measured (DP-row reuse,
-  /// scheduler snapshots, the winning-move cache) were deleted.  They stay
-  /// only because perfbench/src/driver.cpp reads them for its
-  /// opt.dp_row_reuse, opt.snapshot_bytes_copied and opt.rebase_cache_hit
-  /// rows; ROADMAP item 4 removes them together with those rows.
-  long long dp_vertices_total = 0;
-  long long dp_vertices_reused = 0;
+  /// Always 0 and never counted: the layers they measured (scheduler
+  /// snapshots, the winning-move cache) were deleted.  They stay only
+  /// because perfbench/src/driver.cpp reads them for its
+  /// opt.snapshot_bytes_copied and opt.rebase_cache_hit rows; ROADMAP
+  /// item 4 removes them together with those rows.
   long long snapshot_bytes_copied = 0;
   long long rebase_cache_hits = 0;
 
@@ -69,11 +73,11 @@ inline constexpr std::array kEvalCounters{
     &EvalStats::rebases,           &EvalStats::ls_full_builds,
     &EvalStats::ls_resumes,        &EvalStats::ls_events_total,
     &EvalStats::ls_events_resumed, &EvalStats::heap_pops,
+    &EvalStats::dp_vertices_total, &EvalStats::dp_vertices_reused,
     &EvalStats::verify_mismatches};
 
 /// The always-zero fields kept for perfbench (see above).
 inline constexpr std::array kPerfbenchOnlyEvalFields{
-    &EvalStats::dp_vertices_total, &EvalStats::dp_vertices_reused,
     &EvalStats::snapshot_bytes_copied, &EvalStats::rebase_cache_hits};
 
 /// Position of `counter` in kEvalCounters; kEvalCounters.size() if absent.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -25,12 +26,12 @@ bool WcslResult::meets_deadlines(const Application& app) const {
 void build_wcsl_dag(const Application& app, const Architecture& arch,
                     const PolicyAssignment& assignment, int k,
                     const ListSchedule& schedule, WcslDag& a,
-                    WcslDagScratch& scratch) {
+                    WcslDagScratch& scratch, int first) {
   const int process_count = app.process_count();
   // Copy vertices are prefix-indexed by construction of the list scheduler
   // (copy j of process p sits at schedule.first_copy[p] + j), so once the
   // schedule's layout is known to be the assignment's, the (process, copy)
-  // -> vertex lookup is pure arithmetic.
+  // -> copy index lookup is pure arithmetic.
   const std::vector<int>& first_copy = schedule.first_copy;
   bool layout_ok = assignment.process_count() == process_count &&
                    first_copy.size() ==
@@ -49,43 +50,72 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
   a.copy_count = static_cast<int>(schedule.copies.size());
   a.msg_count = static_cast<int>(schedule.messages.size());
   const int total = a.copy_count + a.msg_count;
-  const auto cv = [&](std::int32_t process, int copy) {
-    return first_copy[static_cast<std::size_t>(process)] + copy;
+  if (first < 0 || first > total) {
+    throw std::invalid_argument("WCSL DAG: first event out of range");
+  }
+  const std::size_t from = static_cast<std::size_t>(first);
+  const std::size_t n = static_cast<std::size_t>(total);
+  const auto copy_event = [&](int c) {
+    return schedule.copies[static_cast<std::size_t>(c)].event;
+  };
+  const auto msg_event = [&](int m) {
+    return schedule.messages[static_cast<std::size_t>(m)].event;
   };
 
-  // Topological order: the commit order.  The scheduler commits one copy
-  // or transmission per event, and a vertex's predecessors (its producers,
-  // the transmissions it waits for, the previous execution on its node or
-  // transmission on the bus) all commit before it -- checked below.
+  // Vertices are commit indices, so the topological order is 0..V-1: the
+  // scheduler commits one copy or transmission per event, and a vertex's
+  // predecessors (its producers, the transmissions it waits for, the
+  // previous execution on its node or transmission on the bus) all commit
+  // before it -- checked below.  `item` maps events first..V-1 back.
   WcslGraph& g = a.g;
-  std::vector<int>& event = scratch.event;
-  event.resize(static_cast<std::size_t>(total));
-  g.order.assign(static_cast<std::size_t>(total), -1);
-  for (int v = 0; v < total; ++v) {
-    const int e =
-        v < a.copy_count
-            ? schedule.copies[static_cast<std::size_t>(v)].event
-            : schedule.messages[static_cast<std::size_t>(v - a.copy_count)]
-                  .event;
-    if (e < 0 || e >= total || g.order[static_cast<std::size_t>(e)] >= 0) {
+  if (g.order.size() != n) {
+    const std::size_t known = std::min(g.order.size(), n);
+    g.order.resize(n);
+    std::iota(g.order.begin() + static_cast<std::ptrdiff_t>(known),
+              g.order.end(), static_cast<int>(known));
+  }
+  a.item.resize(n);
+  std::fill(a.item.begin() + static_cast<std::ptrdiff_t>(from), a.item.end(),
+            -1);
+  int placed = 0;
+  const auto place = [&](int e, int item) {
+    if (e < 0 || e >= total ||
+        (e >= first && a.item[static_cast<std::size_t>(e)] >= 0)) {
       throw std::invalid_argument(
           "WCSL DAG: commit indices are not a permutation of the events");
     }
-    g.order[static_cast<std::size_t>(e)] = v;
-    event[static_cast<std::size_t>(v)] = e;
+    if (e >= first) {
+      a.item[static_cast<std::size_t>(e)] = item;
+      ++placed;
+    }
+  };
+  for (int c = 0; c < a.copy_count; ++c) place(copy_event(c), c);
+  // Transmissions, like each node's and the bus's order below, are in
+  // commit order, so those from `first` on are a suffix: walk back.
+  for (int m = a.msg_count - 1; m >= 0 && msg_event(m) >= first; --m) {
+    place(msg_event(m), a.copy_count + m);
+  }
+  if (placed != total - first) {
+    throw std::invalid_argument(
+        "WCSL DAG: commit indices are not a permutation of the events");
   }
 
-  // The (message, source copy) -> transmission lookup, by prefix offsets.
+  // The (message, source copy) -> transmission event lookup, by prefix
+  // offsets over every transmission (a built consumer may read one
+  // committed before `first`).
   const std::vector<Message>& messages = app.messages();
   const auto message = [&](MessageId mid) -> const Message& {
     return messages[static_cast<std::size_t>(mid.get())];
+  };
+  const auto copies_of = [&](ProcessId pid) {
+    return first_copy[static_cast<std::size_t>(pid.get()) + 1] -
+           first_copy[static_cast<std::size_t>(pid.get())];
   };
   std::vector<int>& first_tx = scratch.first_tx;
   first_tx.resize(messages.size() + 1);
   first_tx[0] = 0;
   for (std::size_t mi = 0; mi < messages.size(); ++mi) {
-    first_tx[mi + 1] =
-        first_tx[mi] + assignment.plan(messages[mi].src).copy_count();
+    first_tx[mi + 1] = first_tx[mi] + copies_of(messages[mi].src);
   }
   std::vector<int>& tx_of = scratch.tx_of;
   tx_of.assign(static_cast<std::size_t>(first_tx.back()), -1);
@@ -98,141 +128,135 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
           "WCSL DAG: a transmission names no (message, source copy) of the "
           "assignment");
     }
-    tx_of[static_cast<std::size_t>(first_tx[mi] + sm.src_copy)] = m;
+    tx_of[static_cast<std::size_t>(first_tx[mi] + sm.src_copy)] = sm.event;
   }
 
-  // Resource edges: each vertex has at most one static-order predecessor,
+  // Resource edges: each event has at most one static-order predecessor,
   // the previous execution on its node or the previous transmission on the
-  // bus.
+  // bus.  Walked back from each order's end down to its first entry before
+  // `first`, which is the order predecessor of the entry after it.
   std::vector<int>& order_pred = scratch.order_pred;
-  order_pred.assign(static_cast<std::size_t>(total), -1);
+  order_pred.resize(n);
+  std::fill(order_pred.begin() + static_cast<std::ptrdiff_t>(from),
+            order_pred.end(), -1);
   for (const auto& order : schedule.node_order) {
-    for (std::size_t i = 0; i < order.size(); ++i) {
+    int succ = -1;  // event of the entry after the current one
+    for (std::size_t i = order.size(); i-- > 0;) {
       if (order[i] < 0 || order[i] >= a.copy_count) {
         throw std::invalid_argument("WCSL DAG: a node order names no copy");
       }
-      if (i > 0) order_pred[static_cast<std::size_t>(order[i])] = order[i - 1];
+      const int e = copy_event(order[i]);
+      if (succ >= 0) order_pred[static_cast<std::size_t>(succ)] = e;
+      if (e < first) break;
+      succ = e;
     }
   }
-  for (std::size_t i = 0; i < schedule.bus_order.size(); ++i) {
+  int succ = -1;
+  for (std::size_t i = schedule.bus_order.size(); i-- > 0;) {
     const int m = schedule.bus_order[i];
     if (m < 0 || m >= a.msg_count) {
       throw std::invalid_argument(
           "WCSL DAG: the bus order names no transmission");
     }
-    if (i > 0) {
-      order_pred[static_cast<std::size_t>(a.msg_vertex(m))] =
-          a.msg_vertex(schedule.bus_order[i - 1]);
-    }
+    const int e = msg_event(m);
+    if (succ >= 0) order_pred[static_cast<std::size_t>(succ)] = e;
+    if (e < first) break;
+    succ = e;
   }
 
-  // Data edges.  Every copy of a consumer has the same data predecessors:
-  // per input message and producer copy, the transmission vertex of a
-  // cross-node message or the producer copy itself for co-located flow.
-  // A transmission's one data predecessor is its sending copy.
-  std::vector<int>& data_count = scratch.data_count;
-  data_count.assign(static_cast<std::size_t>(process_count), 0);
-  for (const Message& msg : messages) {
-    data_count[static_cast<std::size_t>(msg.dst.get())] +=
-        assignment.plan(msg.src).copy_count();
-  }
-  g.pred_begin.resize(static_cast<std::size_t>(total) + 1);
-  g.pred_begin[0] = 0;
-  for (int p = 0; p < process_count; ++p) {
-    for (int v = first_copy[static_cast<std::size_t>(p)];
-         v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
-      g.pred_begin[static_cast<std::size_t>(v) + 1] =
-          g.pred_begin[static_cast<std::size_t>(v)] +
-          data_count[static_cast<std::size_t>(p)] +
-          (order_pred[static_cast<std::size_t>(v)] >= 0 ? 1 : 0);
-    }
-  }
-  for (int v = a.copy_count; v < total; ++v) {
-    g.pred_begin[static_cast<std::size_t>(v) + 1] =
-        g.pred_begin[static_cast<std::size_t>(v)] + 1 +
-        (order_pred[static_cast<std::size_t>(v)] >= 0 ? 1 : 0);
-  }
-  g.preds.resize(
-      static_cast<std::size_t>(g.pred_begin[static_cast<std::size_t>(total)]));
-  // Writes the `data` list, whose latest commit index is `data_event`,
-  // then v's order predecessor (if any) into v's slice.
-  std::vector<int>& data = scratch.data;
-  const auto fill = [&](int v, int data_event) {
-    const int prev = order_pred[static_cast<std::size_t>(v)];
-    const int at = event[static_cast<std::size_t>(v)];
-    if (data_event >= at ||
-        (prev >= 0 && event[static_cast<std::size_t>(prev)] >= at)) {
-      throw std::invalid_argument(
-          "WCSL DAG: a predecessor was committed after its successor");
-    }
-    int* out = std::copy(data.begin(), data.end(),
-                         g.preds.data() +
-                             g.pred_begin[static_cast<std::size_t>(v)]);
-    if (prev >= 0) *out = prev;
-  };
-  for (int p = 0; p < process_count; ++p) {
-    data.clear();
-    int data_event = -1;
-    for (MessageId mid : app.inputs(ProcessId{p})) {
-      const Message& msg = message(mid);
-      const int src_copies = assignment.plan(msg.src).copy_count();
-      for (int sj = 0; sj < src_copies; ++sj) {
-        const int tx = tx_of[static_cast<std::size_t>(
-            first_tx[static_cast<std::size_t>(mid.get())] + sj)];
-        const int d = tx >= 0 ? a.msg_vertex(tx) : cv(msg.src.get(), sj);
-        data.push_back(d);
-        data_event = std::max(data_event, event[static_cast<std::size_t>(d)]);
-      }
-    }
-    for (int v = first_copy[static_cast<std::size_t>(p)];
-         v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
-      fill(v, data_event);
-    }
-  }
-  for (int m = 0; m < a.msg_count; ++m) {
-    const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    const int sender = cv(message(sm.msg).src.get(), sm.src_copy);
-    data.assign(1, sender);
-    fill(a.msg_vertex(m), event[static_cast<std::size_t>(sender)]);
-  }
-
-  // Per-vertex weights: one execution-time lookup per copy, and the
-  // per-fault step only where some E(n, f >= 1) is needed (cap >= 1), so
-  // segment_length rejects a bad WCET exactly where the law is used.
-  a.weight.resize(static_cast<std::size_t>(total));
-  a.release.assign(static_cast<std::size_t>(total), 0);
-  for (int p = 0; p < process_count; ++p) {
-    const Process& proc = app.process(ProcessId{p});
-    const ProcessPlan& plan = assignment.plan(ProcessId{p});
-    for (int j = 0; j < plan.copy_count(); ++j) {
-      const int v = cv(p, j);
-      const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(v)];
-      if (sc.ref.process.get() != p || sc.ref.copy != j) {
+  // Slices, weights and releases of events first..V-1, in event order.
+  // A copy's slice is its process's data predecessors -- per input message
+  // and producer copy, the transmission of a cross-node message or the
+  // producer copy itself for co-located flow; the same for every copy of
+  // the process, so listed once, in its first built copy's slice, and
+  // copied from there -- then its order predecessor.  A transmission's one
+  // data predecessor is its sending copy.  Weights take one execution-time
+  // lookup per copy, and the per-fault step only where some E(n, f >= 1)
+  // is needed (cap >= 1), so segment_length rejects a bad WCET exactly
+  // where the law is used.
+  std::vector<WcslDagScratch::DataList>& data_of = scratch.data_of;
+  data_of.assign(static_cast<std::size_t>(process_count), {});
+  std::vector<int>& preds = g.preds;
+  g.pred_begin.resize(n + 1);
+  g.pred_begin[from] = 0;
+  preds.clear();
+  a.weight.resize(n);
+  a.release.resize(n);
+  for (std::size_t e = from; e < n; ++e) {
+    const int it = a.item[e];
+    const int prev = order_pred[e];
+    const int at = static_cast<int>(e);
+    if (it < a.copy_count) {
+      const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(it)];
+      const ProcessId pid = sc.ref.process;
+      if (pid.get() < 0 || pid.get() >= process_count || sc.ref.copy < 0 ||
+          sc.ref.copy >= copies_of(pid) ||
+          first_copy[static_cast<std::size_t>(pid.get())] + sc.ref.copy !=
+              it) {
         throw std::invalid_argument(
             "WCSL DAG: a copy's ref is not its place in the copy layout");
       }
-      const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
+      WcslDagScratch::DataList& list =
+          data_of[static_cast<std::size_t>(pid.get())];
+      if (list.begin < 0) {
+        list.begin = static_cast<int>(preds.size());
+        for (MessageId mid : app.inputs(pid)) {
+          const Message& msg = message(mid);
+          const int src_lo =
+              first_copy[static_cast<std::size_t>(msg.src.get())];
+          for (int sj = 0; sj < copies_of(msg.src); ++sj) {
+            const int tx = tx_of[static_cast<std::size_t>(
+                first_tx[static_cast<std::size_t>(mid.get())] + sj)];
+            const int d = tx >= 0 ? tx : copy_event(src_lo + sj);
+            preds.push_back(d);
+            list.latest = std::max(list.latest, d);
+          }
+        }
+        list.end = static_cast<int>(preds.size());
+      } else {
+        const std::size_t out = preds.size();
+        preds.resize(out + static_cast<std::size_t>(list.end - list.begin));
+        std::copy(preds.begin() + list.begin, preds.begin() + list.end,
+                  preds.begin() + static_cast<std::ptrdiff_t>(out));
+      }
+      if (list.latest >= at || prev >= at) {
+        throw std::invalid_argument(
+            "WCSL DAG: a predecessor was committed after its successor");
+      }
+      const Process& proc = app.process(pid);
+      const CopyPlan& cp =
+          assignment.plan(pid).copies[static_cast<std::size_t>(sc.ref.copy)];
       const RecoveryParams params{proc.wcet_on(sc.node), proc.alpha, proc.mu,
                                   proc.chi};
-      a.release[static_cast<std::size_t>(v)] = proc.release;
-      WcslWeight& w = a.weight[static_cast<std::size_t>(v)];
+      a.release[e] = proc.release;
+      WcslWeight& w = a.weight[e];
       if (cp.checkpoints < 1) {
         w = WcslWeight{replica_exec_time(params), 0, 0};
-        continue;
+      } else {
+        w = WcslWeight{checkpointed_exec_time(params, cp.checkpoints, 0), 0,
+                       std::min(cp.recoveries, k)};
+        if (w.cap >= 1) {
+          w.step = segment_length(params.wcet, cp.checkpoints) +
+                   params.alpha + params.mu;
+        }
       }
-      w = WcslWeight{checkpointed_exec_time(params, cp.checkpoints, 0), 0,
-                     std::min(cp.recoveries, k)};
-      if (w.cap >= 1) {
-        w.step = segment_length(params.wcet, cp.checkpoints) + params.alpha +
-                 params.mu;
+    } else {
+      const ScheduledMessage& sm =
+          schedule.messages[static_cast<std::size_t>(it - a.copy_count)];
+      const Message& msg = message(sm.msg);
+      const int sender = copy_event(
+          first_copy[static_cast<std::size_t>(msg.src.get())] + sm.src_copy);
+      if (sender >= at || prev >= at) {
+        throw std::invalid_argument(
+            "WCSL DAG: a predecessor was committed after its successor");
       }
+      preds.push_back(sender);
+      a.release[e] = 0;
+      a.weight[e] = WcslWeight{
+          arch.bus().worst_case_duration(sm.sender, msg.size), 0, 0};
     }
-  }
-  for (int m = 0; m < a.msg_count; ++m) {
-    const ScheduledMessage& sm = schedule.messages[static_cast<std::size_t>(m)];
-    a.weight[static_cast<std::size_t>(a.msg_vertex(m))] = WcslWeight{
-        arch.bus().worst_case_duration(sm.sender, message(sm.msg).size), 0,
-        0};
+    if (prev >= 0) preds.push_back(prev);
+    g.pred_begin[e + 1] = static_cast<int>(preds.size());
   }
 }
 
@@ -245,16 +269,21 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
   return dag;
 }
 
-Time wcsl_dp_row(const WcslDag& dag, int v,
-                 const std::vector<std::vector<Time>>& L, int k,
-                 std::vector<Time>& row) {
+namespace {
+
+/// wcsl_dp_row with the predecessor rows read through `row_of(p)`.
+template <class RowOf>
+Time dp_row(const WcslDag& dag, int v, const RowOf& row_of, int k,
+            std::vector<Time>& row) {
   // best_in[b] = max over predecessors p of L(p, b), accumulated in `row`
   // itself; nondecreasing in b because every row wcsl_dp_row writes is
   // (by induction from the sources, whose best_in is all zeros).
-  row.assign(static_cast<std::size_t>(k) + 1, 0);
+  const std::size_t width = static_cast<std::size_t>(k) + 1;
+  if (row.size() != width) row.resize(width);
   Time* best_in = row.data();
+  std::fill_n(best_in, width, Time{0});
   for (int p : dag.g.predecessors(v)) {
-    const Time* lp = L[static_cast<std::size_t>(p)].data();
+    const Time* lp = row_of(p);
     for (int b = 0; b <= k; ++b) best_in[b] = std::max(best_in[b], lp[b]);
   }
   assert(std::is_sorted(best_in, best_in + k + 1));
@@ -292,21 +321,47 @@ Time wcsl_dp_row(const WcslDag& dag, int v,
   return in_k;
 }
 
+}  // namespace
+
+Time wcsl_dp_row(const WcslDag& dag, int v,
+                 const std::vector<std::vector<Time>>& L, int k,
+                 std::vector<Time>& row) {
+  return dp_row(
+      dag, v,
+      [&](int p) { return L[static_cast<std::size_t>(p)].data(); }, k, row);
+}
+
+Time wcsl_dp_from(const WcslDag& dag, int first,
+                  const std::vector<std::vector<Time>>& base,
+                  std::vector<std::vector<Time>>& L, int k) {
+  const auto row_of = [&](int p) {
+    return (p < first ? base : L)[static_cast<std::size_t>(p)].data();
+  };
+  Time worst = 0;
+  for (int e = first; e < dag.g.vertex_count(); ++e) {
+    std::vector<Time>& row = L[static_cast<std::size_t>(e)];
+    (void)dp_row(dag, e, row_of, k, row);
+    worst = std::max(worst, row[static_cast<std::size_t>(k)]);
+  }
+  return worst;
+}
+
 namespace {
 
 void fill_result_vertex(WcslResult& result, const ListSchedule& schedule,
                         const WcslDag& a, int v, Time worst_start,
                         Time worst_finish) {
   result.makespan = std::max(result.makespan, worst_finish);
-  if (v < a.copy_count) {
-    const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(v)];
+  const int it = a.item[static_cast<std::size_t>(v)];
+  if (it < a.copy_count) {
+    const ScheduledCopy& sc = schedule.copies[static_cast<std::size_t>(it)];
     auto& pf =
         result.process_finish[static_cast<std::size_t>(sc.ref.process.get())];
     pf = std::max(pf, worst_finish);
-    result.copy_worst_start[static_cast<std::size_t>(v)] = worst_start;
-    result.copy_worst_finish[static_cast<std::size_t>(v)] = worst_finish;
+    result.copy_worst_start[static_cast<std::size_t>(it)] = worst_start;
+    result.copy_worst_finish[static_cast<std::size_t>(it)] = worst_finish;
   } else {
-    result.msg_worst_ready[static_cast<std::size_t>(v - a.copy_count)] =
+    result.msg_worst_ready[static_cast<std::size_t>(it - a.copy_count)] =
         worst_start;
   }
 }

@@ -40,14 +40,24 @@
 // fault-free schedule is kept (the run-time scheduler can only do better),
 // and transmissions pay the full worst-case round wait.
 //
-// Representation.  The DAG is built once per analysis as flat arrays (no
-// graph object): predecessors in compressed sparse row form, an unordered
-// multiset per vertex; a topological order that is the list scheduler's
-// commit order (ListSchedule's `event` stamps), so no graph search runs;
-// and one {base, step, cap} weight per vertex.  The DP visits that order,
-// and wcsl_dp_row allocates nothing once its row has k + 1 entries.
-// A caller that analyzes many schedules reuses one WcslDag and one
-// WcslDagScratch, so a warm rebuild allocates nothing either.
+// Representation.  A vertex is a commit index: vertex e is the copy or
+// transmission the list scheduler committed at event e (ListSchedule's
+// `event` stamps; WcslDag::item maps back), so the topological order is
+// 0..V-1 and no graph search runs.  The DAG is built once per analysis as
+// flat arrays (no graph object): predecessors in compressed sparse row
+// form, an unordered multiset of events per vertex, and one
+// {base, step, cap} weight per vertex.  The DP visits the events in
+// order, and wcsl_dp_row allocates nothing once its row has k + 1
+// entries.  A caller that analyzes many schedules reuses one WcslDag and
+// one WcslDagScratch, so a warm rebuild allocates nothing either.
+//
+// Resuming.  A vertex's predecessors all commit before it, so its slice,
+// weight and row depend only on the events up to its own.  Two schedules
+// that commit the same items with the same plans up to event `first` (a
+// move's schedule resumed from its base, sched/list_scheduler.h) thus share
+// every slice, weight and row before `first`.  build_wcsl_dag can build
+// only events first..V-1, and wcsl_dp_row can read the rows of earlier
+// events from the base's analysis (opt/eval_context.h does both).
 //
 // Thread safety: every function here is pure -- all inputs are taken by
 // const reference (only the storage-reusing build_wcsl_dag writes, into
@@ -89,14 +99,14 @@ struct WcslResult {
   [[nodiscard]] bool meets_deadlines(const Application& app) const;
 };
 
-/// Predecessor lists of the augmented DAG in compressed sparse row form.
-/// Each vertex's predecessors are an unordered multiset: a data edge and a
-/// node-order edge joining the same two copies both appear.  The
-/// topological order is the schedule's commit order.
+/// Predecessor lists of the augmented DAG in compressed sparse row form,
+/// vertices being commit indices.  Each vertex's predecessors are an
+/// unordered multiset: a data edge and a node-order edge joining the same
+/// two copies both appear.  The topological order is 0..V-1.
 struct WcslGraph {
   std::vector<int> pred_begin;  ///< vertex_count + 1 offsets into `preds`
   std::vector<int> preds;
-  std::vector<int> order;  ///< order[event] = the vertex committed then
+  std::vector<int> order;  ///< 0..vertex_count - 1, the commit order
 
   /// Contiguous predecessor ids of one vertex.
   struct Range {
@@ -133,18 +143,21 @@ struct WcslWeight {
 };
 
 /// The resource-augmented schedule DAG shared by the WCSL analyses below
-/// and the move evaluator (opt/eval_context.h): vertices are copies
-/// (0..copy_count) followed by bus transmissions; edges are data
-/// precedences plus the per-node / bus static orders of the fault-free
-/// schedule; weight[v] is v's weight law, w_v(f) for f = 0..k.
+/// and the move evaluator (opt/eval_context.h): vertex e is the copy or bus
+/// transmission committed at event e; edges are data precedences plus the
+/// per-node / bus static orders of the fault-free schedule; weight[e] is
+/// e's weight law, w_e(f) for f = 0..k.  A DAG built from event `first`
+/// holds item, slices, weights and releases of events first..V-1 only.
 struct WcslDag {
   WcslGraph g;
   int copy_count = 0;
   int msg_count = 0;
+  /// item[e]: the index into ListSchedule::copies of the copy committed at
+  /// event e, or copy_count + m for ListSchedule::messages[m].
+  std::vector<int> item;
   std::vector<WcslWeight> weight;
   std::vector<Time> release;
 
-  [[nodiscard]] int msg_vertex(int m) const { return copy_count + m; }
   /// w_v(f): the execution time of v when f faults strike it.
   [[nodiscard]] Time weight_at(int v, int f) const {
     const WcslWeight& w = weight[static_cast<std::size_t>(v)];
@@ -154,12 +167,18 @@ struct WcslDag {
 
 /// Temporaries of build_wcsl_dag, kept by a caller that builds many DAGs.
 struct WcslDagScratch {
-  std::vector<int> event;       ///< per vertex: its commit index
+  /// One process's data predecessors, WcslGraph::preds[begin, end) (in the
+  /// slice of its first built copy), and the latest of their events; begin
+  /// < 0 until a copy of the process is built.
+  struct DataList {
+    int begin = -1;
+    int end = 0;
+    int latest = -1;
+  };
   std::vector<int> first_tx;    ///< per message: offset into tx_of
-  std::vector<int> tx_of;       ///< (message, source copy) -> transmission
-  std::vector<int> order_pred;  ///< per vertex: node/bus order predecessor
-  std::vector<int> data_count;  ///< per process: data predecessors per copy
-  std::vector<int> data;        ///< one process's data predecessors
+  std::vector<int> tx_of;       ///< (message, source copy) -> its event
+  std::vector<int> order_pred;  ///< per event: node/bus order predecessor
+  std::vector<DataList> data_of;  ///< per process: its data predecessors
 };
 
 /// Builds the augmented DAG for one (assignment, schedule) pair.  The
@@ -178,11 +197,14 @@ struct WcslDagScratch {
                                      const ListSchedule& schedule);
 
 /// The same build into caller-owned storage: `dag` and `scratch` keep
-/// their capacity from call to call.
+/// their capacity from call to call.  With `first` > 0 only events
+/// first..V-1 are built and checked (see "Resuming" above): the caller
+/// vouches that the schedule's events before `first` are those of a
+/// schedule it analyzed before, with the same plans.
 void build_wcsl_dag(const Application& app, const Architecture& arch,
                     const PolicyAssignment& assignment, int k,
                     const ListSchedule& schedule, WcslDag& dag,
-                    WcslDagScratch& scratch);
+                    WcslDagScratch& scratch, int first = 0);
 
 /// One row of the budgeted longest-path DP: fills `row` with L(v, b) for
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
@@ -195,6 +217,16 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);
+
+/// The DP pass from event `first`: L[e] = e's row (as wcsl_dp_row) for
+/// e = first..V-1 in order, reading the rows of events before `first` from
+/// `base` -- the rows of a schedule sharing those events, see "Resuming"
+/// above; unread when first = 0.  `L` must hold V rows; a warm `L`
+/// allocates nothing.  Returns the largest L(e, k) over the pass's events,
+/// 0 if there are none.
+Time wcsl_dp_from(const WcslDag& dag, int first,
+                  const std::vector<std::vector<Time>>& base,
+                  std::vector<std::vector<Time>>& L, int k);
 
 /// Budgeted longest-path analysis over an existing fault-free schedule.
 [[nodiscard]] WcslResult worst_case_schedule_length(

@@ -7,6 +7,7 @@
 #include "arch/architecture.h"
 #include "fault/fault_model.h"
 #include "fault/policy.h"
+#include "util/random.h"
 
 namespace ftes::testing {
 
@@ -130,6 +131,50 @@ inline void release_every(Application& app, int stride, Time release) {
   for (int i = 0; i < app.process_count(); i += stride) {
     app.process(ProcessId{i}).release = release;
   }
+}
+
+/// A randomly mutated plan for `pid`: checkpoint-count change, remap of a
+/// copy, or a policy-kind switch between re-execution and replication (the
+/// tabu search's three move families; the switch changes the copy count).
+inline ProcessPlan random_move(const Application& app,
+                               const Architecture& arch,
+                               const PolicyAssignment& base, ProcessId pid,
+                               const FaultModel& model, Rng& rng) {
+  ProcessPlan plan = base.plan(pid);
+  const Process& proc = app.process(pid);
+  std::vector<NodeId> allowed;
+  for (NodeId n : arch.node_ids()) {
+    if (proc.can_run_on(n)) allowed.push_back(n);
+  }
+  switch (rng.index(3)) {
+    case 0: {  // checkpoint count
+      CopyPlan& cp = plan.copies[rng.index(plan.copies.size())];
+      if (cp.checkpoints >= 1) {
+        cp.checkpoints = 1 + static_cast<int>(rng.uniform_int(0, 7));
+        break;
+      }
+      [[fallthrough]];
+    }
+    case 1: {  // remap one copy
+      CopyPlan& cp = plan.copies[rng.index(plan.copies.size())];
+      cp.node = allowed[rng.index(allowed.size())];
+      break;
+    }
+    default: {  // policy switch (changes the copy structure)
+      if (rng.chance(0.5)) {
+        plan = make_replication_plan(model.k);
+        for (CopyPlan& cp : plan.copies) {
+          cp.node = allowed[rng.index(allowed.size())];
+        }
+      } else {
+        plan = make_checkpointing_plan(
+            model.k, 1 + static_cast<int>(rng.uniform_int(0, 5)));
+        plan.copies[0].node = allowed[rng.index(allowed.size())];
+      }
+      break;
+    }
+  }
+  return plan;
 }
 
 }  // namespace ftes::testing

@@ -1,12 +1,14 @@
 // Tests of the incremental evaluation context (opt/eval_context.h): move
-// evaluation over resumed schedules must be bit-identical to a
-// from-scratch evaluation for every move family, cost included, and
-// thread-safe under the parallel neighborhood evaluation.
+// evaluation over resumed schedules, with the WCSL pass resumed at the
+// same event, must be bit-identical to a from-scratch evaluation for every
+// move family, cost included, and thread-safe under the parallel
+// neighborhood evaluation.
 #include "opt/eval_context.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fixtures.h"
@@ -35,45 +37,46 @@ Instance make_instance(int processes, int nodes, std::uint64_t seed) {
                   generate_architecture(params)};
 }
 
-/// A randomly mutated plan for `pid`: checkpoint-count change, remap of a
-/// copy, or a policy-kind switch (the tabu search's three move families).
+/// The suite's moves really resumed the WCSL pass: some DP rows came from
+/// the base, some moves started at event 0, and the DP-row counters agree
+/// with the schedule layer's (every resumed event reuses its row).
+void expect_rows_reused(const EvalStats& s) {
+  EXPECT_GT(s.dp_vertices_reused, 0);
+  EXPECT_GT(s.ls_full_builds, 0) << "no move started at event 0";
+  EXPECT_EQ(s.dp_vertices_reused, s.ls_events_resumed);
+  EXPECT_EQ(s.dp_vertices_total, s.ls_events_total);
+}
+
+/// `candidate`'s outcome from scratch: WCSL makespan and assignment_cost.
+EvalContext::Outcome full_outcome(const Instance& inst,
+                                  const PolicyAssignment& candidate,
+                                  const FaultModel& model) {
+  return EvalContext::Outcome{
+      evaluate_wcsl(inst.app, inst.arch, candidate, model).makespan,
+      assignment_cost(inst.app, inst.arch, candidate, model)};
+}
+
+/// Evaluates one move and checks it against a from-scratch evaluation;
+/// returns the move's resume point (events restored from the base).
+long long expect_exact_move(EvalContext& eval, const Instance& inst,
+                            const PolicyAssignment& base, ProcessId pid,
+                            const ProcessPlan& plan, const FaultModel& model,
+                            const std::string& what) {
+  PolicyAssignment candidate = base;
+  candidate.plan(pid) = plan;
+  const EvalContext::Outcome full = full_outcome(inst, candidate, model);
+  const EvalStats before = eval.stats();
+  const EvalContext::Outcome out = eval.evaluate_move(pid, plan);
+  EXPECT_EQ(out.makespan, full.makespan) << what;
+  EXPECT_EQ(out.cost, full.cost) << what;
+  return eval.stats().since(before).dp_vertices_reused;
+}
+
+/// A random move of `pid` (tests/fixtures.h).
 ProcessPlan random_move(const Instance& inst, const PolicyAssignment& base,
                         ProcessId pid, const FaultModel& model, Rng& rng) {
-  ProcessPlan plan = base.plan(pid);
-  const Process& proc = inst.app.process(pid);
-  std::vector<NodeId> allowed;
-  for (NodeId n : inst.arch.node_ids()) {
-    if (proc.can_run_on(n)) allowed.push_back(n);
-  }
-  switch (rng.index(3)) {
-    case 0: {  // checkpoint count
-      CopyPlan& cp = plan.copies[rng.index(plan.copies.size())];
-      if (cp.checkpoints >= 1) {
-        cp.checkpoints = 1 + static_cast<int>(rng.uniform_int(0, 7));
-        break;
-      }
-      [[fallthrough]];
-    }
-    case 1: {  // remap one copy
-      CopyPlan& cp = plan.copies[rng.index(plan.copies.size())];
-      cp.node = allowed[rng.index(allowed.size())];
-      break;
-    }
-    default: {  // policy switch (changes the copy structure)
-      if (rng.chance(0.5)) {
-        plan = make_replication_plan(model.k);
-        for (CopyPlan& cp : plan.copies) {
-          cp.node = allowed[rng.index(allowed.size())];
-        }
-      } else {
-        plan = make_checkpointing_plan(model.k,
-                                       1 + static_cast<int>(rng.uniform_int(0, 5)));
-        plan.copies[0].node = allowed[rng.index(allowed.size())];
-      }
-      break;
-    }
-  }
-  return plan;
+  return ftes::testing::random_move(inst.app, inst.arch, base, pid, model,
+                                    rng);
 }
 
 // Every third process gets a local deadline at ~60% of its base worst-case
@@ -121,15 +124,16 @@ TEST(EvalContext, IncrementalMatchesFullForRandomMoves) {
     }
   }
   EXPECT_GT(penalized, 0) << "no move paid a local-deadline penalty";
+  expect_rows_reused(eval.stats());
 }
 
 /// Random moves of `base` through evaluate_move, each checked against the
 /// historical Digraph-based analysis (bench/reference_wcsl.h) of the
 /// candidate's from-scratch schedule; every seventh move is accepted.
-void expect_moves_match_reference(const Instance& inst,
-                                  PolicyAssignment base,
+/// Adds the evaluator's counters to `counters`.
+void expect_moves_match_reference(const Instance& inst, PolicyAssignment base,
                                   const FaultModel& model, int moves,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, EvalStats& counters) {
   EvalContext eval(inst.app, inst.arch, model);
   eval.rebase(base);
   Rng rng(seed);
@@ -162,6 +166,7 @@ void expect_moves_match_reference(const Instance& inst,
       eval.rebase(base);
     }
   }
+  counters.add(eval.stats());
 }
 
 // The move evaluator against the Digraph reference: random instances with
@@ -169,6 +174,8 @@ void expect_moves_match_reference(const Instance& inst,
 // producer/consumer pair whose edge appears twice in the consumer's
 // predecessor multiset.
 TEST(EvalContext, IncrementalMatchesDigraphReference) {
+  EvalStats random;
+  EvalStats other;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Instance inst = make_instance(10 + 4 * static_cast<int>(seed),
                                         2 + static_cast<int>(seed % 3), seed);
@@ -176,8 +183,10 @@ TEST(EvalContext, IncrementalMatchesDigraphReference) {
     PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
                                            PolicySpace::kFull, 8);
     ftes::testing::replicate_every(inst.app, inst.arch, model, 3, base);
-    expect_moves_match_reference(inst, std::move(base), model, 60, seed);
+    expect_moves_match_reference(inst, std::move(base), model, 60, seed,
+                                 random);
   }
+  expect_rows_reused(random);
   {
     Rng rng(2008);
     const TaskGenParams params = scale_families().front().params;
@@ -187,7 +196,7 @@ TEST(EvalContext, IncrementalMatchesDigraphReference) {
     PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
                                            PolicySpace::kFull, 8);
     ftes::testing::replicate_every(inst.app, inst.arch, model, 3, base);
-    expect_moves_match_reference(inst, std::move(base), model, 15, 500);
+    expect_moves_match_reference(inst, std::move(base), model, 15, 500, other);
   }
   {
     // A -> B back to back on N1 (B's predecessors: A twice), A -> C and
@@ -214,10 +223,12 @@ TEST(EvalContext, IncrementalMatchesDigraphReference) {
     }
     const ListSchedule sched = list_schedule(app, inst.arch, base);
     const WcslDag dag = build_wcsl_dag(app, inst.arch, base, model.k, sched);
-    const WcslGraph::Range preds = dag.g.predecessors(b.get());
+    const int event_a = sched.copies[static_cast<std::size_t>(a.get())].event;
+    const WcslGraph::Range preds = dag.g.predecessors(
+        sched.copies[static_cast<std::size_t>(b.get())].event);
     ASSERT_EQ(std::vector<int>(preds.begin(), preds.end()),
-              (std::vector<int>{a.get(), a.get()}));
-    expect_moves_match_reference(inst, std::move(base), model, 40, 99);
+              (std::vector<int>{event_a, event_a}));
+    expect_moves_match_reference(inst, std::move(base), model, 40, 99, other);
   }
 }
 
@@ -389,6 +400,178 @@ TEST(EvalContext, RandomAcceptChainIsExact) {
               evaluate_wcsl(inst.app, inst.arch, candidate, model).makespan)
         << "accept " << accept;
   }
+}
+
+// A chain on one node commits one copy per event, and the sink becomes
+// ready only after its producer's commit, so a checkpoint move of the sink
+// resumes at the very last event: every DP row but its own is the base's.
+TEST(EvalContext, MoveResumedAtTheLastEventIsExact) {
+  Instance inst{Application{}, Architecture::homogeneous(2, 5)};
+  std::vector<ProcessId> chain;
+  for (const char* name : {"A", "B", "C", "D"}) {
+    chain.push_back(inst.app.add_process(
+        name, {{NodeId{0}, 30}, {NodeId{1}, 30}}, 2, 2, 2));
+    if (chain.size() > 1) inst.app.connect(chain[chain.size() - 2], chain.back());
+  }
+  inst.app.set_deadline(10000);
+  const FaultModel model{2};
+  PolicyAssignment base =
+      uniform_assignment(inst.app, make_checkpointing_plan(model.k, 1));
+  for (const ProcessId p : chain) base.plan(p).copies[0].node = NodeId{0};
+  EvalContext eval(inst.app, inst.arch, model);
+  eval.rebase(base);
+  for (int checkpoints = 2; checkpoints <= 4; ++checkpoints) {
+    ProcessPlan plan = base.plan(chain.back());
+    plan.copies[0].checkpoints = checkpoints;
+    EXPECT_EQ(expect_exact_move(eval, inst, base, chain.back(), plan, model,
+                                "sink X=" + std::to_string(checkpoints)),
+              3);
+  }
+  EXPECT_EQ(eval.stats().dp_vertices_total, 3 * 4);
+}
+
+// Moves that change a process's copy count -- re-execution to replication
+// and to hybrid plans with 0 < cap < k, and back -- shift every later copy
+// index, while the resumed prefix keeps its event ids.  Releases on every
+// third process make the rows' release term matter.
+TEST(EvalContext, CopyCountSwitchesWithHybridsAndReleasesAreExact) {
+  Instance inst = make_instance(22, 3, 808);
+  ftes::testing::release_every(inst.app, 3, 25);
+  const FaultModel model{3};
+  const PolicyAssignment base = greedy_initial(
+      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+  const PolicyAssignment replicated = [&] {
+    PolicyAssignment pa = base;
+    ftes::testing::replicate_every(inst.app, inst.arch, model, 2, pa);
+    return pa;
+  }();
+  for (const PolicyAssignment* start : {&base, &replicated}) {
+    EvalContext eval(inst.app, inst.arch, model);
+    eval.rebase(*start);
+    int resumed_switches = 0;
+    for (int i = 0; i < inst.app.process_count(); ++i) {
+      const ProcessId pid{i};
+      const Process& proc = inst.app.process(pid);
+      if (proc.fixed_policy || proc.fixed_mapping) continue;
+      std::vector<NodeId> allowed;
+      for (NodeId n : inst.arch.node_ids()) {
+        if (proc.can_run_on(n)) allowed.push_back(n);
+      }
+      std::vector<ProcessPlan> plans{
+          make_checkpointing_plan(model.k, 1 + i % 4),
+          make_replication_plan(model.k),
+          make_hybrid_plan(model.k, 1 + i % (model.k - 1), 1 + i % 3)};
+      for (ProcessPlan& plan : plans) {
+        if (plan.copy_count() == start->plan(pid).copy_count()) continue;
+        for (std::size_t j = 0; j < plan.copies.size(); ++j) {
+          plan.copies[j].node = allowed[(j + static_cast<std::size_t>(i)) %
+                                        allowed.size()];
+        }
+        const std::string what = "process " + std::to_string(i) + " to " +
+                                 std::to_string(plan.copy_count()) +
+                                 " copies";
+        if (expect_exact_move(eval, inst, *start, pid, plan, model, what) >
+            0) {
+          ++resumed_switches;
+        }
+      }
+    }
+    EXPECT_GT(resumed_switches, 0);
+  }
+}
+
+// A warm workspace keeps its DAG and rows from the previous base's moves;
+// after each rebase (which bumps the version, here also growing and then
+// shrinking the event count) its moves must read only the new base's rows
+// before their resume point.
+TEST(EvalContext, WarmWorkspaceAfterVersionBumpIsExact) {
+  const Instance inst = make_instance(20, 3, 606);
+  const FaultModel model{2};
+  PolicyAssignment base = greedy_initial(inst.app, inst.arch, model,
+                                         PolicySpace::kCheckpointingOnly, 8);
+  EvalContext eval(inst.app, inst.arch, model);
+  Rng rng(31);
+  for (int version = 0; version < 6; ++version) {
+    eval.rebase(base);
+    EXPECT_EQ(eval.evaluate_base().cost,
+              assignment_cost(inst.app, inst.arch, base, model))
+        << "version " << version;
+    for (int move = 0; move < 12; ++move) {
+      const ProcessId pid{static_cast<std::int32_t>(
+          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+      (void)expect_exact_move(eval, inst, base, pid,
+                              random_move(inst, base, pid, model, rng), model,
+                              "version " + std::to_string(version) +
+                                  " move " + std::to_string(move));
+    }
+    // Next base: even versions replicate a process (more events), odd
+    // ones return it to re-execution (fewer).
+    const ProcessId pid{static_cast<std::int32_t>(version * 3 %
+                                                  inst.app.process_count())};
+    ProcessPlan plan = version % 2 == 0
+                           ? make_replication_plan(model.k)
+                           : make_checkpointing_plan(model.k, 2);
+    for (CopyPlan& cp : plan.copies) {
+      cp.node = base.plan(pid).copies[0].node;
+    }
+    base.plan(pid) = plan;
+  }
+  EXPECT_GT(eval.stats().dp_vertices_reused, 0);
+}
+
+// A rebase that throws -- in the list schedule (an unmapped copy) or in the
+// analysis after it (a zero WCET under a copy with recoveries) -- leaves
+// the previous base, its outcome and its moves intact.
+TEST(EvalContext, ThrowingRebaseLeavesThePreviousBaseUsable) {
+  Instance inst = make_instance(16, 3, 909);
+  const FaultModel model{2};
+  const PolicyAssignment base = greedy_initial(
+      inst.app, inst.arch, model, PolicySpace::kCheckpointingOnly, 8);
+  // A process that may run on a node base does not map it to; a zero
+  // WCET there passes the list schedule but not the recovery law.
+  ProcessId zero_pid;
+  NodeId zero_node;
+  for (int i = 0; i < inst.app.process_count() && !zero_pid.valid(); ++i) {
+    const Process& proc = inst.app.process(ProcessId{i});
+    for (NodeId n : inst.arch.node_ids()) {
+      if (proc.can_run_on(n) && !proc.fixed_mapping &&
+          n != base.plan(ProcessId{i}).copies[0].node) {
+        zero_pid = ProcessId{i};
+        zero_node = n;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(zero_pid.valid());
+  inst.app.process(zero_pid).wcet[zero_node] = 0;
+
+  EvalContext eval(inst.app, inst.arch, model);
+  eval.rebase(base);
+  const EvalContext::Outcome before = eval.evaluate_base();
+  ASSERT_EQ(before.cost, assignment_cost(inst.app, inst.arch, base, model));
+
+  PolicyAssignment unmapped = base;
+  unmapped.plan(ProcessId{1}).copies[0].node = NodeId{};
+  PolicyAssignment zero_wcet = base;
+  zero_wcet.plan(zero_pid).copies[0].node = zero_node;
+  ASSERT_NO_THROW((void)list_schedule(inst.app, inst.arch, zero_wcet));
+  Rng rng(5);
+  for (const PolicyAssignment* bad : {&unmapped, &zero_wcet}) {
+    EXPECT_THROW((void)eval.rebase(*bad), std::invalid_argument);
+    EXPECT_EQ(eval.stats().rebases, 1);
+    EXPECT_EQ(eval.base().summary(inst.app), base.summary(inst.app));
+    EXPECT_EQ(eval.evaluate_base().makespan, before.makespan);
+    EXPECT_EQ(eval.evaluate_base().cost, before.cost);
+    for (int move = 0; move < 15; ++move) {
+      const ProcessId pid{static_cast<std::int32_t>(
+          rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+      if (pid == zero_pid) continue;
+      (void)expect_exact_move(eval, inst, base, pid,
+                              random_move(inst, base, pid, model, rng), model,
+                              "move " + std::to_string(move));
+    }
+  }
+  EXPECT_GT(eval.stats().dp_vertices_reused, 0);
 }
 
 // Shadow verification recomputes every sampled move from scratch: on a

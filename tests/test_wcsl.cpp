@@ -1,11 +1,13 @@
 // Tests of the worst-case schedule length analysis (fault-budget DP), of
-// its flat DAG against the historical Digraph-based analysis
-// (bench/reference_wcsl.h), and of the DAG builder's schedule validation.
+// its flat, event-indexed DAG against the historical Digraph-based
+// analysis (bench/reference_wcsl.h), of the DAG a resumed schedule shares
+// with its base, and of the DAG builder's schedule validation.
 #include "sched/wcsl.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "opt/policy_assignment.h"
 #include "reference_wcsl.h"
 #include "sched/cond_scheduler.h"
+#include "sched/list_scheduler.h"
 #include "util/random.h"
 
 namespace ftes {
@@ -187,42 +190,52 @@ void expect_same_result(const WcslResult& a, const WcslResult& b,
   EXPECT_EQ(a.msg_worst_ready, b.msg_worst_ready) << what;
 }
 
-/// Same vertices; per vertex the same predecessor multiset, weights w(f)
-/// for f = 0..k and release; and a topological order listing every vertex
-/// once, after all of its predecessors.
+/// The reference's vertex ids are copies, then transmissions -- the
+/// encoding of WcslDag::item -- so DAG vertex e is reference vertex
+/// dag.item[e].  Checks that the event map is the schedule's commit
+/// indices, that the topological order is 0..V-1 with every predecessor an
+/// earlier event, and, per vertex through the map, the same predecessor
+/// multiset, weights w(f) for f = 0..k and release.
 void expect_same_dag(const WcslDag& dag,
-                     const ftes::testing::ReferenceWcslDag& ref, int k,
+                     const ftes::testing::ReferenceWcslDag& ref,
+                     const ListSchedule& sched, int k,
                      const std::string& what) {
   ASSERT_EQ(dag.copy_count, ref.copy_count) << what;
   ASSERT_EQ(dag.msg_count, ref.msg_count) << what;
   ASSERT_EQ(dag.g.vertex_count(), ref.g.vertex_count()) << what;
   const std::size_t total = static_cast<std::size_t>(dag.g.vertex_count());
-  std::vector<int> position(total, -1);
-  for (std::size_t i = 0; i < dag.g.topological_order().size(); ++i) {
-    const std::size_t v =
-        static_cast<std::size_t>(dag.g.topological_order()[i]);
-    ASSERT_EQ(position[v], -1) << what << " vertex " << v << " listed twice";
-    position[v] = static_cast<int>(i);
+  std::vector<int> identity(total);
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(dag.g.topological_order(), identity) << what;
+  ASSERT_EQ(dag.item.size(), total) << what;
+  for (std::size_t e = 0; e < total; ++e) {
+    const int r = dag.item[e];
+    ASSERT_TRUE(r >= 0 && r < ref.g.vertex_count()) << what << " event " << e;
+    const int committed =
+        r < dag.copy_count
+            ? sched.copies[static_cast<std::size_t>(r)].event
+            : sched.messages[static_cast<std::size_t>(r - dag.copy_count)]
+                  .event;
+    ASSERT_EQ(committed, static_cast<int>(e)) << what << " vertex " << r;
   }
-  for (int v = 0; v < dag.g.vertex_count(); ++v) {
-    std::vector<int> expected = ref.g.predecessors(v);
+  for (int e = 0; e < dag.g.vertex_count(); ++e) {
+    const int r = dag.item[static_cast<std::size_t>(e)];
+    std::vector<int> expected = ref.g.predecessors(r);
     std::sort(expected.begin(), expected.end());
-    const WcslGraph::Range preds = dag.g.predecessors(v);
-    std::vector<int> actual(preds.begin(), preds.end());
-    std::sort(actual.begin(), actual.end());
-    EXPECT_EQ(actual, expected) << what << " vertex " << v;
-    for (int p : preds) {
-      EXPECT_LT(position[static_cast<std::size_t>(p)],
-                position[static_cast<std::size_t>(v)])
-          << what << " edge " << p << " -> " << v;
+    std::vector<int> actual;
+    for (int p : dag.g.predecessors(e)) {
+      EXPECT_LT(p, e) << what << " edge " << p << " -> " << e;
+      actual.push_back(dag.item[static_cast<std::size_t>(p)]);
     }
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected) << what << " vertex " << r;
     std::vector<Time> weights;
-    for (int f = 0; f <= k; ++f) weights.push_back(dag.weight_at(v, f));
-    EXPECT_EQ(weights, ref.weight[static_cast<std::size_t>(v)])
-        << what << " vertex " << v;
-    EXPECT_EQ(dag.release[static_cast<std::size_t>(v)],
-              ref.release[static_cast<std::size_t>(v)])
-        << what << " vertex " << v;
+    for (int f = 0; f <= k; ++f) weights.push_back(dag.weight_at(e, f));
+    EXPECT_EQ(weights, ref.weight[static_cast<std::size_t>(r)])
+        << what << " vertex " << r;
+    EXPECT_EQ(dag.release[static_cast<std::size_t>(e)],
+              ref.release[static_cast<std::size_t>(r)])
+        << what << " vertex " << r;
   }
 }
 
@@ -235,7 +248,7 @@ void expect_matches_reference(const Application& app, const Architecture& arch,
   expect_same_dag(
       build_wcsl_dag(app, arch, pa, model.k, sched),
       ftes::testing::reference_build_wcsl_dag(app, arch, pa, model.k, sched),
-      model.k, what);
+      sched, model.k, what);
   expect_same_result(
       worst_case_schedule_length(app, arch, pa, model, sched),
       ftes::testing::reference_worst_case_schedule_length(app, arch, pa, model,
@@ -346,13 +359,141 @@ TEST(WcslReference, CoLocatedPairKeepsEveryEdge) {
     const PolicyAssignment pa = single(app, NodeId{0}, model.k, 2);
     const ListSchedule sched = list_schedule(app, arch, pa);
     const WcslDag dag = build_wcsl_dag(app, arch, pa, model.k, sched);
-    const WcslGraph::Range preds = dag.g.predecessors(b.get());
+    const int event_a = sched.copies[static_cast<std::size_t>(a.get())].event;
+    const WcslGraph::Range preds = dag.g.predecessors(
+        sched.copies[static_cast<std::size_t>(b.get())].event);
     EXPECT_EQ(std::vector<int>(preds.begin(), preds.end()),
               std::vector<int>(static_cast<std::size_t>(messages) + 1,
-                               a.get()));
+                               event_a));
     expect_matches_reference(app, arch, pa, model,
                              std::to_string(messages) + " message(s)");
   }
+}
+
+// --- a resumed schedule's DAG shares the base's prefix ------------------------
+
+/// The item DAG vertex e of `dag` (a DAG of `sched`) names, as text: the
+/// copy's (process, copy) or the transmission's (message, source copy).
+std::string item_name(const WcslDag& dag, const ListSchedule& sched, int e) {
+  const int it = dag.item[static_cast<std::size_t>(e)];
+  if (it < dag.copy_count) {
+    const CopyRef ref = sched.copies[static_cast<std::size_t>(it)].ref;
+    return "copy " + std::to_string(ref.process.get()) + "/" +
+           std::to_string(ref.copy);
+  }
+  const ScheduledMessage& sm =
+      sched.messages[static_cast<std::size_t>(it - dag.copy_count)];
+  return "tx " + std::to_string(sm.msg.get()) + "/" +
+         std::to_string(sm.src_copy);
+}
+
+std::vector<int> sorted_preds(const WcslDag& dag, int e) {
+  const WcslGraph::Range preds = dag.g.predecessors(e);
+  std::vector<int> out(preds.begin(), preds.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every DP row of `dag`, in event order.
+std::vector<std::vector<Time>> dp_rows(const WcslDag& dag, int k) {
+  std::vector<std::vector<Time>> rows(
+      static_cast<std::size_t>(dag.g.vertex_count()));
+  for (int e = 0; e < dag.g.vertex_count(); ++e) {
+    (void)wcsl_dp_row(dag, e, rows, k, rows[static_cast<std::size_t>(e)]);
+  }
+  return rows;
+}
+
+/// The same vertex `e` in two DAGs: item, predecessor multiset, weight law
+/// and release.
+void expect_same_vertex(const WcslDag& a, const ListSchedule& sa,
+                        const WcslDag& b, const ListSchedule& sb, int e,
+                        const std::string& what) {
+  const std::size_t i = static_cast<std::size_t>(e);
+  EXPECT_EQ(item_name(a, sa, e), item_name(b, sb, e)) << what;
+  EXPECT_EQ(sorted_preds(a, e), sorted_preds(b, e)) << what;
+  EXPECT_EQ(a.weight[i].base, b.weight[i].base) << what;
+  EXPECT_EQ(a.weight[i].step, b.weight[i].step) << what;
+  EXPECT_EQ(a.weight[i].cap, b.weight[i].cap) << what;
+  EXPECT_EQ(a.release[i], b.release[i]) << what;
+}
+
+// The invariant the move evaluator (opt/eval_context.h) rests on: a move's
+// schedule, resumed from its base's log at event `limit`, has the base's
+// item, slice, weight, release and DP row at every event before `limit`; a
+// build from `limit` equals the full build from there on; and DP rows from
+// `limit` that read earlier rows from the base equal the full DP's.
+TEST(WcslResume, EventsBeforeTheResumePointAreTheBases) {
+  int partial = 0;  // moves resumed strictly inside the schedule
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    TaskGenParams params;
+    params.process_count = 12 + 6 * static_cast<int>(seed);
+    params.node_count = 2 + static_cast<int>(seed % 3);
+    Rng rng(seed);
+    Application app = generate_application(params, rng);
+    ftes::testing::release_every(app, 4, 15);
+    const Architecture arch = generate_architecture(params);
+    const FaultModel model{1 + static_cast<int>(seed % 4)};
+    PolicyAssignment base =
+        greedy_initial(app, arch, model, PolicySpace::kFull, 8);
+    ftes::testing::replicate_every(app, arch, model, 3, base);
+    if (model.k >= 2) hybridize_every(app, arch, model, 4, base);
+    ScheduleCheckpointLog log;
+    const ListSchedule& base_sched = list_schedule(app, arch, base, log);
+    const WcslDag base_dag =
+        build_wcsl_dag(app, arch, base, model.k, base_sched);
+    const std::vector<std::vector<Time>> base_rows =
+        dp_rows(base_dag, model.k);
+
+    WcslDag suffix;
+    WcslDagScratch scratch;
+    for (int move = 0; move < 30; ++move) {
+      const ProcessId pid{static_cast<std::int32_t>(
+          rng.index(static_cast<std::size_t>(app.process_count())))};
+      PolicyAssignment candidate = base;
+      candidate.plan(pid) =
+          ftes::testing::random_move(app, arch, base, pid, model, rng);
+      ListScheduleResumeStats stats;
+      const ListSchedule sched =
+          list_schedule_resume(app, arch, base, log, candidate, pid, &stats);
+      const int limit = static_cast<int>(stats.events_resumed);
+      const WcslDag dag = build_wcsl_dag(app, arch, candidate, model.k, sched);
+      const std::vector<std::vector<Time>> rows = dp_rows(dag, model.k);
+      const int total = dag.g.vertex_count();
+      const std::string what =
+          "seed " + std::to_string(seed) + " move " + std::to_string(move);
+      if (limit > 0 && limit < total) ++partial;
+      for (int e = 0; e < limit; ++e) {
+        expect_same_vertex(base_dag, base_sched, dag, sched, e,
+                           what + " prefix event " + std::to_string(e));
+        EXPECT_EQ(base_rows[static_cast<std::size_t>(e)],
+                  rows[static_cast<std::size_t>(e)])
+            << what << " prefix event " << e;
+      }
+      build_wcsl_dag(app, arch, candidate, model.k, sched, suffix, scratch,
+                     limit);
+      std::vector<std::vector<Time>> suffix_rows(
+          static_cast<std::size_t>(total));
+      Time suffix_max = 0;
+      for (int e = limit; e < total; ++e) {
+        expect_same_vertex(dag, sched, suffix, sched, e,
+                           what + " suffix event " + std::to_string(e));
+        suffix_max = std::max(
+            suffix_max,
+            rows[static_cast<std::size_t>(e)][static_cast<std::size_t>(
+                model.k)]);
+      }
+      EXPECT_EQ(wcsl_dp_from(suffix, limit, base_rows, suffix_rows, model.k),
+                suffix_max)
+          << what;
+      for (int e = limit; e < total; ++e) {
+        EXPECT_EQ(suffix_rows[static_cast<std::size_t>(e)],
+                  rows[static_cast<std::size_t>(e)])
+            << what << " suffix event " << e;
+      }
+    }
+  }
+  EXPECT_GT(partial, 0);
 }
 
 // --- schedule validation -----------------------------------------------------
@@ -420,6 +561,34 @@ TEST(WcslValidation, CommitIndicesOfAListScheduleAreItsEventOrder) {
   }
   const WcslDag dag = build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched);
   EXPECT_EQ(dag.g.topological_order(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(dag.item, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(WcslValidation, FirstEventOutsideTheScheduleIsRejected) {
+  const Chain c = chain_on_one_node();
+  WcslDag dag;
+  WcslDagScratch scratch;
+  for (int first : {-1, 4}) {
+    EXPECT_THROW(build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched, dag,
+                                scratch, first),
+                 std::invalid_argument)
+        << "first " << first;
+  }
+  // From the last event past it: no vertex is built.
+  build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched, dag, scratch, 3);
+  EXPECT_EQ(dag.g.vertex_count(), 3);
+  EXPECT_TRUE(dag.g.preds.empty());
+}
+
+TEST(WcslValidation, DuplicatedCommitIndexInASuffixBuildIsRejected) {
+  const Chain c = chain_on_one_node();
+  ListSchedule sched = c.sched;
+  sched.copies[2].event = sched.copies[1].event;
+  WcslDag dag;
+  WcslDagScratch scratch;
+  EXPECT_THROW(build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, sched, dag,
+                              scratch, 1),
+               std::invalid_argument);
 }
 
 TEST(WcslValidation, ScheduleOfAnotherCopyLayoutIsRejected) {
