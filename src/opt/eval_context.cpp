@@ -12,6 +12,11 @@ EvalContext::EvalContext(const Application& app, const Architecture& arch,
                          FaultModel model, int verify_every)
     : app_(app), arch_(arch), model_(model), verify_every_(verify_every) {
   model_.validate();
+  for (int p = 0; p < app_.process_count(); ++p) {
+    if (app_.process(ProcessId{p}).local_deadline) {
+      deadline_processes_.push_back(p);
+    }
+  }
 }
 
 std::unique_ptr<EvalContext::Workspace> EvalContext::acquire() {
@@ -60,12 +65,14 @@ Time EvalContext::rebase(const PolicyAssignment& base, ProcessId) {
   next.outcome =
       analyze(next.analysis, ws->scratch, ws->process_finish, base, sched, 0);
   put_back(std::move(ws));
-  const std::size_t k = static_cast<std::size_t>(model_.k);
-  const std::vector<std::vector<Time>>& rows = next.analysis.L;
-  next.prefix_max.resize(rows.size() + 1);
+  const std::size_t width = static_cast<std::size_t>(model_.k) + 1;
+  const std::vector<Time>& rows = next.analysis.L;
+  const std::size_t events = rows.size() / width;
+  next.prefix_max.resize(events + 1);
   next.prefix_max[0] = 0;
-  for (std::size_t e = 0; e < rows.size(); ++e) {
-    next.prefix_max[e + 1] = std::max(next.prefix_max[e], rows[e][k]);
+  for (std::size_t e = 0; e < events; ++e) {
+    next.prefix_max[e + 1] =
+        std::max(next.prefix_max[e], rows[e * width + width - 1]);
   }
   base_ = base;
   std::swap(recorded_, spare_);
@@ -99,27 +106,31 @@ EvalContext::Outcome EvalContext::analyze(Analysis& out,
                                           const ListSchedule& sched,
                                           int first) const {
   const int k = model_.k;
-  const std::size_t kk = static_cast<std::size_t>(k);
   build_wcsl_dag(app_, arch_, assignment, k, sched, out.dag, scratch, first);
-  const std::vector<std::vector<Time>>& base = recorded_->analysis.L;
+  const std::vector<Time>& base = recorded_->analysis.L;
   // Rows keep their storage from candidate to candidate; the pass rewrites
   // each one before any successor reads it.
-  out.L.resize(static_cast<std::size_t>(out.dag.g.vertex_count()));
   Outcome result;
   result.makespan = std::max(
       first > 0 ? recorded_->prefix_max[static_cast<std::size_t>(first)] : 0,
       wcsl_dp_from(out.dag, first, base, out.L, k));
+  if (deadline_processes_.empty()) {
+    result.cost = result.makespan;  // what penalized_cost would return
+    return result;
+  }
   // Worst-case finishes of the processes penalized_cost reads: those with
   // a local deadline.
+  const std::size_t width = static_cast<std::size_t>(k) + 1;
   process_finish.assign(static_cast<std::size_t>(app_.process_count()), 0);
-  for (int p = 0; p < app_.process_count(); ++p) {
-    if (!app_.process(ProcessId{p}).local_deadline) continue;
+  for (const int p : deadline_processes_) {
     Time& pf = process_finish[static_cast<std::size_t>(p)];
     for (int c = sched.first_copy[static_cast<std::size_t>(p)];
          c < sched.first_copy[static_cast<std::size_t>(p) + 1]; ++c) {
-      const int e = sched.copies[static_cast<std::size_t>(c)].event;
-      pf = std::max(pf, (e < first ? base : out.L)[static_cast<std::size_t>(e)]
-                                                   [kk]);
+      const std::size_t e =
+          static_cast<std::size_t>(sched.copies[static_cast<std::size_t>(c)]
+                                       .event);
+      pf = std::max(pf, (e < static_cast<std::size_t>(first) ? base : out.L)
+                            [e * width + width - 1]);
     }
   }
   result.cost = penalized_cost(app_, process_finish, result.makespan);

@@ -73,7 +73,8 @@ namespace ftes {
 
 class EvalContext {
  public:
-  /// The referenced application/architecture must outlive the context.
+  /// The referenced application/architecture must outlive the context,
+  /// and the application's local deadlines must not change.
   /// `verify_every` > 0 shadow-verifies every such move evaluation (see
   /// above); 0 turns verification off.
   EvalContext(const Application& app, const Architecture& arch,
@@ -117,10 +118,11 @@ class EvalContext {
   [[nodiscard]] EvalStats stats() const;
 
  private:
-  /// One analyzed schedule: its WCSL DAG and DP rows, indexed by event.
+  /// One analyzed schedule: its WCSL DAG and DP rows, indexed by event
+  /// (row e is L[e * (k + 1) ..], see wcsl_dp_from).
   struct Analysis {
     WcslDag dag;
-    std::vector<std::vector<Time>> L;
+    std::vector<Time> L;
   };
 
   struct Workspace {
@@ -173,6 +175,9 @@ class EvalContext {
   const Architecture& arch_;
   FaultModel model_;
   int verify_every_ = 0;
+  /// The processes with a local deadline: the only ones whose worst-case
+  /// finish the cost reads.  Without any, the cost is the makespan.
+  std::vector<int> deadline_processes_;
 
   // Cached base: assignment and its recorded log and analysis.  rebase()
   // builds the next base in spare_ and swaps it in once it is complete.

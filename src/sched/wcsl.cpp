@@ -271,17 +271,15 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
 
 namespace {
 
-/// wcsl_dp_row with the predecessor rows read through `row_of(p)`.
+/// wcsl_dp_row into the k + 1 entries at `best_in`, with the predecessor
+/// rows read through `row_of(p)`.
 template <class RowOf>
 Time dp_row(const WcslDag& dag, int v, const RowOf& row_of, int k,
-            std::vector<Time>& row) {
-  // best_in[b] = max over predecessors p of L(p, b), accumulated in `row`
-  // itself; nondecreasing in b because every row wcsl_dp_row writes is
-  // (by induction from the sources, whose best_in is all zeros).
-  const std::size_t width = static_cast<std::size_t>(k) + 1;
-  if (row.size() != width) row.resize(width);
-  Time* best_in = row.data();
-  std::fill_n(best_in, width, Time{0});
+            Time* best_in) {
+  // best_in[b] = max over predecessors p of L(p, b), accumulated in the
+  // output row itself; nondecreasing in b because every row wcsl_dp_row
+  // writes is (by induction from the sources, whose best_in is all zeros).
+  std::fill_n(best_in, static_cast<std::size_t>(k) + 1, Time{0});
   for (int p : dag.g.predecessors(v)) {
     const Time* lp = row_of(p);
     for (int b = 0; b <= k; ++b) best_in[b] = std::max(best_in[b], lp[b]);
@@ -326,22 +324,29 @@ Time dp_row(const WcslDag& dag, int v, const RowOf& row_of, int k,
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row) {
+  const std::size_t width = static_cast<std::size_t>(k) + 1;
+  if (row.size() != width) row.resize(width);
   return dp_row(
       dag, v,
-      [&](int p) { return L[static_cast<std::size_t>(p)].data(); }, k, row);
+      [&](int p) { return L[static_cast<std::size_t>(p)].data(); }, k,
+      row.data());
 }
 
 Time wcsl_dp_from(const WcslDag& dag, int first,
-                  const std::vector<std::vector<Time>>& base,
-                  std::vector<std::vector<Time>>& L, int k) {
+                  const std::vector<Time>& base, std::vector<Time>& rows,
+                  int k) {
+  const std::size_t width = static_cast<std::size_t>(k) + 1;
+  rows.resize(static_cast<std::size_t>(dag.g.vertex_count()) * width);
+  const Time* prefix = base.data();
+  Time* out = rows.data();
   const auto row_of = [&](int p) {
-    return (p < first ? base : L)[static_cast<std::size_t>(p)].data();
+    return (p < first ? prefix : out) + static_cast<std::size_t>(p) * width;
   };
   Time worst = 0;
   for (int e = first; e < dag.g.vertex_count(); ++e) {
-    std::vector<Time>& row = L[static_cast<std::size_t>(e)];
+    Time* row = out + static_cast<std::size_t>(e) * width;
     (void)dp_row(dag, e, row_of, k, row);
-    worst = std::max(worst, row[static_cast<std::size_t>(k)]);
+    worst = std::max(worst, row[k]);
   }
   return worst;
 }

@@ -218,15 +218,17 @@ Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);
 
-/// The DP pass from event `first`: L[e] = e's row (as wcsl_dp_row) for
-/// e = first..V-1 in order, reading the rows of events before `first` from
-/// `base` -- the rows of a schedule sharing those events, see "Resuming"
-/// above; unread when first = 0.  `L` must hold V rows; a warm `L`
-/// allocates nothing.  Returns the largest L(e, k) over the pass's events,
-/// 0 if there are none.
+/// The DP pass from event `first` over flat rows: row e is
+/// rows[e * (k + 1) .. e * (k + 1) + k], L(e, b) as wcsl_dp_row computes
+/// it.  Fills the rows of e = first..V-1 in order, reading the rows of
+/// events before `first` from `base`, laid out alike -- the rows of a
+/// schedule sharing those events, see "Resuming" above; unread when
+/// first = 0.  Resizes `rows` to V rows, so a warm `rows` allocates
+/// nothing.  Returns the largest L(e, k) over the pass's events, 0 if
+/// there are none.
 Time wcsl_dp_from(const WcslDag& dag, int first,
-                  const std::vector<std::vector<Time>>& base,
-                  std::vector<std::vector<Time>>& L, int k);
+                  const std::vector<Time>& base, std::vector<Time>& rows,
+                  int k);
 
 /// Budgeted longest-path analysis over an existing fault-free schedule.
 [[nodiscard]] WcslResult worst_case_schedule_length(
