@@ -405,14 +405,20 @@ TEST(EvalContext, RandomAcceptChainIsExact) {
 // A chain on one node commits one copy per event, and the sink becomes
 // ready only after its producer's commit, so a checkpoint move of the sink
 // resumes at the very last event: every DP row but its own is the base's.
+// Missed local deadlines on the source and the sink make the cost read
+// the first event's base row and the moved copy's new row.
 TEST(EvalContext, MoveResumedAtTheLastEventIsExact) {
   Instance inst{Application{}, Architecture::homogeneous(2, 5)};
   std::vector<ProcessId> chain;
   for (const char* name : {"A", "B", "C", "D"}) {
     chain.push_back(inst.app.add_process(
         name, {{NodeId{0}, 30}, {NodeId{1}, 30}}, 2, 2, 2));
-    if (chain.size() > 1) inst.app.connect(chain[chain.size() - 2], chain.back());
+    if (chain.size() > 1) {
+      inst.app.connect(chain[chain.size() - 2], chain.back());
+    }
   }
+  inst.app.process(chain.front()).local_deadline = 1;
+  inst.app.process(chain.back()).local_deadline = 1;
   inst.app.set_deadline(10000);
   const FaultModel model{2};
   PolicyAssignment base =
@@ -428,6 +434,49 @@ TEST(EvalContext, MoveResumedAtTheLastEventIsExact) {
               3);
   }
   EXPECT_EQ(eval.stats().dp_vertices_total, 3 * 4);
+}
+
+// The makespan can be attained before a move's resume point: H, long and
+// alone on N1, commits at event 0; P commits at event 1 on N2; moving P's
+// consumer M from N2 to N3 turns P -> M into a bus message, so the move
+// resumes at P's event 1.  M finishes long before H, so only the base's
+// prefix maximum (over event 0, just before the resume point) holds the
+// makespan.  Missed local deadlines on H and M put both sides into the
+// cost.
+TEST(EvalContext, MakespanBeforeTheResumePointIsKept) {
+  Instance inst{Application{}, Architecture::homogeneous(3, 5)};
+  Application& app = inst.app;
+  const std::vector<std::pair<NodeId, Time>> anywhere{
+      {NodeId{0}, 10}, {NodeId{1}, 10}, {NodeId{2}, 10}};
+  const ProcessId h = app.add_process("H", {{NodeId{0}, 1000}}, 2, 2, 2);
+  const ProcessId p = app.add_process("P", anywhere, 2, 2, 2);
+  const ProcessId m = app.add_process("M", anywhere, 2, 2, 2);
+  app.connect(p, m);
+  app.process(h).release = 1;
+  app.process(p).release = 2;
+  app.process(h).local_deadline = 1;
+  app.process(m).local_deadline = 1;
+  app.set_deadline(100000);
+  const FaultModel model{2};
+  PolicyAssignment base =
+      uniform_assignment(app, make_checkpointing_plan(model.k, 1));
+  base.plan(h).copies[0].node = NodeId{0};
+  base.plan(p).copies[0].node = NodeId{1};
+  base.plan(m).copies[0].node = NodeId{1};
+  EvalContext eval(app, inst.arch, model);
+  eval.rebase(base);
+  ProcessPlan plan = base.plan(m);
+  plan.copies[0].node = NodeId{2};
+  EXPECT_EQ(expect_exact_move(eval, inst, base, m, plan, model, "M to N3"),
+            1);
+  PolicyAssignment candidate = base;
+  candidate.plan(m) = plan;
+  const WcslResult full =
+      evaluate_wcsl(app, inst.arch, candidate, model);
+  EXPECT_EQ(full.makespan, full.process_finish[static_cast<std::size_t>(
+                               h.get())]);
+  EXPECT_GT(full.makespan,
+            full.process_finish[static_cast<std::size_t>(m.get())]);
 }
 
 // Moves that change a process's copy count -- re-execution to replication
