@@ -12,11 +12,6 @@ EvalContext::EvalContext(const Application& app, const Architecture& arch,
                          FaultModel model, int verify_every)
     : app_(app), arch_(arch), model_(model), verify_every_(verify_every) {
   model_.validate();
-  for (int p = 0; p < app_.process_count(); ++p) {
-    if (app_.process(ProcessId{p}).local_deadline) {
-      deadline_processes_.push_back(p);
-    }
-  }
 }
 
 std::unique_ptr<EvalContext::Workspace> EvalContext::acquire() {
@@ -108,21 +103,16 @@ EvalContext::Outcome EvalContext::analyze(Analysis& out,
   const int k = model_.k;
   build_wcsl_dag(app_, arch_, assignment, k, sched, out.dag, scratch, first);
   const std::vector<Time>& base = recorded_->analysis.L;
-  // Rows keep their storage from candidate to candidate; the pass rewrites
-  // each one before any successor reads it.
   Outcome result;
   result.makespan = std::max(
       first > 0 ? recorded_->prefix_max[static_cast<std::size_t>(first)] : 0,
       wcsl_dp_from(out.dag, first, base, out.L, k));
-  if (deadline_processes_.empty()) {
-    result.cost = result.makespan;  // what penalized_cost would return
-    return result;
-  }
   // Worst-case finishes of the processes penalized_cost reads: those with
   // a local deadline.
   const std::size_t width = static_cast<std::size_t>(k) + 1;
   process_finish.assign(static_cast<std::size_t>(app_.process_count()), 0);
-  for (const int p : deadline_processes_) {
+  for (int p = 0; p < app_.process_count(); ++p) {
+    if (!app_.process(ProcessId{p}).local_deadline) continue;
     Time& pf = process_finish[static_cast<std::size_t>(p)];
     for (int c = sched.first_copy[static_cast<std::size_t>(p)];
          c < sched.first_copy[static_cast<std::size_t>(p) + 1]; ++c) {

@@ -23,10 +23,10 @@
 //     producer whose message to it flips between local and bus all commit
 //     at or after `limit` (the bound list_schedule_resume proves).  A
 //     candidate builds only the slices and weights of events limit..V-1
-//     into its workspace and runs wcsl_dp_row only for them, reading
-//     earlier rows from the base's; the makespan joins the suffix's maxima
-//     with the base's prefix maximum before `limit`.  A warm workspace
-//     allocates nothing on this side.
+//     into its workspace and computes only their DP rows (wcsl_dp_from),
+//     reading earlier rows from the base's flat row array; the makespan
+//     joins the suffix's maximum with the base's prefix maximum before
+//     `limit`.  A warm workspace allocates nothing on this side.
 //   * A rebase() records the new base's log with one from-scratch
 //     list-schedule build, then the same analysis from event 0: the base's
 //     DAG, rows, prefix maxima of row[k] and outcome, which evaluate_base()
@@ -73,8 +73,7 @@ namespace ftes {
 
 class EvalContext {
  public:
-  /// The referenced application/architecture must outlive the context,
-  /// and the application's local deadlines must not change.
+  /// The referenced application/architecture must outlive the context.
   /// `verify_every` > 0 shadow-verifies every such move evaluation (see
   /// above); 0 turns verification off.
   EvalContext(const Application& app, const Architecture& arch,
@@ -175,9 +174,6 @@ class EvalContext {
   const Architecture& arch_;
   FaultModel model_;
   int verify_every_ = 0;
-  /// The processes with a local deadline: the only ones whose worst-case
-  /// finish the cost reads.  Without any, the cost is the makespan.
-  std::vector<int> deadline_processes_;
 
   // Cached base: assignment and its recorded log and analysis.  rebase()
   // builds the next base in spare_ and swaps it in once it is complete.
