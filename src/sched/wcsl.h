@@ -56,7 +56,7 @@
 // that commit the same items with the same plans up to event `first` (a
 // move's schedule resumed from its base, sched/list_scheduler.h) thus share
 // every slice, weight and row before `first`.  build_wcsl_dag can build
-// only events first..V-1, and wcsl_dp_row can read the rows of earlier
+// only events first..V-1, and wcsl_dp_from can read the rows of earlier
 // events from the base's analysis (opt/eval_context.h does both).
 //
 // Thread safety: every function here is pure -- all inputs are taken by
@@ -200,7 +200,9 @@ struct WcslDagScratch {
 /// their capacity from call to call.  With `first` > 0 only events
 /// first..V-1 are built and checked (see "Resuming" above): the caller
 /// vouches that the schedule's events before `first` are those of a
-/// schedule it analyzed before, with the same plans.
+/// schedule it analyzed before, with the same plans, and that it lists its
+/// transmissions and each node's and the bus's order in commit order, as
+/// every list schedule does (the build walks them back from their ends).
 void build_wcsl_dag(const Application& app, const Architecture& arch,
                     const PolicyAssignment& assignment, int k,
                     const ListSchedule& schedule, WcslDag& dag,

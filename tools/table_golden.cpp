@@ -28,13 +28,13 @@
 //
 // --search instead runs the default pipeline (core/pipeline.h) on the
 // scale500, scale750 and scale1000 families at k = 1: 20 tabu iterations,
-// seed 2008, tables off.  Per family it prints one line:
+// seed 2008, tables off.  Per family it prints the final WCSL, an FNV-1a
+// hash of the assignment's summary and the evaluator's work counters, on
+// one line (wrapped here):
 //
 //   <name> wcsl=<n> assignment=<16 hex digits> evaluations=<n>
 //     rebases=<n> events=<n> events_resumed=<n> heap_pops=<n>
 //
-// (one line in the output): the final WCSL, an FNV-1a hash of the
-// assignment's summary, and the evaluator's work counters.
 // --verify-every n shadow-verifies every n-th move evaluation
 // (opt/eval_context.h) and adds a `shadow verification:` line per family.
 //
