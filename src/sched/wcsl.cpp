@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 #include <stdexcept>
 #include <vector>
 
@@ -272,10 +273,12 @@ WcslDag build_wcsl_dag(const Application& app, const Architecture& arch,
 namespace {
 
 /// wcsl_dp_row into the k + 1 entries at `best_in`, with the predecessor
-/// rows read through `row_of(p)`.
-template <class RowOf>
-Time dp_row(const WcslDag& dag, int v, const RowOf& row_of, int k,
+/// rows read through `row_of(p)`.  `K` is int, or a
+/// std::integral_constant that fixes k at compile time.
+template <class RowOf, class K>
+Time dp_row(const WcslDag& dag, int v, const RowOf& row_of, K k_arg,
             Time* best_in) {
+  const int k = k_arg;
   // best_in[b] = max over predecessors p of L(p, b), accumulated in the
   // output row itself; nondecreasing in b because every row wcsl_dp_row
   // writes is (by induction from the sources, whose best_in is all zeros).
@@ -319,6 +322,27 @@ Time dp_row(const WcslDag& dag, int v, const RowOf& row_of, int k,
   return in_k;
 }
 
+template <int K>
+using FixedK = std::integral_constant<int, K>;
+
+/// wcsl_dp_from's pass over flat rows; `K` as in dp_row.
+template <class K>
+Time dp_pass(const WcslDag& dag, int first, const Time* prefix, Time* out,
+             K k_arg) {
+  const int k = k_arg;
+  const std::size_t width = static_cast<std::size_t>(k) + 1;
+  const auto row_of = [&](int p) {
+    return (p < first ? prefix : out) + static_cast<std::size_t>(p) * width;
+  };
+  Time worst = 0;
+  for (int e = first; e < dag.g.vertex_count(); ++e) {
+    Time* row = out + static_cast<std::size_t>(e) * width;
+    (void)dp_row(dag, e, row_of, k_arg, row);
+    worst = std::max(worst, row[k]);
+  }
+  return worst;
+}
+
 }  // namespace
 
 Time wcsl_dp_row(const WcslDag& dag, int v,
@@ -335,20 +359,22 @@ Time wcsl_dp_row(const WcslDag& dag, int v,
 Time wcsl_dp_from(const WcslDag& dag, int first,
                   const std::vector<Time>& base, std::vector<Time>& rows,
                   int k) {
-  const std::size_t width = static_cast<std::size_t>(k) + 1;
-  rows.resize(static_cast<std::size_t>(dag.g.vertex_count()) * width);
+  rows.resize(static_cast<std::size_t>(dag.g.vertex_count()) *
+              (static_cast<std::size_t>(k) + 1));
   const Time* prefix = base.data();
   Time* out = rows.data();
-  const auto row_of = [&](int p) {
-    return (p < first ? prefix : out) + static_cast<std::size_t>(p) * width;
-  };
-  Time worst = 0;
-  for (int e = first; e < dag.g.vertex_count(); ++e) {
-    Time* row = out + static_cast<std::size_t>(e) * width;
-    (void)dp_row(dag, e, row_of, k, row);
-    worst = std::max(worst, row[k]);
+  // For the paper's k = 1..7 k is a compile-time constant, so the O(k)
+  // row loops unroll; any other k takes the same loops with k at run time.
+  switch (k) {
+    case 1: return dp_pass(dag, first, prefix, out, FixedK<1>{});
+    case 2: return dp_pass(dag, first, prefix, out, FixedK<2>{});
+    case 3: return dp_pass(dag, first, prefix, out, FixedK<3>{});
+    case 4: return dp_pass(dag, first, prefix, out, FixedK<4>{});
+    case 5: return dp_pass(dag, first, prefix, out, FixedK<5>{});
+    case 6: return dp_pass(dag, first, prefix, out, FixedK<6>{});
+    case 7: return dp_pass(dag, first, prefix, out, FixedK<7>{});
+    default: return dp_pass(dag, first, prefix, out, k);
   }
-  return worst;
 }
 
 namespace {
