@@ -7,17 +7,21 @@
 //   <name> scenarios=<n> entries=<n> hash=<16 hex digits>
 //
 // The hash is a 64-bit FNV-1a over the tables' text rendering, their JSON
-// export, the pinned frozen starts and the validation's violation list, so
-// a changed table byte, frozen pin or finding shows up as a diff against
-// the committed tests/golden/tables.txt.  The output is identical for
-// every --threads value.
+// export, the pinned frozen starts, the validation's violation list and
+// every scenario's trace (each copy's start, end, fate and attempt starts;
+// each bus transmission's ready, start and finish; the reveals; the
+// makespan), so a changed table byte, frozen pin, finding or simulated
+// time shows up as a diff against the committed tests/golden/tables.txt.
+// The output is identical for every --threads value.
 //
 // The instances: the serve workload's six fresh-job shapes (10-30
 // processes, k <= 2) on 2-4 nodes, two with frozen processes and messages
 // (the frozen-start fixpoint), one with replicated and hybrid plans, and
 // one 160-process k = 1 instance of the scale-family shape.  Policies come
 // from greedy_initial, so the tables depend on the table builder alone,
-// not on the search.
+// not on the search.  Each instance is built three times: with the default
+// options, with condition broadcasts off (`<name>/no_broadcasts`) and with
+// transparency ignored (`<name>/no_transparency`).
 //
 // --scale500 instead runs the scale500 family (gen/taskgen.h) at k = 1
 // with the greedy re-execution assignment through conditional_schedule,
@@ -167,6 +171,14 @@ class Fnv1a {
       h_ *= 0x100000001b3ull;
     }
   }
+  /// The eight bytes of `v`, least significant first.
+  void add_int(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h_ ^= (u >> shift) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
   [[nodiscard]] std::string hex() const {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
@@ -184,9 +196,49 @@ struct Built {
   std::string line;
 };
 
-Built build(const Instance& inst, int threads) {
+void add_trace(Fnv1a& h, const ScenarioTrace& tr) {
+  h.add_int(static_cast<std::int64_t>(tr.scenario.hits().size()));
+  for (const auto& [ref, count] : tr.scenario.hits()) {
+    h.add_int(ref.process.get());
+    h.add_int(ref.copy);
+    h.add_int(count);
+  }
+  h.add_int(static_cast<std::int64_t>(tr.execs.size()));
+  for (const ExecTrace& e : tr.execs) {
+    h.add_int(e.copy.process.get());
+    h.add_int(e.copy.copy);
+    h.add_int(e.start);
+    h.add_int(e.end);
+    h.add_int(e.died ? 1 : 0);
+    h.add_int(e.faults);
+    h.add_int(static_cast<std::int64_t>(e.attempt_starts.size()));
+    for (Time t : e.attempt_starts) h.add_int(t);
+  }
+  h.add_int(static_cast<std::int64_t>(tr.txs.size()));
+  for (const TxTrace& tx : tr.txs) {
+    h.add_int(tx.is_condition ? 1 : 0);
+    h.add_int(tx.msg.get());
+    h.add_int(tx.src_copy);
+    h.add_int(tx.cond_id);
+    h.add_int(tx.value ? 1 : 0);
+    h.add_int(tx.sender.get());
+    h.add_int(tx.ready);
+    h.add_int(tx.start);
+    h.add_int(tx.finish);
+  }
+  h.add_int(static_cast<std::int64_t>(tr.reveals.size()));
+  for (const Reveal& r : tr.reveals) {
+    h.add_int(r.cond_id);
+    h.add_int(r.value ? 1 : 0);
+    h.add_int(r.at);
+  }
+  h.add_int(tr.makespan);
+}
+
+Built build(const Instance& inst, int threads,
+            const CondScheduleOptions& options = {}) {
   Built b;
-  CondScheduleOptions opts;
+  CondScheduleOptions opts = options;
   opts.threads = threads;
   b.schedule = conditional_schedule(inst.app, inst.arch, inst.assignment,
                                     inst.model, opts);
@@ -200,6 +252,7 @@ Built build(const Instance& inst, int threads) {
     h.add(name + "=" + std::to_string(start) + "\n");
   }
   for (const std::string& v : b.report.violations) h.add(v + "\n");
+  for (const ScenarioTrace& tr : b.schedule.traces) add_trace(h, tr);
   b.line = inst.name + " scenarios=" +
            std::to_string(b.schedule.scenario_count) + " entries=" +
            std::to_string(b.schedule.tables.total_entries()) + " hash=" +
@@ -317,8 +370,17 @@ int main(int argc, char** argv) {
   }
   if (scale500) return run_scale500(threads);
   if (search) return run_search(threads, verify_every);
-  for (const Instance& inst : golden_instances()) {
+  CondScheduleOptions no_broadcasts;
+  no_broadcasts.schedule_condition_broadcasts = false;
+  CondScheduleOptions no_transparency;
+  no_transparency.respect_transparency = false;
+  for (Instance& inst : golden_instances()) {
     std::printf("%s\n", build(inst, threads).line.c_str());
+    const std::string name = inst.name;
+    inst.name = name + "/no_broadcasts";
+    std::printf("%s\n", build(inst, threads, no_broadcasts).line.c_str());
+    inst.name = name + "/no_transparency";
+    std::printf("%s\n", build(inst, threads, no_transparency).line.c_str());
   }
   return 0;
 }
