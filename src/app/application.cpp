@@ -63,36 +63,6 @@ MessageId Application::connect(ProcessId src, ProcessId dst, std::string name,
   return add_message(std::move(m));
 }
 
-Process& Application::process(ProcessId id) {
-  return const_cast<Process&>(std::as_const(*this).process(id));
-}
-
-const Process& Application::process(ProcessId id) const {
-  if (!id.valid() || id.get() >= process_count()) {
-    throw std::out_of_range("invalid ProcessId");
-  }
-  return processes_[static_cast<std::size_t>(id.get())];
-}
-
-Message& Application::message(MessageId id) {
-  return const_cast<Message&>(std::as_const(*this).message(id));
-}
-
-const Message& Application::message(MessageId id) const {
-  if (!id.valid() || id.get() >= message_count()) {
-    throw std::out_of_range("invalid MessageId");
-  }
-  return messages_[static_cast<std::size_t>(id.get())];
-}
-
-const std::vector<MessageId>& Application::inputs(ProcessId p) const {
-  return in_edges_.at(static_cast<std::size_t>(p.get()));
-}
-
-const std::vector<MessageId>& Application::outputs(ProcessId p) const {
-  return out_edges_.at(static_cast<std::size_t>(p.get()));
-}
-
 std::vector<ProcessId> Application::predecessors(ProcessId p) const {
   std::vector<ProcessId> result;
   for (MessageId m : inputs(p)) {

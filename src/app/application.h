@@ -15,8 +15,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/policy_kind.h"
@@ -111,10 +113,26 @@ class Application {
   [[nodiscard]] const std::vector<Message>& messages() const {
     return messages_;
   }
-  [[nodiscard]] Process& process(ProcessId id);
-  [[nodiscard]] const Process& process(ProcessId id) const;
-  [[nodiscard]] Message& message(MessageId id);
-  [[nodiscard]] const Message& message(MessageId id) const;
+  /// Per-id accessors; an id out of range throws std::out_of_range.  They
+  /// sit in the list scheduler's inner loops, so they are inline.
+  [[nodiscard]] Process& process(ProcessId id) {
+    return const_cast<Process&>(std::as_const(*this).process(id));
+  }
+  [[nodiscard]] const Process& process(ProcessId id) const {
+    if (!id.valid() || id.get() >= process_count()) {
+      throw std::out_of_range("invalid ProcessId");
+    }
+    return processes_[static_cast<std::size_t>(id.get())];
+  }
+  [[nodiscard]] Message& message(MessageId id) {
+    return const_cast<Message&>(std::as_const(*this).message(id));
+  }
+  [[nodiscard]] const Message& message(MessageId id) const {
+    if (!id.valid() || id.get() >= message_count()) {
+      throw std::out_of_range("invalid MessageId");
+    }
+    return messages_[static_cast<std::size_t>(id.get())];
+  }
   [[nodiscard]] int process_count() const {
     return static_cast<int>(processes_.size());
   }
@@ -123,8 +141,12 @@ class Application {
   }
 
   /// Incoming / outgoing message ids of a process (edge adjacency).
-  [[nodiscard]] const std::vector<MessageId>& inputs(ProcessId p) const;
-  [[nodiscard]] const std::vector<MessageId>& outputs(ProcessId p) const;
+  [[nodiscard]] const std::vector<MessageId>& inputs(ProcessId p) const {
+    return in_edges_.at(static_cast<std::size_t>(p.get()));
+  }
+  [[nodiscard]] const std::vector<MessageId>& outputs(ProcessId p) const {
+    return out_edges_.at(static_cast<std::size_t>(p.get()));
+  }
 
   /// Predecessor / successor process ids (deduplicated, stable order).
   [[nodiscard]] std::vector<ProcessId> predecessors(ProcessId p) const;
