@@ -47,6 +47,9 @@ std::vector<std::pair<ProcessId, int>> checkpointed_copies(
   return result;
 }
 
+/// Full sweeps over the targets before the descent stops regardless.
+constexpr int kMaxRounds = 8;
+
 /// Coordinate descent over checkpoint counts as a neighborhood problem:
 /// each engine iteration is one target (process, copy); its neighborhood
 /// is the candidate counts X-2 / X-1 / X+1 / X+2 / 1 ("no intermediate
@@ -54,26 +57,24 @@ std::vector<std::pair<ProcessId, int>> checkpointed_copies(
 /// n*chi overhead entirely, which +-1 steps reach only through a cost
 /// plateau), judged by the WCSL makespan.  The generator carries the sweep
 /// state (round, target cursor, improved flag) and stops the engine when a
-/// full sweep makes no progress or max_rounds is exhausted; the engine's
+/// full sweep makes no progress or kMaxRounds is exhausted; the engine's
 /// require_improvement acceptance keeps only strict improvements
 /// (earliest candidate on ties), exactly the historical descent.
 class CheckpointDescentProblem final : public SearchProblem {
  public:
   CheckpointDescentProblem(EvalContext& eval,
                            std::vector<std::pair<ProcessId, int>> targets,
-                           int max_checkpoints, int max_rounds)
+                           int max_checkpoints)
       : eval_(eval),
         targets_(std::move(targets)),
-        max_checkpoints_(max_checkpoints),
-        max_rounds_(max_rounds) {}
+        max_checkpoints_(max_checkpoints) {}
 
   bool neighborhood(int /*iteration*/, const PolicyAssignment& current,
                     bool accepted_last, std::vector<Move>& out) override {
     improved_ = improved_ || accepted_last;
-    if (max_rounds_ <= 0) return false;
     while (true) {
       if (next_target_ == targets_.size()) {  // sweep boundary
-        if (!improved_ || round_ + 1 >= max_rounds_) return false;
+        if (!improved_ || round_ + 1 >= kMaxRounds) return false;
         ++round_;
         next_target_ = 0;
         improved_ = false;
@@ -118,7 +119,6 @@ class CheckpointDescentProblem final : public SearchProblem {
   EvalContext& eval_;
   std::vector<std::pair<ProcessId, int>> targets_;
   int max_checkpoints_;
-  int max_rounds_;
   std::size_t next_target_ = 0;
   int round_ = 0;
   bool improved_ = false;
@@ -139,8 +139,7 @@ CheckpointOptResult optimize_checkpoints_global(
   const EvalStats stats_before = eval->stats();
 
   CheckpointDescentProblem problem(*eval, checkpointed_copies(app, initial),
-                                   options.max_checkpoints,
-                                   options.max_rounds);
+                                   options.max_checkpoints);
   SearchOptions search;
   search.require_improvement = true;  // pure descent, no tabu list
   search.threads = options.threads;

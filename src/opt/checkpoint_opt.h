@@ -40,7 +40,6 @@ struct CheckpointOptResult {
 
 struct CheckpointOptOptions {
   int max_checkpoints = 8;
-  int max_rounds = 8;
   /// Concurrent WCSL evaluations of a copy's candidate counts (1 = serial;
   /// 0 = all hardware threads).  Candidates are evaluated against the same
   /// incumbent and selected serially in candidate order, so the result is
@@ -59,7 +58,7 @@ struct CheckpointOptOptions {
 /// copy the candidate counts X-2 / X-1 / X+1 / X+2 / 1 ("no intermediate
 /// checkpoints") are evaluated concurrently against the incumbent and the
 /// best strict WCSL improvement (earliest candidate on ties) is kept.
-/// Sweeps repeat until one makes no progress or max_rounds is hit.
+/// Sweeps repeat until one makes no progress, at most eight times.
 [[nodiscard]] CheckpointOptResult optimize_checkpoints_global(
     const Application& app, const Architecture& arch, const FaultModel& model,
     PolicyAssignment initial, const CheckpointOptOptions& options);
