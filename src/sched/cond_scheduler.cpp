@@ -15,29 +15,26 @@ namespace ftes {
 
 namespace {
 
-/// Static data about one copy, shared by all scenarios.
-struct CopyInfo {
-  CopyRef ref;
-  NodeId node;
-  RecoveryParams params;
-  int checkpoints = 0;   ///< 0 = pure replica
-  int recoveries = 0;
-  Time release = 0;
-  bool frozen = false;
-  std::string name;      ///< display: "P1" or "P1(2)"
-  Time rank = 0;         ///< list-scheduling priority
+/// Frozen-start fixpoint iteration cap.
+constexpr int kMaxFixpointIterations = 64;
+
+/// What `faults` faults do to one copy, as DESIGN.md / recovery.h derive
+/// it.  The copy survives when its recovery budget absorbs the faults.  It
+/// reveals conditions 1..last: a survivor each fault it took and, while
+/// the budget could still be exceeded, the absence of the next one; a dead
+/// copy every fault up to the one that kills it.
+struct Fate {
+  int budget = 0;
+  bool survived = true;
+  int last = 0;
 };
 
-struct TripleKey {
-  int dst_copy;  ///< global copy index of the consumer
-  std::int32_t msg;
-  int src_copy;  ///< producer copy index within its plan; -1 for frozen sync
-  friend bool operator<(const TripleKey& a, const TripleKey& b) {
-    if (a.dst_copy != b.dst_copy) return a.dst_copy < b.dst_copy;
-    if (a.msg != b.msg) return a.msg < b.msg;
-    return a.src_copy < b.src_copy;
-  }
-};
+Fate fate_of(const TableCopy& copy, int faults) {
+  const int budget = copy.budget();
+  const bool survived = faults <= budget;
+  return {budget, survived,
+          survived ? std::min(faults + 1, budget) : budget + 1};
+}
 
 class CondSim {
  public:
@@ -69,7 +66,7 @@ class CondSim {
     // Fixpoint over frozen starts.  Within one iteration the scenarios are
     // independent (they read the same pins), so they simulate in parallel
     // into scenario-ordered slots.
-    for (int iter = 0; iter < opts_.max_fixpoint_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
       result.traces.assign(scenarios.size(), ScenarioTrace{});
       bool moved = false;
       parallel_for(*pool_, scenarios.size(), threads_, [&](std::size_t i) {
@@ -79,15 +76,14 @@ class CondSim {
         result.traces[i] = simulate(scenarios[i]);
       });
       throw_if_cancelled();
-      // Raise pins to the observed maxima.
+      // Raise pins to the observed maxima.  Execution records are in copy
+      // order.
       for (const ScenarioTrace& tr : result.traces) {
-        for (const ExecTrace& e : tr.execs) {
-          const std::size_t ci = static_cast<std::size_t>(
-              copy_at(e.copy.process.get(), e.copy.copy));
-          if (!copies_[ci].frozen) continue;
-          Time& pin = copy_pins_[ci];
-          if (e.start > pin) {
-            pin = e.start;
+        for (const int ci : frozen_copies_) {
+          const Time start = tr.execs[static_cast<std::size_t>(ci)].start;
+          Time& pin = copy_pins_[static_cast<std::size_t>(ci)];
+          if (start > pin) {
+            pin = start;
             moved = true;
           }
         }
@@ -101,7 +97,7 @@ class CondSim {
         }
       }
       if (!moved) break;
-      if (iter + 1 == opts_.max_fixpoint_iterations) {
+      if (iter + 1 == kMaxFixpointIterations) {
         FTES_LOG(kWarn) << "frozen-start fixpoint did not converge";
       }
     }
@@ -110,10 +106,9 @@ class CondSim {
     for (const ScenarioTrace& tr : result.traces) {
       result.wcsl = std::max(result.wcsl, tr.makespan);
     }
-    for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
-      if (copies_[ci].frozen) {
-        result.frozen_starts[copies_[ci].name] = copy_pins_[ci];
-      }
+    for (const int ci : frozen_copies_) {
+      result.frozen_starts[copies_[static_cast<std::size_t>(ci)].name] =
+          copy_pins_[static_cast<std::size_t>(ci)];
     }
     // Report pinned frozen message starts alongside process pins.
     for (MessageId mid : frozen_msgs_) {
@@ -130,64 +125,40 @@ class CondSim {
   // ---------------------------------------------------------------- setup
   void build_static_info() {
     // Flat (process, copy) -> global copy index via per-process prefix
-    // offsets: the simulate() inner loops and the fixpoint pin updates hit
-    // this lookup constantly, so no std::map on that path.
+    // offsets: the simulate() inner loops and the table fold hit this
+    // lookup constantly, so no std::map on that path.
     first_copy_ = copy_offsets(app_, pa_);
-    for (int i = 0; i < app_.process_count(); ++i) {
-      const ProcessId pid{i};
-      const Process& proc = app_.process(pid);
-      const ProcessPlan& plan = pa_.plan(pid);
-      for (int j = 0; j < plan.copy_count(); ++j) {
-        const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
-        CopyInfo info;
-        info.ref = CopyRef{pid, j};
-        info.node = cp.node;
-        info.params =
-            RecoveryParams{proc.wcet_on(cp.node), proc.alpha, proc.mu,
-                           proc.chi};
-        info.checkpoints = cp.checkpoints;
-        info.recoveries = cp.recoveries;
-        info.release = proc.release;
-        info.frozen = opts_.respect_transparency && proc.frozen;
-        info.name = copy_row_name(proc.name, plan, j);
-        assert(copy_at(pid.get(), j) == static_cast<int>(copies_.size()));
-        copies_.push_back(info);
+    copies_ = table_copies(app_, pa_);
+    for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
+      if (opts_.respect_transparency &&
+          app_.process(copies_[ci].ref.process).frozen) {
+        frozen_copies_.push_back(static_cast<int>(ci));
       }
     }
     copy_pins_.assign(copies_.size(), 0);
     msg_pins_.assign(static_cast<std::size_t>(app_.message_count()), 0);
+    // A message needs a data transmission when some producer copy and some
+    // consumer copy sit on different nodes.  Frozen messages always take
+    // the bus, as one sync transmission.
+    needs_bus_.assign(static_cast<std::size_t>(app_.message_count()), false);
     for (int mi = 0; mi < app_.message_count(); ++mi) {
+      const Message& m = app_.message(MessageId{mi});
       if (is_frozen_msg(MessageId{mi})) frozen_msgs_.push_back(MessageId{mi});
+      for (const CopyPlan& s : pa_.plan(m.src).copies) {
+        for (const CopyPlan& d : pa_.plan(m.dst).copies) {
+          if (s.node != d.node) needs_bus_[static_cast<std::size_t>(mi)] = true;
+        }
+      }
     }
 
     // Priorities: the list scheduler's partial critical path ranks (same
     // copy indexing).
-    const std::vector<Time> rank =
-        partial_critical_path_ranks(app_, arch_, pa_);
-    for (std::size_t i = 0; i < copies_.size(); ++i) {
-      copies_[i].rank = rank[i];
-    }
+    rank_ = partial_critical_path_ranks(app_, arch_, pa_);
   }
 
   [[nodiscard]] bool is_frozen_msg(MessageId m) const {
     return opts_.respect_transparency &&
            app_.message(m).frozen;
-  }
-
-  /// True if message m needs a bus transmission under this assignment.
-  [[nodiscard]] bool msg_needs_bus(const Message& m) const {
-    if (is_frozen_msg(MessageId{static_cast<std::int32_t>(
-            &m - app_.messages().data())})) {
-      return true;
-    }
-    const ProcessPlan& sp = pa_.plan(m.src);
-    const ProcessPlan& dp = pa_.plan(m.dst);
-    for (const CopyPlan& s : sp.copies) {
-      for (const CopyPlan& d : dp.copies) {
-        if (s.node != d.node) return true;
-      }
-    }
-    return false;
   }
 
   // ------------------------------------------------------------- scenario
@@ -198,15 +169,8 @@ class CondSim {
     Time duration = 0;  ///< start -> end (completion or death)
     Time start = 0;
     Time end = 0;
-    int unresolved = 0;
+    int unresolved = 0;  ///< (input message, producer copy) pairs pending
     Time data_ready = 0;
-    std::vector<Time> attempt_offsets;           ///< relative
-    std::vector<Reveal> reveal_offsets;          ///< relative times
-  };
-
-  struct PendingTx {
-    TxTrace tx;          ///< ready/sender/meta filled; start/finish pending
-    int seq = 0;         ///< deterministic tie-break
   };
 
   ScenarioTrace simulate(const FaultScenario& scenario) const {
@@ -214,244 +178,189 @@ class CondSim {
     trace.scenario = scenario;
 
     std::vector<CopyRun> runs(copies_.size());
-    // Precompute per-copy fate.
     for (std::size_t i = 0; i < copies_.size(); ++i) {
-      const CopyInfo& ci = copies_[i];
+      const TableCopy& c = copies_[i];
       CopyRun& run = runs[i];
-      run.faults = scenario.faults_on(ci.ref);
-      const int n = std::max(ci.checkpoints, 1);
-      const int r_cond = ci.checkpoints >= 1 ? ci.recoveries : 0;
-      run.survived = run.faults <= r_cond;
-      if (run.survived) {
+      run.faults = scenario.faults_on(c.ref);
+      const Fate fate = fate_of(c, run.faults);
+      run.survived = fate.survived;
+      if (!run.survived) {
+        run.duration = fault_occurrence_offset(
+                           c.params, std::max(c.checkpoints, 1), fate.last) +
+                       c.params.alpha;
+      } else if (c.checkpoints >= 1) {
         run.duration =
-            ci.checkpoints >= 1
-                ? checkpointed_exec_time(ci.params, ci.checkpoints, run.faults)
-                : replica_exec_time(ci.params);
+            checkpointed_exec_time(c.params, c.checkpoints, run.faults);
       } else {
-        run.duration = fault_occurrence_offset(ci.params, n, r_cond + 1) +
-                       ci.params.alpha;
+        run.duration = replica_exec_time(c.params);
       }
-      run.attempt_offsets.push_back(0);
-      const int executed_recoveries =
-          run.survived ? run.faults : r_cond;
-      for (int a = 1; a <= executed_recoveries; ++a) {
-        run.attempt_offsets.push_back(
-            recovery_start_offset(ci.params, n, a));
-      }
-      // Condition reveals, as derived in DESIGN.md / recovery.h.  All ids
-      // were registered up front (run()), so the lookups are read-only and
-      // simulate() is safe to run concurrently across scenarios.
-      if (run.survived) {
-        const int last = std::min(run.faults + 1, r_cond);
-        for (int j = 1; j <= last; ++j) {
-          const bool value = j <= run.faults;
-          const Time at = value
-                              ? fault_occurrence_offset(ci.params, n, j)
-                              : run.duration;
-          run.reveal_offsets.push_back(Reveal{cond_lookup(ci, j), value, at});
-        }
-      } else {
-        for (int j = 1; j <= r_cond + 1; ++j) {
-          run.reveal_offsets.push_back(
-              Reveal{cond_lookup(ci, j), true,
-                     fault_occurrence_offset(ci.params, n, j)});
-        }
-      }
-      // Dependency counters: one triple per (input msg, producer copy) or
-      // one per frozen message.
-      for (MessageId mid : app_.inputs(ci.ref.process)) {
-        if (is_frozen_msg(mid)) {
-          run.unresolved += 1;
-        } else {
-          run.unresolved += pa_.plan(app_.message(mid).src).copy_count();
-        }
+      // One dependency per (input message, producer copy); a frozen
+      // message's sync transmission stands for all of its producer copies.
+      for (MessageId mid : app_.inputs(c.ref.process)) {
+        run.unresolved += is_frozen_msg(mid)
+                              ? 1
+                              : pa_.plan(app_.message(mid).src).copy_count();
       }
     }
+    // Copies of each process not yet committed: the last commit sends the
+    // process's frozen messages.
+    std::vector<int> uncommitted(static_cast<std::size_t>(app_.process_count()));
+    for (std::size_t p = 0; p < uncommitted.size(); ++p) {
+      uncommitted[p] = first_copy_[p + 1] - first_copy_[p];
+    }
 
-    // lint: cold-path -- per-scenario simulation state during table
-    // generation; the per-move evaluation path (opt/eval_context.h) never
-    // enters the conditional scheduler
-    std::map<TripleKey, bool> resolved;
-    auto resolve = [&](int dst_copy, MessageId mid, int src_copy, Time at) {
-      TripleKey key{dst_copy, mid.get(), src_copy};
-      auto [it, inserted] = resolved.emplace(key, true);
-      if (!inserted) return;
-      CopyRun& run = runs[static_cast<std::size_t>(dst_copy)];
+    // Each dependency resolves at exactly one site: a co-located consumer at
+    // the producer's end; a remote consumer at the end of the data
+    // transmission (survivor) or of the death broadcast (dead copy), or at
+    // the producer's end under idealized signalling; every consumer of a
+    // frozen message at the end of its sync transmission.
+    auto resolve = [&](std::size_t dst, Time at) {
+      CopyRun& run = runs[dst];
       run.data_ready = std::max(run.data_ready, at);
       --run.unresolved;
       assert(run.unresolved >= 0);
     };
-    std::vector<PendingTx> pending;
-    int tx_seq = 0;
-    // Frozen messages (by frozen_msgs_ slot): emitted once all producer
-    // copies committed.
-    std::vector<bool> frozen_emitted(frozen_msgs_.size(), false);
-    std::size_t frozen_unemitted = frozen_msgs_.size();
+    // Resolves at `at` every consumer copy of `mid` whose node passes `on`.
+    auto resolve_consumers = [&](MessageId mid, Time at, auto on) {
+      const auto dst =
+          static_cast<std::size_t>(app_.message(mid).dst.get());
+      for (int d = first_copy_[dst]; d < first_copy_[dst + 1]; ++d) {
+        const auto di = static_cast<std::size_t>(d);
+        if (on(copies_[di].node)) resolve(di, at);
+      }
+    };
+    // Transmissions in enqueue order, which is also their tie-break order.
+    std::vector<TxTrace> pending;
 
     std::vector<Time> node_free(static_cast<std::size_t>(arch_.node_count()),
                                 0);
     Time bus_free = 0;
     std::size_t committed = 0;
 
-    // Resolution policy: local consumers of a copy resolve at the copy's
-    // end (completion or locally observed death); remote consumers resolve
-    // at the data transmission's end (survivor) or at the death broadcast's
-    // end (dead copy).  resolve() is idempotent per triple.
-    auto commit_copy_fixed = [&](std::size_t i, Time start) {
-      const CopyInfo& ci = copies_[i];
+    auto send_sync = [&](MessageId mid) {
+      const std::int32_t src = app_.message(mid).src.get();
+      Time earliest = kTimeInfinity;
+      for (int sc = first_copy_[static_cast<std::size_t>(src)];
+           sc < first_copy_[static_cast<std::size_t>(src) + 1]; ++sc) {
+        const CopyRun& run = runs[static_cast<std::size_t>(sc)];
+        if (run.survived) earliest = std::min(earliest, run.end);
+      }
+      if (earliest == kTimeInfinity) {
+        throw std::logic_error(
+            "all producer copies of a frozen message died (inadmissible "
+            "scenario reached a frozen sync)");
+      }
+      TxTrace tx;
+      tx.msg = mid;
+      tx.src_copy = -1;
+      tx.sender = copies_[static_cast<std::size_t>(copy_at(src, 0))].node;
+      tx.ready =
+          std::max(earliest, msg_pins_[static_cast<std::size_t>(mid.get())]);
+      pending.push_back(tx);
+    };
+
+    auto commit_copy = [&](std::size_t i, Time start) {
+      const TableCopy& c = copies_[i];
       CopyRun& run = runs[i];
       run.committed = true;
       run.start = start;
       run.end = start + run.duration;
-      node_free[static_cast<std::size_t>(ci.node.get())] = run.end;
+      node_free[static_cast<std::size_t>(c.node.get())] = run.end;
       ++committed;
 
-      for (const Reveal& rel : run.reveal_offsets) {
-        Reveal abs{rel.cond_id, rel.value, start + rel.at};
-        trace.reveals.push_back(abs);
+      for (int j = 1; j <= fate_of(c, run.faults).last; ++j) {
+        const bool value = j <= run.faults;
+        const Time at =
+            value ? start + fault_occurrence_offset(
+                                c.params, std::max(c.checkpoints, 1), j)
+                  : run.end;
+        const int id = cond_lookup(c, j);
+        trace.reveals.push_back(Reveal{id, value, at});
         if (!opts_.schedule_condition_broadcasts) continue;
-        PendingTx tx;
-        tx.tx.is_condition = true;
-        tx.tx.cond_id = rel.cond_id;
-        tx.tx.value = rel.value;
-        tx.tx.sender = ci.node;
-        tx.tx.ready = abs.at;
-        tx.seq = ++tx_seq;
+        TxTrace tx;
+        tx.is_condition = true;
+        tx.cond_id = id;
+        tx.value = value;
+        tx.sender = c.node;
+        tx.ready = at;
         pending.push_back(tx);
       }
 
-      for (MessageId mid : app_.outputs(ci.ref.process)) {
-        const Message& m = app_.message(mid);
+      const bool tell_all = !run.survived && !opts_.schedule_condition_broadcasts;
+      for (MessageId mid : app_.outputs(c.ref.process)) {
         if (is_frozen_msg(mid)) continue;
-        const bool bus = msg_needs_bus(m);
-        // Local consumers always resolve at the copy's end (completion or
-        // locally observed death).
-        const ProcessPlan& dp = pa_.plan(m.dst);
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          const int dst = copy_at(m.dst.get(), dj);
-          if (copies_[static_cast<std::size_t>(dst)].node == ci.node) {
-            resolve(dst, mid, ci.ref.copy, run.end);
-          } else if (!run.survived && !opts_.schedule_condition_broadcasts) {
-            // Idealized signalling: remote consumers learn the death
-            // instantly (no death broadcast will be scheduled).
-            resolve(dst, mid, ci.ref.copy, run.end);
-          }
-        }
-        if (run.survived && bus) {
-          PendingTx tx;
-          tx.tx.msg = mid;
-          tx.tx.src_copy = ci.ref.copy;
-          tx.tx.sender = ci.node;
-          tx.tx.ready = run.end;
-          tx.seq = ++tx_seq;
+        resolve_consumers(mid, run.end, [&](NodeId node) {
+          return tell_all || node == c.node;
+        });
+        if (run.survived && needs_bus_[static_cast<std::size_t>(mid.get())]) {
+          TxTrace tx;
+          tx.msg = mid;
+          tx.src_copy = c.ref.copy;
+          tx.sender = c.node;
+          tx.ready = run.end;
           pending.push_back(tx);
         }
       }
+      if (--uncommitted[static_cast<std::size_t>(c.ref.process.get())] > 0) {
+        return;
+      }
+      for (MessageId mid : app_.outputs(c.ref.process)) {
+        if (is_frozen_msg(mid)) send_sync(mid);
+      }
     };
 
-    // Death broadcasts double as remote death knowledge: when a condition
-    // transmission that encodes "fault r+1" of a dead copy commits, remote
-    // consumers of that copy's messages resolve.
+    // The death broadcast of a dead copy (its last condition) tells the
+    // remote consumers of its messages.
     auto on_condition_committed = [&](const TxTrace& tx) {
-      const CopyRef src = cond_copy_.at(tx.cond_id);
+      const CopyRef src = registry_.copy_of(tx.cond_id);
       const std::size_t ci = static_cast<std::size_t>(
           copy_at(src.process.get(), src.copy));
-      const CopyInfo& info = copies_[ci];
-      const CopyRun& run = runs[ci];
-      if (run.survived) return;
-      const int r_cond = info.checkpoints >= 1 ? info.recoveries : 0;
-      if (cond_index_.at(tx.cond_id) != r_cond + 1) return;
+      const TableCopy& c = copies_[ci];
+      const Fate fate = fate_of(c, runs[ci].faults);
+      if (fate.survived || registry_.fault_index_of(tx.cond_id) != fate.last) {
+        return;
+      }
       for (MessageId mid : app_.outputs(src.process)) {
         if (is_frozen_msg(mid)) continue;
-        const Message& m = app_.message(mid);
-        const ProcessPlan& dp = pa_.plan(m.dst);
-        for (int dj = 0; dj < dp.copy_count(); ++dj) {
-          const int dst = copy_at(m.dst.get(), dj);
-          if (copies_[static_cast<std::size_t>(dst)].node != info.node) {
-            resolve(dst, mid, src.copy, tx.finish);
-          }
-        }
+        resolve_consumers(mid, tx.finish,
+                          [&](NodeId node) { return node != c.node; });
       }
     };
 
     // ---- main event loop -------------------------------------------------
-    while (committed < copies_.size() || !pending.empty() ||
-           frozen_unemitted > 0) {
-      // Emit frozen messages whose producers are all committed, in id
-      // order.
-      for (std::size_t f = 0; f < frozen_msgs_.size(); ++f) {
-        if (frozen_emitted[f]) continue;
-        const MessageId mid = frozen_msgs_[f];
-        const Message& m = app_.message(mid);
-        const ProcessPlan& sp = pa_.plan(m.src);
-        bool all_committed = true;
-        Time earliest = kTimeInfinity;
-        for (int sj = 0; sj < sp.copy_count(); ++sj) {
-          const CopyRun& run =
-              runs[static_cast<std::size_t>(copy_at(m.src.get(), sj))];
-          if (!run.committed) {
-            all_committed = false;
-            break;
-          }
-          if (run.survived) earliest = std::min(earliest, run.end);
-        }
-        if (!all_committed) continue;
-        if (earliest == kTimeInfinity) {
-          throw std::logic_error(
-              "all producer copies of a frozen message died (inadmissible "
-              "scenario reached a frozen sync)");
-        }
-        PendingTx tx;
-        tx.tx.msg = mid;
-        tx.tx.src_copy = -1;
-        tx.tx.sender =
-            copies_[static_cast<std::size_t>(copy_at(m.src.get(), 0))]
-                .node;
-        tx.tx.ready = std::max(
-            earliest, msg_pins_[static_cast<std::size_t>(mid.get())]);
-        tx.seq = ++tx_seq;
-        pending.push_back(tx);
-        frozen_emitted[f] = true;
-        --frozen_unemitted;
-      }
-
-      // Earliest startable copy.
+    while (committed < copies_.size() || !pending.empty()) {
+      // Earliest startable copy.  Only frozen copies have a nonzero pin.
       Time best_start = kTimeInfinity;
       int best = -1;
       for (std::size_t i = 0; i < copies_.size(); ++i) {
         const CopyRun& run = runs[i];
         if (run.committed || run.unresolved > 0) continue;
-        const CopyInfo& ci = copies_[i];
-        Time start = std::max({run.data_ready, ci.release,
-                               node_free[static_cast<std::size_t>(
-                                   ci.node.get())]});
-        if (ci.frozen) start = std::max(start, copy_pins_[i]);
+        const TableCopy& c = copies_[i];
+        const Time start = std::max(
+            {run.data_ready, c.release,
+             node_free[static_cast<std::size_t>(c.node.get())],
+             copy_pins_[i]});
         if (start < best_start ||
             (start == best_start && best >= 0 &&
-             copies_[static_cast<std::size_t>(best)].rank < ci.rank)) {
+             rank_[static_cast<std::size_t>(best)] < rank_[i])) {
           best_start = start;
           best = static_cast<int>(i);
         }
       }
 
-      // Earliest pending transmission.
-      Time best_tx_ready = kTimeInfinity;
+      // Earliest pending transmission, the first enqueued on ties.
       std::size_t tx_pick = pending.size();
       for (std::size_t t = 0; t < pending.size(); ++t) {
-        if (pending[t].tx.ready < best_tx_ready ||
-            (pending[t].tx.ready == best_tx_ready &&
-             tx_pick < pending.size() &&
-             pending[t].seq < pending[tx_pick].seq)) {
-          best_tx_ready = pending[t].tx.ready;
+        if (tx_pick == pending.size() ||
+            pending[t].ready < pending[tx_pick].ready) {
           tx_pick = t;
         }
       }
 
       if (tx_pick < pending.size() &&
-          (best < 0 || best_tx_ready <= best_start)) {
-        PendingTx ptx = pending[tx_pick];
+          (best < 0 || pending[tx_pick].ready <= best_start)) {
+        TxTrace tx = pending[tx_pick];
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(tx_pick));
-        TxTrace& tx = ptx.tx;
         const std::int64_t size =
             tx.is_condition ? 1 : app_.message(tx.msg).size;
         const Time ready = std::max(tx.ready, bus_free);
@@ -461,45 +370,34 @@ class CondSim {
         if (tx.is_condition) {
           on_condition_committed(tx);
         } else if (tx.src_copy < 0) {
-          // Frozen sync: resolves every consumer copy.
-          const Message& m = app_.message(tx.msg);
-          const ProcessPlan& dp = pa_.plan(m.dst);
-          for (int dj = 0; dj < dp.copy_count(); ++dj) {
-            resolve(copy_at(m.dst.get(), dj), tx.msg, -1, tx.finish);
-          }
+          resolve_consumers(tx.msg, tx.finish, [](NodeId) { return true; });
         } else {
-          // Data: remote consumers resolve at the transmission's end.
-          const Message& m = app_.message(tx.msg);
-          const ProcessPlan& dp = pa_.plan(m.dst);
-          for (int dj = 0; dj < dp.copy_count(); ++dj) {
-            const int dst = copy_at(m.dst.get(), dj);
-            if (copies_[static_cast<std::size_t>(dst)].node != tx.sender) {
-              resolve(dst, tx.msg, tx.src_copy, tx.finish);
-            }
-          }
+          resolve_consumers(tx.msg, tx.finish,
+                            [&](NodeId node) { return node != tx.sender; });
         }
         trace.txs.push_back(tx);
         continue;
       }
 
-      if (best < 0) {
-        if (committed == copies_.size() && pending.empty()) break;
-        throw std::logic_error("conditional scheduler deadlock");
-      }
-      commit_copy_fixed(static_cast<std::size_t>(best), best_start);
+      if (best < 0) throw std::logic_error("conditional scheduler deadlock");
+      commit_copy(static_cast<std::size_t>(best), best_start);
     }
 
-    // Collect execution records and the makespan.
+    // Collect execution records, in copy order, and the makespan.
     for (std::size_t i = 0; i < copies_.size(); ++i) {
+      const TableCopy& c = copies_[i];
       const CopyRun& run = runs[i];
       ExecTrace e;
-      e.copy = copies_[i].ref;
+      e.copy = c.ref;
       e.start = run.start;
       e.end = run.end;
       e.died = !run.survived;
       e.faults = run.faults;
-      for (Time off : run.attempt_offsets) {
-        e.attempt_starts.push_back(run.start + off);
+      e.attempt_starts.push_back(run.start);
+      for (int a = 1; a <= std::min(run.faults, c.budget()); ++a) {
+        e.attempt_starts.push_back(
+            run.start + recovery_start_offset(
+                            c.params, std::max(c.checkpoints, 1), a));
       }
       trace.execs.push_back(e);
       if (run.survived) trace.makespan = std::max(trace.makespan, run.end);
@@ -516,29 +414,15 @@ class CondSim {
   /// id the given scenario reveals (the same sequence a lazy registration
   /// inside simulate() would produce).
   void register_scenario_conditions(const FaultScenario& scenario) {
-    for (const CopyInfo& ci : copies_) {
-      const int faults = scenario.faults_on(ci.ref);
-      const int r_cond = ci.checkpoints >= 1 ? ci.recoveries : 0;
-      const bool survived = faults <= r_cond;
-      const int last = survived ? std::min(faults + 1, r_cond) : r_cond + 1;
-      for (int j = 1; j <= last; ++j) cond_id(ci, j);
+    for (const TableCopy& c : copies_) {
+      const int last = fate_of(c, scenario.faults_on(c.ref)).last;
+      for (int j = 1; j <= last; ++j) registry_.id(c.ref, j, c.name);
     }
-  }
-
-  int cond_id(const CopyInfo& ci, int fault_index) {
-    const int id = registry_.id(ci.ref, fault_index, ci.name);
-    if (static_cast<std::size_t>(id) >= cond_copy_.size()) {
-      cond_copy_.resize(static_cast<std::size_t>(id) + 1);
-      cond_index_.resize(static_cast<std::size_t>(id) + 1, 0);
-    }
-    cond_copy_[static_cast<std::size_t>(id)] = ci.ref;
-    cond_index_[static_cast<std::size_t>(id)] = fault_index;
-    return id;
   }
 
   /// Read-only id lookup used during (possibly concurrent) simulation.
-  [[nodiscard]] int cond_lookup(const CopyInfo& ci, int fault_index) const {
-    const int id = registry_.find(ci.ref, fault_index);
+  [[nodiscard]] int cond_lookup(const TableCopy& c, int fault_index) const {
+    const int id = registry_.find(c.ref, fault_index);
     assert(id >= 0);  // registered by register_scenario_conditions
     return id;
   }
@@ -592,11 +476,10 @@ class CondSim {
     std::vector<RowKey> keys;
     std::vector<int> attempt_row(copies_.size());
     for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
-      const CopyInfo& info = copies_[ci];
+      const TableCopy& c = copies_[ci];
       attempt_row[ci] = static_cast<int>(keys.size());
-      const int attempts = 1 + (info.checkpoints >= 1 ? info.recoveries : 0);
-      for (int a = 0; a < attempts; ++a) {
-        keys.push_back(RowKey{info.node.get(), static_cast<int>(ci), a, {}});
+      for (int a = 0; a <= c.budget(); ++a) {
+        keys.push_back(RowKey{c.node.get(), static_cast<int>(ci), a, {}});
       }
     }
     const int cond_row = static_cast<int>(keys.size());
@@ -730,14 +613,15 @@ class CondSim {
     return first_copy_[static_cast<std::size_t>(pid)] + copy;
   }
 
-  std::vector<CopyInfo> copies_;
+  std::vector<TableCopy> copies_;
   std::vector<int> first_copy_;
-  std::vector<Time> copy_pins_;
+  std::vector<Time> rank_;            ///< list-scheduling priority per copy
+  std::vector<int> frozen_copies_;    ///< frozen copy indices, ascending
+  std::vector<Time> copy_pins_;       ///< 0 for copies that are not frozen
   std::vector<Time> msg_pins_;
   std::vector<MessageId> frozen_msgs_;  ///< is_frozen_msg ids, ascending
-  CondRegistry registry_;
-  std::vector<CopyRef> cond_copy_;
-  std::vector<int> cond_index_;
+  std::vector<bool> needs_bus_;       ///< per message; see build_static_info
+  CondRegistry registry_;  ///< filled before, read-only while simulating
 };
 
 }  // namespace

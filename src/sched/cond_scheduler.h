@@ -15,7 +15,8 @@
 //
 // Transparency (frozen processes/messages) is honoured by a fixpoint: the
 // start of a frozen item is pinned to the maximum over all scenarios of its
-// natural start, and scenarios are re-simulated until no pin moves.  Frozen
+// natural start, and scenarios are re-simulated until no pin moves (at most
+// 64 rounds; a run that hits the cap logs a warning).  Frozen
 // messages are always transmitted on the bus (even between co-located
 // processes) so their slot is observable in every scenario, as in the
 // paper's Fig. 6 where frozen m3 occupies a bus slot at t = 120.
@@ -106,8 +107,6 @@ class RevealIndex {
 struct CondScheduleOptions {
   /// Guard against the exponential scenario tree.
   int max_scenarios = 200000;
-  /// Fixpoint iteration cap for the frozen-start pinning.
-  int max_fixpoint_iterations = 64;
   /// When false, transparency flags in the application are ignored
   /// (performance-optimal schedules; used as the 0%-frozen ablation point).
   bool respect_transparency = true;

@@ -23,6 +23,25 @@ std::vector<int> copy_offsets(const Application& app,
   return offsets;
 }
 
+std::vector<TableCopy> table_copies(const Application& app,
+                                    const PolicyAssignment& pa) {
+  std::vector<TableCopy> copies;
+  for (int i = 0; i < app.process_count(); ++i) {
+    const ProcessId pid{i};
+    const Process& proc = app.process(pid);
+    const ProcessPlan& plan = pa.plan(pid);
+    for (int j = 0; j < plan.copy_count(); ++j) {
+      const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
+      copies.push_back(TableCopy{
+          CopyRef{pid, j}, cp.node,
+          RecoveryParams{proc.wcet_on(cp.node), proc.alpha, proc.mu, proc.chi},
+          cp.checkpoints, cp.recoveries, proc.release,
+          copy_row_name(proc.name, plan, j)});
+    }
+  }
+  return copies;
+}
+
 int CondRegistry::id(CopyRef copy, int fault_index, const std::string& name) {
   const auto key = std::make_pair(
       std::make_pair(copy.process.get(), copy.copy), fault_index);

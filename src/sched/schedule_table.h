@@ -14,6 +14,7 @@
 #include "app/application.h"
 #include "arch/architecture.h"
 #include "fault/policy.h"
+#include "fault/recovery.h"
 #include "fault/scenario.h"
 #include "ftcpg/ftcpg.h"  // reuses Guard/Literal
 #include "util/time_types.h"
@@ -76,6 +77,25 @@ using TableRows = std::map<std::string, std::vector<TableEntry>>;
 /// of process i is number offsets[i] + j; offsets.back() counts the copies.
 [[nodiscard]] std::vector<int> copy_offsets(const Application& app,
                                             const PolicyAssignment& pa);
+
+/// One process copy as the table producer (sched/cond_scheduler.cpp) and
+/// its fuzzer (sim/fuzzer.cpp) see it.
+struct TableCopy {
+  CopyRef ref;
+  NodeId node;
+  RecoveryParams params;
+  int checkpoints = 0;  ///< 0 = pure replica
+  int recoveries = 0;
+  Time release = 0;
+  std::string name;     ///< row name: "P1" or "P1(2)" (copy_row_name)
+
+  /// Recoveries the copy can execute: a replica has none.
+  [[nodiscard]] int budget() const { return checkpoints >= 1 ? recoveries : 0; }
+};
+
+/// Every copy of the assignment, in copy_offsets order.
+[[nodiscard]] std::vector<TableCopy> table_copies(const Application& app,
+                                                  const PolicyAssignment& pa);
 
 struct ScheduleTables {
   std::vector<TableRows> node_rows;  ///< indexed by NodeId

@@ -1,7 +1,6 @@
 #include "sim/fuzzer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <istream>
 #include <set>
 #include <sstream>
@@ -65,32 +64,11 @@ namespace {
 
 }  // namespace
 
-/// Static per-copy data shared by all replays (the fuzzer-side mirror of
-/// the conditional scheduler's CopyInfo).
-struct ScheduleFuzzer::CopyInfo {
-  CopyRef ref;
-  NodeId node;
-  RecoveryParams params;
-  int checkpoints = 0;  ///< 0 = pure replica
-  int recoveries = 0;
-  Time release = 0;
-  bool frozen = false;
-  std::string name;  ///< display: "P1" or "P1(2)"
-  bool has_pin = false;
-  Time pin = 0;  ///< frozen start pin from the schedule
-};
-
 struct ScheduleFuzzer::Replayed {
   ScenarioTrace trace;  ///< logical starts (for execute_scenario)
   std::vector<FuzzViolation> violations;
   Time completion = 0;
 };
-
-ScheduleFuzzer::~ScheduleFuzzer() = default;
-
-int ScheduleFuzzer::copy_count() const {
-  return static_cast<int>(copies_.size());
-}
 
 ScheduleFuzzer::ScheduleFuzzer(const Application& app,
                                const Architecture& arch,
@@ -105,30 +83,12 @@ ScheduleFuzzer::ScheduleFuzzer(const Application& app,
   }
 
   first_copy_ = copy_offsets(app_, pa_);
-  for (int i = 0; i < app_.process_count(); ++i) {
-    const ProcessId pid{i};
-    const Process& proc = app_.process(pid);
-    const ProcessPlan& plan = pa_.plan(pid);
-    for (int j = 0; j < plan.copy_count(); ++j) {
-      const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
-      CopyInfo info;
-      info.ref = CopyRef{pid, j};
-      info.node = cp.node;
-      info.params = RecoveryParams{proc.wcet_on(cp.node), proc.alpha, proc.mu,
-                                   proc.chi};
-      info.checkpoints = cp.checkpoints;
-      info.recoveries = cp.recoveries;
-      info.release = proc.release;
-      info.name = copy_row_name(proc.name, plan, j);
-      const auto pin = schedule_.frozen_starts.find(info.name);
-      if (pin != schedule_.frozen_starts.end()) {
-        info.frozen = true;
-        info.has_pin = true;
-        info.pin = pin->second;
-      }
-      assert(copy_at(pid.get(), j) == static_cast<int>(copies_.size()));
-      copies_.push_back(std::move(info));
-    }
+  copies_ = table_copies(app_, pa_);
+  for (const TableCopy& c : copies_) {
+    const auto pin = schedule_.frozen_starts.find(c.name);
+    pins_.push_back(pin != schedule_.frozen_starts.end()
+                        ? std::optional<Time>(pin->second)
+                        : std::nullopt);
   }
 
   for (std::size_t t = 0; t < schedule_.traces.size(); ++t) {
@@ -214,11 +174,11 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   for (const ExecTrace& e : nom.execs) {
     const std::size_t gi = static_cast<std::size_t>(
         copy_at(e.copy.process.get(), e.copy.copy));
-    const CopyInfo& ci = copies_[gi];
+    const TableCopy& ci = copies_[gi];
     const TableRows& rows = schedule_.tables.node_rows.at(
         static_cast<std::size_t>(ci.node.get()));
     const int n = std::max(ci.checkpoints, 1);
-    const int r_cond = ci.checkpoints >= 1 ? ci.recoveries : 0;
+    const int r_cond = ci.budget();
     const int es = scale_at(p.exec_scale, gi);
     const int as = scale_at(p.arrival_scale, gi);
 
@@ -276,12 +236,13 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
       out.trace.reveals.push_back(Reveal{cond, value, at});
     }
 
-    if (ci.has_pin && starts.front() != ci.pin) {
+    const std::optional<Time>& pin = pins_[gi];
+    if (pin && starts.front() != *pin) {
       bad.push_back({FuzzKind::kFrozenDivergence,
                      "frozen process " + ci.name + " starts at t=" +
                          std::to_string(starts.front()) +
                          " instead of its pinned t=" +
-                         std::to_string(ci.pin) + scen});
+                         std::to_string(*pin) + scen});
     }
 
     ExecTrace rexec;
@@ -426,7 +387,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     }
     for (int sj = 0; sj < sp.copy_count(); ++sj) {
       const std::size_t gi = static_cast<std::size_t>(copy_at(m.src.get(), sj));
-      const CopyInfo& sci = copies_[gi];
+      const TableCopy& sci = copies_[gi];
       for (int dj = 0; dj < dp.copy_count(); ++dj) {
         const int gd = copy_at(m.dst.get(), dj);
         if (copies_[static_cast<std::size_t>(gd)].node == sci.node) {
@@ -437,8 +398,8 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
           const auto f = data_tx_finish.find({mi, sj});
           raise(gd, f != data_tx_finish.end() ? f->second : end2[gi]);
         } else {
-          const int r_cond = sci.checkpoints >= 1 ? sci.recoveries : 0;
-          const int death = schedule_.tables.conds.find(sci.ref, r_cond + 1);
+          const int death =
+              schedule_.tables.conds.find(sci.ref, sci.budget() + 1);
           const auto f = cond_tx_finish.find(death);
           raise(gd, f != cond_tx_finish.end() ? f->second : end2[gi]);
         }
@@ -446,7 +407,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     }
   }
   for (std::size_t gi = 0; gi < n_copies; ++gi) {
-    const CopyInfo& ci = copies_[gi];
+    const TableCopy& ci = copies_[gi];
     const ExecTrace* rexec = nullptr;
     for (const ExecTrace& e : out.trace.execs) {
       if (e.copy == ci.ref) { rexec = &e; break; }
@@ -491,7 +452,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   for (const ExecTrace& e : out.trace.execs) {
     const std::size_t gi = static_cast<std::size_t>(
         copy_at(e.copy.process.get(), e.copy.copy));
-    const CopyInfo& ci = copies_[gi];
+    const TableCopy& ci = copies_[gi];
     if (e.end <= e.start) continue;
     per_node[static_cast<std::size_t>(ci.node.get())].push_back(
         Interval{e.start, e.end, ci.name});
@@ -559,25 +520,19 @@ Time ScheduleFuzzer::replay_completion(
 }
 
 FuzzPerturbation ScheduleFuzzer::random_perturbation(
-    std::uint64_t trial_seed, const FuzzOptions& options) const {
+    std::uint64_t trial_seed) const {
   Rng rng(trial_seed);
   FuzzPerturbation p;
   const int faults = static_cast<int>(rng.uniform_int(0, model_.k));
   p.scenario = random_scenario(app_, pa_, faults, rng);
-  const int min_es = clamp_scale(options.min_exec_scale);
-  const int min_as = clamp_scale(options.min_arrival_scale);
   p.exec_scale.reserve(copies_.size());
   p.arrival_scale.reserve(copies_.size());
   for (std::size_t i = 0; i < copies_.size(); ++i) {
     p.exec_scale.push_back(
-        static_cast<int>(rng.uniform_int(min_es, kFuzzScaleOne)));
+        static_cast<int>(rng.uniform_int(kFuzzMinScale, kFuzzScaleOne)));
     p.arrival_scale.push_back(
-        static_cast<int>(rng.uniform_int(min_as, kFuzzScaleOne)));
+        static_cast<int>(rng.uniform_int(kFuzzMinScale, kFuzzScaleOne)));
   }
-  p.bus_phase = options.phase_offsets.empty()
-                    ? 0
-                    : options.phase_offsets[rng.index(
-                          options.phase_offsets.size())];
   return p;
 }
 
@@ -601,7 +556,7 @@ FuzzReport ScheduleFuzzer::fuzz(const FuzzOptions& options) const {
   parallel_for(pool, trials, threads, [&](std::size_t i) {
     if (options.cancel && options.cancel->poll()) return;
     const std::uint64_t seed = derive_stream_seed(options.seed, i);
-    FuzzPerturbation p = random_perturbation(seed, options);
+    FuzzPerturbation p = random_perturbation(seed);
     Replayed r = replay_trace(p);
     Trial& t = slots[i];
     t.ran = true;
@@ -628,7 +583,7 @@ FuzzReport ScheduleFuzzer::fuzz(const FuzzOptions& options) const {
       ++report.violations_by_kind[to_string(v.kind)];
     }
     if (static_cast<int>(report.counterexamples.size()) <
-        options.max_counterexamples) {
+        kFuzzMaxCounterexamples) {
       FuzzCounterexample cx;
       cx.trial = static_cast<long long>(i);
       cx.trial_seed = derive_stream_seed(options.seed, i);

@@ -13,8 +13,10 @@
 //   * a fault scenario (<= k faults, via sim/fault_injector.h),
 //   * per-copy execution-time jitter (actual <= WCET),
 //   * per-copy fault-arrival jitter (faults strike before the segment end),
-//   * an optional TDMA bus-slot phase offset (adversarial: the synthesized
-//     tables assume phase 0, so a sweep measures robustness slack),
+//   * a TDMA bus-slot phase offset (random trials keep phase 0; fixtures
+//     and hand-built perturbations may shift it, which is adversarial: the
+//     synthesized tables assume phase 0, so a shift measures robustness
+//     slack),
 //
 // and replays each one through a table-driven executor: activations fire at
 // the times the (possibly corrupted) tables dictate, completions and
@@ -81,6 +83,12 @@ struct FuzzViolation {
 /// Jitter scales are integer ratios out of kFuzzScaleOne (no floating point
 /// on the replay path, so results are bit-identical everywhere).
 inline constexpr int kFuzzScaleOne = 256;
+/// Lower bound of the scales random trials draw: a perturbed execution or
+/// fault arrival never shrinks below kFuzzMinScale/kFuzzScaleOne of its
+/// worst case.
+inline constexpr int kFuzzMinScale = 64;
+/// Failing trials a fuzz report keeps as counterexamples (in trial order).
+inline constexpr int kFuzzMaxCounterexamples = 3;
 
 /// One concrete perturbed run.  Scale vectors are indexed by global copy
 /// index (process-major, copy-minor -- the conditional scheduler's order);
@@ -128,17 +136,7 @@ struct FuzzOptions {
   /// identical for every value.
   int threads = 1;
   ThreadPool* pool = nullptr;  ///< nullptr = ThreadPool::shared()
-  /// Phase offsets trials draw from.  The default {0} keeps every
-  /// perturbation admissible (a correct table must replay clean); adding
-  /// nonzero offsets probes how much slack the schedule has against a
-  /// shifted TDMA round.
-  std::vector<Time> phase_offsets = {0};
-  /// Lower bounds of the jitter scales (out of kFuzzScaleOne); execution
-  /// never shrinks below min_exec_scale/kFuzzScaleOne of its worst case.
-  int min_exec_scale = 64;
-  int min_arrival_scale = 64;
   bool shrink = true;          ///< shrink kept counterexamples
-  int max_counterexamples = 3; ///< failing trials kept (in trial order)
   /// Polled once per trial; a fired token stops the sweep early (the
   /// report covers the trials that ran).
   CancellationToken* cancel = nullptr;
@@ -154,6 +152,7 @@ struct FuzzReport {
   std::map<std::string, long long> violations_by_kind;
   Time worst_completion = 0;     ///< max replayed makespan over all trials
   long long first_failing_trial = -1;
+  /// The first kFuzzMaxCounterexamples failing trials.
   std::vector<FuzzCounterexample> counterexamples;
   // lint: float-ok -- wall-clock metadata for human reports; never printed
   // in thread-count-diffed output and never folded into a result
@@ -172,7 +171,6 @@ class ScheduleFuzzer {
   ScheduleFuzzer(const Application& app, const Architecture& arch,
                  const PolicyAssignment& assignment, const FaultModel& model,
                  const CondScheduleResult& schedule);
-  ~ScheduleFuzzer();  // out of line: CopyInfo is private to fuzzer.cpp
 
   /// Replays one perturbation through the tables; violations sorted by
   /// (kind, message).  Throws std::invalid_argument when the perturbation's
@@ -184,9 +182,10 @@ class ScheduleFuzzer {
   [[nodiscard]] Time replay_completion(
       const FuzzPerturbation& perturbation) const;
 
-  /// The perturbation trial `trial_seed` draws under `options`.
+  /// The perturbation trial `trial_seed` draws: a fault scenario and
+  /// jitter scales in [kFuzzMinScale, kFuzzScaleOne], at phase 0.
   [[nodiscard]] FuzzPerturbation random_perturbation(
-      std::uint64_t trial_seed, const FuzzOptions& options) const;
+      std::uint64_t trial_seed) const;
 
   /// The randomized sweep: options.trials independent perturbations,
   /// options.threads at a time, folded in trial order (bit-identical for
@@ -202,10 +201,11 @@ class ScheduleFuzzer {
                                         int* steps = nullptr) const;
 
   /// Total process copies (the length of the perturbation scale vectors).
-  [[nodiscard]] int copy_count() const;
+  [[nodiscard]] int copy_count() const {
+    return static_cast<int>(copies_.size());
+  }
 
  private:
-  struct CopyInfo;
   struct Replayed;
 
   [[nodiscard]] int copy_at(std::int32_t pid, int copy) const {
@@ -222,7 +222,8 @@ class ScheduleFuzzer {
   FaultModel model_;
   const CondScheduleResult& schedule_;
 
-  std::vector<CopyInfo> copies_;
+  std::vector<TableCopy> copies_;
+  std::vector<std::optional<Time>> pins_;  ///< frozen start pin per copy
   std::vector<int> first_copy_;
   /// scenario key (flattened hits) -> index into schedule_.traces.
   // lint: cold-path -- built once per fuzz session over the final traces
