@@ -24,7 +24,6 @@ constexpr int kMaxFixpointIterations = 64;
 /// the budget could still be exceeded, the absence of the next one; a dead
 /// copy every fault up to the one that kills it.
 struct Fate {
-  int budget = 0;
   bool survived = true;
   int last = 0;
 };
@@ -32,8 +31,7 @@ struct Fate {
 Fate fate_of(const TableCopy& copy, int faults) {
   const int budget = copy.budget();
   const bool survived = faults <= budget;
-  return {budget, survived,
-          survived ? std::min(faults + 1, budget) : budget + 1};
+  return {survived, survived ? std::min(faults + 1, budget) : budget + 1};
 }
 
 class CondSim {

@@ -31,8 +31,8 @@
 // scope (unit tests, parallel_for helpers inside a job) keep the global
 // counter schedule.
 //
-// Defining FTES_FI_DISABLED (CMake option FTES_FAULT_INJECTION=OFF)
-// compiles every seam to `((void)0)`.
+// Defining FTES_FI_DISABLED (CMake option -DFTES_FI_DISABLED=ON) compiles
+// every seam to `((void)0)`.
 #pragma once
 
 #include <atomic>

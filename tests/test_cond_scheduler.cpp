@@ -9,6 +9,7 @@
 #include "reference_cond_tables.h"
 #include "sched/table_export.h"
 #include "sim/executor.h"
+#include "util/thread_pool.h"
 
 namespace ftes {
 namespace {
@@ -201,6 +202,61 @@ TEST(CondScheduler, TextRenderingMentionsAllRows) {
   for (const char* token : {"P1", "P2", "P3", "P4", "m1", "m2", "m3",
                             "F_P1^1", "WCSL"}) {
     EXPECT_NE(text.find(token), std::string::npos) << token;
+  }
+}
+
+// Scenario workers simulate concurrently and read one condition registry.
+// With real pool helpers (even on a single-core host) the tables, frozen
+// pins and every trace must equal the serial run's, across the frozen-start
+// fixpoint and with replicated producers.  The TSan lane runs this suite.
+TEST(CondScheduler, ParallelScenariosMatchSerial) {
+  TaskGenParams params;
+  params.process_count = 14;
+  params.node_count = 3;
+  params.frozen_process_fraction = 0.25;
+  params.frozen_message_fraction = 0.25;
+  Rng rng(2003);
+  const Application app = generate_application(params, rng);
+  const Architecture arch = generate_architecture(params);
+  const FaultModel model{2};
+  PolicyAssignment pa = greedy_initial(app, arch, model,
+                                       PolicySpace::kCheckpointingOnly, 3);
+  replicate_every(app, arch, model, 4, pa);
+  const CondScheduleResult serial = conditional_schedule(app, arch, pa, model);
+
+  ThreadPool pool(3);
+  CondScheduleOptions opts;
+  opts.threads = 4;
+  opts.pool = &pool;
+  const CondScheduleResult parallel =
+      conditional_schedule(app, arch, pa, model, opts);
+
+  EXPECT_FALSE(serial.frozen_starts.empty());
+  EXPECT_EQ(serial.frozen_starts, parallel.frozen_starts);
+  EXPECT_EQ(tables_to_json(serial.tables, arch),
+            tables_to_json(parallel.tables, arch));
+  ASSERT_EQ(serial.traces.size(), parallel.traces.size());
+  for (std::size_t s = 0; s < serial.traces.size(); ++s) {
+    const ScenarioTrace& a = serial.traces[s];
+    const ScenarioTrace& b = parallel.traces[s];
+    ASSERT_EQ(a.execs.size(), b.execs.size()) << "scenario " << s;
+    for (std::size_t i = 0; i < a.execs.size(); ++i) {
+      EXPECT_EQ(a.execs[i].attempt_starts, b.execs[i].attempt_starts);
+      EXPECT_EQ(a.execs[i].end, b.execs[i].end);
+    }
+    ASSERT_EQ(a.txs.size(), b.txs.size()) << "scenario " << s;
+    for (std::size_t t = 0; t < a.txs.size(); ++t) {
+      EXPECT_EQ(a.txs[t].cond_id, b.txs[t].cond_id);
+      EXPECT_EQ(a.txs[t].msg, b.txs[t].msg);
+      EXPECT_EQ(a.txs[t].start, b.txs[t].start);
+      EXPECT_EQ(a.txs[t].finish, b.txs[t].finish);
+    }
+    ASSERT_EQ(a.reveals.size(), b.reveals.size()) << "scenario " << s;
+    for (std::size_t r = 0; r < a.reveals.size(); ++r) {
+      EXPECT_EQ(a.reveals[r].cond_id, b.reveals[r].cond_id);
+      EXPECT_EQ(a.reveals[r].at, b.reveals[r].at);
+    }
+    EXPECT_EQ(a.makespan, b.makespan);
   }
 }
 
