@@ -202,7 +202,8 @@ class CondSim {
     }
     // Copies of each process not yet committed: the last commit sends the
     // process's frozen messages.
-    std::vector<int> uncommitted(static_cast<std::size_t>(app_.process_count()));
+    std::vector<int> uncommitted(
+        static_cast<std::size_t>(app_.process_count()));
     for (std::size_t p = 0; p < uncommitted.size(); ++p) {
       uncommitted[p] = first_copy_[p + 1] - first_copy_[p];
     }
@@ -284,7 +285,9 @@ class CondSim {
         pending.push_back(tx);
       }
 
-      const bool tell_all = !run.survived && !opts_.schedule_condition_broadcasts;
+      // Under idealized signalling remote consumers learn a death at once.
+      const bool tell_all =
+          !run.survived && !opts_.schedule_condition_broadcasts;
       for (MessageId mid : app_.outputs(c.ref.process)) {
         if (is_frozen_msg(mid)) continue;
         resolve_consumers(mid, run.end, [&](NodeId node) {

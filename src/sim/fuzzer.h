@@ -222,7 +222,7 @@ class ScheduleFuzzer {
   FaultModel model_;
   const CondScheduleResult& schedule_;
 
-  std::vector<TableCopy> copies_;
+  std::vector<TableCopy> copies_;  ///< the table producer's copy table
   std::vector<std::optional<Time>> pins_;  ///< frozen start pin per copy
   std::vector<int> first_copy_;
   /// scenario key (flattened hits) -> index into schedule_.traces.
