@@ -13,9 +13,11 @@
 //     swapping the one plan in and out, so no full assignment is copied
 //     per candidate.
 //   * The base's list schedule is built once with a ScheduleCheckpointLog
-//     (sched/list_scheduler.h); a candidate's schedule restores the base's
-//     scheduler state before the first placement the move can affect and
-//     replays only the events from there.
+//     (sched/list_scheduler.h); a candidate's schedule derives its static
+//     data (durations, dependency counts, ranks) from the log, computing
+//     only the moved process's copies, restores the base's scheduler state
+//     before the first placement the move can affect and replays only the
+//     events from there.
 //   * The WCSL DAG and its DP rows are indexed by commit index
 //     (sched/wcsl.h), so every event before the resume point `limit` has
 //     exactly the base's slice, weight and row: predecessors commit before
@@ -27,14 +29,14 @@
 //     reading earlier rows from the base's flat row array; the makespan
 //     joins the suffix's maximum with the base's prefix maximum before
 //     `limit`.  A warm workspace allocates nothing on this side.
-//   * A rebase() records the new base's log with one from-scratch
-//     list-schedule build, then the same analysis from event 0: the base's
-//     DAG, rows, prefix maxima of row[k] and outcome, which evaluate_base()
-//     returns.  It returns the fault-free makespan -- all the mapping
-//     search needs, and all an accepted move needs, since the search
-//     engine already holds the winner's evaluated objective.  The new base
-//     is built aside, so a rebase that throws leaves the previous one in
-//     place.
+//   * A rebase() records the new base's log (schedule, readiness events,
+//     ties and static data) with one from-scratch list-schedule build,
+//     then the same analysis from event 0: the base's DAG, rows, prefix
+//     maxima of row[k] and outcome, which evaluate_base() returns.  It
+//     returns the fault-free makespan -- all the mapping search needs, and
+//     all an accepted move needs, since the search engine already holds
+//     the winner's evaluated objective.  The new base is built aside, so a
+//     rebase that throws leaves the previous one in place.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full

@@ -140,10 +140,12 @@ struct VertexShift {
   }
 };
 
-/// One list-scheduling run: static problem data (copy vertices, dependency
-/// counts, priorities) plus the dynamic event-loop state.  The dynamic state
-/// either starts fresh (full build) or is restored from a base run's
-/// schedule up to a given event (resume).
+/// One list-scheduling run: static problem data (copy vertices, their own
+/// rank terms, dependency counts, priorities) plus the dynamic event-loop
+/// state.  The static data is either computed from the assignment (full
+/// build) or derived from a base run's log (resume); the dynamic state
+/// either starts fresh or is restored from the base run's schedule up to a
+/// given event.
 class Scheduler {
  public:
   Scheduler(const Application& app, const Architecture& arch,
@@ -160,99 +162,197 @@ class Scheduler {
     if (assignment_.process_count() != app_.process_count()) {
       throw std::invalid_argument("assignment size mismatch");
     }
-    first_copy.assign(static_cast<std::size_t>(app_.process_count()) + 1, 0);
-    for (int i = 0; i < app_.process_count(); ++i) {
-      const ProcessId pid{i};
-      const ProcessPlan& plan = assignment_.plan(pid);
-      if (plan.copies.empty()) {
-        throw std::invalid_argument("plan without copies");
-      }
-      first_copy[static_cast<std::size_t>(i) + 1] =
-          first_copy[static_cast<std::size_t>(i)] + plan.copy_count();
-      for (int j = 0; j < plan.copy_count(); ++j) {
-        const CopyPlan& copy = plan.copies[static_cast<std::size_t>(j)];
-        if (!copy.node.valid()) throw std::invalid_argument("unmapped copy");
-        CopyVertex v;
-        v.ref = CopyRef{pid, j};
-        v.node = copy.node;
-        v.duration = fault_free_duration(app_, copy, pid);
-        v.release = app_.process(pid).release;
-        verts.push_back(v);
-      }
+    const std::size_t process_count =
+        static_cast<std::size_t>(app_.process_count());
+    first_copy.assign(process_count + 1, 0);
+    for (std::size_t p = 0; p < process_count; ++p) {
+      first_copy[p + 1] =
+          first_copy[p] +
+          assignment_.plan(ProcessId{static_cast<std::int32_t>(p)})
+              .copy_count();
+    }
+    verts.reserve(static_cast<std::size_t>(first_copy.back()));
+    own.reserve(static_cast<std::size_t>(first_copy.back()));
+    for (std::size_t p = 0; p < process_count; ++p) {
+      append_copies(ProcessId{static_cast<std::int32_t>(p)});
     }
 
     // Dependency counts: every copy of a consumer waits for one delivery
     // per (input message, producer copy), so the count is per process.
-    deps.assign(static_cast<std::size_t>(app_.process_count()), 0);
+    deps.assign(process_count, 0);
     for (const Message& m : app_.messages()) {
       deps[static_cast<std::size_t>(m.dst.get())] +=
           assignment_.plan(m.src).copy_count();
     }
-    compute_ranks();
-  }
 
-  /// The ranks of partial_critical_path_ranks (see list_scheduler.h for
-  /// why the process-level pass is exact).  The bus term approximates
-  /// communication by the worst case; exact slot timing is resolved during
-  /// placement.
-  void compute_ranks() {
-    const std::size_t process_count =
-        static_cast<std::size_t>(app_.process_count());
-    rank.assign(verts.size(), 0);
-    std::vector<Time> best(process_count, 0);  // max copy rank per process
-    // Kahn on the reversed process graph: a process is ranked once every
-    // consumer is.
+    // Ranks in rank order: Kahn on the reversed process graph -- a process
+    // is ranked once every consumer is.
+    rank.resize(verts.size());
+    std::vector<Time> best(process_count, 0);
     std::vector<int> unranked_outputs(process_count, 0);
-    std::vector<std::int32_t> queue;
-    queue.reserve(process_count);
+    order.reserve(process_count);
     for (std::size_t p = 0; p < process_count; ++p) {
       unranked_outputs[p] = static_cast<int>(
           app_.outputs(ProcessId{static_cast<std::int32_t>(p)}).size());
       if (unranked_outputs[p] == 0) {
-        queue.push_back(static_cast<std::int32_t>(p));
+        order.push_back(static_cast<std::int32_t>(p));
       }
     }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const ProcessId pid{queue[head]};
-      const std::vector<MessageId>& outputs = app_.outputs(pid);
-      // The bus term is the worst-case duration of the heaviest output:
-      // for a fixed sender, worst_case_duration is nondecreasing in size
-      // (and every size <= 0 takes one frame, like size 0).
-      Time downstream = 0;
-      std::int64_t heaviest = 0;
-      for (MessageId mid : outputs) {
-        const Message& m = app_.message(mid);
-        downstream =
-            std::max(downstream, best[static_cast<std::size_t>(m.dst.get())]);
-        heaviest = std::max(heaviest, m.size);
-      }
-      Time& process_best = best[static_cast<std::size_t>(pid.get())];
-      for (int v = first_copy[static_cast<std::size_t>(pid.get())];
-           v < first_copy[static_cast<std::size_t>(pid.get()) + 1]; ++v) {
-        const CopyVertex& cv = verts[static_cast<std::size_t>(v)];
-        const Time comm =
-            outputs.empty()
-                ? 0
-                : arch_.bus().worst_case_duration(cv.node, heaviest);
-        const Time r = downstream + (cv.duration + comm);
-        rank[static_cast<std::size_t>(v)] = r;
-        process_best = std::max(process_best, r);
-      }
-      for (MessageId mid : app_.inputs(pid)) {
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      rank_copies(order[head], best);
+      for (MessageId mid : app_.inputs(ProcessId{order[head]})) {
         const std::size_t src =
             static_cast<std::size_t>(app_.message(mid).src.get());
         if (--unranked_outputs[src] == 0) {
-          queue.push_back(static_cast<std::int32_t>(src));
+          order.push_back(static_cast<std::int32_t>(src));
         }
       }
     }
-    if (queue.size() != process_count) {
+    if (order.size() != process_count) {
       throw std::invalid_argument("application graph has a cycle");
     }
   }
 
-  [[nodiscard]] int vertex_of(ProcessId p, int copy) const {
-    return first_copy[static_cast<std::size_t>(p.get())] + copy;
+  /// Derives the static data from `log`, recorded from `base` (this run's
+  /// assignment but for process `moved`'s plan): every other process's
+  /// copies keep the base's vertices and own rank terms through the
+  /// returned shift, only the moved process's copies are computed, each
+  /// consumer of it shifts its dependency count by the change in copy
+  /// count, and the ranks come from one pass over the recorded order.
+  /// Throws std::invalid_argument on the inputs list_schedule_resume
+  /// rejects.
+  VertexShift derive_static(const PolicyAssignment& base,
+                            const ScheduleCheckpointLog& log,
+                            ProcessId moved) {
+    const int process_count = app_.process_count();
+    if (assignment_.process_count() != process_count) {
+      throw std::invalid_argument("assignment size mismatch");
+    }
+    if (base.process_count() != process_count) {
+      throw std::invalid_argument("base assignment size mismatch");
+    }
+    if (moved.get() < 0 || moved.get() >= process_count) {
+      throw std::invalid_argument("moved process out of range");
+    }
+    // The log's per-vertex data is indexed by the base's copy layout, its
+    // node orders by `arch`'s nodes, its per-process data by process.
+    const ListSchedule& sched = log.schedule;
+    const std::size_t processes = static_cast<std::size_t>(process_count);
+    bool layout_matches =
+        sched.first_copy.size() == processes + 1 &&
+        sched.first_copy.front() == 0 &&
+        sched.node_order.size() == static_cast<std::size_t>(arch_.node_count());
+    for (int i = 0; layout_matches && i < process_count; ++i) {
+      const std::size_t p = static_cast<std::size_t>(i);
+      layout_matches = sched.first_copy[p + 1] - sched.first_copy[p] ==
+                       base.plan(ProcessId{i}).copy_count();
+    }
+    if (!layout_matches ||
+        sched.copies.size() !=
+            static_cast<std::size_t>(sched.first_copy.back()) ||
+        log.avail_event.size() != sched.copies.size()) {
+      throw std::invalid_argument(
+          "checkpoint log not recorded from the base's copy layout");
+    }
+    if (log.own_rank.size() != sched.copies.size() ||
+        log.deps.size() != processes || log.rank_order.size() != processes) {
+      throw std::invalid_argument(
+          "checkpoint log's static data does not match its copy layout");
+    }
+
+    const std::size_t mp = static_cast<std::size_t>(moved.get());
+    const int lo = sched.first_copy[mp];
+    const int hi = sched.first_copy[mp + 1];
+    // The base's vertices of processes [first, last), each with its
+    // process's release.
+    const auto keep = [&](std::size_t first, std::size_t last) {
+      for (std::size_t p = first; p < last; ++p) {
+        const Time release =
+            app_.process(ProcessId{static_cast<std::int32_t>(p)}).release;
+        for (int bv = sched.first_copy[p]; bv < sched.first_copy[p + 1];
+             ++bv) {
+          const ScheduledCopy& sc = sched.copies[static_cast<std::size_t>(bv)];
+          verts.push_back(
+              CopyVertex{sc.ref, sc.node, sc.finish - sc.start, release});
+        }
+      }
+    };
+    const std::size_t copies = sched.copies.size() -
+                               static_cast<std::size_t>(hi - lo) +
+                               assignment_.plan(moved).copies.size();
+    verts.reserve(copies);
+    own.reserve(copies);
+    keep(0, mp);
+    own.assign(log.own_rank.begin(), log.own_rank.begin() + lo);
+    append_copies(moved);
+    const VertexShift shift{lo, hi, static_cast<int>(verts.size()) - hi};
+    keep(mp + 1, processes);
+    own.insert(own.end(), log.own_rank.begin() + hi, log.own_rank.end());
+
+    first_copy = sched.first_copy;
+    for (std::size_t p = mp + 1; p <= processes; ++p) {
+      first_copy[p] += shift.delta;
+    }
+    deps = log.deps;
+    for (MessageId mid : app_.outputs(moved)) {
+      deps[static_cast<std::size_t>(app_.message(mid).dst.get())] +=
+          shift.delta;
+    }
+    rank.resize(verts.size());
+    std::vector<Time> best(processes, 0);
+    for (const std::int32_t p : log.rank_order) rank_copies(p, best);
+    return shift;
+  }
+
+  /// Appends the copy vertices of process `pid` under this run's plan and
+  /// their own rank terms.  The bus term is the worst-case duration of the
+  /// heaviest output: for a fixed sender, worst_case_duration is
+  /// nondecreasing in size (and every size <= 0 takes one frame, like
+  /// size 0); it approximates communication by the worst case, exact slot
+  /// timing is resolved during placement.
+  void append_copies(ProcessId pid) {
+    const ProcessPlan& plan = assignment_.plan(pid);
+    if (plan.copies.empty()) {
+      throw std::invalid_argument("plan without copies");
+    }
+    const std::vector<MessageId>& outputs = app_.outputs(pid);
+    std::int64_t heaviest = 0;
+    for (MessageId mid : outputs) {
+      heaviest = std::max(heaviest, app_.message(mid).size);
+    }
+    for (int j = 0; j < plan.copy_count(); ++j) {
+      const CopyPlan& copy = plan.copies[static_cast<std::size_t>(j)];
+      if (!copy.node.valid()) throw std::invalid_argument("unmapped copy");
+      const Time duration = fault_free_duration(app_, copy, pid);
+      verts.push_back(CopyVertex{CopyRef{pid, j}, copy.node, duration,
+                                 app_.process(pid).release});
+      own.push_back(duration +
+                    (outputs.empty()
+                         ? 0
+                         : arch_.bus().worst_case_duration(copy.node,
+                                                           heaviest)));
+    }
+  }
+
+  /// The ranks of partial_critical_path_ranks for process p's copies (see
+  /// list_scheduler.h for why the process-level pass is exact): each
+  /// copy's own term plus the highest rank among its consumers' copies.
+  /// `best` holds the highest copy rank of every process ranked so far;
+  /// every consumer of p must be among them.
+  void rank_copies(std::int32_t p, std::vector<Time>& best) {
+    Time downstream = 0;
+    for (MessageId mid : app_.outputs(ProcessId{p})) {
+      downstream = std::max(
+          downstream,
+          best[static_cast<std::size_t>(app_.message(mid).dst.get())]);
+    }
+    Time& process_best = best[static_cast<std::size_t>(p)];
+    for (int v = first_copy[static_cast<std::size_t>(p)];
+         v < first_copy[static_cast<std::size_t>(p) + 1]; ++v) {
+      const Time r = downstream + own[static_cast<std::size_t>(v)];
+      rank[static_cast<std::size_t>(v)] = r;
+      process_best = std::max(process_best, r);
+    }
   }
 
   // ---- dynamic state ----------------------------------------------------
@@ -482,9 +582,8 @@ class Scheduler {
   /// update their readiness and dependency counters; a copy whose last
   /// dependency resolved joins the ready queue.
   void deliver(const Message& m, Time delivery) {
-    const ProcessPlan& dp = assignment_.plan(m.dst);
-    for (int dj = 0; dj < dp.copy_count(); ++dj) {
-      const int dv = vertex_of(m.dst, dj);
+    const std::size_t p = static_cast<std::size_t>(m.dst.get());
+    for (int dv = first_copy[p]; dv < first_copy[p + 1]; ++dv) {
       data_ready[static_cast<std::size_t>(dv)] =
           std::max(data_ready[static_cast<std::size_t>(dv)], delivery);
       if (--deps_left[static_cast<std::size_t>(dv)] == 0) {
@@ -532,8 +631,10 @@ class Scheduler {
 
   // Static problem data.
   std::vector<CopyVertex> verts;
+  std::vector<Time> own;  ///< per vertex: own rank term (see the log)
   std::vector<int> first_copy;
   std::vector<int> deps;  ///< per process: producer copies over its inputs
+  std::vector<std::int32_t> order;  ///< rank order (full builds only)
   std::vector<Time> rank;
 
   // Dynamic event-loop state.
@@ -573,6 +674,9 @@ const ListSchedule& list_schedule(const Application& app,
   s.log = &log;
   log.avail_event.assign(s.verts.size(), 0);
   log.ties.clear();
+  log.own_rank = std::move(s.own);
+  log.deps = s.deps;
+  log.rank_order = std::move(s.order);
   s.restore(ListSchedule{}, 0, VertexShift{});
   log.schedule = s.run();
   return log.schedule;
@@ -594,37 +698,8 @@ ListSchedule list_schedule_resume(const Application& app,
                                   ProcessId moved,
                                   ListScheduleResumeStats* stats) {
   Scheduler s(app, arch, candidate);
-  s.build_static();
-
-  const int process_count = app.process_count();
-  if (base.process_count() != process_count) {
-    throw std::invalid_argument("base assignment size mismatch");
-  }
-  if (moved.get() < 0 || moved.get() >= process_count) {
-    throw std::invalid_argument("moved process out of range");
-  }
-  // The log's per-vertex data is indexed by the base's copy layout, its
-  // node orders by `arch`'s nodes.
+  const VertexShift shift = s.derive_static(base, log, moved);
   const ListSchedule& sched = log.schedule;
-  bool layout_matches =
-      sched.first_copy.size() == static_cast<std::size_t>(process_count) + 1 &&
-      sched.first_copy.front() == 0 &&
-      sched.node_order.size() == static_cast<std::size_t>(arch.node_count());
-  for (int i = 0; layout_matches && i < process_count; ++i) {
-    const std::size_t p = static_cast<std::size_t>(i);
-    layout_matches = sched.first_copy[p + 1] - sched.first_copy[p] ==
-                     base.plan(ProcessId{i}).copy_count();
-  }
-  if (!layout_matches ||
-      sched.copies.size() !=
-          static_cast<std::size_t>(sched.first_copy.back()) ||
-      log.avail_event.size() != sched.copies.size()) {
-    throw std::invalid_argument(
-        "checkpoint log not recorded from the base's copy layout");
-  }
-  const std::size_t mp = static_cast<std::size_t>(moved.get());
-  const VertexShift shift{sched.first_copy[mp], sched.first_copy[mp + 1],
-                          s.first_copy[mp + 1] - sched.first_copy[mp + 1]};
 
   // ---- first affected event --------------------------------------------
   //
@@ -702,6 +777,22 @@ ListSchedule list_schedule_resume(const Application& app,
     stats->heap_pops = s.heap_pops;
   }
   return out;
+}
+
+ScheduleStaticData derive_static_data(const Application& app,
+                                      const Architecture& arch,
+                                      const PolicyAssignment& base,
+                                      const ScheduleCheckpointLog& log,
+                                      const PolicyAssignment& candidate,
+                                      ProcessId moved) {
+  Scheduler s(app, arch, candidate);
+  (void)s.derive_static(base, log, moved);
+  ScheduleStaticData data;
+  data.duration.reserve(s.verts.size());
+  for (const CopyVertex& cv : s.verts) data.duration.push_back(cv.duration);
+  data.rank = std::move(s.rank);
+  data.deps = std::move(s.deps);
+  return data;
 }
 
 }  // namespace ftes

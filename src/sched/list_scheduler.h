@@ -13,18 +13,21 @@
 // Incremental scheduling.  The optimizers evaluate thousands of candidate
 // assignments per run, each differing from an incumbent in a single process
 // plan.  A full build can record a ScheduleCheckpointLog -- the schedule
-// itself plus per-vertex readiness events and start-time ties -- and
-// list_schedule_resume() restores a candidate's scheduler state before the
-// first event the move can affect straight from the base schedule's commit
-// indices, then runs the ordinary event loop from there.  The resumed
-// schedule is bit-identical to a from-scratch build by construction: the
-// prefix before the resume point is proven unaffected (readiness of the
-// moved process's copies, priority-rank diffs, and local<->bus flips of its
-// inbound messages all bound the resume point), and the suffix is replayed
-// with the candidate's own data.  See docs/ARCHITECTURE.md.
+// itself, per-vertex readiness events and start-time ties, and the build's
+// static data -- and list_schedule_resume() derives the candidate's static
+// data from the log (recomputing only the moved process's copies), restores
+// its scheduler state before the first event the move can affect straight
+// from the base schedule's commit indices, then runs the ordinary event
+// loop from there.  The resumed schedule is bit-identical to a from-scratch
+// build by construction: the prefix before the resume point is proven
+// unaffected (readiness of the moved process's copies, priority-rank diffs,
+// and local<->bus flips of its inbound messages all bound the resume
+// point), and the suffix is replayed with the candidate's own data.  See
+// docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "app/application.h"
@@ -103,8 +106,9 @@ struct ReadyEntry {
 /// Checkpoint log of one full build: the base schedule, whose commit
 /// indices define the scheduler state before any event, plus the
 /// per-vertex readiness events and start-time ties needed to bound a move's
-/// first affected placement.  An "event" is one committed copy or one
-/// committed bus transmission; a build has copies + transmissions events.
+/// first affected placement, plus the static data a resume derives its
+/// candidate's from.  An "event" is one committed copy or one committed bus
+/// transmission; a build has copies + transmissions events.
 struct ScheduleCheckpointLog {
   ListSchedule schedule;
   /// Per copy vertex: first event index whose selection could consider the
@@ -124,6 +128,19 @@ struct ScheduleCheckpointLog {
     std::vector<int> contenders;
   };
   std::vector<StartTie> ties;  ///< ascending by event
+
+  // Static data of the build.  A copy's fault-free duration is its
+  // schedule entry's finish - start.
+  /// Per copy vertex: its own rank term, the fault-free duration plus the
+  /// worst-case bus time of its process's heaviest output from its node
+  /// (rank = own term + the highest rank among the consumers' copies).
+  std::vector<Time> own_rank;
+  /// Per process: the deliveries each of its copies waits for, one per
+  /// (input message, producer copy).
+  std::vector<int> deps;
+  /// Every process, each after all its consumers: the order of the rank
+  /// pass.
+  std::vector<std::int32_t> rank_order;
 };
 
 /// Counters of one resumed (or attempted-resume) build.
@@ -152,21 +169,42 @@ const ListSchedule& list_schedule(const Application& app,
                                   ScheduleCheckpointLog& log);
 
 /// Schedule of `candidate` (== `base` with process `moved`'s plan
-/// replaced), resumed from `log` (recorded from `base`): the scheduler
-/// state before the first event the move can affect is restored from the
-/// base schedule and the event loop runs from there.  Bit-identical to
+/// replaced), resumed from `log` (recorded from `base`): the candidate's
+/// static data is derived from the log's, the scheduler state before the
+/// first event the move can affect is restored from the base schedule, and
+/// the event loop runs from there.  Bit-identical to
 /// list_schedule(app, arch, candidate); a full build when the move affects
-/// event 0.
+/// event 0.  Only the moved process's plan is read for its copies: the
+/// other processes' plans must equal `base`'s.
 ///
-/// Throws std::invalid_argument when `base` or `candidate` does not have
-/// `app`'s process count, `moved` lies outside [0, process count), or
-/// `log` was not recorded from `base`'s copy layout on `arch`'s nodes (an
-/// empty log included).
+/// Throws std::invalid_argument when `candidate` or `base` does not have
+/// `app`'s process count, `moved` lies outside [0, process count), `log`
+/// was not recorded from `base`'s copy layout on `arch`'s nodes (an empty
+/// log included) or its static data is missing or sized for another
+/// layout, or the moved process's plan has no copies, an unmapped copy or
+/// a copy on a node its process cannot run on.
 [[nodiscard]] ListSchedule list_schedule_resume(
     const Application& app, const Architecture& arch,
     const PolicyAssignment& base, const ScheduleCheckpointLog& log,
     const PolicyAssignment& candidate, ProcessId moved,
     ListScheduleResumeStats* stats = nullptr);
+
+/// Static data of a build: per copy vertex (indexed like
+/// ListSchedule::copies) its fault-free duration and partial critical path
+/// rank, per process the deliveries each of its copies waits for.
+struct ScheduleStaticData {
+  std::vector<Time> duration;
+  std::vector<Time> rank;
+  std::vector<int> deps;
+};
+
+/// The static data list_schedule_resume(app, arch, base, log, candidate,
+/// moved) derives from `log` in place of computing it from `candidate`,
+/// for tests: it equals a full build's.  Same throws.
+[[nodiscard]] ScheduleStaticData derive_static_data(
+    const Application& app, const Architecture& arch,
+    const PolicyAssignment& base, const ScheduleCheckpointLog& log,
+    const PolicyAssignment& candidate, ProcessId moved);
 
 /// Partial critical path priority of every copy vertex, indexed like
 /// ListSchedule::copies: the copy's fault-free duration, plus the worst-case

@@ -6,9 +6,11 @@
 // ready/transmission queues must reproduce the historical linear scans
 // exactly -- schedules and start-time tie groups -- and the process-level
 // ranks the historical copy-graph ranks, up to the 1000-process scale
-// families; a full build's queue pops stay near its event count; resume
-// rejects inconsistent inputs; and the EvalContext counters built on top
-// (resumed events, heap pops, rebases) must be thread-count invariant.
+// families; the static data a resume derives from the base's log must
+// equal a full build's; a full build's queue pops stay near its event
+// count; resume rejects inconsistent inputs; and the EvalContext counters
+// built on top (resumed events, heap pops, rebases) must be thread-count
+// invariant.
 #include "sched/list_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -40,46 +42,10 @@ Instance make_instance(int processes, int nodes, std::uint64_t seed) {
                   generate_architecture(params)};
 }
 
-/// A randomly mutated plan for `pid`: checkpoint-count change, remap of a
-/// copy, or a policy-kind switch (the tabu search's three move families;
-/// the last one changes the copy count and therefore the vertex layout).
 ProcessPlan random_move(const Instance& inst, const PolicyAssignment& base,
                         ProcessId pid, const FaultModel& model, Rng& rng) {
-  ProcessPlan plan = base.plan(pid);
-  const Process& proc = inst.app.process(pid);
-  std::vector<NodeId> allowed;
-  for (NodeId n : inst.arch.node_ids()) {
-    if (proc.can_run_on(n)) allowed.push_back(n);
-  }
-  switch (rng.index(3)) {
-    case 0: {  // checkpoint count
-      CopyPlan& cp = plan.copies[rng.index(plan.copies.size())];
-      if (cp.checkpoints >= 1) {
-        cp.checkpoints = 1 + static_cast<int>(rng.uniform_int(0, 7));
-        break;
-      }
-      [[fallthrough]];
-    }
-    case 1: {  // remap one copy
-      CopyPlan& cp = plan.copies[rng.index(plan.copies.size())];
-      cp.node = allowed[rng.index(allowed.size())];
-      break;
-    }
-    default: {  // policy switch (changes the copy structure)
-      if (rng.chance(0.5)) {
-        plan = make_replication_plan(model.k);
-        for (CopyPlan& cp : plan.copies) {
-          cp.node = allowed[rng.index(allowed.size())];
-        }
-      } else {
-        plan = make_checkpointing_plan(
-            model.k, 1 + static_cast<int>(rng.uniform_int(0, 5)));
-        plan.copies[0].node = allowed[rng.index(allowed.size())];
-      }
-      break;
-    }
-  }
-  return plan;
+  return ftes::testing::random_move(inst.app, inst.arch, base, pid, model,
+                                    rng);
 }
 
 void expect_identical(const ListSchedule& a, const ListSchedule& b,
@@ -312,6 +278,111 @@ TEST(ListSchedulerIncremental, ResumeMatchesFullRebuildForRandomMoves) {
   }
 }
 
+/// Gives node n's TDMA slot the length 2 + 3n, so that the bus term of a
+/// copy's rank (the worst-case bus time of its process's heaviest output
+/// from its node) depends on the node: on the generated uniform buses every
+/// node has the same bus term.
+void vary_slot_lengths(Architecture& arch) {
+  std::vector<TdmaSlot> slots;
+  for (const NodeId n : arch.node_ids()) {
+    slots.push_back(TdmaSlot{n, 2 + 3 * static_cast<Time>(n.get())});
+  }
+  arch.set_bus(TdmaBus::from_slots(std::move(slots)));
+}
+
+/// The bus terms of process `pid`'s copies recorded in `log`: each copy's
+/// own rank term minus its duration.
+std::vector<Time> bus_terms(const ScheduleCheckpointLog& log, ProcessId pid) {
+  std::vector<Time> terms;
+  const ListSchedule& sched = log.schedule;
+  for (int v = sched.first_copy[static_cast<std::size_t>(pid.get())];
+       v < sched.first_copy[static_cast<std::size_t>(pid.get()) + 1]; ++v) {
+    const ScheduledCopy& sc = sched.copies[static_cast<std::size_t>(v)];
+    terms.push_back(log.own_rank[static_cast<std::size_t>(v)] -
+                    (sc.finish - sc.start));
+  }
+  return terms;
+}
+
+// The static data a resume derives from the base's log -- per copy its
+// duration and rank, per process its dependency count -- equals a full
+// build's, for random moves of all three families over every reference case
+// and again on buses whose slot lengths differ per node (so remaps change
+// the bus term).  A quarter of the moves at k >= 2 switch to a hybrid plan;
+// those and the replication switches change the copy count.  Every 7th move
+// is accepted, so later moves derive from fresh bases.
+TEST(ListSchedulerIncremental, DerivedStaticDataMatchesFullBuild) {
+  std::vector<RandomCase> cases = reference_cases();
+  const std::size_t uniform_buses = cases.size();
+  for (std::size_t c = 0; c < uniform_buses; ++c) {
+    RandomCase varied{cases[c].inst, cases[c].model, cases[c].pa};
+    vary_slot_lengths(varied.inst.arch);
+    cases.push_back(std::move(varied));
+  }
+  int copy_count_changes = 0;
+  int hybrid_moves = 0;
+  int bus_term_changes = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const RandomCase& rc = cases[c];
+    const Application& app = rc.inst.app;
+    const Architecture& arch = rc.inst.arch;
+    SCOPED_TRACE(::testing::Message() << "case " << c);
+    PolicyAssignment base = rc.pa;
+    ScheduleCheckpointLog log;
+    (void)list_schedule(app, arch, base, log);
+    const int moves = app.process_count() > 100 ? 20 : 40;
+    Rng rng(7 + c);
+    for (int move = 0; move < moves; ++move) {
+      const ProcessId pid{static_cast<std::int32_t>(
+          rng.index(static_cast<std::size_t>(app.process_count())))};
+      PolicyAssignment candidate = base;
+      if (rc.model.k >= 2 && rng.index(4) == 0) {
+        ProcessPlan plan = make_hybrid_plan(
+            rc.model.k,
+            1 + static_cast<int>(rng.index(
+                    static_cast<std::size_t>(rc.model.k) - 1)),
+            1 + static_cast<int>(rng.uniform_int(0, 5)));
+        std::vector<NodeId> allowed;
+        for (const NodeId n : arch.node_ids()) {
+          if (app.process(pid).can_run_on(n)) allowed.push_back(n);
+        }
+        for (CopyPlan& cp : plan.copies) {
+          cp.node = allowed[rng.index(allowed.size())];
+        }
+        candidate.plan(pid) = std::move(plan);
+        ++hybrid_moves;
+      } else {
+        candidate.plan(pid) = random_move(rc.inst, base, pid, rc.model, rng);
+      }
+      copy_count_changes += candidate.plan(pid).copy_count() !=
+                            base.plan(pid).copy_count();
+
+      const ScheduleStaticData derived =
+          derive_static_data(app, arch, base, log, candidate, pid);
+      EXPECT_EQ(derived.rank, partial_critical_path_ranks(app, arch, candidate))
+          << "move " << move;
+      ScheduleCheckpointLog fresh;
+      const ListSchedule& full = list_schedule(app, arch, candidate, fresh);
+      ASSERT_EQ(derived.duration.size(), full.copies.size()) << "move " << move;
+      for (std::size_t v = 0; v < full.copies.size(); ++v) {
+        EXPECT_EQ(derived.duration[v],
+                  full.copies[v].finish - full.copies[v].start)
+            << "move " << move << " copy " << v;
+      }
+      EXPECT_EQ(derived.deps, fresh.deps) << "move " << move;
+      bus_term_changes += bus_terms(log, pid) != bus_terms(fresh, pid);
+
+      if (move % 7 == 0) {
+        base = std::move(candidate);
+        log = std::move(fresh);
+      }
+    }
+  }
+  EXPECT_GT(copy_count_changes, 0);
+  EXPECT_GT(hybrid_moves, 0);
+  EXPECT_GT(bus_term_changes, 0);
+}
+
 TEST(ListSchedulerIncremental, ResumeActuallySkipsEventsForSinkMoves) {
   const Instance inst = make_instance(30, 3, 77);
   const FaultModel model{2};
@@ -341,7 +412,7 @@ TEST(ListSchedulerIncremental, ResumeActuallySkipsEventsForSinkMoves) {
 // std::invalid_argument, as list_schedule does, instead of indexing out of
 // bounds: a moved id outside [0, P), a base of another process count, and
 // a log recorded from another copy layout than the base's or on another
-// node count.
+// node count, or whose static data is missing or sized for another layout.
 TEST(ListSchedulerIncremental, ResumeRejectsMovedIdOutOfRange) {
   const Instance inst = make_instance(12, 2, 7);
   const FaultModel model{2};
@@ -395,6 +466,61 @@ TEST(ListSchedulerIncremental, ResumeRejectsLogOfAnotherCopyLayout) {
   (void)list_schedule(inst.app, Architecture::homogeneous(3, 5), fewer, wider);
   EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, fewer, wider,
                                           fewer, ProcessId{0}),
+               std::invalid_argument);
+
+  // The schedule matches, but the static data a resume derives from is
+  // missing or sized for another layout.
+  ScheduleCheckpointLog replicated;
+  (void)list_schedule(inst.app, inst.arch, more, replicated);
+  std::vector<ScheduleCheckpointLog> broken(5, log);
+  broken[0].own_rank.clear();
+  broken[1].deps.clear();
+  broken[2].rank_order.clear();
+  broken[3].own_rank = replicated.own_rank;
+  broken[4].deps.push_back(0);
+  for (std::size_t i = 0; i < broken.size(); ++i) {
+    EXPECT_THROW((void)list_schedule_resume(inst.app, inst.arch, fewer,
+                                            broken[i], fewer, ProcessId{0}),
+                 std::invalid_argument)
+        << "broken log " << i;
+    EXPECT_THROW((void)derive_static_data(inst.app, inst.arch, fewer,
+                                          broken[i], fewer, ProcessId{0}),
+                 std::invalid_argument)
+        << "broken log " << i;
+  }
+  EXPECT_NO_THROW((void)list_schedule_resume(inst.app, inst.arch, fewer, log,
+                                             fewer, ProcessId{0}));
+}
+
+// The moved process's copies are the only ones a resume computes, with a
+// full build's checks: a candidate of another process count (before its
+// plan is read), a plan without copies, an unmapped copy and a copy on a
+// node its process cannot run on are all rejected.
+TEST(ListSchedulerIncremental, ResumeRejectsInvalidMovedPlan) {
+  const ftes::testing::Fig3 f = ftes::testing::fig3_app();
+  const Architecture arch = Architecture::homogeneous(2, 5);
+  PolicyAssignment base =
+      uniform_assignment(f.app, make_checkpointing_plan(1, 1));
+  for (int i = 0; i < f.app.process_count(); ++i) {
+    base.plan(ProcessId{i}).copies[0].node = NodeId{0};
+  }
+  ScheduleCheckpointLog log;
+  (void)list_schedule(f.app, arch, base, log);
+
+  std::vector<PolicyAssignment> invalid(3, base);
+  invalid[0].plan(f.p3).copies.clear();
+  invalid[1].plan(f.p3).copies[0].node = NodeId{};
+  invalid[2].plan(f.p3).copies[0].node = NodeId{1};  // P3 cannot run on N2
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    EXPECT_THROW((void)list_schedule_resume(f.app, arch, base, log,
+                                            invalid[i], f.p3),
+                 std::invalid_argument)
+        << "candidate " << i;
+  }
+  // P5, the last process, has no plan in a candidate one process short.
+  const PolicyAssignment shorter(f.app.process_count() - 1);
+  EXPECT_THROW((void)list_schedule_resume(f.app, arch, base, log, shorter,
+                                          f.p5),
                std::invalid_argument);
 }
 
