@@ -18,10 +18,6 @@ int FaultScenario::faults_on(CopyRef copy) const {
   return it == hits_.end() ? 0 : it->second;
 }
 
-bool FaultScenario::copy_survives(const CopyPlan& plan, CopyRef ref) const {
-  return faults_on(ref) <= plan.recoveries;
-}
-
 std::string FaultScenario::to_string(const Application& app) const {
   if (hits_.empty()) return "{no faults}";
   std::ostringstream out;

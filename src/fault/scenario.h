@@ -43,10 +43,6 @@ class FaultScenario {
   [[nodiscard]] const std::map<CopyRef, int>& hits() const { return hits_; }
   [[nodiscard]] bool empty() const { return total_ == 0; }
 
-  /// A copy survives a scenario iff the faults on it do not exceed its
-  /// recovery budget (a pure replica survives only 0 faults).
-  [[nodiscard]] bool copy_survives(const CopyPlan& plan, CopyRef ref) const;
-
   [[nodiscard]] std::string to_string(const Application& app) const;
 
  private:

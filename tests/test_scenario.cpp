@@ -5,8 +5,10 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "fixtures.h"
+#include "sched/schedule_table.h"
 
 namespace ftes {
 namespace {
@@ -25,14 +27,40 @@ TEST(FaultScenario, AccumulatesHits) {
   EXPECT_THROW((void)s.add_fault(c, -1), std::invalid_argument);
 }
 
+// The survival law, as the conditional scheduler and the fuzzer apply it: a
+// copy survives a scenario iff the faults on it do not exceed
+// TableCopy::budget() -- its recoveries when it is checkpointed, none for a
+// replica, whatever recovery count its plan carries.
 TEST(FaultScenario, CopySurvivalAgainstRecoveries) {
+  auto f = fig3_app();
+  PolicyAssignment pa =
+      uniform_assignment(f.app, make_checkpointing_plan(2, 1));
+  for (int i = 0; i < f.app.process_count(); ++i) {
+    pa.plan(ProcessId{i}).copies[0].node = NodeId{0};
+  }
+  pa.plan(f.p2).copies[0].recoveries = 1;
+  pa.plan(f.p3) = make_replication_plan(1);
+  for (CopyPlan& c : pa.plan(f.p3).copies) c.node = NodeId{0};
+  pa.plan(f.p4).copies[0].checkpoints = 0;  // a replica with 2 recoveries
+
   FaultScenario s;
-  const CopyRef c{ProcessId{0}, 0};
-  s.add_fault(c, 2);
-  CopyPlan with_two{NodeId{0}, 1, 2};
-  CopyPlan with_one{NodeId{0}, 1, 1};
-  EXPECT_TRUE(s.copy_survives(with_two, c));
-  EXPECT_FALSE(s.copy_survives(with_one, c));
+  s.add_fault(CopyRef{f.p1, 0}, 2);
+  s.add_fault(CopyRef{f.p2, 0}, 2);
+  s.add_fault(CopyRef{f.p3, 0}, 1);
+  s.add_fault(CopyRef{f.p4, 0}, 1);
+  const std::vector<TableCopy> copies = table_copies(f.app, pa);
+  ASSERT_EQ(copies.size(), 6u);
+  const auto survives = [&](const TableCopy& c) {
+    return s.faults_on(c.ref) <= c.budget();
+  };
+  EXPECT_TRUE(survives(copies[0]));   // P1: 2 faults, 2 recoveries
+  EXPECT_FALSE(survives(copies[1]));  // P2: 2 faults, 1 recovery
+  EXPECT_FALSE(survives(copies[2]));  // P3 replica 1: struck once
+  EXPECT_TRUE(survives(copies[3]));   // P3 replica 2: not struck
+  EXPECT_FALSE(survives(copies[4]));  // P4: a replica has no recoveries
+  EXPECT_EQ(copies[4].recoveries, 2);
+  EXPECT_EQ(copies[4].budget(), 0);
+  EXPECT_TRUE(survives(copies[5]));   // P5: not struck
 }
 
 TEST(FaultScenario, ToStringNamesProcesses) {
