@@ -85,12 +85,36 @@ void BM_EvaluateWcsl(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateWcsl)->Arg(20)->Arg(50)->Arg(100);
 
-// The checkpoint-move target: a DAG sink (args == 1, the evaluator's
-// favorable case -- a long resumable schedule prefix) or the first source
-// (args == 0, the unfavorable case).  The tabu mix samples in between.
+// The move target: a DAG sink (arg1 == 1 or 2, the evaluator's favorable
+// case -- a long resumable schedule prefix) or the first source (arg1 == 0,
+// the unfavorable case).  The tabu mix samples in between.
 ProcessId move_target(const Setup& s, bool sink) {
   const std::vector<ProcessId> order = s.app.topological_order();
   return sink ? order.back() : order.front();
+}
+
+// The moved plan of iteration `flip` (0 or 1) from the base plan `plan`:
+// its first copy's checkpoint count changed, or -- with `copies` set (arg1
+// == 2) -- two replicas, on the first copy's node and the next allowed one
+// in swapped order between the two flips, so the copy count changes (the
+// vertex layout shifts, and every consumer's dependency count with it).
+ProcessPlan moved_plan(const Setup& s, ProcessId pid, ProcessPlan plan,
+                       int flip, bool copies) {
+  if (!copies) {
+    CopyPlan& cp = plan.copies[0];
+    cp.checkpoints = 1 + (cp.checkpoints + flip) % 8;
+    return plan;
+  }
+  const int nodes = s.arch.node_count();
+  const int first = plan.copies[0].node.get();
+  NodeId other{(first + 1) % nodes};
+  while (!s.app.process(pid).can_run_on(other)) {
+    other = NodeId{(other.get() + 1) % nodes};
+  }
+  ProcessPlan replicas = make_replication_plan(1);
+  replicas.copies[flip].node = plan.copies[0].node;
+  replicas.copies[1 - flip].node = other;
+  return replicas;
 }
 
 // A per-move evaluation the way the tabu search used to do it: copy the
@@ -110,31 +134,36 @@ void BM_EvalMoveFullCopy(benchmark::State& state) {
 BENCHMARK(BM_EvalMoveFullCopy)->Args({50, 0})->Args({50, 1})->Args({100, 1});
 
 // The same moves through the incremental EvalContext: one plan copied, the
-// schedule resumed from the base's checkpoint log, then one full WCSL pass
-// in the workspace's storage.
+// schedule resumed from the base's checkpoint log, then the WCSL pass from
+// the resume point in the workspace's storage.  arg1 == 2 replaces the
+// sink's checkpoint flip by a switch to two replicas (moved_plan).
 void BM_EvalMoveIncremental(benchmark::State& state) {
   const Setup s = make_setup(static_cast<int>(state.range(0)), 4, 5);
   const ProcessId pid = move_target(s, state.range(1) != 0);
   EvalContext eval(s.app, s.arch, s.model);
   eval.rebase(s.assignment);
+  const ProcessPlan plans[2] = {
+      moved_plan(s, pid, s.assignment.plan(pid), 0, state.range(1) == 2),
+      moved_plan(s, pid, s.assignment.plan(pid), 1, state.range(1) == 2)};
   int flip = 0;
   for (auto _ : state) {
-    ProcessPlan plan = s.assignment.plan(pid);
-    CopyPlan& cp = plan.copies[0];
-    cp.checkpoints = 1 + (cp.checkpoints + (flip ^= 1)) % 8;
+    ProcessPlan plan = plans[flip ^= 1];  // a candidate's own plan copy
     benchmark::DoNotOptimize(eval.evaluate_move(pid, plan).cost);
   }
 }
 BENCHMARK(BM_EvalMoveIncremental)
     ->Args({50, 0})
     ->Args({50, 1})
-    ->Args({100, 1});
+    ->Args({100, 1})
+    ->Args({100, 2});
 
 // ---------------------------------------------------------------------------
 // Incremental list scheduling: a candidate move's schedule rebuilt from
 // scratch vs resumed from the base's checkpoint log.  arg0 = processes,
 // arg1 = 1 for a DAG-sink move (long resumable prefix), 0 for a source
-// move (resume degenerates to a full rebuild -- the honest worst case).
+// move (resume degenerates to a full rebuild -- the honest worst case), 2
+// for a DAG-sink switch to two replicas instead of a checkpoint flip
+// (moved_plan).
 // ---------------------------------------------------------------------------
 
 struct MoveSetup {
@@ -144,15 +173,15 @@ struct MoveSetup {
   PolicyAssignment candidates[2];
 };
 
-MoveSetup make_move_setup(int processes, bool sink) {
+MoveSetup make_move_setup(int processes, std::int64_t target) {
   MoveSetup ms{make_setup(processes, 4, 3), ScheduleCheckpointLog{},
                ProcessId{}, {}};
   (void)list_schedule(ms.s.app, ms.s.arch, ms.s.assignment, ms.log);
-  ms.pid = move_target(ms.s, sink);
+  ms.pid = move_target(ms.s, target != 0);
   for (int flip = 0; flip < 2; ++flip) {
     PolicyAssignment candidate = ms.s.assignment;
-    CopyPlan& cp = candidate.plan(ms.pid).copies[0];
-    cp.checkpoints = 1 + (cp.checkpoints + flip) % 8;
+    candidate.plan(ms.pid) = moved_plan(
+        ms.s, ms.pid, candidate.plan(ms.pid), flip, target == 2);
     ms.candidates[flip] = std::move(candidate);
   }
   return ms;
@@ -160,7 +189,7 @@ MoveSetup make_move_setup(int processes, bool sink) {
 
 void BM_MoveScheduleFull(benchmark::State& state) {
   const MoveSetup ms =
-      make_move_setup(static_cast<int>(state.range(0)), state.range(1) != 0);
+      make_move_setup(static_cast<int>(state.range(0)), state.range(1));
   int flip = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -171,7 +200,7 @@ BENCHMARK(BM_MoveScheduleFull)->Args({50, 1})->Args({100, 1})->Args({100, 0});
 
 void BM_MoveScheduleResume(benchmark::State& state) {
   const MoveSetup ms =
-      make_move_setup(static_cast<int>(state.range(0)), state.range(1) != 0);
+      make_move_setup(static_cast<int>(state.range(0)), state.range(1));
   int flip = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(list_schedule_resume(ms.s.app, ms.s.arch,
@@ -183,7 +212,8 @@ void BM_MoveScheduleResume(benchmark::State& state) {
 BENCHMARK(BM_MoveScheduleResume)
     ->Args({50, 1})
     ->Args({100, 1})
-    ->Args({100, 0});
+    ->Args({100, 0})
+    ->Args({100, 2});
 
 // ---------------------------------------------------------------------------
 // Accepted-move rebases: the whole cost of a rebase's schedule -- one
@@ -194,7 +224,7 @@ BENCHMARK(BM_MoveScheduleResume)
 
 void BM_RebaseLogFullRebuild(benchmark::State& state) {
   const MoveSetup ms =
-      make_move_setup(static_cast<int>(state.range(0)), state.range(1) != 0);
+      make_move_setup(static_cast<int>(state.range(0)), state.range(1));
   ScheduleCheckpointLog fresh;
   int flip = 0;
   for (auto _ : state) {
