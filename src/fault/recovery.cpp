@@ -26,18 +26,6 @@ Time replica_exec_time(const RecoveryParams& p) {
   return p.wcet;
 }
 
-Time fault_occurrence_offset(const RecoveryParams& p, int checkpoints,
-                             int j) {
-  if (j < 1) throw std::invalid_argument("fault index must be >= 1");
-  const Time seg = segment_length(p.wcet, checkpoints);
-  return static_cast<Time>(j) * seg +
-         static_cast<Time>(j - 1) * (p.alpha + p.mu);
-}
-
-Time recovery_start_offset(const RecoveryParams& p, int checkpoints, int j) {
-  return fault_occurrence_offset(p, checkpoints, j) + p.alpha + p.mu;
-}
-
 int optimal_checkpoints_local(const RecoveryParams& p, int faults,
                               int max_checkpoints) {
   if (max_checkpoints < 1) {

@@ -14,24 +14,14 @@ Time ftcpg_vertex_weight(const Ftcpg& graph, int vertex,
   const FtcpgNode& node = graph.node(vertex);
   switch (node.role) {
     case FtcpgNodeRole::kProcessExec: {
-      const Process& proc = app.process(node.process);
-      const CopyPlan& copy =
+      const CopyRecovery law = CopyRecovery::of(
+          app.process(node.process),
           assignment.plan(node.process)
-              .copies.at(static_cast<std::size_t>(node.copy));
-      RecoveryParams params{proc.wcet_on(node.mapped_node), proc.alpha,
-                            proc.mu, proc.chi};
-      if (copy.checkpoints >= 1) {
-        // One chain vertex == one full execution of the copy; the recovery
-        // overheads mu/alpha sit on the conditional edge into it, counted
-        // here so the path sums to E(n, f).
-        const Time base = checkpointed_exec_time(params, copy.checkpoints, 0);
-        if (node.attempt > 0) {
-          return segment_length(params.wcet, copy.checkpoints) + params.alpha +
-                 params.mu;
-        }
-        return base;
-      }
-      return replica_exec_time(params);
+              .copies.at(static_cast<std::size_t>(node.copy)));
+      // The first attempt runs E(n, 0) (C for a replica); each recovery
+      // vertex carries one fault's step, its recovery overheads included,
+      // so a chain sums to E(n, f).
+      return node.attempt > 0 ? law.step() : law.run_time(0);
     }
     case FtcpgNodeRole::kMessage:
       return app.message(node.message).size;  // schedule-free lower bound

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/recovery.h"
+
 namespace ftes {
 
 namespace {
@@ -202,7 +204,8 @@ class Builder {
     const Process& proc = app_.process(pid);
     const int budget_left = fm_.k - in.guard.faults();
     // Recoveries this chain can actually use on this path.
-    const int attempts_after_first = std::min(copy.recoveries, budget_left);
+    const int attempts_after_first =
+        std::min(CopyRecovery::of(proc, copy).budget(), budget_left);
 
     Guard chain_guard = in.guard;
     int prev_vertex = -1;

@@ -21,10 +21,9 @@ void apply_local_checkpointing(const Application& app,
     const Process& proc = app.process(pid);
     for (CopyPlan& copy : assignment.plan(pid).copies) {
       if (copy.checkpoints < 1) continue;
-      RecoveryParams params{proc.wcet_on(copy.node), proc.alpha, proc.mu,
-                            proc.chi};
-      copy.checkpoints =
-          optimal_checkpoints_local(params, copy.recoveries, max_checkpoints);
+      copy.checkpoints = optimal_checkpoints_local(
+          CopyRecovery::of(proc, copy).params, copy.recoveries,
+          max_checkpoints);
     }
   }
 }

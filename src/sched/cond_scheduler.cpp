@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "fault/recovery.h"
 #include "sched/list_scheduler.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -17,22 +16,6 @@ namespace {
 
 /// Frozen-start fixpoint iteration cap.
 constexpr int kMaxFixpointIterations = 64;
-
-/// What `faults` faults do to one copy, as DESIGN.md / recovery.h derive
-/// it.  The copy survives when its recovery budget absorbs the faults.  It
-/// reveals conditions 1..last: a survivor each fault it took and, while
-/// the budget could still be exceeded, the absence of the next one; a dead
-/// copy every fault up to the one that kills it.
-struct Fate {
-  bool survived = true;
-  int last = 0;
-};
-
-Fate fate_of(const TableCopy& copy, int faults) {
-  const int budget = copy.budget();
-  const bool survived = faults <= budget;
-  return {survived, survived ? std::min(faults + 1, budget) : budget + 1};
-}
 
 class CondSim {
  public:
@@ -180,18 +163,8 @@ class CondSim {
       const TableCopy& c = copies_[i];
       CopyRun& run = runs[i];
       run.faults = scenario.faults_on(c.ref);
-      const Fate fate = fate_of(c, run.faults);
-      run.survived = fate.survived;
-      if (!run.survived) {
-        run.duration = fault_occurrence_offset(
-                           c.params, std::max(c.checkpoints, 1), fate.last) +
-                       c.params.alpha;
-      } else if (c.checkpoints >= 1) {
-        run.duration =
-            checkpointed_exec_time(c.params, c.checkpoints, run.faults);
-      } else {
-        run.duration = replica_exec_time(c.params);
-      }
+      run.survived = c.law.survives(run.faults);
+      run.duration = c.law.run_time(run.faults);
       // One dependency per (input message, producer copy); a frozen
       // message's sync transmission stands for all of its producer copies.
       for (MessageId mid : app_.inputs(c.ref.process)) {
@@ -267,12 +240,9 @@ class CondSim {
       node_free[static_cast<std::size_t>(c.node.get())] = run.end;
       ++committed;
 
-      for (int j = 1; j <= fate_of(c, run.faults).last; ++j) {
+      for (int j = 1; j <= c.law.last_reveal(run.faults); ++j) {
         const bool value = j <= run.faults;
-        const Time at =
-            value ? start + fault_occurrence_offset(
-                                c.params, std::max(c.checkpoints, 1), j)
-                  : run.end;
+        const Time at = value ? start + c.law.occurrence(j) : run.end;
         const int id = cond_lookup(c, j);
         trace.reveals.push_back(Reveal{id, value, at});
         if (!opts_.schedule_condition_broadcasts) continue;
@@ -317,8 +287,9 @@ class CondSim {
       const std::size_t ci = static_cast<std::size_t>(
           copy_at(src.process.get(), src.copy));
       const TableCopy& c = copies_[ci];
-      const Fate fate = fate_of(c, runs[ci].faults);
-      if (fate.survived || registry_.fault_index_of(tx.cond_id) != fate.last) {
+      const int faults = runs[ci].faults;
+      if (c.law.survives(faults) ||
+          registry_.fault_index_of(tx.cond_id) != c.law.last_reveal(faults)) {
         return;
       }
       for (MessageId mid : app_.outputs(src.process)) {
@@ -395,10 +366,8 @@ class CondSim {
       e.died = !run.survived;
       e.faults = run.faults;
       e.attempt_starts.push_back(run.start);
-      for (int a = 1; a <= std::min(run.faults, c.budget()); ++a) {
-        e.attempt_starts.push_back(
-            run.start + recovery_start_offset(
-                            c.params, std::max(c.checkpoints, 1), a));
+      for (int a = 1; a <= std::min(run.faults, c.law.budget()); ++a) {
+        e.attempt_starts.push_back(run.start + c.law.recovery_start(a));
       }
       trace.execs.push_back(e);
       if (run.survived) trace.makespan = std::max(trace.makespan, run.end);
@@ -416,7 +385,7 @@ class CondSim {
   /// inside simulate() would produce).
   void register_scenario_conditions(const FaultScenario& scenario) {
     for (const TableCopy& c : copies_) {
-      const int last = fate_of(c, scenario.faults_on(c.ref)).last;
+      const int last = c.law.last_reveal(scenario.faults_on(c.ref));
       for (int j = 1; j <= last; ++j) registry_.id(c.ref, j, c.name);
     }
   }
@@ -479,7 +448,7 @@ class CondSim {
     for (std::size_t ci = 0; ci < copies_.size(); ++ci) {
       const TableCopy& c = copies_[ci];
       attempt_row[ci] = static_cast<int>(keys.size());
-      for (int a = 0; a <= c.budget(); ++a) {
+      for (int a = 0; a <= c.law.budget(); ++a) {
         keys.push_back(RowKey{c.node.get(), static_cast<int>(ci), a, {}});
       }
     }

@@ -39,13 +39,7 @@ static_assert(sizeof(ScheduledCopy) == 32 && sizeof(ScheduledMessage) == 40);
 
 Time fault_free_duration(const Application& app, const CopyPlan& copy,
                          ProcessId pid) {
-  const Process& proc = app.process(pid);
-  RecoveryParams params{proc.wcet_on(copy.node), proc.alpha, proc.mu,
-                        proc.chi};
-  if (copy.checkpoints >= 1) {
-    return checkpointed_exec_time(params, copy.checkpoints, 0);
-  }
-  return replica_exec_time(params);
+  return CopyRecovery::of(app.process(pid), copy).run_time(0);
 }
 
 PolicyAssignment strip_fault_tolerance(const Application& app,

@@ -218,7 +218,8 @@ struct ScheduleStaticData {
     const Application& app, const Architecture& arch,
     const PolicyAssignment& assignment);
 
-/// Fault-free duration of one copy under its plan (E(n,0) or C).
+/// Fault-free duration of one copy under its plan: E(n, 0), or C for a
+/// replica (CopyRecovery::run_time(0)).
 [[nodiscard]] Time fault_free_duration(const Application& app,
                                        const CopyPlan& copy, ProcessId pid);
 

@@ -151,29 +151,18 @@ RootValidation validate_root_schedule(const Application& app,
       for (std::size_t i = 0; i < slots.size(); ++i) {
         const RootSlot& s = *slots[i];
         const Process& proc = app.process(s.ref.process);
-        const CopyPlan& cp =
-            assignment.plan(s.ref.process)
-                .copies[static_cast<std::size_t>(s.ref.copy)];
-        RecoveryParams params{proc.wcet_on(s.node), proc.alpha, proc.mu,
-                              proc.chi};
+        const CopyRecovery law = CopyRecovery::of(
+            proc, assignment.plan(s.ref.process)
+                      .copies[static_cast<std::size_t>(s.ref.copy)]);
         const int f = scenario.faults_on(s.ref);
-        const int usable = cp.checkpoints >= 1 ? cp.recoveries : 0;
-        Time end;
-        if (f <= usable) {
-          end = s.start + (cp.checkpoints >= 1
-                               ? checkpointed_exec_time(params, cp.checkpoints,
-                                                        f)
-                               : replica_exec_time(params));
+        const bool survives = law.survives(f);
+        const Time end = s.start + law.run_time(f);
+        if (survives) {
           completion = std::max(completion, end);
           if (proc.local_deadline && end > *proc.local_deadline) {
             fail("local deadline of " + proc.name + " missed in " +
                  scenario.to_string(app));
           }
-        } else {
-          end = s.start +
-                fault_occurrence_offset(params, std::max(cp.checkpoints, 1),
-                                        usable + 1) +
-                params.alpha;
         }
         if (i + 1 < slots.size() && end > slots[i + 1]->start) {
           fail("recovery of " + proc.name + " overruns the slack before " +
@@ -181,7 +170,7 @@ RootValidation validate_root_schedule(const Application& app,
                scenario.to_string(app));
         }
         // Data readiness of pinned transmissions from this copy.
-        if (f <= usable) {
+        if (survives) {
           for (MessageId mid : app.outputs(s.ref.process)) {
             auto it = msg_slot.find({mid.get(), s.ref.copy});
             if (it != msg_slot.end() && end > it->second->ready) {

@@ -32,11 +32,9 @@ std::vector<TableCopy> table_copies(const Application& app,
     const ProcessPlan& plan = pa.plan(pid);
     for (int j = 0; j < plan.copy_count(); ++j) {
       const CopyPlan& cp = plan.copies[static_cast<std::size_t>(j)];
-      copies.push_back(TableCopy{
-          CopyRef{pid, j}, cp.node,
-          RecoveryParams{proc.wcet_on(cp.node), proc.alpha, proc.mu, proc.chi},
-          cp.checkpoints, cp.recoveries, proc.release,
-          copy_row_name(proc.name, plan, j)});
+      copies.push_back(TableCopy{CopyRef{pid, j}, cp.node,
+                                 CopyRecovery::of(proc, cp), proc.release,
+                                 copy_row_name(proc.name, plan, j)});
     }
   }
   return copies;

@@ -83,14 +83,9 @@ using TableRows = std::map<std::string, std::vector<TableEntry>>;
 struct TableCopy {
   CopyRef ref;
   NodeId node;
-  RecoveryParams params;
-  int checkpoints = 0;  ///< 0 = pure replica
-  int recoveries = 0;
+  CopyRecovery law;
   Time release = 0;
-  std::string name;     ///< row name: "P1" or "P1(2)" (copy_row_name)
-
-  /// Recoveries the copy can execute: a replica has none.
-  [[nodiscard]] int budget() const { return checkpoints >= 1 ? recoveries : 0; }
+  std::string name;  ///< row name: "P1" or "P1(2)" (copy_row_name)
 };
 
 /// Every copy of the assignment, in copy_offsets order.

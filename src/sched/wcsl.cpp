@@ -171,10 +171,11 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
   // producer copy itself for co-located flow; the same for every copy of
   // the process, so listed once, in its first built copy's slice, and
   // copied from there -- then its order predecessor.  A transmission's one
-  // data predecessor is its sending copy.  Weights take one execution-time
-  // lookup per copy, and the per-fault step only where some E(n, f >= 1)
-  // is needed (cap >= 1), so segment_length rejects a bad WCET exactly
-  // where the law is used.
+  // data predecessor is its sending copy.  A copy's base weight is its
+  // scheduled duration, E(n, 0) or C; its law recovers C from it, and its
+  // per-fault step is taken only where some E(n, f >= 1) is needed
+  // (cap >= 1), so a non-positive C is rejected exactly where the step is
+  // used.
   std::vector<WcslDagScratch::DataList>& data_of = scratch.data_of;
   data_of.assign(static_cast<std::size_t>(process_count), {});
   std::vector<int>& preds = g.preds;
@@ -225,22 +226,14 @@ void build_wcsl_dag(const Application& app, const Architecture& arch,
             "WCSL DAG: a predecessor was committed after its successor");
       }
       const Process& proc = app.process(pid);
-      const CopyPlan& cp =
-          assignment.plan(pid).copies[static_cast<std::size_t>(sc.ref.copy)];
-      const RecoveryParams params{proc.wcet_on(sc.node), proc.alpha, proc.mu,
-                                  proc.chi};
+      const Time duration = sc.finish - sc.start;
+      const CopyRecovery law = CopyRecovery::from_fault_free(
+          proc,
+          assignment.plan(pid).copies[static_cast<std::size_t>(sc.ref.copy)],
+          duration);
+      const int cap = std::min(law.budget(), k);
       a.release[e] = proc.release;
-      WcslWeight& w = a.weight[e];
-      if (cp.checkpoints < 1) {
-        w = WcslWeight{replica_exec_time(params), 0, 0};
-      } else {
-        w = WcslWeight{checkpointed_exec_time(params, cp.checkpoints, 0), 0,
-                       std::min(cp.recoveries, k)};
-        if (w.cap >= 1) {
-          w.step = segment_length(params.wcet, cp.checkpoints) +
-                   params.alpha + params.mu;
-        }
-      }
+      a.weight[e] = WcslWeight{duration, cap >= 1 ? law.step() : 0, cap};
     } else {
       const ScheduledMessage& sm =
           schedule.messages[static_cast<std::size_t>(it - a.copy_count)];

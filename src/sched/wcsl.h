@@ -182,7 +182,9 @@ struct WcslDagScratch {
 };
 
 /// Builds the augmented DAG for one (assignment, schedule) pair.  The
-/// schedule must be a list schedule of the assignment's copy layout.
+/// schedule must be the assignment's own list schedule, as every caller
+/// passes: a copy's weight is read off its scheduled duration (E(n, 0),
+/// or C for a replica) through its CopyRecovery.
 /// Throws std::invalid_argument when its copy layout (copies.size(),
 /// first_copy) differs from the assignment's, when a copy's `ref` is not
 /// its (process, copy) place in that layout, when a transmission names a

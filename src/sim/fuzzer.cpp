@@ -165,7 +165,9 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   // and condition reveals move with the perturbation.
   const std::size_t n_copies = copies_.size();
   std::vector<Time> end2(n_copies, 0);
-  std::vector<char> died2(n_copies, 0);
+  // The fault index of a dead copy's last reveal, its death condition; 0
+  // while the copy survives.
+  std::vector<int> death2(n_copies, 0);
   // cond_id -> replayed reveal time
   // lint: cold-path -- per-trial replay bookkeeping in the fuzz harness
   std::map<int, Time> reveal_at;
@@ -175,10 +177,9 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     const std::size_t gi = static_cast<std::size_t>(
         copy_at(e.copy.process.get(), e.copy.copy));
     const TableCopy& ci = copies_[gi];
+    const CopyRecovery& law = ci.law;
     const TableRows& rows = schedule_.tables.node_rows.at(
         static_cast<std::size_t>(ci.node.get()));
-    const int n = std::max(ci.checkpoints, 1);
-    const int r_cond = ci.budget();
     const int es = scale_at(p.exec_scale, gi);
     const int as = scale_at(p.arrival_scale, gi);
 
@@ -190,23 +191,24 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
                                    "attempt " + label));
     }
 
-    // Perturbed fault arrivals: fault j strikes during attempt j-1, at an
-    // admissible fraction of its worst-case in-attempt offset.
-    const int revealed_faults = e.died ? r_cond + 1 : e.faults;
-    std::vector<Time> occ(static_cast<std::size_t>(revealed_faults) + 1, 0);
-    for (int j = 1; j <= revealed_faults; ++j) {
+    // The copy reveals conditions 1..last; the first `struck` of them are
+    // faults.  Perturbed fault arrivals: fault j strikes during attempt
+    // j-1, at an admissible fraction of its worst-case in-attempt offset.
+    const int last = law.last_reveal(e.faults);
+    const int struck = std::min(e.faults, last);
+    std::vector<Time> occ(static_cast<std::size_t>(struck) + 1, 0);
+    for (int j = 1; j <= struck; ++j) {
       const std::size_t a = static_cast<std::size_t>(j - 1);
-      const Time rel = fault_occurrence_offset(ci.params, n, j) -
-                       (e.attempt_starts[a] - e.start);
+      const Time rel = law.occurrence(j) - (e.attempt_starts[a] - e.start);
       occ[static_cast<std::size_t>(j)] = starts[a] + scale_span(rel, as);
     }
     // A recovery may only fire after its fault is detected and the
     // checkpoint restored.
-    for (int j = 1; j <= revealed_faults; ++j) {
+    for (int j = 1; j <= struck; ++j) {
       const std::size_t a = static_cast<std::size_t>(j);
       if (a >= starts.size()) break;  // the killing fault has no recovery
       const Time ready =
-          occ[static_cast<std::size_t>(j)] + ci.params.alpha + ci.params.mu;
+          occ[static_cast<std::size_t>(j)] + law.params.alpha + law.params.mu;
       if (starts[a] < ready) {
         bad.push_back({FuzzKind::kNotReady,
                        "recovery " + ci.name + "/" + std::to_string(a + 1) +
@@ -218,17 +220,14 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
 
     Time end = 0;
     if (e.died) {
-      end = occ[static_cast<std::size_t>(r_cond + 1)] + ci.params.alpha;
+      end = occ.back() + law.params.alpha;  // detects its killing fault
     } else {
       const Time tail = e.end - e.attempt_starts.back();
       end = starts.back() + scale_span(tail, es);
     }
 
-    // Condition reveals, mirroring the conditional scheduler's semantics.
-    const int last_reveal =
-        e.died ? r_cond + 1 : std::min(e.faults + 1, r_cond);
-    for (int j = 1; j <= last_reveal; ++j) {
-      const bool value = e.died || j <= e.faults;
+    for (int j = 1; j <= last; ++j) {
+      const bool value = j <= e.faults;
       const Time at = value ? occ[static_cast<std::size_t>(j)] : end;
       const int cond = schedule_.tables.conds.find(ci.ref, j);
       if (cond < 0) continue;  // never scheduled; nothing to reveal
@@ -253,7 +252,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     rexec.faults = e.faults;
     rexec.attempt_starts = std::move(starts);
     end2[gi] = end;
-    died2[gi] = e.died ? 1 : 0;
+    death2[gi] = e.died ? last : 0;
     out.trace.execs.push_back(std::move(rexec));
   }
 
@@ -321,7 +320,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
       for (int sj = 0; sj < sp.copy_count(); ++sj) {
         const std::size_t gi =
             static_cast<std::size_t>(copy_at(m.src.get(), sj));
-        if (!died2[gi]) earliest = std::min(earliest, end2[gi]);
+        if (death2[gi] == 0) earliest = std::min(earliest, end2[gi]);
       }
       ready = earliest == kTimeInfinity ? 0 : earliest;
       const auto pin = schedule_.frozen_starts.find(m.name);
@@ -365,10 +364,10 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   }
 
   // ---- pass 3: message resolution & first-attempt readiness -----------
-  // Mirrors the conditional scheduler's policy: local consumers at the
-  // producer's end, remote data at the transmission's finish, dead-copy
-  // remote at the death broadcast's finish (or the producer's end under
-  // idealized signalling), frozen syncs resolve every consumer.
+  // Local consumers at the producer's end, remote data at the
+  // transmission's finish, a dead copy's remote consumers at its death
+  // broadcast's finish (or the producer's end under idealized signalling),
+  // and frozen syncs resolve every consumer.
   std::vector<Time> data_ready(n_copies, 0);
   auto raise = [&](int dst, Time at) {
     Time& r = data_ready[static_cast<std::size_t>(dst)];
@@ -394,13 +393,12 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
           raise(gd, end2[gi]);
           continue;
         }
-        if (!died2[gi]) {
+        if (death2[gi] == 0) {
           const auto f = data_tx_finish.find({mi, sj});
           raise(gd, f != data_tx_finish.end() ? f->second : end2[gi]);
         } else {
-          const int death =
-              schedule_.tables.conds.find(sci.ref, sci.budget() + 1);
-          const auto f = cond_tx_finish.find(death);
+          const auto f = cond_tx_finish.find(
+              schedule_.tables.conds.find(sci.ref, death2[gi]));
           raise(gd, f != cond_tx_finish.end() ? f->second : end2[gi]);
         }
       }
@@ -476,7 +474,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   // ---- the paper's own checks over the replayed trace ------------------
   Time makespan = 0;
   for (std::size_t gi = 0; gi < n_copies; ++gi) {
-    if (!died2[gi]) makespan = std::max(makespan, end2[gi]);
+    if (death2[gi] == 0) makespan = std::max(makespan, end2[gi]);
   }
   for (std::size_t ti = 0; ti < nom.txs.size(); ++ti) {
     if (!nom.txs[ti].is_condition) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ftes {
 namespace {
 
@@ -45,11 +47,12 @@ TEST(Recovery, FaultOccurrenceAndRecoveryOffsets) {
   // n = 1 re-execution: fault j occurs at j*C + (j-1)*(alpha+mu); the
   // recovery starts alpha+mu later.  Matches Fig. 6's P1 row (0/35/70 for
   // C = 30, alpha+mu = 5).
-  const RecoveryParams p{30, 5, 0, 0};
-  EXPECT_EQ(fault_occurrence_offset(p, 1, 1), 30);
-  EXPECT_EQ(recovery_start_offset(p, 1, 1), 35);
-  EXPECT_EQ(fault_occurrence_offset(p, 1, 2), 65);
-  EXPECT_EQ(recovery_start_offset(p, 1, 2), 70);
+  const CopyRecovery law{{30, 5, 0, 0}, 1, 2};
+  EXPECT_EQ(law.occurrence(1), 30);
+  EXPECT_EQ(law.recovery_start(1), 35);
+  EXPECT_EQ(law.occurrence(2), 65);
+  EXPECT_EQ(law.recovery_start(2), 70);
+  EXPECT_THROW((void)law.occurrence(0), std::invalid_argument);
 }
 
 TEST(Recovery, ExecTimeMonotoneInFaults) {
@@ -64,15 +67,105 @@ TEST(Recovery, ExecTimeMonotoneInFaults) {
 TEST(Recovery, CompletionConsistentWithRecoveryOffsets) {
   // With all faults on the first segment, the f-th recovery re-runs the
   // whole remaining fault-free schedule of the copy:
-  //   E(n, f) == recovery_start_offset(f) + E(n, 0).
+  //   E(n, f) == recovery_start(f) + E(n, 0).
   for (int n : {1, 2, 3, 5}) {
     for (int f : {1, 2, 3}) {
-      EXPECT_EQ(checkpointed_exec_time(kFig1, n, f),
-                recovery_start_offset(kFig1, n, f) +
-                    checkpointed_exec_time(kFig1, n, 0))
+      const CopyRecovery law{kFig1, n, f};
+      EXPECT_EQ(law.run_time(f), law.recovery_start(f) + law.run_time(0))
           << "n=" << n << " f=" << f;
     }
   }
+}
+
+// --- the per-copy law --------------------------------------------------------
+
+// One copy's fate under f faults on Fig. 1's timing: survival, its run up to
+// completion or to the detection of its killing fault, and the last
+// condition F^j it reveals.
+struct LawCase {
+  const char* what;
+  int checkpoints;
+  int recoveries;
+  int faults;
+  bool survives;
+  Time run_time;
+  int last_reveal;
+};
+
+TEST(CopyRecovery, Fig1LawTable) {
+  const LawCase cases[] = {
+      // n = 2, R = 2: E(2, f) = 70 + 50 f (Fig. 1c: 120 for one fault); the
+      // third fault kills it at occurrence(3) + alpha = 130 + 10.
+      {"checkpointed", 2, 2, 0, true, 70, 1},
+      {"checkpointed", 2, 2, 1, true, 120, 2},
+      {"checkpointed", 2, 2, 2, true, 170, 2},
+      {"checkpointed", 2, 2, 3, false, 140, 3},
+      // A hybrid's checkpointed copy, R = 1: the second fault kills it at
+      // occurrence(2) + alpha = 80 + 10.
+      {"hybrid copy", 2, 1, 0, true, 70, 1},
+      {"hybrid copy", 2, 1, 1, true, 120, 1},
+      {"hybrid copy", 2, 1, 2, false, 90, 2},
+      // A replica runs C and dies at its first fault, detected at C + alpha.
+      {"replica", 0, 0, 0, true, 60, 0},
+      {"replica", 0, 0, 1, false, 70, 1},
+      // Recoveries without checkpoints buy nothing: a replica's law.
+      {"uncheckpointed", 0, 2, 0, true, 60, 0},
+      {"uncheckpointed", 0, 2, 1, false, 70, 1},
+      {"uncheckpointed", 0, 2, 2, false, 70, 1},
+  };
+  for (const LawCase& c : cases) {
+    SCOPED_TRACE(std::string(c.what) + " under " + std::to_string(c.faults) +
+                 " faults");
+    const CopyRecovery law{kFig1, c.checkpoints, c.recoveries};
+    EXPECT_EQ(law.survives(c.faults), c.survives);
+    EXPECT_EQ(law.run_time(c.faults), c.run_time);
+    EXPECT_EQ(law.last_reveal(c.faults), c.last_reveal);
+  }
+}
+
+TEST(CopyRecovery, BudgetOffsetsAndStep) {
+  const CopyRecovery checkpointed{kFig1, 2, 2};
+  const CopyRecovery hybrid_copy{kFig1, 2, 1};
+  const CopyRecovery replica{kFig1, 0, 0};
+  const CopyRecovery uncheckpointed{kFig1, 0, 2};
+  EXPECT_EQ(checkpointed.budget(), 2);
+  EXPECT_EQ(hybrid_copy.budget(), 1);
+  EXPECT_EQ(replica.budget(), 0);
+  EXPECT_EQ(uncheckpointed.budget(), 0);
+
+  EXPECT_EQ(checkpointed.step(), 50);  // ceil(60/2) + alpha + mu
+  EXPECT_EQ(checkpointed.occurrence(1), 30);
+  EXPECT_EQ(checkpointed.recovery_start(1), 50);
+  EXPECT_EQ(checkpointed.occurrence(2), 80);
+  EXPECT_EQ(checkpointed.recovery_start(2), 100);
+
+  // A replica's run is one segment; it has no step.
+  EXPECT_EQ(replica.occurrence(1), 60);
+  EXPECT_EQ(replica.recovery_start(1), 80);
+  EXPECT_THROW((void)replica.step(), std::invalid_argument);
+}
+
+TEST(CopyRecovery, FaultFreeRunInvertsToWcet) {
+  Process proc;
+  proc.wcet[NodeId{0}] = 60;
+  proc.alpha = 10;
+  proc.mu = 10;
+  proc.chi = 5;
+  for (int n : {0, 1, 2, 7}) {
+    const CopyPlan cp{NodeId{0}, n, n >= 1 ? 2 : 0};
+    const CopyRecovery law = CopyRecovery::of(proc, cp);
+    EXPECT_EQ(law.params.wcet, 60);
+    const CopyRecovery back =
+        CopyRecovery::from_fault_free(proc, cp, law.run_time(0));
+    EXPECT_EQ(back.params.wcet, 60) << "n=" << n;
+  }
+  // A zero C: E(n, 0) never checks it, the step and E(n, f >= 1) do.
+  const CopyRecovery zero =
+      CopyRecovery::from_fault_free(proc, CopyPlan{NodeId{0}, 2, 2}, 10);
+  EXPECT_EQ(zero.params.wcet, 0);
+  EXPECT_EQ(zero.run_time(0), 10);
+  EXPECT_THROW((void)zero.step(), std::invalid_argument);
+  EXPECT_THROW((void)zero.run_time(1), std::invalid_argument);
 }
 
 // --- local optimal checkpoint count ([27]) --------------------------------

@@ -27,10 +27,10 @@ TEST(FaultScenario, AccumulatesHits) {
   EXPECT_THROW((void)s.add_fault(c, -1), std::invalid_argument);
 }
 
-// The survival law, as the conditional scheduler and the fuzzer apply it: a
-// copy survives a scenario iff the faults on it do not exceed
-// TableCopy::budget() -- its recoveries when it is checkpointed, none for a
-// replica, whatever recovery count its plan carries.
+// The survival law, as every table consumer applies it: a copy survives a
+// scenario iff its CopyRecovery survives the faults on it -- at most its
+// recoveries when it is checkpointed, none for a replica, whatever
+// recovery count its plan carries.
 TEST(FaultScenario, CopySurvivalAgainstRecoveries) {
   auto f = fig3_app();
   PolicyAssignment pa =
@@ -51,15 +51,15 @@ TEST(FaultScenario, CopySurvivalAgainstRecoveries) {
   const std::vector<TableCopy> copies = table_copies(f.app, pa);
   ASSERT_EQ(copies.size(), 6u);
   const auto survives = [&](const TableCopy& c) {
-    return s.faults_on(c.ref) <= c.budget();
+    return c.law.survives(s.faults_on(c.ref));
   };
   EXPECT_TRUE(survives(copies[0]));   // P1: 2 faults, 2 recoveries
   EXPECT_FALSE(survives(copies[1]));  // P2: 2 faults, 1 recovery
   EXPECT_FALSE(survives(copies[2]));  // P3 replica 1: struck once
   EXPECT_TRUE(survives(copies[3]));   // P3 replica 2: not struck
   EXPECT_FALSE(survives(copies[4]));  // P4: a replica has no recoveries
-  EXPECT_EQ(copies[4].recoveries, 2);
-  EXPECT_EQ(copies[4].budget(), 0);
+  EXPECT_EQ(copies[4].law.recoveries, 2);
+  EXPECT_EQ(copies[4].law.budget(), 0);
   EXPECT_TRUE(survives(copies[5]));   // P5: not struck
 }
 

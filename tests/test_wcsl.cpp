@@ -620,6 +620,31 @@ TEST(WcslValidation, ScheduleOfAnotherCopyLayoutIsRejected) {
   expect_rejected(c, replicated, c.sched);
 }
 
+// A zero WCET is rejected only where the recovery law uses C: a
+// checkpointed copy's E(n, 0) = n*chi never checks it, its per-fault step
+// does (so the DAG build, which reads C back from the scheduled duration,
+// throws once the copy has a recovery to use), and a replica's C is
+// checked when the list schedule computes its duration.
+TEST(WcslValidation, ZeroWcetIsRejectedWhereTheLawUsesIt) {
+  Chain c = chain_on_one_node();
+  c.app.process(ProcessId{1}).wcet[NodeId{0}] = 0;
+  const ListSchedule sched = list_schedule(c.app, c.arch, c.pa);
+  EXPECT_EQ(sched.copies[1].finish - sched.copies[1].start, 2 * 2);
+  EXPECT_THROW((void)build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, sched),
+               std::invalid_argument);
+
+  PolicyAssignment no_recovery = c.pa;
+  no_recovery.plan(ProcessId{1}).copies[0].recoveries = 0;
+  EXPECT_NO_THROW((void)build_wcsl_dag(
+      c.app, c.arch, no_recovery, c.model.k,
+      list_schedule(c.app, c.arch, no_recovery)));
+
+  PolicyAssignment replica = c.pa;
+  replica.plan(ProcessId{1}).copies[0] = CopyPlan{NodeId{0}, 0, 0};
+  EXPECT_THROW((void)list_schedule(c.app, c.arch, replica),
+               std::invalid_argument);
+}
+
 TEST(WcslValidation, DuplicatedCommitIndexIsRejected) {
   const Chain c = chain_on_one_node();
   ListSchedule sched = c.sched;
