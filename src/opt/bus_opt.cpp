@@ -55,8 +55,7 @@ BusOptResult optimize_bus_access(const Application& app,
       const std::size_t a = rng.index(candidate.size());
       Time next = rng.chance(0.5) ? candidate[a].length / 2
                                   : candidate[a].length + candidate[a].length / 2 + 1;
-      next = std::clamp(next, options.min_slot_length,
-                        options.max_slot_length);
+      next = std::clamp(next, kMinSlotLength, kMaxSlotLength);
       if (next == candidate[a].length) continue;
       candidate[a].length = next;
     }

@@ -20,10 +20,12 @@
 
 namespace ftes {
 
+/// Bounds of a rescaled slot's length.
+inline constexpr Time kMinSlotLength = 1;
+inline constexpr Time kMaxSlotLength = 64;
+
 struct BusOptOptions {
   int iterations = 200;
-  Time min_slot_length = 1;
-  Time max_slot_length = 64;
   std::uint64_t seed = 1;
 };
 

@@ -143,7 +143,7 @@ class PolicyAssignmentProblem final : public SearchProblem {
 
       // Pick an applicable move family.
       std::vector<int> families;
-      if (options_.optimize_mapping && allowed.size() > 1) {
+      if (allowed.size() > 1) {
         families.push_back(kRemap);
       }
       if (options_.space == PolicySpace::kFull && !proc.fixed_policy) {

@@ -38,7 +38,6 @@ enum class PolicySpace {
 
 struct OptimizeOptions {
   PolicySpace space = PolicySpace::kFull;
-  bool optimize_mapping = true;
   /// Search over checkpoint counts (ignored for kReexecutionOnly /
   /// kReplicationOnly).
   bool optimize_checkpoints = true;

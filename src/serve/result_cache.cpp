@@ -63,7 +63,7 @@ std::string canonical_key(const Application& app, const Architecture& arch,
       << " ten=" << opt.tenure << " nb=" << opt.neighborhood
       << " maxcp=" << opt.max_checkpoints
       << " space=" << static_cast<int>(opt.space)
-      << " map=" << (opt.optimize_mapping ? 1 : 0)
+      << " map=1"  // mapping is always searched; kept so keys stay as-is
       << " cp=" << (opt.optimize_checkpoints ? 1 : 0)
       << " refine=" << (options.refine_checkpoints ? 1 : 0)
       << " tables=" << (options.build_schedule_tables ? 1 : 0);

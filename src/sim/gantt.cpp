@@ -9,13 +9,12 @@ namespace ftes {
 
 std::string render_gantt(const Application& app, const Architecture& arch,
                          const PolicyAssignment& assignment,
-                         const ScenarioTrace& trace,
-                         const GanttOptions& options) {
+                         const ScenarioTrace& trace) {
   Time horizon = 1;
   for (const ExecTrace& e : trace.execs) horizon = std::max(horizon, e.end);
   for (const TxTrace& t : trace.txs) horizon = std::max(horizon, t.finish);
 
-  const int width = std::max(options.width, 10);
+  const int width = kGanttWidth;
   // Integer column mapping (no floats in sim/, R4): col(t) = t*width/horizon
   // truncated.  `wide` guards the t*width product for absurd horizons by
   // falling back to a ticks-per-column divisor.

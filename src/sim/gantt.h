@@ -15,15 +15,13 @@
 
 namespace ftes {
 
-struct GanttOptions {
-  int width = 80;  ///< characters available for the time axis
-};
+/// Characters of the time axis.
+inline constexpr int kGanttWidth = 80;
 
 /// Renders one scenario trace.
 [[nodiscard]] std::string render_gantt(const Application& app,
                                        const Architecture& arch,
                                        const PolicyAssignment& assignment,
-                                       const ScenarioTrace& trace,
-                                       const GanttOptions& options = {});
+                                       const ScenarioTrace& trace);
 
 }  // namespace ftes

@@ -64,12 +64,10 @@ TEST(BusOpt, SlotLengthsStayInBounds) {
   BusFixture f = make_fixture(9);
   BusOptOptions opts;
   opts.iterations = 80;
-  opts.min_slot_length = 4;
-  opts.max_slot_length = 16;
   const BusOptResult r = optimize_bus_access(f.app, f.arch, f.pa, f.fm, opts);
   for (const TdmaSlot& s : r.bus.slots()) {
-    EXPECT_GE(s.length, 4);
-    EXPECT_LE(s.length, 16);
+    EXPECT_GE(s.length, kMinSlotLength);
+    EXPECT_LE(s.length, kMaxSlotLength);
   }
 }
 

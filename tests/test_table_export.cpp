@@ -93,11 +93,9 @@ TEST(Gantt, WidthIsRespected) {
   auto f = fig5_app();
   const CondScheduleResult r =
       conditional_schedule(f.app, f.arch, f.assignment, f.model);
-  GanttOptions opts;
-  opts.width = 40;
   const std::string g =
-      render_gantt(f.app, f.arch, f.assignment, r.traces.front(), opts);
-  // Every lane line contains a 40-char field between the pipes.
+      render_gantt(f.app, f.arch, f.assignment, r.traces.front());
+  // Every lane line holds a kGanttWidth-char field between the pipes.
   std::istringstream in(g);
   std::string line;
   std::getline(in, line);  // header
@@ -106,7 +104,8 @@ TEST(Gantt, WidthIsRespected) {
     const std::size_t close = line.find('|', open + 1);
     ASSERT_NE(open, std::string::npos);
     ASSERT_NE(close, std::string::npos);
-    EXPECT_EQ(close - open - 1, 40u) << line;
+    EXPECT_EQ(close - open - 1, static_cast<std::size_t>(kGanttWidth))
+        << line;
   }
 }
 
