@@ -1,10 +1,9 @@
 // Microbenches for the library's hot paths: the WCSL DP (called tens of
 // thousands of times by the optimizers), incremental vs. full per-move
 // evaluation, the list scheduler, the FT-CPG construction, the conditional
-// scheduler, the recovery algebra and the task-graph generator.  Runs on
-// Google Benchmark when available, else on the plain-chrono fallback of
-// plain_bench.h.
-#include "plain_bench.h"
+// scheduler, the recovery algebra and the task-graph generator, on Google
+// Benchmark (the target is skipped when the library is missing).
+#include <benchmark/benchmark.h>
 
 #include <cstring>
 
@@ -291,11 +290,9 @@ BENCHMARK(BM_TaskGen)->Arg(20)->Arg(100);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): both harness paths understand
-// `--bench-json <file>` and write a BenchReport (bench_report.h) with one
+// Custom main instead of BENCHMARK_MAIN(): it understands
+// `--bench-json <file>` and writes a BenchReport (bench_report.h) with one
 // entry per benchmark run (nanoseconds/op as the metric).
-#if defined(FTES_HAVE_GOOGLE_BENCHMARK)
-
 namespace {
 
 /// Console output as usual, plus capture of every run into the report.
@@ -345,31 +342,3 @@ int main(int argc, char** argv) {
   if (json_path) report.write(json_path);
   return 0;
 }
-
-#else  // plain-chrono fallback
-
-int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
-  ftes::bench::BenchReport report;
-  report.bench = "micro_benchmarks";
-  benchmark::RunAllPlainBenchmarks(
-      [&](const std::string& name, double ns, std::int64_t iters,
-          const std::map<std::string, double>& counters) {
-        ftes::bench::BenchReport::Entry& e = report.add(name);
-        e.wall_seconds = ns * static_cast<double>(iters) * 1e-9;
-        e.metric("ns_per_op", ns);
-        e.metric("iterations", static_cast<double>(iters));
-        for (const auto& [counter_name, value] : counters) {
-          e.metric(counter_name, value);
-        }
-      });
-  if (json_path) report.write(json_path);
-  return 0;
-}
-
-#endif  // FTES_HAVE_GOOGLE_BENCHMARK

@@ -21,9 +21,7 @@ struct LintConfig {
   std::vector<std::string> nondet_allowlist = {
       "src/util/stopwatch.h",   // the one sanctioned Stopwatch
       "src/util/cancellation.h",  // the deadline watchdog's clock
-      "src/core/metrics.cpp",   // wall-clock metric helpers
-      "bench/plain_bench.h",    // bench reporters time themselves...
-      "bench/bench_report.h",   //
+      "bench/bench_report.h",   // bench reporters time themselves...
       "bench/bench_common.h",   // ...by design
   };
 
