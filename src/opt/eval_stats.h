@@ -46,8 +46,9 @@ struct EvalStats {
   /// Always 0 and never counted: the layers they measured (scheduler
   /// snapshots, the winning-move cache) were deleted.  They stay only
   /// because perfbench/src/driver.cpp reads them for its
-  /// opt.snapshot_bytes_copied and opt.rebase_cache_hit rows; ROADMAP
-  /// item 4 removes them together with those rows.
+  /// opt.snapshot_bytes_copied and opt.rebase_cache_hit rows; the ROADMAP
+  /// item "Repair the benchmark, then commit the perf trajectory" removes
+  /// them together with those rows.
   long long snapshot_bytes_copied = 0;
   long long rebase_cache_hits = 0;
 

@@ -1,6 +1,6 @@
 // Adversarial scenario fuzzer: randomized timing/fault stress for
-// synthesized schedule tables (ROADMAP item 5, in the spirit of NodeFz's
-// perturbed event schedules).
+// synthesized schedule tables (the ROADMAP item "Adversarial scenario
+// fuzzing", in the spirit of NodeFz's perturbed event schedules).
 //
 // `check_all_scenarios` (sim/executor.h) validates the enumerated scenario
 // set at nominal worst-case timing: every fault lands at the very end of its
