@@ -1,6 +1,6 @@
 // Tests of the adversarial scenario fuzzer (sim/fuzzer.h): clean replay of
 // correct tables, thread-count invariance, corrupted-table detection,
-// counterexample shrinking, and fixture round-trips.
+// counterexample shrinking, fixture round-trips, and the replay's wording.
 #include "sim/fuzzer.h"
 
 #include <gtest/gtest.h>
@@ -318,6 +318,178 @@ TEST(Fuzzer, PhaseShiftProbesRobustness) {
                 v.kind == FuzzKind::kDeadlineMiss)
         << to_string(v.kind) << ": " << v.message;
   }
+}
+
+// --- the replay's wording ----------------------------------------------------
+
+// One test per violation kind pins replay()'s whole list, kind and message,
+// for a hand-built corruption or perturbation of the Fig. 5 tables.
+
+/// Replays `p` against Fig. 5's tables after `edit` changed them.
+template <typename Edit>
+std::vector<FuzzViolation> replay_edited(Edit edit,
+                                         const FuzzPerturbation& p = {}) {
+  const Synth s = make_synth();
+  CondScheduleResult broken = s.schedule;
+  edit(broken.tables);
+  const ScheduleFuzzer fuzzer(s.f.app, s.f.arch, s.f.assignment, s.f.model,
+                              broken);
+  return fuzzer.replay(p);
+}
+
+/// Replays `p` against Fig. 5's tables with `corruptions` applied.
+std::vector<FuzzViolation> replay_corrupted(
+    const std::vector<TableCorruption>& corruptions,
+    const FuzzPerturbation& p = {}) {
+  return replay_edited(
+      [&](ScheduleTables& t) { apply_corruptions(corruptions, t); }, p);
+}
+
+TableCorruption move(int node, const std::string& row,
+                     const std::string& label, Time from, Time to) {
+  TableCorruption c;
+  c.node = node;
+  c.row = row;
+  c.label = label;
+  c.old_start = from;
+  c.new_start = to;
+  return c;
+}
+
+TableCorruption erase(int node, const std::string& row,
+                      const std::string& label, Time at) {
+  TableCorruption c = move(node, row, label, at, at);
+  c.erase = true;
+  return c;
+}
+
+void expect_violations(const std::vector<FuzzViolation>& got,
+                       const std::vector<FuzzViolation>& want) {
+  std::string listing;
+  for (const FuzzViolation& v : got) {
+    listing += std::string(to_string(v.kind)) + ": " + v.message + "\n";
+  }
+  EXPECT_EQ(got, want) << listing;
+}
+
+TEST(FuzzerStrings, NotReady) {
+  // P4's fault-free start moved from 45 to 35, before m1 arrives.
+  expect_violations(replay_corrupted({move(1, "P4", "P4/1", 45, 35)}),
+                    {{FuzzKind::kNotReady,
+                      "P4 starts at t=35 before its inputs are ready at t=45"
+                      " in scenario {no faults}"}});
+  // P1's first recovery moved before its fault is detected.
+  FuzzPerturbation p;
+  p.scenario.add_fault(CopyRef{ProcessId{0}, 0}, 1);  // P1
+  expect_violations(replay_corrupted({move(0, "P1", "P1/2", 35, 33)}, p),
+                    {{FuzzKind::kNotReady,
+                      "recovery P1/2 fires at t=33 before recovery readiness"
+                      " at t=35 in scenario {P1x1}"}});
+}
+
+TEST(FuzzerStrings, TableGap) {
+  // Every entry of P2's first attempt deleted.
+  expect_violations(
+      replay_corrupted({erase(0, "P2", "P2/1", 30), erase(0, "P2", "P2/1", 65),
+                        erase(0, "P2", "P2/1", 100)}),
+      {{FuzzKind::kTableGap,
+        "no table entry for attempt P2/1 in scenario {no faults}"},
+       {FuzzKind::kGuardNotEntailed,
+        "activation of P2 at t=30 has no entailed table entry in scenario"
+        " {no faults}"}});
+  // The frozen m2's only entry and F_P1^1's only broadcast deleted.
+  expect_violations(replay_corrupted({erase(-1, "m2", "m2", 140),
+                                      erase(-1, "F_P1^1", "", 30)}),
+                    {{FuzzKind::kTableGap,
+                      "no table entry for bus transmission F_P1^1 in scenario"
+                      " {no faults}"},
+                     {FuzzKind::kTableGap,
+                      "no table entry for bus transmission m2 in scenario"
+                      " {no faults}"},
+                     {FuzzKind::kGuardNotEntailed,
+                      "bus activation of F_P1^1 at t=30 has no entailed table"
+                      " entry in scenario {no faults}"},
+                     {FuzzKind::kGuardNotEntailed,
+                      "bus activation of m2 at t=140 has no entailed table"
+                      " entry in scenario {no faults}"}});
+}
+
+TEST(FuzzerStrings, GuardNotEntailed) {
+  // P4's fault-free guard also asks for !F_P4^1, which P4 itself reveals.
+  const auto tighten = [](ScheduleTables& t) {
+    const int f_p4 = t.conds.find(CopyRef{ProcessId{3}, 0}, 1);
+    ASSERT_GE(f_p4, 0);
+    TableEntry& e = t.node_rows[1].at("P4").front();
+    ASSERT_EQ(e.start, 45);
+    e.guard.add(Literal{f_p4, false});
+  };
+  expect_violations(replay_edited(tighten),
+                    {{FuzzKind::kGuardNotEntailed,
+                      "activation of P4 at t=45 has no entailed table entry"
+                      " in scenario {no faults}"}});
+}
+
+TEST(FuzzerStrings, Overlap) {
+  // P4's fault-free start moved onto P3's, late enough for its inputs.
+  expect_violations(replay_corrupted({move(1, "P4", "P4/1", 45, 150)}),
+                    {{FuzzKind::kNotReady,
+                      "bus transmission F_P4^1 fires at t=75 before its data"
+                      " is ready at t=180 in scenario {no faults}"},
+                     {FuzzKind::kNotReady,
+                      "bus transmission m3 fires at t=165 before its data is"
+                      " ready at t=180 in scenario {no faults}"},
+                     {FuzzKind::kOverlap,
+                      "P4 and P3 overlap on node N2 in scenario {no faults}"}});
+  // m1's transmission moved into m2's slot.
+  expect_violations(replay_corrupted({move(-1, "m1", "m1", 40, 140)}),
+                    {{FuzzKind::kNotReady,
+                      "P4 starts at t=45 before its inputs are ready at t=145"
+                      " in scenario {no faults}"},
+                     {FuzzKind::kOverlap,
+                      "bus m1 and bus m2 overlap in scenario {no faults}"}});
+}
+
+TEST(FuzzerStrings, FrozenDivergence) {
+  // The frozen P3 moved off its pin at 170.
+  expect_violations(replay_corrupted({move(1, "P3", "P3/1", 170, 175)}),
+                    {{FuzzKind::kNotReady,
+                      "bus transmission F_P3^1 fires at t=195 before its data"
+                      " is ready at t=200 in scenario {no faults}"},
+                     {FuzzKind::kFrozenDivergence,
+                      "frozen process P3 starts at t=175 instead of its"
+                      " pinned t=170 in scenario {no faults}"}});
+  // The frozen m3 moved off its pin at 165.
+  expect_violations(replay_corrupted({move(-1, "m3", "m3", 165, 175)}),
+                    {{FuzzKind::kNotReady,
+                      "P3 starts at t=170 before its inputs are ready at t=180"
+                      " in scenario {no faults}"},
+                     {FuzzKind::kFrozenDivergence,
+                      "frozen message m3 transmitted at t=175 instead of its"
+                      " pinned t=165 in scenario {no faults}"}});
+}
+
+TEST(FuzzerStrings, SlotMisaligned) {
+  // m1's fault-free transmission moved off its sender's slot start.
+  expect_violations(replay_corrupted({move(-1, "m1", "m1", 40, 41)}),
+                    {{FuzzKind::kNotReady,
+                      "P4 starts at t=45 before its inputs are ready at t=55"
+                      " in scenario {no faults}"},
+                     {FuzzKind::kSlotMisaligned,
+                      "bus entry m1 at t=41 is not a slot start of its sender"
+                      " in scenario {no faults}"}});
+}
+
+TEST(FuzzerStrings, DeadlineMiss) {
+  // Correct tables, a deadline below the scenario's makespan.
+  Synth s = make_synth();
+  s.f.app.set_deadline(200);
+  const ScheduleFuzzer fuzzer(s.f.app, s.f.arch, s.f.assignment, s.f.model,
+                              s.schedule);
+  FuzzPerturbation p;
+  p.scenario.add_fault(CopyRef{s.f.p3, 0}, 1);
+  expect_violations(fuzzer.replay(p),
+                    {{FuzzKind::kDeadlineMiss,
+                      "deadline missed (225 > 200) in scenario {P3x1}"}});
 }
 
 // --- scale families ----------------------------------------------------------
