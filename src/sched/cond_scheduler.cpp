@@ -413,7 +413,7 @@ class CondSim {
     if (key.copy >= 0) {
       const std::string& name =
           copies_[static_cast<std::size_t>(key.copy)].name;
-      return {name, name + "/" + std::to_string(key.index + 1)};
+      return {name, attempt_label(name, key.index)};
     }
     if (!key.msg.valid()) return {registry_.label(key.index), ""};
     const Message& m = app_.message(key.msg);

@@ -11,6 +11,10 @@ std::string copy_row_name(const std::string& name, const ProcessPlan& plan,
   return name + "(" + std::to_string(copy + 1) + ")";
 }
 
+std::string attempt_label(const std::string& row, int attempt) {
+  return row + "/" + std::to_string(attempt + 1);
+}
+
 std::vector<int> copy_offsets(const Application& app,
                               const PolicyAssignment& pa) {
   std::vector<int> offsets(static_cast<std::size_t>(app.process_count()) + 1,

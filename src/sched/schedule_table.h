@@ -73,6 +73,11 @@ using TableRows = std::map<std::string, std::vector<TableEntry>>;
 [[nodiscard]] std::string copy_row_name(const std::string& name,
                                         const ProcessPlan& plan, int copy);
 
+/// Label of attempt `attempt` (0 = the first execution) of the copy whose
+/// row is `row`: "P1/1", "P1(2)/3".  The table producer and the fuzzer
+/// (sim/fuzzer.cpp) both use this.
+[[nodiscard]] std::string attempt_label(const std::string& row, int attempt);
+
 /// The flat copy numbering of the table producer and its checkers: copy j
 /// of process i is number offsets[i] + j; offsets.back() counts the copies.
 [[nodiscard]] std::vector<int> copy_offsets(const Application& app,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <istream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -39,6 +38,8 @@ std::optional<FuzzKind> fuzz_kind_from_string(const std::string& name) {
 
 namespace {
 
+constexpr std::optional<Time> kNoPin;
+
 [[nodiscard]] std::vector<int> scenario_key(const FaultScenario& s) {
   std::vector<int> key;
   for (const auto& [ref, count] : s.hits()) {
@@ -67,7 +68,6 @@ namespace {
 struct ScheduleFuzzer::Replayed {
   ScenarioTrace trace;  ///< logical starts (for execute_scenario)
   std::vector<FuzzViolation> violations;
-  Time completion = 0;
 };
 
 ScheduleFuzzer::ScheduleFuzzer(const Application& app,
@@ -82,13 +82,43 @@ ScheduleFuzzer::ScheduleFuzzer(const Application& app,
         "fuzzer needs a schedule with per-scenario traces");
   }
 
+  // The session tables: every row, label, condition id and pin a replay
+  // reads, resolved once.
+  const ScheduleTables& tables = schedule_.tables;
+  auto row_of = [](const TableRows& rows, const std::string& name) {
+    const auto it = rows.find(name);
+    return it != rows.end() ? &it->second : nullptr;
+  };
+  auto pin_of = [&](const std::string& name) -> std::optional<Time> {
+    const auto it = schedule_.frozen_starts.find(name);
+    return it != schedule_.frozen_starts.end() ? it->second : kNoPin;
+  };
   first_copy_ = copy_offsets(app_, pa_);
   copies_ = table_copies(app_, pa_);
   for (const TableCopy& c : copies_) {
-    const auto pin = schedule_.frozen_starts.find(c.name);
-    pins_.push_back(pin != schedule_.frozen_starts.end()
-                        ? std::optional<Time>(pin->second)
-                        : std::nullopt);
+    CopyRow& row = copy_rows_.emplace_back();
+    row.entries = row_of(
+        tables.node_rows.at(static_cast<std::size_t>(c.node.get())), c.name);
+    row.pin = pin_of(c.name);
+    for (int a = 0; a <= c.law.budget(); ++a) {
+      row.labels.push_back(attempt_label(c.name, a));
+      row.conds.push_back(tables.conds.find(c.ref, a + 1));
+    }
+  }
+  for (int mi = 0; mi < app_.message_count(); ++mi) {
+    const Message& m = app_.message(MessageId{mi});
+    const ProcessPlan& plan = pa_.plan(m.src);
+    sync_tx_.push_back(tx_rows_.size());
+    for (int j = -1; j < plan.copy_count(); ++j) {
+      const std::string label = copy_row_name(m.name, plan, j);
+      tx_rows_.push_back(
+          {row_of(tables.bus_rows, m.name), label, label, pin_of(m.name)});
+    }
+  }
+  cond_tx_ = tx_rows_.size();
+  for (int id = 0; id < tables.conds.size(); ++id) {
+    const std::string& name = tables.conds.label(id);
+    tx_rows_.push_back({row_of(tables.bus_rows, name), "", name, kNoPin});
   }
 
   for (std::size_t t = 0; t < schedule_.traces.size(); ++t) {
@@ -109,24 +139,31 @@ const ScenarioTrace& ScheduleFuzzer::trace_for(
 ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     const FuzzPerturbation& p) const {
   const ScenarioTrace& nom = trace_for(p.scenario);
+  const ScheduleTables& tables = schedule_.tables;
   Replayed out;
   out.trace.scenario = p.scenario;
   std::vector<FuzzViolation>& bad = out.violations;
-  const std::string scen = " in scenario " + p.scenario.to_string(app_);
+  std::string scen;  // rendered with the first violation
+  auto report = [&](FuzzKind kind, const std::string& what) {
+    if (scen.empty()) scen = " in scenario " + p.scenario.to_string(app_);
+    bad.push_back({kind, what + scen});
+  };
 
-  // Nominal condition values of this scenario: an entry is outcome-
-  // consistent when every guard literal names a condition this scenario
-  // reveals, with the revealed value.
-  // lint: cold-path -- per-trial replay bookkeeping in the fuzz harness;
-  // fuzzing runs after synthesis, never inside move evaluation
-  std::map<int, bool> nominal_value;
-  for (const Reveal& r : nom.reveals) nominal_value[r.cond_id] = r.value;
+  // Nominal condition values of this scenario by condition id (-1 = not
+  // revealed): an entry is outcome-consistent when every guard literal
+  // names a condition this scenario reveals, with the revealed value.
+  std::vector<int> nominal_value(
+      static_cast<std::size_t>(tables.conds.size()), -1);
+  for (const Reveal& r : nom.reveals) {
+    nominal_value[static_cast<std::size_t>(r.cond_id)] = r.value;
+  }
   auto consistent = [&](const Guard& g) {
-    for (const Literal& lit : g.literals()) {
-      const auto it = nominal_value.find(lit.vertex);
-      if (it == nominal_value.end() || it->second != lit.faulted) return false;
-    }
-    return true;
+    return std::all_of(
+        g.literals().begin(), g.literals().end(), [&](Literal lit) {
+          // A negative id wraps past the end: never revealed.
+          const auto id = static_cast<std::size_t>(lit.vertex);
+          return id < nominal_value.size() && nominal_value[id] == lit.faulted;
+        });
   };
 
   // The table entry the run-time scheduler fires for one activation.  Fast
@@ -135,23 +172,20 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   // label (a corrupted table still fires *something*, at the wrong time).
   // Neither: a table gap; the replay continues at the nominal start so one
   // corruption yields one focused violation instead of a cascade.
-  auto fired_start = [&](const TableRows& rows, const std::string& row,
-                         const std::string& label, Time nominal_start,
-                         const std::string& what) {
-    const auto it = rows.find(row);
-    if (it != rows.end()) {
-      for (const TableEntry& e : it->second) {
+  auto fired_start = [&](const Row* row, const std::string& label,
+                         Time nominal_start, const auto& what) {
+    if (row != nullptr) {
+      for (const TableEntry& e : *row) {
         if (e.start == nominal_start && e.label == label &&
             consistent(e.guard)) {
           return nominal_start;
         }
       }
-      for (const TableEntry& e : it->second) {  // sorted by start
+      for (const TableEntry& e : *row) {  // sorted by start
         if (e.label == label && consistent(e.guard)) return e.start;
       }
     }
-    bad.push_back(
-        {FuzzKind::kTableGap, "no table entry for " + what + scen});
+    report(FuzzKind::kTableGap, "no table entry for " + what());
     return nominal_start;
   };
 
@@ -168,27 +202,25 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   // The fault index of a dead copy's last reveal, its death condition; 0
   // while the copy survives.
   std::vector<int> death2(n_copies, 0);
-  // cond_id -> replayed reveal time
-  // lint: cold-path -- per-trial replay bookkeeping in the fuzz harness
-  std::map<int, Time> reveal_at;
+  // Replayed reveal time by condition id; 0 for one not revealed.
+  std::vector<Time> reveal_at(static_cast<std::size_t>(tables.conds.size()),
+                              0);
   out.trace.execs.reserve(nom.execs.size());
 
   for (const ExecTrace& e : nom.execs) {
-    const std::size_t gi = static_cast<std::size_t>(
-        copy_at(e.copy.process.get(), e.copy.copy));
+    const std::size_t gi = copy_at(e.copy);
     const TableCopy& ci = copies_[gi];
+    const CopyRow& row = copy_rows_[gi];
     const CopyRecovery& law = ci.law;
-    const TableRows& rows = schedule_.tables.node_rows.at(
-        static_cast<std::size_t>(ci.node.get()));
     const int es = scale_at(p.exec_scale, gi);
     const int as = scale_at(p.arrival_scale, gi);
 
     std::vector<Time> starts;
     starts.reserve(e.attempt_starts.size());
     for (std::size_t a = 0; a < e.attempt_starts.size(); ++a) {
-      const std::string label = ci.name + "/" + std::to_string(a + 1);
-      starts.push_back(fired_start(rows, ci.name, label, e.attempt_starts[a],
-                                   "attempt " + label));
+      const std::string& label = row.labels[a];
+      starts.push_back(fired_start(row.entries, label, e.attempt_starts[a],
+                                   [&] { return "attempt " + label; }));
     }
 
     // The copy reveals conditions 1..last; the first `struck` of them are
@@ -210,11 +242,10 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
       const Time ready =
           occ[static_cast<std::size_t>(j)] + law.params.alpha + law.params.mu;
       if (starts[a] < ready) {
-        bad.push_back({FuzzKind::kNotReady,
-                       "recovery " + ci.name + "/" + std::to_string(a + 1) +
-                           " fires at t=" + std::to_string(starts[a]) +
-                           " before recovery readiness at t=" +
-                           std::to_string(ready) + scen});
+        report(FuzzKind::kNotReady,
+               "recovery " + row.labels[a] + " fires at t=" +
+                   std::to_string(starts[a]) + " before recovery readiness" +
+                   " at t=" + std::to_string(ready));
       }
     }
 
@@ -229,31 +260,23 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     for (int j = 1; j <= last; ++j) {
       const bool value = j <= e.faults;
       const Time at = value ? occ[static_cast<std::size_t>(j)] : end;
-      const int cond = schedule_.tables.conds.find(ci.ref, j);
+      const int cond = row.conds[static_cast<std::size_t>(j - 1)];
       if (cond < 0) continue;  // never scheduled; nothing to reveal
-      reveal_at[cond] = at;
+      reveal_at[static_cast<std::size_t>(cond)] = at;
       out.trace.reveals.push_back(Reveal{cond, value, at});
     }
 
-    const std::optional<Time>& pin = pins_[gi];
-    if (pin && starts.front() != *pin) {
-      bad.push_back({FuzzKind::kFrozenDivergence,
-                     "frozen process " + ci.name + " starts at t=" +
-                         std::to_string(starts.front()) +
-                         " instead of its pinned t=" +
-                         std::to_string(*pin) + scen});
+    if (row.pin && starts.front() != *row.pin) {
+      report(FuzzKind::kFrozenDivergence,
+             "frozen process " + ci.name + " starts at t=" +
+                 std::to_string(starts.front()) + " instead of its pinned t=" +
+                 std::to_string(*row.pin));
     }
 
-    ExecTrace rexec;
-    rexec.copy = e.copy;
-    rexec.start = starts.front();
-    rexec.end = end;
-    rexec.died = e.died;
-    rexec.faults = e.faults;
-    rexec.attempt_starts = std::move(starts);
     end2[gi] = end;
     death2[gi] = e.died ? last : 0;
-    out.trace.execs.push_back(std::move(rexec));
+    out.trace.execs.push_back(ExecTrace{e.copy, starts.front(), end, e.died,
+                                        e.faults, std::move(starts)});
   }
 
   // ---- pass 2: bus transmissions --------------------------------------
@@ -268,38 +291,30 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
 
   std::vector<Time> tx_start_phys(nom.txs.size(), 0);
   std::vector<Time> tx_finish(nom.txs.size(), 0);
-  // Per-trial replay scratch (fuzz harness, off the move-eval path):
-  // cond_id -> broadcast finish, msgs carried by a frozen sync tx,
-  // (msg, src copy) -> finish, msg -> sync finish.
-  std::map<int, Time> cond_tx_finish;    // lint: cold-path -- see above
-  std::set<std::int32_t> frozen_msgs;    // lint: cold-path -- see above
-  std::map<std::pair<std::int32_t, int>, Time> data_tx_finish;  // lint: cold-path -- see above
-  std::map<std::int32_t, Time> sync_finish;  // lint: cold-path -- see above
+  // Replayed finish by tx row; empty for one the trace does not carry.
+  std::vector<std::optional<Time>> finish(tx_rows_.size());
   out.trace.txs.reserve(nom.txs.size());
 
   for (std::size_t ti = 0; ti < nom.txs.size(); ++ti) {
     const TxTrace& tx = nom.txs[ti];
-    std::string row, label;
-    std::int64_t size = 1;
-    if (tx.is_condition) {
-      row = schedule_.tables.conds.label(tx.cond_id);
-    } else {
-      const Message& m = app_.message(tx.msg);
-      row = m.name;
-      label = copy_row_name(m.name, pa_.plan(m.src), tx.src_copy);
-      size = m.size;
-    }
-    const std::string what =
-        "bus transmission " + (label.empty() ? row : label);
-    const Time table_start = fired_start(schedule_.tables.bus_rows, row,
-                                         label, tx.start, what);
+    const std::size_t at =
+        tx.is_condition
+            ? cond_tx_ + static_cast<std::size_t>(tx.cond_id)
+            : sync_tx_[static_cast<std::size_t>(tx.msg.get())] +
+                  static_cast<std::size_t>(tx.src_copy + 1);
+    const TxRow& row = tx_rows_[at];
+    const Time table_start =
+        fired_start(row.entries, row.label, tx.start,
+                    [&] { return "bus transmission " + row.name; });
     if (phi == 0 &&
         bus.next_slot_start(tx.sender, table_start) != table_start) {
-      bad.push_back({FuzzKind::kSlotMisaligned,
-                     "bus entry " + (label.empty() ? row : label) + " at t=" +
-                         std::to_string(table_start) +
-                         " is not a slot start of its sender" + scen});
+      report(FuzzKind::kSlotMisaligned,
+             "bus entry " + row.name + " at t=" +
+                 std::to_string(table_start) +
+                 " is not a slot start of its sender");
     }
+    const std::int64_t size =
+        tx.is_condition ? 1 : app_.message(tx.msg).size;
     const Time phys_start =
         base + bus.next_slot_start(tx.sender, table_start - base);
     const Time phys_finish =
@@ -308,9 +323,7 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     // Data / detection readiness of the transmission under perturbation.
     Time ready = 0;
     if (tx.is_condition) {
-      const auto it = reveal_at.find(tx.cond_id);
-      if (it != reveal_at.end()) ready = it->second;
-      cond_tx_finish[tx.cond_id] = phys_finish;
+      ready = reveal_at[static_cast<std::size_t>(tx.cond_id)];
     } else if (tx.src_copy < 0) {
       // Frozen sync: ready once the earliest surviving producer copy
       // completed (and never before the transparency pin).
@@ -318,40 +331,28 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
       const ProcessPlan& sp = pa_.plan(m.src);
       Time earliest = kTimeInfinity;
       for (int sj = 0; sj < sp.copy_count(); ++sj) {
-        const std::size_t gi =
-            static_cast<std::size_t>(copy_at(m.src.get(), sj));
+        const std::size_t gi = copy_at(m.src, sj);
         if (death2[gi] == 0) earliest = std::min(earliest, end2[gi]);
       }
       ready = earliest == kTimeInfinity ? 0 : earliest;
-      const auto pin = schedule_.frozen_starts.find(m.name);
-      if (pin != schedule_.frozen_starts.end()) {
-        ready = std::max(ready, pin->second);
-      }
-      frozen_msgs.insert(tx.msg.get());
-      sync_finish[tx.msg.get()] = phys_finish;
+      if (row.pin) ready = std::max(ready, *row.pin);
     } else {
-      ready = end2[static_cast<std::size_t>(
-          copy_at(app_.message(tx.msg).src.get(), tx.src_copy))];
-      data_tx_finish[{tx.msg.get(), tx.src_copy}] = phys_finish;
+      ready = end2[copy_at(app_.message(tx.msg).src, tx.src_copy)];
     }
+    finish[at] = phys_finish;
     if (phys_start < ready) {
-      bad.push_back({FuzzKind::kNotReady,
-                     what + " fires at t=" + std::to_string(phys_start) +
-                         " before its data is ready at t=" +
-                         std::to_string(ready) + scen});
+      report(FuzzKind::kNotReady,
+             "bus transmission " + row.name + " fires at t=" +
+                 std::to_string(phys_start) + " before its data is ready" +
+                 " at t=" + std::to_string(ready));
     }
 
-    if (!tx.is_condition && app_.message(tx.msg).frozen) {
-      const auto pin = schedule_.frozen_starts.find(app_.message(tx.msg).name);
-      if (pin != schedule_.frozen_starts.end() &&
-          table_start != pin->second) {
-        bad.push_back({FuzzKind::kFrozenDivergence,
-                       "frozen message " + app_.message(tx.msg).name +
-                           " transmitted at t=" +
-                           std::to_string(table_start) +
-                           " instead of its pinned t=" +
-                           std::to_string(pin->second) + scen});
-      }
+    if (!tx.is_condition && app_.message(tx.msg).frozen && row.pin &&
+        table_start != *row.pin) {
+      report(FuzzKind::kFrozenDivergence,
+             "frozen message " + app_.message(tx.msg).name +
+                 " transmitted at t=" + std::to_string(table_start) +
+                 " instead of its pinned t=" + std::to_string(*row.pin));
     }
 
     tx_start_phys[ti] = phys_start;
@@ -366,110 +367,110 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   // ---- pass 3: message resolution & first-attempt readiness -----------
   // Local consumers at the producer's end, remote data at the
   // transmission's finish, a dead copy's remote consumers at its death
-  // broadcast's finish (or the producer's end under idealized signalling),
-  // and frozen syncs resolve every consumer.
+  // broadcast's finish, and frozen syncs resolve every consumer.  A remote
+  // consumer whose transmission or broadcast the trace does not carry (as
+  // under idealized signalling) resolves at the producer's end.
   std::vector<Time> data_ready(n_copies, 0);
-  auto raise = [&](int dst, Time at) {
-    Time& r = data_ready[static_cast<std::size_t>(dst)];
-    r = std::max(r, at);
+  auto raise = [&](std::size_t dst, Time at) {
+    data_ready[dst] = std::max(data_ready[dst], at);
   };
   for (int mi = 0; mi < app_.message_count(); ++mi) {
     const Message& m = app_.message(MessageId{mi});
+    const std::size_t sync = sync_tx_[static_cast<std::size_t>(mi)];
     const ProcessPlan& sp = pa_.plan(m.src);
     const ProcessPlan& dp = pa_.plan(m.dst);
-    if (frozen_msgs.count(mi) > 0) {
-      const Time fin = sync_finish[mi];
+    if (finish[sync]) {
       for (int dj = 0; dj < dp.copy_count(); ++dj) {
-        raise(copy_at(m.dst.get(), dj), fin);
+        raise(copy_at(m.dst, dj), *finish[sync]);
       }
       continue;
     }
     for (int sj = 0; sj < sp.copy_count(); ++sj) {
-      const std::size_t gi = static_cast<std::size_t>(copy_at(m.src.get(), sj));
-      const TableCopy& sci = copies_[gi];
+      const std::size_t gi = copy_at(m.src, sj);
       for (int dj = 0; dj < dp.copy_count(); ++dj) {
-        const int gd = copy_at(m.dst.get(), dj);
-        if (copies_[static_cast<std::size_t>(gd)].node == sci.node) {
+        const std::size_t gd = copy_at(m.dst, dj);
+        if (copies_[gd].node == copies_[gi].node) {
           raise(gd, end2[gi]);
           continue;
         }
+        std::optional<Time> heard;
         if (death2[gi] == 0) {
-          const auto f = data_tx_finish.find({mi, sj});
-          raise(gd, f != data_tx_finish.end() ? f->second : end2[gi]);
-        } else {
-          const auto f = cond_tx_finish.find(
-              schedule_.tables.conds.find(sci.ref, death2[gi]));
-          raise(gd, f != cond_tx_finish.end() ? f->second : end2[gi]);
+          heard = finish[sync + static_cast<std::size_t>(sj + 1)];
+        } else if (const int cond = copy_rows_[gi].conds[static_cast<
+                       std::size_t>(death2[gi] - 1)];
+                   cond >= 0) {
+          heard = finish[cond_tx_ + static_cast<std::size_t>(cond)];
         }
+        raise(gd, heard.value_or(end2[gi]));
       }
     }
   }
-  for (std::size_t gi = 0; gi < n_copies; ++gi) {
-    const TableCopy& ci = copies_[gi];
-    const ExecTrace* rexec = nullptr;
-    for (const ExecTrace& e : out.trace.execs) {
-      if (e.copy == ci.ref) { rexec = &e; break; }
-    }
-    if (rexec == nullptr) continue;
-    const Time needed = std::max(data_ready[gi], ci.release);
-    if (rexec->start < needed) {
-      bad.push_back({FuzzKind::kNotReady,
-                     ci.name + " starts at t=" +
-                         std::to_string(rexec->start) +
-                         " before its inputs are ready at t=" +
-                         std::to_string(needed) + scen});
+  for (const ExecTrace& e : out.trace.execs) {
+    const std::size_t gi = copy_at(e.copy);
+    const Time needed = std::max(data_ready[gi], copies_[gi].release);
+    if (e.start < needed) {
+      report(FuzzKind::kNotReady,
+             copies_[gi].name + " starts at t=" + std::to_string(e.start) +
+                 " before its inputs are ready at t=" +
+                 std::to_string(needed));
     }
   }
 
   // ---- pass 4: resource overlap ---------------------------------------
+  // An interval's `who` is a copy index on a node and a transmission index
+  // on the bus (node -1); `name` names it.
   struct Interval {
     Time start;
     Time end;
-    std::string name;
+    std::size_t who;
   };
-  auto check_overlaps = [&](std::vector<Interval>& iv, const std::string& on) {
-    std::sort(iv.begin(), iv.end(), [](const Interval& a, const Interval& b) {
+  auto check_overlaps = [&](std::vector<Interval>& iv, int node,
+                            const auto& name) {
+    std::sort(iv.begin(), iv.end(), [&](const Interval& a, const Interval& b) {
       if (a.start != b.start) return a.start < b.start;
-      return a.name < b.name;
+      return name(a.who) < name(b.who);
     });
     Time busy_until = 0;
-    const std::string* owner = nullptr;
+    const Interval* owner = nullptr;
     for (const Interval& x : iv) {
       if (owner != nullptr && x.start < busy_until) {
-        bad.push_back({FuzzKind::kOverlap,
-                       *owner + " and " + x.name + " overlap" + on + scen});
+        report(FuzzKind::kOverlap,
+               node < 0 ? "bus " + name(owner->who) + " and bus " +
+                              name(x.who) + " overlap"
+                        : name(owner->who) + " and " + name(x.who) +
+                              " overlap on node " +
+                              arch_.node(NodeId{node}).name);
       }
       if (x.end > busy_until || owner == nullptr) {
         busy_until = std::max(busy_until, x.end);
-        owner = &x.name;
+        owner = &x;
       }
     }
   };
   std::vector<std::vector<Interval>> per_node(
       static_cast<std::size_t>(arch_.node_count()));
   for (const ExecTrace& e : out.trace.execs) {
-    const std::size_t gi = static_cast<std::size_t>(
-        copy_at(e.copy.process.get(), e.copy.copy));
-    const TableCopy& ci = copies_[gi];
+    const std::size_t gi = copy_at(e.copy);
     if (e.end <= e.start) continue;
-    per_node[static_cast<std::size_t>(ci.node.get())].push_back(
-        Interval{e.start, e.end, ci.name});
+    per_node[static_cast<std::size_t>(copies_[gi].node.get())].push_back(
+        Interval{e.start, e.end, gi});
   }
+  auto copy_name = [&](std::size_t gi) -> const std::string& {
+    return copies_[gi].name;
+  };
   for (int ni = 0; ni < arch_.node_count(); ++ni) {
-    check_overlaps(per_node[static_cast<std::size_t>(ni)],
-                   " on node " + arch_.node(NodeId{ni}).name);
+    check_overlaps(per_node[static_cast<std::size_t>(ni)], ni, copy_name);
   }
   std::vector<Interval> bus_iv;
   for (std::size_t ti = 0; ti < nom.txs.size(); ++ti) {
-    const TxTrace& tx = nom.txs[ti];
-    const std::string name =
-        tx.is_condition ? schedule_.tables.conds.label(tx.cond_id)
-                        : app_.message(tx.msg).name;
     if (tx_finish[ti] <= tx_start_phys[ti]) continue;
-    bus_iv.push_back(
-        Interval{tx_start_phys[ti], tx_finish[ti], "bus " + name});
+    bus_iv.push_back(Interval{tx_start_phys[ti], tx_finish[ti], ti});
   }
-  check_overlaps(bus_iv, "");
+  check_overlaps(bus_iv, -1, [&](std::size_t ti) -> const std::string& {
+    const TxTrace& tx = nom.txs[ti];
+    return tx.is_condition ? tables.conds.label(tx.cond_id)
+                           : app_.message(tx.msg).name;
+  });
 
   // ---- the paper's own checks over the replayed trace ------------------
   Time makespan = 0;
@@ -482,7 +483,6 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     }
   }
   out.trace.makespan = makespan;
-  out.completion = makespan;
   std::sort(out.trace.reveals.begin(), out.trace.reveals.end(),
             [](const Reveal& a, const Reveal& b) {
               if (a.at != b.at) return a.at < b.at;
@@ -510,11 +510,6 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
 std::vector<FuzzViolation> ScheduleFuzzer::replay(
     const FuzzPerturbation& perturbation) const {
   return replay_trace(perturbation).violations;
-}
-
-Time ScheduleFuzzer::replay_completion(
-    const FuzzPerturbation& perturbation) const {
-  return replay_trace(perturbation).completion;
 }
 
 FuzzPerturbation ScheduleFuzzer::random_perturbation(
@@ -558,7 +553,7 @@ FuzzReport ScheduleFuzzer::fuzz(const FuzzOptions& options) const {
     Replayed r = replay_trace(p);
     Trial& t = slots[i];
     t.ran = true;
-    t.completion = r.completion;
+    t.completion = r.trace.makespan;
     t.violations = std::move(r.violations);
     t.failed = !t.violations.empty();
     if (t.failed) t.perturbation = std::move(p);

@@ -164,7 +164,9 @@ struct FuzzReport {
 /// Table-driven stress executor over one synthesized schedule.  The
 /// schedule must have been built with traces and condition broadcasts (the
 /// defaults of CondScheduleOptions); all references must outlive the
-/// fuzzer.
+/// fuzzer.  The constructor resolves every table row, label, condition id
+/// and frozen pin a replay reads, so the schedule and its tables must not
+/// change while the fuzzer lives (corrupt them before constructing it).
 class ScheduleFuzzer {
  public:
   /// Throws std::invalid_argument when the schedule carries no traces.
@@ -176,10 +178,6 @@ class ScheduleFuzzer {
   /// (kind, message).  Throws std::invalid_argument when the perturbation's
   /// scenario is not covered by the schedule.
   [[nodiscard]] std::vector<FuzzViolation> replay(
-      const FuzzPerturbation& perturbation) const;
-
-  /// Replayed makespan of the perturbation (worst completion observed).
-  [[nodiscard]] Time replay_completion(
       const FuzzPerturbation& perturbation) const;
 
   /// The perturbation trial `trial_seed` draws: a fault scenario and
@@ -208,8 +206,13 @@ class ScheduleFuzzer {
  private:
   struct Replayed;
 
-  [[nodiscard]] int copy_at(std::int32_t pid, int copy) const {
-    return first_copy_[static_cast<std::size_t>(pid)] + copy;
+  /// Flat index of a copy (copy_offsets order).
+  [[nodiscard]] std::size_t copy_at(ProcessId pid, int copy) const {
+    return static_cast<std::size_t>(
+        first_copy_[static_cast<std::size_t>(pid.get())] + copy);
+  }
+  [[nodiscard]] std::size_t copy_at(CopyRef ref) const {
+    return copy_at(ref.process, ref.copy);
   }
   [[nodiscard]] const ScenarioTrace& trace_for(
       const FaultScenario& scenario) const;
@@ -222,8 +225,35 @@ class ScheduleFuzzer {
   FaultModel model_;
   const CondScheduleResult& schedule_;
 
+  using Row = std::vector<TableEntry>;
+
+  /// A copy's table facts: its node row (nullptr when the tables have
+  /// none), its frozen start pin, and per attempt a (0..budget) the label
+  /// of attempt a and the condition id of fault a + 1 (-1 = never
+  /// registered).
+  struct CopyRow {
+    const Row* entries = nullptr;
+    std::optional<Time> pin;
+    std::vector<std::string> labels;
+    std::vector<int> conds;
+  };
+  /// A bus transmission's table facts: its bus row, the label of its
+  /// entries ("" for a condition broadcast), its name in violations and
+  /// its message's frozen start pin.
+  struct TxRow {
+    const Row* entries = nullptr;
+    std::string label;
+    std::string name;
+    std::optional<Time> pin;
+  };
+
   std::vector<TableCopy> copies_;  ///< the table producer's copy table
-  std::vector<std::optional<Time>> pins_;  ///< frozen start pin per copy
+  std::vector<CopyRow> copy_rows_;  ///< in copies_ order
+  /// Per message its frozen sync, then one per source copy; then one per
+  /// condition id, from cond_tx_ on.
+  std::vector<TxRow> tx_rows_;
+  std::vector<std::size_t> sync_tx_;  ///< by MessageId: its sync's tx row
+  std::size_t cond_tx_ = 0;
   std::vector<int> first_copy_;
   /// scenario key (flattened hits) -> index into schedule_.traces.
   // lint: cold-path -- built once per fuzz session over the final traces
