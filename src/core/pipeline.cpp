@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -68,8 +70,22 @@ ThreadPool& SynthesisContext::pool() const {
 
 // --- stages -----------------------------------------------------------------
 
-void PolicyAssignmentStage::run(SynthesisContext& ctx, SynthesisState& state,
-                                StageMetrics& metrics) {
+namespace {
+
+/// What the stages read and write.
+struct SynthesisState {
+  PolicyAssignment assignment;  ///< F and M (after the optimizer stages)
+  Time wcsl_bound = 0;          ///< analytic WCSL of the optimizer stages
+  WcslResult wcsl;              ///< full analytic result (analysis stage)
+  std::optional<CondScheduleResult> schedule;  ///< S, if built
+  bool schedulable = false;
+};
+
+/// A stage fills the evaluation and search counters of its StageMetrics
+/// (the pipeline fills name, wall-clock and skip state, and sums the
+/// stages' search evaluations into SynthesisResult::evaluations).
+void policy_assignment(SynthesisContext& ctx, SynthesisState& state,
+                       StageMetrics& metrics) {
   OptimizeOptions opt = ctx.options().optimize;
   opt.eval = &ctx.eval();
   opt.cancel = &ctx.cancel_token();
@@ -82,8 +98,8 @@ void PolicyAssignmentStage::run(SynthesisContext& ctx, SynthesisState& state,
   metrics.search = r.search_stats;
 }
 
-void CheckpointRefineStage::run(SynthesisContext& ctx, SynthesisState& state,
-                                StageMetrics& metrics) {
+void checkpoint_refine(SynthesisContext& ctx, SynthesisState& state,
+                       StageMetrics& metrics) {
   const SynthesisOptions& options = ctx.options();
   if (!options.refine_checkpoints || !options.optimize.optimize_checkpoints) {
     metrics.skipped = true;
@@ -103,8 +119,8 @@ void CheckpointRefineStage::run(SynthesisContext& ctx, SynthesisState& state,
   metrics.search = r.search_stats;
 }
 
-void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
-                             StageMetrics& metrics) {
+void schedule_tables(SynthesisContext& ctx, SynthesisState& state,
+                     StageMetrics& metrics) {
   const SynthesisOptions& options = ctx.options();
   const EvalStats before = ctx.eval().stats();
   state.wcsl = ctx.eval().evaluate_full(state.assignment);
@@ -133,25 +149,31 @@ void ScheduleTableStage::run(SynthesisContext& ctx, SynthesisState& state,
   }
 }
 
+struct Stage {
+  const char* name;
+  void (*run)(SynthesisContext&, SynthesisState&, StageMetrics&);
+};
+constexpr Stage kStages[] = {{"policy_assignment", policy_assignment},
+                             {"checkpoint_refine", checkpoint_refine},
+                             {"schedule_tables", schedule_tables}};
+constexpr int kStageCount = static_cast<int>(std::size(kStages));
+
+}  // namespace
+
 // --- pipeline ---------------------------------------------------------------
 
-Pipeline& Pipeline::add(std::unique_ptr<Stage> stage) {
-  stages_.push_back(std::move(stage));
-  return *this;
-}
-
 SynthesisResult Pipeline::run(SynthesisContext& ctx) {
-  metrics_.assign(stages_.size(), StageMetrics{});
+  metrics_.assign(std::size(kStages), StageMetrics{});
   SynthesisState state;
   const SynthesisOptions& options = ctx.options();
   CancellationToken& cancel = ctx.cancel_token();
   if (options.total_budget_ms >= 0) {
     cancel.arm_total_budget_ms(options.total_budget_ms);
   }
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    Stage& stage = *stages_[i];
-    StageMetrics& metrics = metrics_[i];
-    metrics.stage = stage.name();
+  for (int i = 0; i < kStageCount; ++i) {
+    const Stage& stage = kStages[i];
+    StageMetrics& metrics = metrics_[static_cast<std::size_t>(i)];
+    metrics.stage = stage.name;
     // The first stage runs even on a fired token: it returns at its first
     // cancellation point with the start, so a cancelled run still reports
     // a valid assignment and its bound.
@@ -160,8 +182,7 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
       metrics.timed_out = cancel.deadline_expired();
       continue;
     }
-    StageProgress progress{static_cast<int>(i), stage_count(), stage.name(),
-                           false};
+    StageProgress progress{i, kStageCount, stage.name, false};
     ctx.report_progress(progress);
     if (options.stage_budget_ms >= 0) {
       cancel.arm_stage_budget_ms(options.stage_budget_ms);
@@ -182,9 +203,9 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
   result.assignment = std::move(state.assignment);
   result.wcsl = std::move(state.wcsl);
   if (result.wcsl.process_finish.empty() && state.wcsl_bound > 0) {
-    // The analysis stage never ran (cancelled pipeline, or a custom stage
-    // list without it): surface the optimizer stages' analytic bound so
-    // the partial result still reports a meaningful worst case.
+    // The analysis stage never ran (a cancelled run): surface the
+    // optimizer stages' analytic bound so the partial result still
+    // reports a meaningful worst case.
     result.wcsl.makespan = state.wcsl_bound;
   }
   result.schedule = std::move(state.schedule);
@@ -195,14 +216,6 @@ SynthesisResult Pipeline::run(SynthesisContext& ctx) {
   result.cancelled = cancel.cancelled();
   result.timed_out = cancel.deadline_expired();
   return result;
-}
-
-Pipeline Pipeline::default_pipeline() {
-  Pipeline pipeline;
-  pipeline.add(std::make_unique<PolicyAssignmentStage>())
-      .add(std::make_unique<CheckpointRefineStage>())
-      .add(std::make_unique<ScheduleTableStage>());
-  return pipeline;
 }
 
 }  // namespace ftes

@@ -1,20 +1,18 @@
-// Stage-based synthesis pipeline (the staged flow of Section 6 as a
-// first-class API).
+// The synthesis pipeline: the staged flow of Section 6.
 //
-// The paper's synthesis is inherently staged -- policy assignment +
-// mapping, checkpoint refinement, conditional schedule-table generation --
-// and tools want to run, skip, reorder or instrument individual stages
-// without re-wiring them by hand.  A Pipeline is an ordered list of Stage
-// objects sharing one SynthesisContext, which owns the problem (app /
-// architecture / fault model + options), the deterministic seed and thread
-// configuration, progress/cancellation hooks, and the shared incremental
-// EvalContext (each optimizer rebases it on its own start; sharing reuses
-// its workspaces and aggregates its counters).  Stages read and write a
-// typed SynthesisState and report structured StageMetrics (evaluations,
-// schedule resumes, search counters, wall-clock) that serialize to JSON.
+// The paper's synthesis runs in three stages -- policy assignment +
+// mapping, checkpoint refinement, conditional schedule-table generation.
+// A Pipeline runs them in that order against one SynthesisContext, which
+// owns the problem (app / architecture / fault model + options), the
+// deterministic seed and thread configuration, progress/cancellation
+// hooks, and the shared incremental EvalContext (each optimizer rebases it
+// on its own start; sharing reuses its workspaces and aggregates its
+// counters).  Each stage reports structured StageMetrics (evaluations,
+// schedule resumes, search counters, wall-clock) that serialize to JSON,
+// and the progress callback hears each stage start and finish.
 //
 // A deadline watchdog (options.stage_budget_ms / total_budget_ms) sits on
-// top of the stage list: the pipeline arms wall-clock budgets on the run's
+// top of the stages: the pipeline arms wall-clock budgets on the run's
 // CancellationToken; the stages' parallel chunk bodies poll it, so an
 // expired budget cancels within one chunk of work and the pipeline returns
 // a well-formed partial result with its StageMetrics marked timed_out.
@@ -26,8 +24,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,15 +84,6 @@ struct StageProgress {
 };
 using ProgressCallback = std::function<void(const StageProgress&)>;
 
-/// The typed blackboard the stages read and write.
-struct SynthesisState {
-  PolicyAssignment assignment;  ///< F and M (after the optimizer stages)
-  Time wcsl_bound = 0;          ///< analytic WCSL of the optimizer stages
-  WcslResult wcsl;              ///< full analytic result (analysis stage)
-  std::optional<CondScheduleResult> schedule;  ///< S, if built
-  bool schedulable = false;
-};
-
 /// Shared per-run context: problem, options, pool, seed, progress and
 /// cancellation, and the incremental evaluator.  Owns copies of the
 /// application and architecture so its lifetime is self-contained.
@@ -131,7 +118,6 @@ class SynthesisContext {
   /// best-so-far.  Callable from any thread (e.g. a progress callback or a
   /// watchdog thread).
   void request_cancel() { cancel_.request_cancel(); }
-  [[nodiscard]] bool cancel_requested() const { return cancel_.cancelled(); }
   /// The run's cancellation token.  The pipeline arms the deadline
   /// watchdog on it (options().stage_budget_ms / total_budget_ms) and the
   /// stages hand it to the optimizers' and schedulers' chunk bodies.
@@ -149,61 +135,20 @@ class SynthesisContext {
   CancellationToken cancel_;
 };
 
-/// One synthesis stage.  Implementations read/write the SynthesisState and
-/// fill the evaluation and search counters of their StageMetrics (the
-/// pipeline fills name, wall-clock and skip state, and sums the stages'
-/// search evaluations into SynthesisResult::evaluations).
-class Stage {
- public:
-  virtual ~Stage() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  virtual void run(SynthesisContext& ctx, SynthesisState& state,
-                   StageMetrics& metrics) = 0;
-};
-
-/// Tabu-search mapping + fault-tolerance policy assignment (src/opt).
-class PolicyAssignmentStage : public Stage {
- public:
-  [[nodiscard]] const char* name() const override {
-    return "policy_assignment";
-  }
-  void run(SynthesisContext& ctx, SynthesisState& state,
-           StageMetrics& metrics) override;
-};
-
-/// Global checkpoint-count refinement (skips itself unless both
-/// options.refine_checkpoints and options.optimize.optimize_checkpoints).
-class CheckpointRefineStage : public Stage {
- public:
-  [[nodiscard]] const char* name() const override {
-    return "checkpoint_refine";
-  }
-  void run(SynthesisContext& ctx, SynthesisState& state,
-           StageMetrics& metrics) override;
-};
-
-/// Final analytic WCSL + schedulability, plus conditional schedule tables
-/// when options.build_schedule_tables (length_error from the exponential
-/// scenario tree downgrades to the analytic bound, as before).
-class ScheduleTableStage : public Stage {
- public:
-  [[nodiscard]] const char* name() const override {
-    return "schedule_tables";
-  }
-  void run(SynthesisContext& ctx, SynthesisState& state,
-           StageMetrics& metrics) override;
-};
-
+/// The three stages of synthesize(), run in order: "policy_assignment"
+/// (tabu-search mapping + fault-tolerance policy assignment, src/opt),
+/// "checkpoint_refine" (global checkpoint-count refinement; skipped unless
+/// both options.refine_checkpoints and options.optimize.optimize_checkpoints)
+/// and "schedule_tables" (final analytic WCSL + schedulability, plus
+/// conditional schedule tables when options.build_schedule_tables; a
+/// length_error from the exponential scenario tree downgrades to the
+/// analytic bound).
 class Pipeline {
  public:
-  Pipeline() = default;
   Pipeline(Pipeline&&) = default;
   Pipeline& operator=(Pipeline&&) = default;
 
-  Pipeline& add(std::unique_ptr<Stage> stage);
-  [[nodiscard]] int stage_count() const {
-    return static_cast<int>(stages_.size());
-  }
+  [[nodiscard]] static Pipeline default_pipeline() { return Pipeline(); }
 
   /// Runs the stages in order against one context.  Once the context's
   /// token has fired, every stage but the first is skipped.  Per-stage
@@ -214,12 +159,9 @@ class Pipeline {
     return metrics_;
   }
 
-  /// The stages `synthesize()` runs: policy assignment, checkpoint
-  /// refinement, schedule tables.
-  [[nodiscard]] static Pipeline default_pipeline();
-
  private:
-  std::vector<std::unique_ptr<Stage>> stages_;
+  Pipeline() = default;
+
   std::vector<StageMetrics> metrics_;
 };
 

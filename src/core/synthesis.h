@@ -13,9 +13,9 @@
 // This facade runs the default synthesis pipeline (core/pipeline.h):
 // tabu-search policy assignment + mapping (src/opt), global checkpoint
 // refinement (src/opt), and, when the scenario space allows it, conditional
-// scheduling into schedule tables (src/sched).  Tooling that needs to run,
-// skip, instrument or cancel individual stages should build a Pipeline and
-// SynthesisContext directly; the results are bit-identical.
+// scheduling into schedule tables (src/sched).  Tooling that needs
+// per-stage metrics, progress reports, budgets or cancellation builds a
+// Pipeline and SynthesisContext directly; the results are bit-identical.
 #pragma once
 
 #include <optional>

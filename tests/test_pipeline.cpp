@@ -1,4 +1,4 @@
-// Tests of the stage-based synthesis pipeline (core/pipeline.h): the
+// Tests of the synthesis pipeline (core/pipeline.h): the
 // default pipeline must be bit-identical to the legacy synthesize() facade
 // and to a manually chained run of the stage functions, for any thread
 // count; progress callbacks and cancellation must behave as documented;
@@ -269,20 +269,6 @@ TEST(Pipeline, WatchdogFieldsSerializeToJson) {
   const std::string json = metrics_to_json(pipeline.metrics());
   EXPECT_NE(json.find("\"timed_out\": false"), std::string::npos);
   EXPECT_NE(json.find("\"cancel_latency_seconds\""), std::string::npos);
-}
-
-// A custom pipeline: running only the policy-assignment stage must leave
-// the schedule empty and still produce a valid assignment (the use case of
-// tools that explore mappings without paying for tables).
-TEST(Pipeline, CustomStageListRunsSubset) {
-  auto f = fig5_app();
-  SynthesisContext ctx(f.app, f.arch, quick(2, 13));
-  Pipeline pipeline;
-  pipeline.add(std::make_unique<PolicyAssignmentStage>());
-  const SynthesisResult result = pipeline.run(ctx);
-  EXPECT_FALSE(result.schedule.has_value());
-  EXPECT_NO_THROW(result.assignment.validate(f.app, FaultModel{2}));
-  EXPECT_GT(result.evaluations, 1);
 }
 
 }  // namespace
