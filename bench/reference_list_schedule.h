@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "fault/recovery.h"
 #include "graph/digraph.h"
 #include "sched/list_scheduler.h"
 
@@ -67,7 +68,8 @@ inline std::vector<Time> reference_copy_ranks(
       const CopyPlan& copy = plan.copies[static_cast<std::size_t>(j)];
       refs.push_back(CopyRef{pid, j});
       nodes.push_back(copy.node);
-      durations.push_back(fault_free_duration(app, copy, pid));
+      durations.push_back(
+          CopyRecovery::of(app.process(pid), copy).run_time(0));
     }
   }
   return reference_copy_graph(app, assignment).critical_path_from([&](int v) {
@@ -113,7 +115,7 @@ inline ListSchedule reference_list_schedule(const Application& app,
       CopyVertex v;
       v.ref = CopyRef{pid, j};
       v.node = copy.node;
-      v.duration = fault_free_duration(app, copy, pid);
+      v.duration = CopyRecovery::of(app.process(pid), copy).run_time(0);
       v.release = app.process(pid).release;
       vert_of[{pid.get(), j}] = static_cast<int>(verts.size());
       verts.push_back(v);

@@ -112,29 +112,6 @@ std::vector<ProcessId> Application::topological_order() const {
   return order;
 }
 
-std::vector<ProcessId> Application::roots() const {
-  std::vector<ProcessId> result;
-  for (int i = 0; i < process_count(); ++i) {
-    if (inputs(ProcessId{i}).empty()) result.push_back(ProcessId{i});
-  }
-  return result;
-}
-
-std::vector<ProcessId> Application::sinks() const {
-  std::vector<ProcessId> result;
-  for (int i = 0; i < process_count(); ++i) {
-    if (outputs(ProcessId{i}).empty()) result.push_back(ProcessId{i});
-  }
-  return result;
-}
-
-std::vector<ProcessId> Application::process_ids() const {
-  std::vector<ProcessId> ids;
-  ids.reserve(processes_.size());
-  for (int i = 0; i < process_count(); ++i) ids.push_back(ProcessId{i});
-  return ids;
-}
-
 void Application::validate(const Architecture& arch) const {
   if (processes_.empty()) throw std::invalid_argument("empty application");
   (void)topological_order();  // throws on cycles

@@ -156,18 +156,10 @@ class Application {
   /// graph has a cycle.
   [[nodiscard]] std::vector<ProcessId> topological_order() const;
 
-  /// Source processes (no inputs).
-  [[nodiscard]] std::vector<ProcessId> roots() const;
-  /// Sink processes (no outputs).
-  [[nodiscard]] std::vector<ProcessId> sinks() const;
-
   /// Validates the model against an architecture: acyclic, every process
   /// runs on >= 1 node, fixed mappings respect restrictions, deadline > 0.
   /// Throws std::invalid_argument with a precise message on violation.
   void validate(const Architecture& arch) const;
-
-  /// All process ids in index order.
-  [[nodiscard]] std::vector<ProcessId> process_ids() const;
 
  private:
   std::vector<Process> processes_;

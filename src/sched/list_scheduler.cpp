@@ -20,27 +20,9 @@ int ListSchedule::copy_index(CopyRef ref) const {
   return idx;
 }
 
-Time ListSchedule::process_finish(ProcessId p) const {
-  if (!p.valid() ||
-      static_cast<std::size_t>(p.get()) + 1 >= first_copy.size()) {
-    return 0;
-  }
-  Time latest = 0;
-  for (int i = first_copy[static_cast<std::size_t>(p.get())];
-       i < first_copy[static_cast<std::size_t>(p.get()) + 1]; ++i) {
-    latest = std::max(latest, copies[static_cast<std::size_t>(i)].finish);
-  }
-  return latest;
-}
-
 // `event` occupies alignment padding: stamping commit indices costs no
 // memory.
 static_assert(sizeof(ScheduledCopy) == 32 && sizeof(ScheduledMessage) == 40);
-
-Time fault_free_duration(const Application& app, const CopyPlan& copy,
-                         ProcessId pid) {
-  return CopyRecovery::of(app.process(pid), copy).run_time(0);
-}
 
 PolicyAssignment strip_fault_tolerance(const Application& app,
                                        const PolicyAssignment& reference) {
@@ -317,7 +299,8 @@ class Scheduler {
     for (int j = 0; j < plan.copy_count(); ++j) {
       const CopyPlan& copy = plan.copies[static_cast<std::size_t>(j)];
       if (!copy.node.valid()) throw std::invalid_argument("unmapped copy");
-      const Time duration = fault_free_duration(app_, copy, pid);
+      const Time duration =
+          CopyRecovery::of(app_.process(pid), copy).run_time(0);
       verts.push_back(CopyVertex{CopyRef{pid, j}, copy.node, duration,
                                  app_.process(pid).release});
       own.push_back(duration +

@@ -83,8 +83,6 @@ struct ListSchedule {
   /// Index into `copies` for a given copy; -1 if absent.  O(1) via the
   /// prefix offsets (the scheduler places copies in vertex-id order).
   [[nodiscard]] int copy_index(CopyRef ref) const;
-  /// Fault-free finish time of the latest copy of a process.
-  [[nodiscard]] Time process_finish(ProcessId p) const;
 };
 
 /// Ready-queue entry: an unplaced copy vertex whose dependencies are all
@@ -217,11 +215,6 @@ struct ScheduleStaticData {
 [[nodiscard]] std::vector<Time> partial_critical_path_ranks(
     const Application& app, const Architecture& arch,
     const PolicyAssignment& assignment);
-
-/// Fault-free duration of one copy under its plan: E(n, 0), or C for a
-/// replica (CopyRecovery::run_time(0)).
-[[nodiscard]] Time fault_free_duration(const Application& app,
-                                       const CopyPlan& copy, ProcessId pid);
 
 /// Convenience: the non-fault-tolerant baseline assignment -- one copy per
 /// process, no checkpoints/recoveries, mapped as `reference` maps copy 0.
