@@ -290,7 +290,6 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   const Time base = phi == 0 ? 0 : phi - round;  // <= 0, keeps args positive
 
   std::vector<Time> tx_start_phys(nom.txs.size(), 0);
-  std::vector<Time> tx_finish(nom.txs.size(), 0);
   // Replayed finish by tx row; empty for one the trace does not carry.
   std::vector<std::optional<Time>> finish(tx_rows_.size());
   out.trace.txs.reserve(nom.txs.size());
@@ -356,7 +355,6 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     }
 
     tx_start_phys[ti] = phys_start;
-    tx_finish[ti] = phys_finish;
     TxTrace rtx = tx;
     rtx.ready = ready;
     rtx.start = table_start;  // logical activation (execute_scenario checks)
@@ -463,8 +461,9 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   }
   std::vector<Interval> bus_iv;
   for (std::size_t ti = 0; ti < nom.txs.size(); ++ti) {
-    if (tx_finish[ti] <= tx_start_phys[ti]) continue;
-    bus_iv.push_back(Interval{tx_start_phys[ti], tx_finish[ti], ti});
+    const Time end = out.trace.txs[ti].finish;
+    if (end <= tx_start_phys[ti]) continue;
+    bus_iv.push_back(Interval{tx_start_phys[ti], end, ti});
   }
   check_overlaps(bus_iv, -1, [&](std::size_t ti) -> const std::string& {
     const TxTrace& tx = nom.txs[ti];
@@ -477,10 +476,8 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
   for (std::size_t gi = 0; gi < n_copies; ++gi) {
     if (death2[gi] == 0) makespan = std::max(makespan, end2[gi]);
   }
-  for (std::size_t ti = 0; ti < nom.txs.size(); ++ti) {
-    if (!nom.txs[ti].is_condition) {
-      makespan = std::max(makespan, tx_finish[ti]);
-    }
+  for (const TxTrace& tx : out.trace.txs) {
+    if (!tx.is_condition) makespan = std::max(makespan, tx.finish);
   }
   out.trace.makespan = makespan;
   std::sort(out.trace.reveals.begin(), out.trace.reveals.end(),
