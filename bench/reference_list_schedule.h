@@ -198,7 +198,7 @@ inline ListSchedule reference_list_schedule(const Application& app,
       const Time ready = std::max(tx.ready, bus_free);
       const Time start = arch.bus().next_slot_start(tx.sender, ready);
       const Time finish =
-          arch.bus().transmission_finish(tx.sender, ready, m.size);
+          arch.bus().transmission(tx.sender, ready, m.size).finish;
       bus_free = finish;
       result.bus_order.push_back(static_cast<int>(result.messages.size()));
       result.messages.push_back(ScheduledMessage{tx.msg, tx.src_copy, tx.sender,

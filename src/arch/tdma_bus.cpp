@@ -74,16 +74,17 @@ Time TdmaBus::next_slot_start(NodeId sender, Time ready) const {
   return next_own_slot(own_slots(sender), ready).second;
 }
 
-Time TdmaBus::transmission_finish(NodeId sender, Time ready,
-                                  std::int64_t size) const {
+TdmaWindow TdmaBus::transmission(NodeId sender, Time ready,
+                                 std::int64_t size) const {
   const std::vector<std::size_t>& own = own_slots(sender);
-  const int frames = frames_needed(size);
-  Time finish = ready;
+  const int frames = frames_needed(size);  // >= 1
+  TdmaWindow window{0, ready};
   for (int f = 0; f < frames; ++f) {
-    const auto [slot, start] = next_own_slot(own, finish);
-    finish = start + slots_[slot].length;
+    const auto [slot, start] = next_own_slot(own, window.finish);
+    if (f == 0) window.start = start;
+    window.finish = start + slots_[slot].length;
   }
-  return finish;
+  return window;
 }
 
 Time TdmaBus::worst_case_duration(NodeId sender, std::int64_t size) const {

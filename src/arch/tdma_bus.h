@@ -23,6 +23,13 @@ struct TdmaSlot {
   Time length = 0;   ///< slot duration in ticks
 };
 
+/// When one transmission occupies the bus: the begin of its first slot and
+/// the end of its last.
+struct TdmaWindow {
+  Time start = 0;
+  Time finish = 0;
+};
+
 class TdmaBus {
  public:
   TdmaBus() = default;
@@ -56,10 +63,12 @@ class TdmaBus {
   /// i.e. the start of the sender's next slot.  O(slots of the sender).
   [[nodiscard]] Time next_slot_start(NodeId sender, Time ready) const;
 
-  /// Completion time of a transmission of `size` payload units by `sender`
-  /// that becomes ready at `ready`: the end of the last slot used.
-  [[nodiscard]] Time transmission_finish(NodeId sender, Time ready,
-                                         std::int64_t size) const;
+  /// A transmission of `size` payload units by `sender` that becomes ready
+  /// at `ready`: its start is next_slot_start(sender, ready), its finish
+  /// the end of the last slot used.  One scan of the sender's slots per
+  /// frame.
+  [[nodiscard]] TdmaWindow transmission(NodeId sender, Time ready,
+                                        std::int64_t size) const;
 
   /// Upper bound on (finish - ready) for any ready time: worst-case wait
   /// for the sender's slot plus the frames themselves.  Used by the

@@ -23,7 +23,7 @@ std::unique_ptr<EvalContext::Workspace> EvalContext::acquire() {
       return ws;
     }
   }
-  return std::make_unique<Workspace>();
+  return std::make_unique<Workspace>(app_, arch_);
 }
 
 void EvalContext::put_back(std::unique_ptr<Workspace> ws) {
@@ -39,15 +39,19 @@ auto EvalContext::with_move(ProcessId pid, const ProcessPlan& plan,
     ws->assignment = base_;
     ws->version = version_;
   }
-  ProcessPlan saved = std::move(ws->assignment.plan(pid));
-  ws->assignment.plan(pid) = plan;
+  // The move's plan goes in through the spare, whose storage a previous
+  // move left: swapping allocates nothing, copy-assigning into a
+  // moved-from plan would.
+  ws->spare = plan;
+  ProcessPlan& slot = ws->assignment.plan(pid);
+  std::swap(slot, ws->spare);
   try {
     auto result = body(*ws);
-    ws->assignment.plan(pid) = std::move(saved);
+    std::swap(slot, ws->spare);
     put_back(std::move(ws));
     return result;
   } catch (...) {
-    ws->assignment.plan(pid) = std::move(saved);
+    std::swap(slot, ws->spare);
     put_back(std::move(ws));
     throw;
   }
@@ -55,19 +59,19 @@ auto EvalContext::with_move(ProcessId pid, const ProcessPlan& plan,
 
 Time EvalContext::rebase(const PolicyAssignment& base, ProcessId) {
   Base& next = *spare_;
-  const ListSchedule& sched = list_schedule(app_, arch_, base, next.log);
   std::unique_ptr<Workspace> ws = acquire();
-  next.outcome =
-      analyze(next.analysis, ws->scratch, ws->process_finish, base, sched, 0);
+  const ListSchedule& sched =
+      ws->scheduler.build(base, next.log, {model_.k, &next.rows, nullptr});
+  next.outcome = score(sched, next.rows, 0, ws->scheduler.worst_row(),
+                       ws->process_finish);
   put_back(std::move(ws));
   const std::size_t width = static_cast<std::size_t>(model_.k) + 1;
-  const std::vector<Time>& rows = next.analysis.L;
-  const std::size_t events = rows.size() / width;
+  const std::size_t events = sched.copies.size() + sched.messages.size();
   next.prefix_max.resize(events + 1);
   next.prefix_max[0] = 0;
   for (std::size_t e = 0; e < events; ++e) {
     next.prefix_max[e + 1] =
-        std::max(next.prefix_max[e], rows[e * width + width - 1]);
+        std::max(next.prefix_max[e], next.rows[e * width + width - 1]);
   }
   base_ = base;
   std::swap(recorded_, spare_);
@@ -94,22 +98,16 @@ void EvalContext::record_resume_stats(const ListScheduleResumeStats& stats) {
   count<&EvalStats::heap_pops>(static_cast<long long>(stats.heap_pops));
 }
 
-EvalContext::Outcome EvalContext::analyze(Analysis& out,
-                                          WcslDagScratch& scratch,
-                                          std::vector<Time>& process_finish,
-                                          const PolicyAssignment& assignment,
-                                          const ListSchedule& sched,
-                                          int first) const {
-  const int k = model_.k;
-  build_wcsl_dag(app_, arch_, assignment, k, sched, out.dag, scratch, first);
-  const std::vector<Time>& base = recorded_->analysis.L;
+EvalContext::Outcome EvalContext::score(
+    const ListSchedule& sched, const std::vector<Time>& rows,
+    std::size_t limit, Time worst, std::vector<Time>& process_finish) const {
+  const std::size_t width = static_cast<std::size_t>(model_.k) + 1;
+  const std::vector<Time>& base = recorded_->rows;
   Outcome result;
-  result.makespan = std::max(
-      first > 0 ? recorded_->prefix_max[static_cast<std::size_t>(first)] : 0,
-      wcsl_dp_from(out.dag, first, base, out.L, k));
+  result.makespan =
+      std::max(limit > 0 ? recorded_->prefix_max[limit] : 0, worst);
   // Worst-case finishes of the processes penalized_cost reads: those with
   // a local deadline.
-  const std::size_t width = static_cast<std::size_t>(k) + 1;
   process_finish.assign(static_cast<std::size_t>(app_.process_count()), 0);
   for (int p = 0; p < app_.process_count(); ++p) {
     if (!app_.process(ProcessId{p}).local_deadline) continue;
@@ -119,8 +117,7 @@ EvalContext::Outcome EvalContext::analyze(Analysis& out,
       const std::size_t e =
           static_cast<std::size_t>(sched.copies[static_cast<std::size_t>(c)]
                                        .event);
-      pf = std::max(pf, (e < static_cast<std::size_t>(first) ? base : out.L)
-                            [e * width + width - 1]);
+      pf = std::max(pf, (e < limit ? base : rows)[e * width + width - 1]);
     }
   }
   result.cost = penalized_cost(app_, process_finish, result.makespan);
@@ -135,16 +132,19 @@ EvalContext::Outcome EvalContext::evaluate_move(ProcessId pid,
   count<&EvalStats::evaluations>();
   const long long index = count<&EvalStats::incremental_evals>();
   return with_move(pid, plan, [&](Workspace& ws) {
-    ListScheduleResumeStats rstats;
-    ws.sched = list_schedule_resume(app_, arch_, base_, recorded_->log,
-                                    ws.assignment, pid, &rstats);
+    const ListScheduler::Rows rows{model_.k, &ws.rows, &recorded_->rows};
+    const ListScheduleResumeStats rstats = ws.scheduler.resume(
+        base_, recorded_->log, ws.assignment, pid, &rows);
     record_resume_stats(rstats);
-    const int limit = static_cast<int>(rstats.events_resumed);
-    const Outcome out = analyze(ws.analysis, ws.scratch, ws.process_finish,
-                                ws.assignment, ws.sched, limit);
+    // One DP row per event: the replayed ones computed at commit, the
+    // resumed ones the base's.
     count<&EvalStats::dp_vertices_total>(
         static_cast<long long>(rstats.events_total));
-    count<&EvalStats::dp_vertices_reused>(limit);
+    count<&EvalStats::dp_vertices_reused>(
+        static_cast<long long>(rstats.events_resumed));
+    const Outcome out =
+        score(ws.scheduler.schedule(), ws.rows, rstats.events_resumed,
+              ws.scheduler.worst_row(), ws.process_finish);
     if (verify_every_ > 0 && (index + 1) % verify_every_ == 0) {
       verify(ws.assignment, out);
     }
@@ -175,13 +175,9 @@ Time EvalContext::fault_free_makespan(ProcessId pid, const ProcessPlan& plan) {
   count<&EvalStats::evaluations>();
   count<&EvalStats::fault_free_evals>();
   return with_move(pid, plan, [&](Workspace& ws) {
-    ListScheduleResumeStats rstats;
-    const Time makespan =
-        list_schedule_resume(app_, arch_, base_, recorded_->log,
-                             ws.assignment, pid, &rstats)
-            .makespan;
-    record_resume_stats(rstats);
-    return makespan;
+    record_resume_stats(
+        ws.scheduler.resume(base_, recorded_->log, ws.assignment, pid));
+    return ws.scheduler.schedule().makespan;
   });
 }
 

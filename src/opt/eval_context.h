@@ -3,46 +3,46 @@
 // The tabu optimizers and the checkpoint refinement evaluate tens of
 // thousands of candidates per run, each differing from an incumbent
 // assignment in a single process plan.  Evaluating a candidate from
-// scratch pays twice over: a full PolicyAssignment copy per candidate and
-// a full fault-free list schedule rebuild.  EvalContext removes both, and
-// scores each candidate with an allocation-free WCSL pass over the events
-// its schedule replayed:
+// scratch pays three times over: a full PolicyAssignment copy per
+// candidate, a full fault-free list schedule rebuild, and a WCSL DAG built
+// and analyzed from scratch.  EvalContext removes all three: a move is
+// scored by one allocation-free pass over the events its schedule replays.
 //
 //   * Moves are expressed as (process, new ProcessPlan) against a cached
 //     *base* assignment.  Per-thread workspaces materialize a candidate by
-//     swapping the one plan in and out, so no full assignment is copied
-//     per candidate.
+//     swapping the one plan in and out through a spare plan, so neither an
+//     assignment nor a plan is allocated per candidate.
 //   * The base's list schedule is built once with a ScheduleCheckpointLog
 //     (sched/list_scheduler.h); a candidate's schedule derives its static
 //     data (durations, dependency counts, ranks) from the log, computing
 //     only the moved process's copies, restores the base's scheduler state
 //     before the first placement the move can affect and replays only the
-//     events from there.
-//   * The WCSL DAG and its DP rows are indexed by commit index
-//     (sched/wcsl.h), so every event before the resume point `limit` has
-//     exactly the base's slice, weight and row: predecessors commit before
-//     their successors, and the moved process's copies, its sends and any
-//     producer whose message to it flips between local and bus all commit
-//     at or after `limit` (the bound list_schedule_resume proves).  A
-//     candidate builds only the slices and weights of events limit..V-1
-//     into its workspace and computes only their DP rows (wcsl_dp_from),
-//     reading earlier rows from the base's flat row array; the makespan
-//     joins the suffix's maximum with the base's prefix maximum before
-//     `limit`.  A warm workspace allocates nothing on this side.
+//     events from there.  Each workspace keeps a ListScheduler, whose
+//     buffers persist, so a warm move evaluation allocates nothing.
+//   * The WCSL DP rows are indexed by commit index (sched/wcsl.h), and the
+//     scheduler computes each replayed event's row as it commits the
+//     event.  Every event before the resume point `limit` has exactly the
+//     base's row: predecessors commit before their successors, and the
+//     moved process's copies, its sends and any producer whose message to
+//     it flips between local and bus all commit at or after `limit` (the
+//     bound the resume proves).  So the rows before `limit` are read from
+//     the base's, and the makespan joins the largest replayed row with the
+//     base's prefix maximum before `limit`.  No WCSL DAG is built.
 //   * A rebase() records the new base's log (schedule, readiness events,
-//     ties and static data) with one from-scratch list-schedule build,
-//     then the same analysis from event 0: the base's DAG, rows, prefix
-//     maxima of row[k] and outcome, which evaluate_base() returns.  It
-//     returns the fault-free makespan -- all the mapping search needs, and
-//     all an accepted move needs, since the search engine already holds
-//     the winner's evaluated objective.  The new base is built aside, so a
-//     rebase that throws leaves the previous one in place.
+//     ties and static data) and its rows with one from-scratch build whose
+//     scheduler computes the rows the same way from event 0, then the
+//     prefix maxima of row[k] and the outcome, which evaluate_base()
+//     returns.  It returns the fault-free makespan -- all the mapping
+//     search needs, and all an accepted move needs, since the search engine
+//     already holds the winner's evaluated objective.  The new base is
+//     built aside, so a rebase that throws leaves the previous one in
+//     place.
 //
 // Results are bit-identical to a from-scratch evaluation: the resumed list
 // schedule is exact by construction (property-tested against full
-// rebuilds), and so is the analysis over its suffix.  EvalStats reports
-// the reuse rate of both layers (placement events and DP rows restored
-// from the base).
+// rebuilds), and so are the rows at commit (tested against the DP over
+// build_wcsl_dag).  EvalStats reports the reuse rate of both layers
+// (placement events and DP rows restored from the base).
 //
 // Shadow verification (`verify_every` N > 0) checks that claim in real
 // runs: the N-th, 2N-th, ... move evaluation, by evaluation index, is
@@ -86,12 +86,11 @@ class EvalContext {
     Time cost = 0;      ///< makespan + soft local-deadline penalties
   };
 
-  /// Caches `base`, records its checkpoint log with one full list schedule
-  /// and its analysis from event 0; returns the base's fault-free
-  /// makespan.  Invalidates workspaces lazily.  On a throw the previous
-  /// base stays.  The ProcessId is ignored: it stays only because the
-  /// benchmark driver (perfbench/src/driver.cpp) calls
-  /// rebase(candidate, pid).
+  /// Caches `base`, records its checkpoint log and its rows with one full
+  /// list schedule; returns the base's fault-free makespan.  Invalidates
+  /// workspaces lazily.  On a throw the previous base stays.  The
+  /// ProcessId is ignored: it stays only because the benchmark driver
+  /// (perfbench/src/driver.cpp) calls rebase(candidate, pid).
   Time rebase(const PolicyAssignment& base, ProcessId = {});
 
   /// WCSL outcome of the base itself, as recorded by rebase().  Counts
@@ -100,8 +99,8 @@ class EvalContext {
   [[nodiscard]] Outcome evaluate_base();
 
   /// WCSL outcome of base-with-plan(pid)-replaced-by-plan: its schedule
-  /// resumed from the base's log, then the analysis from the resume point.
-  /// Requires a prior rebase().
+  /// resumed from the base's log, with the rows of the replayed events
+  /// computed at commit.  Requires a prior rebase().
   [[nodiscard]] Outcome evaluate_move(ProcessId pid, const ProcessPlan& plan);
 
   /// Fault-free list-schedule makespan of the same move (the mapping
@@ -119,28 +118,23 @@ class EvalContext {
   [[nodiscard]] EvalStats stats() const;
 
  private:
-  /// One analyzed schedule: its WCSL DAG and DP rows, indexed by event
-  /// (row e is L[e * (k + 1) ..], see wcsl_dp_from).
-  struct Analysis {
-    WcslDag dag;
-    std::vector<Time> L;
-  };
-
   struct Workspace {
+    Workspace(const Application& app, const Architecture& arch)
+        : scheduler(app, arch) {}
     PolicyAssignment assignment;
+    ProcessPlan spare;  ///< swapped with the moved process's plan
     std::uint64_t version = 0;
-    ListSchedule sched;
-    Analysis analysis;
-    WcslDagScratch scratch;
+    ListScheduler scheduler;
+    std::vector<Time> rows;  ///< the replayed events' rows (ListScheduler)
     std::vector<Time> process_finish;
   };
 
-  /// A recorded base: its checkpoint log, its analysis from event 0, the
-  /// prefix maxima of its rows' L(e, k) (prefix_max[e] = the maximum over
-  /// events before e) and its outcome.
+  /// A recorded base: its checkpoint log, the rows of its events (row e is
+  /// rows[e * (k + 1) ..]), their prefix maxima of L(e, k) (prefix_max[e] =
+  /// the maximum over events before e) and its outcome.
   struct Base {
     ScheduleCheckpointLog log;
-    Analysis analysis;
+    std::vector<Time> rows;
     std::vector<Time> prefix_max;
     Outcome outcome;
   };
@@ -152,14 +146,14 @@ class EvalContext {
   template <class Body>
   auto with_move(ProcessId pid, const ProcessPlan& plan, const Body& body);
 
-  /// The WCSL pass over events first..V-1 of `sched`, a list schedule of
-  /// `assignment` that shares its events before `first` with the recorded
-  /// base (first = 0: none): their DAG slices and DP rows into `out`,
-  /// earlier rows read from the base, then makespan and cost.
-  [[nodiscard]] Outcome analyze(Analysis& out, WcslDagScratch& scratch,
-                                std::vector<Time>& process_finish,
-                                const PolicyAssignment& assignment,
-                                const ListSchedule& sched, int first) const;
+  /// Makespan and cost of `sched`, whose rows are the recorded base's
+  /// before event `limit` and `rows`' from there on; `worst` is the largest
+  /// L(e, k) among the latter.  Reads the rows of the copies of the
+  /// processes with a local deadline into `process_finish`.
+  [[nodiscard]] Outcome score(const ListSchedule& sched,
+                              const std::vector<Time>& rows, std::size_t limit,
+                              Time worst,
+                              std::vector<Time>& process_finish) const;
   void record_resume_stats(const ListScheduleResumeStats& stats);
   /// Compares `out` with a from-scratch evaluation of `candidate`.
   void verify(const PolicyAssignment& candidate, const Outcome& out);
@@ -177,8 +171,8 @@ class EvalContext {
   FaultModel model_;
   int verify_every_ = 0;
 
-  // Cached base: assignment and its recorded log and analysis.  rebase()
-  // builds the next base in spare_ and swaps it in once it is complete.
+  // Cached base: assignment and its recorded log and rows.  rebase() builds
+  // the next base in spare_ and swaps it in once it is complete.
   PolicyAssignment base_;
   std::uint64_t version_ = 0;
   bool base_has_log_ = false;  ///< set by the first rebase()

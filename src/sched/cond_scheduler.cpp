@@ -336,8 +336,10 @@ class CondSim {
         const std::int64_t size =
             tx.is_condition ? 1 : app_.message(tx.msg).size;
         const Time ready = std::max(tx.ready, bus_free);
-        tx.start = arch_.bus().next_slot_start(tx.sender, ready);
-        tx.finish = arch_.bus().transmission_finish(tx.sender, ready, size);
+        const TdmaWindow window =
+            arch_.bus().transmission(tx.sender, ready, size);
+        tx.start = window.start;
+        tx.finish = window.finish;
         bus_free = tx.finish;
         if (tx.is_condition) {
           on_condition_committed(tx);

@@ -14,20 +14,30 @@
 // assignments per run, each differing from an incumbent in a single process
 // plan.  A full build can record a ScheduleCheckpointLog -- the schedule
 // itself, per-vertex readiness events and start-time ties, and the build's
-// static data -- and list_schedule_resume() derives the candidate's static
-// data from the log (recomputing only the moved process's copies), restores
-// its scheduler state before the first event the move can affect straight
-// from the base schedule's commit indices, then runs the ordinary event
-// loop from there.  The resumed schedule is bit-identical to a from-scratch
-// build by construction: the prefix before the resume point is proven
-// unaffected (readiness of the moved process's copies, priority-rank diffs,
-// and local<->bus flips of its inbound messages all bound the resume
-// point), and the suffix is replayed with the candidate's own data.  See
+// static data -- and a resume derives the candidate's static data from the
+// log (recomputing only the moved process's copies), restores its scheduler
+// state before the first event the move can affect straight from the base
+// schedule's commit indices, then runs the ordinary event loop from there.
+// The resumed schedule is bit-identical to a from-scratch build by
+// construction: the prefix before the resume point is proven unaffected
+// (readiness of the moved process's copies, priority-rank diffs, and
+// local<->bus flips of its inbound messages all bound the resume point),
+// and the suffix is replayed with the candidate's own data.  See
 // docs/ARCHITECTURE.md.
+//
+// Rows at commit.  A ListScheduler keeps every buffer from run to run (a
+// warm run allocates nothing) and can compute each event's WCSL DP row
+// (sched/wcsl.h) the moment it commits the event, from rows it already
+// holds: per consumer process a data row, raised by every delivery, and
+// the row of the last event on the node or the bus.  A resumed run reads
+// the rows of the events before its resume point from its base's rows, so
+// scoring a move costs one pass over its replayed events and no WCSL DAG
+// (opt/eval_context.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "app/application.h"
@@ -186,6 +196,56 @@ const ListSchedule& list_schedule(const Application& app,
     const PolicyAssignment& base, const ScheduleCheckpointLog& log,
     const PolicyAssignment& candidate, ProcessId moved,
     ListScheduleResumeStats* stats = nullptr);
+
+/// A list scheduler whose buffers persist from run to run, so that a warm
+/// run allocates nothing, and which can compute each committed event's
+/// WCSL DP row (see "Rows at commit" above).  Its runs schedule exactly as
+/// list_schedule and list_schedule_resume do; `app` and `arch` must
+/// outlive it.  Not thread-safe: one per thread.
+class ListScheduler {
+ public:
+  ListScheduler(const Application& app, const Architecture& arch);
+  ~ListScheduler();
+  ListScheduler(const ListScheduler&) = delete;
+  ListScheduler& operator=(const ListScheduler&) = delete;
+
+  /// Where a run computes WCSL DP rows under `k` faults: row e is
+  /// (*out)[e * (k + 1) ..], L(e, b) for b = 0..k as wcsl_dp_row computes
+  /// it over build_wcsl_dag of the run's schedule.  `out` grows to hold at
+  /// least every event's row and never shrinks.  A resumed run computes
+  /// the rows of the events it replays only; those before its resume point
+  /// are read from `base`, the rows that the build which recorded its log
+  /// computed (laid out alike), and are left unwritten in `out`.
+  struct Rows {
+    int k = 0;
+    std::vector<Time>* out = nullptr;
+    const std::vector<Time>* base = nullptr;
+  };
+
+  /// list_schedule(app, arch, assignment, log), plus the row of every event
+  /// into `rows.out` (`rows.base` is unread).  Same throws.
+  const ListSchedule& build(const PolicyAssignment& assignment,
+                            ScheduleCheckpointLog& log, const Rows& rows);
+
+  /// list_schedule_resume(app, arch, base, log, candidate, moved) into
+  /// schedule(), plus, with `rows`, the rows of the replayed events.
+  /// Returns the run's counters.  Same throws.
+  ListScheduleResumeStats resume(const PolicyAssignment& base,
+                                 const ScheduleCheckpointLog& log,
+                                 const PolicyAssignment& candidate,
+                                 ProcessId moved, const Rows* rows = nullptr);
+
+  /// The last resume's schedule (a build's is its log's).
+  [[nodiscard]] const ListSchedule& schedule() const;
+
+  /// The largest L(e, k) among the rows the last run computed; 0 if none.
+  [[nodiscard]] Time worst_row() const;
+
+  class Impl;  ///< the run state (list_scheduler.cpp)
+
+ private:
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Static data of a build: per copy vertex (indexed like
 /// ListSchedule::copies) its fault-free duration and partial critical path

@@ -55,9 +55,10 @@ RootSchedule build_root_schedule(const Application& app,
     slot.sender = sm.sender;
     slot.ready =
         std::max(wcsl.msg_worst_ready[static_cast<std::size_t>(m)], bus_free);
-    slot.start = arch.bus().next_slot_start(slot.sender, slot.ready);
-    slot.finish = arch.bus().transmission_finish(slot.sender, slot.ready,
-                                                 app.message(sm.msg).size);
+    const TdmaWindow window = arch.bus().transmission(
+        slot.sender, slot.ready, app.message(sm.msg).size);
+    slot.start = window.start;
+    slot.finish = window.finish;
     bus_free = slot.finish;
     root.wcsl = std::max(root.wcsl, slot.finish);
     root.messages.push_back(slot);

@@ -43,33 +43,36 @@
 // Representation.  A vertex is a commit index: vertex e is the copy or
 // transmission the list scheduler committed at event e (ListSchedule's
 // `event` stamps; WcslDag::item maps back), so the topological order is
-// 0..V-1 and no graph search runs.  The DAG is built once per analysis as
+// 0..V-1 and no graph search runs.  build_wcsl_dag lays the DAG out as
 // flat arrays (no graph object): predecessors in compressed sparse row
 // form, an unordered multiset of events per vertex, and one
-// {base, step, cap} weight per vertex.  The DP visits the events in
-// order, and wcsl_dp_row allocates nothing once its row has k + 1
-// entries.  A caller that analyzes many schedules reuses one WcslDag and
-// one WcslDagScratch, so a warm rebuild allocates nothing either.
+// {base, step, cap} weight per vertex.  The DP visits the events in order;
+// wcsl_row_law is its one row law.
 //
-// Resuming.  A vertex's predecessors all commit before it, so its slice,
-// weight and row depend only on the events up to its own.  Two schedules
-// that commit the same items with the same plans up to event `first` (a
-// move's schedule resumed from its base, sched/list_scheduler.h) thus share
-// every slice, weight and row before `first`.  build_wcsl_dag can build
-// only events first..V-1, and wcsl_dp_from can read the rows of earlier
-// events from the base's analysis (opt/eval_context.h does both).
+// Rows at commit.  A vertex's predecessors all commit before it, so the
+// list scheduler can compute each event's row the moment it commits the
+// event, from rows it already holds: a copy's predecessors are its
+// process's data predecessors -- one per (input message, producer copy),
+// exactly the deliveries the scheduler counts -- and the copy committed
+// last on its node; a transmission's are its sending copy and the previous
+// transmission on the bus.  ListScheduler (sched/list_scheduler.h) does so,
+// and the move evaluator (opt/eval_context.h) scores candidates that way
+// without building a DAG.  build_wcsl_dag stays the from-scratch analysis
+// of a given schedule, and the oracle the commit-time rows are checked
+// against.
 //
 // Thread safety: every function here is pure -- all inputs are taken by
-// const reference (only the storage-reusing build_wcsl_dag writes, into
-// the caller's own DAG and scratch), and no global or cached state exists
-// -- so concurrent calls on shared Application/Architecture/
-// PolicyAssignment objects are safe.  The parallel optimizers (opt/) and
-// the batch runner (batch/) rely on this guarantee; keep new code here
-// free of mutable/static state.
+// const reference, and no global or cached state exists -- so concurrent
+// calls on shared Application/Architecture/PolicyAssignment objects are
+// safe.  The parallel optimizers (opt/) and the batch runner (batch/) rely
+// on this guarantee; keep new code here free of mutable/static state.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "app/application.h"
@@ -142,12 +145,74 @@ struct WcslWeight {
   int cap = 0;
 };
 
-/// The resource-augmented schedule DAG shared by the WCSL analyses below
-/// and the move evaluator (opt/eval_context.h): vertex e is the copy or bus
-/// transmission committed at event e; edges are data precedences plus the
-/// per-node / bus static orders of the fault-free schedule; weight[e] is
-/// e's weight law, w_e(f) for f = 0..k.  A DAG built from event `first`
-/// holds item, slices, weights and releases of events first..V-1 only.
+/// The weight law under k faults of copy `copy` of `proc` whose fault-free
+/// run takes `duration` ticks (its scheduled duration, E(n, 0) or C): the
+/// law recovers C from it, and the per-fault step is taken only where some
+/// E(n, f >= 1) is needed (cap >= 1), so a non-positive C throws
+/// std::invalid_argument exactly where the step is used.
+[[nodiscard]] WcslWeight copy_weight(const Process& proc, const CopyPlan& copy,
+                                     Time duration, int k);
+
+/// k fixed at compile time, so that wcsl_row_law's O(k) loops unroll.
+template <int K>
+using FixedK = std::integral_constant<int, K>;
+
+/// Calls `f(k)` with k as a FixedK for the paper's k = 1..7 and as an int
+/// otherwise.
+template <class F>
+decltype(auto) with_fixed_k(int k, F&& f) {
+  switch (k) {
+    case 1: return f(FixedK<1>{});
+    case 2: return f(FixedK<2>{});
+    case 3: return f(FixedK<3>{});
+    case 4: return f(FixedK<4>{});
+    case 5: return f(FixedK<5>{});
+    case 6: return f(FixedK<6>{});
+    case 7: return f(FixedK<7>{});
+    default: return f(k);
+  }
+}
+
+/// The DP's row law, in place: on entry row[b] (b = 0..k) is the maximum
+/// over a vertex's predecessors p of L(p, b) -- all zeros without
+/// predecessors -- and so nondecreasing in b, as every row this law writes
+/// is; on exit row[b] = L(v, b) for the vertex's weight `w` and release, by
+/// the closed forms of the header comment.  `k_arg` is an int or a FixedK.
+/// wcsl_dp_row and the list scheduler's rows at commit both apply it.
+template <class K>
+inline void wcsl_row_law(const WcslWeight& w, Time release, K k_arg,
+                         Time* row) {
+  const int k = k_arg;
+  assert(std::is_sorted(row, row + k + 1));
+  if (w.step == 0 || w.cap <= 0) {
+    for (int b = 0; b <= k; ++b) row[b] = w.base + std::max(release, row[b]);
+  } else if (w.cap >= k) {
+    // Running max of h(j) = g(j) - j * step over j <= b, ascending b:
+    // row[b] is read just before it is overwritten.
+    Time best_h = std::numeric_limits<Time>::lowest();
+    for (int b = 0; b <= k; ++b) {
+      const Time stepped = static_cast<Time>(b) * w.step;
+      best_h = std::max(best_h, std::max(release, row[b]) - stepped);
+      row[b] = w.base + stepped + best_h;
+    }
+  } else {
+    // Window b - cap <= j <= b, descending b: row b reads row[j] for j <= b
+    // only, so each entry is overwritten after its last read.
+    for (int b = k; b >= 0; --b) {
+      Time best_h = std::numeric_limits<Time>::lowest();
+      for (int j = std::max(0, b - w.cap); j <= b; ++j) {
+        best_h = std::max(best_h, std::max(release, row[j]) -
+                                      static_cast<Time>(j) * w.step);
+      }
+      row[b] = w.base + static_cast<Time>(b) * w.step + best_h;
+    }
+  }
+}
+
+/// The resource-augmented schedule DAG of the WCSL analyses below: vertex e
+/// is the copy or bus transmission committed at event e; edges are data
+/// precedences plus the per-node / bus static orders of the fault-free
+/// schedule; weight[e] is e's weight law, w_e(f) for f = 0..k.
 struct WcslDag {
   WcslGraph g;
   int copy_count = 0;
@@ -165,74 +230,34 @@ struct WcslDag {
   }
 };
 
-/// Temporaries of build_wcsl_dag, kept by a caller that builds many DAGs.
-struct WcslDagScratch {
-  /// One process's data predecessors, WcslGraph::preds[begin, end) (in the
-  /// slice of its first built copy), and the latest of their events; begin
-  /// < 0 until a copy of the process is built.
-  struct DataList {
-    int begin = -1;
-    int end = 0;
-    int latest = -1;
-  };
-  std::vector<int> first_tx;    ///< per message: offset into tx_of
-  std::vector<int> tx_of;       ///< (message, source copy) -> its event
-  std::vector<int> order_pred;  ///< per event: node/bus order predecessor
-  std::vector<DataList> data_of;  ///< per process: its data predecessors
-};
-
 /// Builds the augmented DAG for one (assignment, schedule) pair.  The
 /// schedule must be the assignment's own list schedule, as every caller
-/// passes: a copy's weight is read off its scheduled duration (E(n, 0),
-/// or C for a replica) through its CopyRecovery.
+/// passes: a copy's weight is read off its scheduled duration through
+/// copy_weight.
 /// Throws std::invalid_argument when its copy layout (copies.size(),
 /// first_copy) differs from the assignment's, when a copy's `ref` is not
 /// its (process, copy) place in that layout, when a transmission names a
 /// message the application lacks or a source copy its producer lacks, when
 /// a node_order entry is not a copy or a bus_order entry not a
 /// transmission, when its commit indices are not a permutation of
-/// [0, copies + messages), or when a predecessor was committed after its
-/// successor.
+/// [0, copies + messages), when a predecessor was committed after its
+/// successor, or where copy_weight throws.
 [[nodiscard]] WcslDag build_wcsl_dag(const Application& app,
                                      const Architecture& arch,
                                      const PolicyAssignment& assignment, int k,
                                      const ListSchedule& schedule);
 
-/// The same build into caller-owned storage: `dag` and `scratch` keep
-/// their capacity from call to call.  With `first` > 0 only events
-/// first..V-1 are built and checked (see "Resuming" above): the caller
-/// vouches that the schedule's events before `first` are those of a
-/// schedule it analyzed before, with the same plans, and that it lists its
-/// transmissions and each node's and the bus's order in commit order, as
-/// every list schedule does (the build walks them back from their ends).
-void build_wcsl_dag(const Application& app, const Architecture& arch,
-                    const PolicyAssignment& assignment, int k,
-                    const ListSchedule& schedule, WcslDag& dag,
-                    WcslDagScratch& scratch, int first = 0);
-
 /// One row of the budgeted longest-path DP: fills `row` with L(v, b) for
 /// b = 0..k given the already-computed rows of v's predecessors in `L`
-/// (aliasing row == L[v] is fine, v never precedes itself), by the closed
-/// form in the header comment.  Precondition: those rows are rows
-/// wcsl_dp_row wrote (so each is nondecreasing in b), as in a pass over
-/// the topological order.  Returns the incoming bound max_p L(p, k), i.e.
-/// the worst-case start of v before its release is applied.  Allocates
-/// nothing when `row` already holds k + 1 entries.
+/// (aliasing row == L[v] is fine, v never precedes itself), by
+/// wcsl_row_law.  Precondition: those rows are rows wcsl_dp_row wrote (so
+/// each is nondecreasing in b), as in a pass over the topological order.
+/// Returns the incoming bound max_p L(p, k), i.e. the worst-case start of
+/// v before its release is applied.  Allocates nothing when `row` already
+/// holds k + 1 entries.
 Time wcsl_dp_row(const WcslDag& dag, int v,
                  const std::vector<std::vector<Time>>& L, int k,
                  std::vector<Time>& row);
-
-/// The DP pass from event `first` over flat rows: row e is
-/// rows[e * (k + 1) .. e * (k + 1) + k], L(e, b) as wcsl_dp_row computes
-/// it.  Fills the rows of e = first..V-1 in order, reading the rows of
-/// events before `first` from `base`, laid out alike -- the rows of a
-/// schedule sharing those events, see "Resuming" above; unread when
-/// first = 0.  Resizes `rows` to V rows, so a warm `rows` allocates
-/// nothing.  Returns the largest L(e, k) over the pass's events, 0 if
-/// there are none.
-Time wcsl_dp_from(const WcslDag& dag, int first,
-                  const std::vector<Time>& base, std::vector<Time>& rows,
-                  int k);
 
 /// Budgeted longest-path analysis over an existing fault-free schedule.
 [[nodiscard]] WcslResult worst_case_schedule_length(

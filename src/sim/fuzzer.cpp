@@ -314,10 +314,10 @@ ScheduleFuzzer::Replayed ScheduleFuzzer::replay_trace(
     }
     const std::int64_t size =
         tx.is_condition ? 1 : app_.message(tx.msg).size;
-    const Time phys_start =
-        base + bus.next_slot_start(tx.sender, table_start - base);
-    const Time phys_finish =
-        base + bus.transmission_finish(tx.sender, phys_start - base, size);
+    const TdmaWindow phys =
+        bus.transmission(tx.sender, table_start - base, size);
+    const Time phys_start = base + phys.start;
+    const Time phys_finish = base + phys.finish;
 
     // Data / detection readiness of the transmission under perturbation.
     Time ready = 0;

@@ -1,14 +1,18 @@
 // Tests of the incremental evaluation context (opt/eval_context.h): move
-// evaluation over resumed schedules, with the WCSL pass resumed at the
-// same event, must be bit-identical to a from-scratch evaluation for every
-// move family, cost included, and thread-safe under the parallel
-// neighborhood evaluation.
+// evaluation over resumed schedules, with the WCSL rows of the replayed
+// events computed at commit, must be bit-identical to a from-scratch
+// evaluation for every move family, cost included, thread-safe under the
+// parallel neighborhood evaluation, and allocation-free once warm.
 #include "opt/eval_context.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fixtures.h"
@@ -22,6 +26,33 @@
 
 namespace ftes {
 namespace {
+
+/// Heap allocations of this binary: calls of the global operator new (all
+/// variants but the over-aligned ones, which nothing here uses), counted
+/// by the replacements at the end of this file -- or, in a sanitizer
+/// build, whose runtime owns operator new, every allocation, counted by
+/// the runtime's malloc hook.
+std::atomic<long long> g_allocations{0};
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FTES_SANITIZER_RUNTIME 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FTES_SANITIZER_RUNTIME 1
+#endif
+
+#ifdef FTES_SANITIZER_RUNTIME
+extern "C" int __sanitizer_install_malloc_and_free_hooks(
+    void (*malloc_hook)(const volatile void*, std::size_t),
+    void (*free_hook)(const volatile void*));
+const int g_hooks_installed = __sanitizer_install_malloc_and_free_hooks(
+    [](const volatile void*, std::size_t) {
+      g_allocations.fetch_add(1, std::memory_order_relaxed);
+    },
+    [](const volatile void*) {});
+#endif
 
 struct Instance {
   Application app;
@@ -230,6 +261,56 @@ TEST(EvalContext, IncrementalMatchesDigraphReference) {
               (std::vector<int>{event_a, event_a}));
     expect_moves_match_reference(inst, std::move(base), model, 40, 99, other);
   }
+}
+
+// The second pass of the same moves through evaluate_move and
+// fault_free_makespan, on the workspace the first pass grew, allocates
+// nothing: no plan copy, no scheduler buffer, no row array.  Replicas,
+// hybrids and local deadlines make the moves change copy counts and read
+// process finishes.
+TEST(EvalContext, WarmMoveEvaluationAllocatesNothing) {
+#ifdef FTES_SANITIZER_RUNTIME
+  ASSERT_NE(g_hooks_installed, 0);
+#endif
+  Instance inst = make_instance(30, 3, 17);
+  const FaultModel model{3};
+  PolicyAssignment base =
+      greedy_initial(inst.app, inst.arch, model, PolicySpace::kFull, 8);
+  ftes::testing::replicate_every(inst.app, inst.arch, model, 3, base);
+  const WcslResult base_wcsl = evaluate_wcsl(inst.app, inst.arch, base, model);
+  for (int i = 0; i < inst.app.process_count(); i += 4) {
+    inst.app.process(ProcessId{i}).local_deadline =
+        base_wcsl.process_finish[static_cast<std::size_t>(i)] * 3 / 5;
+  }
+  EvalContext eval(inst.app, inst.arch, model);
+  eval.rebase(base);
+  Rng rng(5);
+  std::vector<std::pair<ProcessId, ProcessPlan>> moves;
+  for (int move = 0; move < 40; ++move) {
+    const ProcessId pid{static_cast<std::int32_t>(
+        rng.index(static_cast<std::size_t>(inst.app.process_count())))};
+    moves.emplace_back(pid, random_move(inst, base, pid, model, rng));
+  }
+  std::vector<EvalContext::Outcome> outcomes;
+  std::vector<Time> makespans;
+  outcomes.reserve(moves.size());
+  makespans.reserve(moves.size());
+  for (const auto& [pid, plan] : moves) {
+    outcomes.push_back(eval.evaluate_move(pid, plan));
+    makespans.push_back(eval.fault_free_makespan(pid, plan));
+  }
+  const long long before = g_allocations.load();
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const EvalContext::Outcome out =
+        eval.evaluate_move(moves[i].first, moves[i].second);
+    const Time makespan =
+        eval.fault_free_makespan(moves[i].first, moves[i].second);
+    EXPECT_EQ(out.makespan, outcomes[i].makespan) << "move " << i;
+    EXPECT_EQ(out.cost, outcomes[i].cost) << "move " << i;
+    EXPECT_EQ(makespan, makespans[i]) << "move " << i;
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_GT(eval.stats().dp_vertices_reused, 0);
 }
 
 TEST(EvalContext, RebaseOutcomeMatchesFullEvaluation) {
@@ -708,3 +789,34 @@ TEST(EvalContext, EvaluateBaseWithoutRebaseThrows) {
 
 }  // namespace
 }  // namespace ftes
+
+#ifndef FTES_SANITIZER_RUNTIME
+// Counting replacements of the global allocation functions (see
+// g_allocations): every variant that allocates goes through malloc and
+// every variant that frees through free.  GCC, inlining a sized delete
+// into a caller that used new, would flag the free below as a mismatch.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  ftes::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ftes::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#endif  // FTES_SANITIZER_RUNTIME

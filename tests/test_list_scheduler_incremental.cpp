@@ -255,6 +255,8 @@ TEST(ListSchedulerIncremental, ResumeMatchesFullRebuildForRandomMoves) {
     (void)list_schedule(rc.inst.app, rc.inst.arch, base, log);
     const int moves = rc.inst.app.process_count() > 100 ? 20 : 60;
     Rng rng(99 + c);
+    // One scheduler keeps its buffers across every move of the case.
+    ListScheduler warm(rc.inst.app, rc.inst.arch);
     for (int move = 0; move < moves; ++move) {
       const ProcessId pid{static_cast<std::int32_t>(
           rng.index(static_cast<std::size_t>(rc.inst.app.process_count())))};
@@ -269,6 +271,11 @@ TEST(ListSchedulerIncremental, ResumeMatchesFullRebuildForRandomMoves) {
       expect_identical(resumed, full, "resume-vs-full", move);
       EXPECT_EQ(stats.events_total,
                 stats.events_resumed + stats.events_replayed);
+      const ListScheduleResumeStats warm_stats =
+          warm.resume(base, log, candidate, pid);
+      expect_identical(warm.schedule(), full, "warm-resume-vs-full", move);
+      EXPECT_EQ(warm_stats.events_resumed, stats.events_resumed);
+      EXPECT_EQ(warm_stats.heap_pops, stats.heap_pops);
 
       if (move % 13 == 0) {
         base = std::move(candidate);

@@ -36,10 +36,12 @@ TEST(TdmaBus, NextSlotStartWaitsForOwnSlot) {
   EXPECT_EQ(bus.next_slot_start(n1, 39), 40);
 }
 
-TEST(TdmaBus, TransmissionFinishSingleFrame) {
+TEST(TdmaBus, TransmissionSingleFrame) {
   const TdmaBus bus = TdmaBus::uniform(2, 10);
-  EXPECT_EQ(bus.transmission_finish(NodeId{0}, 0, 1), 10);
-  EXPECT_EQ(bus.transmission_finish(NodeId{1}, 0, 1), 20);
+  EXPECT_EQ(bus.transmission(NodeId{0}, 0, 1).start, 0);
+  EXPECT_EQ(bus.transmission(NodeId{0}, 0, 1).finish, 10);
+  EXPECT_EQ(bus.transmission(NodeId{1}, 0, 1).start, 10);
+  EXPECT_EQ(bus.transmission(NodeId{1}, 0, 1).finish, 20);
 }
 
 TEST(TdmaBus, MultiFrameMessagesSpanRounds) {
@@ -48,7 +50,8 @@ TEST(TdmaBus, MultiFrameMessagesSpanRounds) {
   EXPECT_EQ(bus.frames_needed(4), 1);
   EXPECT_EQ(bus.frames_needed(5), 2);
   // Two frames from N1: slots [0,10) and [20,30).
-  EXPECT_EQ(bus.transmission_finish(NodeId{0}, 0, 5), 30);
+  EXPECT_EQ(bus.transmission(NodeId{0}, 0, 5).start, 0);
+  EXPECT_EQ(bus.transmission(NodeId{0}, 0, 5).finish, 30);
 }
 
 TEST(TdmaBus, WorstCaseDurationBoundsAnyReadyTime) {
@@ -59,7 +62,7 @@ TEST(TdmaBus, WorstCaseDurationBoundsAnyReadyTime) {
       const Time bound = bus.worst_case_duration(sender, size);
       for (Time ready = 0; ready < 2 * bus.round_length(); ++ready) {
         const Time latency =
-            bus.transmission_finish(sender, ready, size) - ready;
+            bus.transmission(sender, ready, size).finish - ready;
         EXPECT_LE(latency, bound)
             << "sender=" << sender.get() << " size=" << size
             << " ready=" << ready;
@@ -110,7 +113,11 @@ TEST(TdmaBus, NodeOwningTwoSlotsOfDifferentLengthsMatchesATickScan) {
           const Time start = scan_start(sender, finish);
           finish = start + slot_at(sender, start);
         }
-        EXPECT_EQ(bus.transmission_finish(sender, ready, size), finish)
+        const TdmaWindow window = bus.transmission(sender, ready, size);
+        EXPECT_EQ(window.start, scan_start(sender, ready))
+            << "sender=" << sender.get() << " ready=" << ready
+            << " size=" << size;
+        EXPECT_EQ(window.finish, finish)
             << "sender=" << sender.get() << " ready=" << ready
             << " size=" << size;
         EXPECT_LE(finish - ready, bus.worst_case_duration(sender, size))
@@ -125,7 +132,7 @@ TEST(TdmaBus, NodeOwningTwoSlotsOfDifferentLengthsMatchesATickScan) {
   const auto expect_no_slot = [](const TdmaBus& b, NodeId sender) {
     EXPECT_THROW((void)b.next_slot_start(sender, 3), std::logic_error)
         << sender.get();
-    EXPECT_THROW((void)b.transmission_finish(sender, 3, 1), std::logic_error)
+    EXPECT_THROW((void)b.transmission(sender, 3, 1), std::logic_error)
         << sender.get();
     EXPECT_THROW((void)b.worst_case_duration(sender, 1), std::logic_error)
         << sender.get();

@@ -1,7 +1,8 @@
 // Tests of the worst-case schedule length analysis (fault-budget DP), of
 // its flat, event-indexed DAG against the historical Digraph-based
-// analysis (bench/reference_wcsl.h), of the DAG a resumed schedule shares
-// with its base, and of the DAG builder's schedule validation.
+// analysis (bench/reference_wcsl.h), of the rows the list scheduler
+// computes at commit against the DP over that DAG, and of the DAG
+// builder's schedule validation.
 #include "sched/wcsl.h"
 
 #include <gtest/gtest.h>
@@ -370,29 +371,7 @@ TEST(WcslReference, CoLocatedPairKeepsEveryEdge) {
   }
 }
 
-// --- a resumed schedule's DAG shares the base's prefix -----------------------
-
-/// The item DAG vertex e of `dag` (a DAG of `sched`) names, as text: the
-/// copy's (process, copy) or the transmission's (message, source copy).
-std::string item_name(const WcslDag& dag, const ListSchedule& sched, int e) {
-  const int it = dag.item[static_cast<std::size_t>(e)];
-  if (it < dag.copy_count) {
-    const CopyRef ref = sched.copies[static_cast<std::size_t>(it)].ref;
-    return "copy " + std::to_string(ref.process.get()) + "/" +
-           std::to_string(ref.copy);
-  }
-  const ScheduledMessage& sm =
-      sched.messages[static_cast<std::size_t>(it - dag.copy_count)];
-  return "tx " + std::to_string(sm.msg.get()) + "/" +
-         std::to_string(sm.src_copy);
-}
-
-std::vector<int> sorted_preds(const WcslDag& dag, int e) {
-  const WcslGraph::Range preds = dag.g.predecessors(e);
-  std::vector<int> out(preds.begin(), preds.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
+// --- rows at commit ----------------------------------------------------------
 
 /// Every DP row of `dag`, in event order.
 std::vector<std::vector<Time>> dp_rows(const WcslDag& dag, int k) {
@@ -404,26 +383,25 @@ std::vector<std::vector<Time>> dp_rows(const WcslDag& dag, int k) {
   return rows;
 }
 
-/// The same vertex `e` in two DAGs: item, predecessor multiset, weight law
-/// and release.
-void expect_same_vertex(const WcslDag& a, const ListSchedule& sa,
-                        const WcslDag& b, const ListSchedule& sb, int e,
-                        const std::string& what) {
-  const std::size_t i = static_cast<std::size_t>(e);
-  EXPECT_EQ(item_name(a, sa, e), item_name(b, sb, e)) << what;
-  EXPECT_EQ(sorted_preds(a, e), sorted_preds(b, e)) << what;
-  EXPECT_EQ(a.weight[i].base, b.weight[i].base) << what;
-  EXPECT_EQ(a.weight[i].step, b.weight[i].step) << what;
-  EXPECT_EQ(a.weight[i].cap, b.weight[i].cap) << what;
-  EXPECT_EQ(a.release[i], b.release[i]) << what;
+/// Row e of a ListScheduler::Rows layout: from `base` before `limit`, from
+/// `rows` from there on.
+std::vector<Time> row_at(const std::vector<Time>& base,
+                         const std::vector<Time>& rows, std::size_t limit,
+                         int k, std::size_t e) {
+  const std::size_t width = static_cast<std::size_t>(k) + 1;
+  const std::vector<Time>& from = e < limit ? base : rows;
+  return std::vector<Time>(
+      from.begin() + static_cast<std::ptrdiff_t>(e * width),
+      from.begin() + static_cast<std::ptrdiff_t>((e + 1) * width));
 }
 
-// The invariant the move evaluator (opt/eval_context.h) rests on: a move's
-// schedule, resumed from its base's log at event `limit`, has the base's
-// item, slice, weight, release and DP row at every event before `limit`; a
-// build from `limit` equals the full build from there on; and DP rows from
-// `limit` that read earlier rows from the base equal the full DP's.
-TEST(WcslResume, EventsBeforeTheResumePointAreTheBases) {
+// The invariant the move evaluator (opt/eval_context.h) rests on: the rows
+// the list scheduler computes as it commits events are the DP's over
+// build_wcsl_dag of the same schedule, event by event -- for a logged full
+// build, and for a move's schedule resumed from it at event `limit`, whose
+// rows before `limit` are read from the build's (so they are the
+// candidate's own too).  One scheduler runs everything, warm.
+TEST(WcslRowsAtCommit, EqualTheDpOverTheDagEventByEvent) {
   int partial = 0;  // moves resumed strictly inside the schedule
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     TaskGenParams params;
@@ -433,79 +411,54 @@ TEST(WcslResume, EventsBeforeTheResumePointAreTheBases) {
     Application app = generate_application(params, rng);
     ftes::testing::release_every(app, 4, 15);
     const Architecture arch = generate_architecture(params);
-    // k = 1..4, and k = 9 past the compile-time k of wcsl_dp_from.
+    // k = 1..4, and k = 9 past the compile-time k of with_fixed_k.
     const FaultModel model{seed == 8 ? 9 : 1 + static_cast<int>(seed % 4)};
+    const std::size_t k = static_cast<std::size_t>(model.k);
     PolicyAssignment base =
         greedy_initial(app, arch, model, PolicySpace::kFull, 8);
     ftes::testing::replicate_every(app, arch, model, 3, base);
     if (model.k >= 2) hybridize_every(app, arch, model, 4, base);
+    ListScheduler scheduler(app, arch);
     ScheduleCheckpointLog log;
-    const ListSchedule& base_sched = list_schedule(app, arch, base, log);
-    const WcslDag base_dag =
-        build_wcsl_dag(app, arch, base, model.k, base_sched);
-    const std::vector<std::vector<Time>> base_rows =
-        dp_rows(base_dag, model.k);
-    std::vector<Time> base_flat;
-    const Time base_max = wcsl_dp_from(base_dag, 0, {}, base_flat, model.k);
-    ASSERT_FALSE(base_flat.empty());
-    EXPECT_EQ(base_max, *std::max_element(base_flat.begin(), base_flat.end()));
-    const std::size_t width = static_cast<std::size_t>(model.k) + 1;
-    for (std::size_t e = 0; e < base_rows.size(); ++e) {
-      EXPECT_TRUE(std::equal(base_rows[e].begin(), base_rows[e].end(),
-                             base_flat.begin() +
-                                 static_cast<std::ptrdiff_t>(e * width)))
+    std::vector<Time> base_rows;
+    const ListSchedule& base_sched =
+        scheduler.build(base, log, {model.k, &base_rows, nullptr});
+    const std::vector<std::vector<Time>> base_dp =
+        dp_rows(build_wcsl_dag(app, arch, base, model.k, base_sched), model.k);
+    Time base_worst = 0;
+    for (std::size_t e = 0; e < base_dp.size(); ++e) {
+      EXPECT_EQ(row_at(base_rows, base_rows, 0, model.k, e), base_dp[e])
           << "seed " << seed << " base event " << e;
+      base_worst = std::max(base_worst, base_dp[e][k]);
     }
+    EXPECT_EQ(scheduler.worst_row(), base_worst) << "seed " << seed;
 
-    WcslDag suffix;
-    WcslDagScratch scratch;
+    std::vector<Time> rows;
     for (int move = 0; move < 30; ++move) {
       const ProcessId pid{static_cast<std::int32_t>(
           rng.index(static_cast<std::size_t>(app.process_count())))};
       PolicyAssignment candidate = base;
       candidate.plan(pid) =
           ftes::testing::random_move(app, arch, base, pid, model, rng);
-      ListScheduleResumeStats stats;
-      const ListSchedule sched =
-          list_schedule_resume(app, arch, base, log, candidate, pid, &stats);
-      const int limit = static_cast<int>(stats.events_resumed);
-      const WcslDag dag = build_wcsl_dag(app, arch, candidate, model.k, sched);
-      const std::vector<std::vector<Time>> rows = dp_rows(dag, model.k);
-      const int total = dag.g.vertex_count();
-      const std::string what =
-          "seed " + std::to_string(seed) + " move " + std::to_string(move);
-      if (limit > 0 && limit < total) ++partial;
-      for (int e = 0; e < limit; ++e) {
-        expect_same_vertex(base_dag, base_sched, dag, sched, e,
-                           what + " prefix event " + std::to_string(e));
-        EXPECT_EQ(base_rows[static_cast<std::size_t>(e)],
-                  rows[static_cast<std::size_t>(e)])
-            << what << " prefix event " << e;
+      const ListScheduler::Rows at{model.k, &rows, &base_rows};
+      const ListScheduleResumeStats stats =
+          scheduler.resume(base, log, candidate, pid, &at);
+      const ListSchedule& sched = scheduler.schedule();
+      ASSERT_EQ(sched.makespan, list_schedule(app, arch, candidate).makespan);
+      const std::vector<std::vector<Time>> dp = dp_rows(
+          build_wcsl_dag(app, arch, candidate, model.k, sched), model.k);
+      const std::size_t limit = stats.events_resumed;
+      ASSERT_EQ(dp.size(), stats.events_total);
+      if (limit > 0 && limit < dp.size()) ++partial;
+      Time worst = 0;
+      for (std::size_t e = 0; e < dp.size(); ++e) {
+        EXPECT_EQ(row_at(base_rows, rows, limit, model.k, e), dp[e])
+            << "seed " << seed << " move " << move << " event " << e
+            << " (resumed at " << limit << ")";
+        if (e >= limit) worst = std::max(worst, dp[e][k]);
       }
-      build_wcsl_dag(app, arch, candidate, model.k, sched, suffix, scratch,
-                     limit);
-      std::vector<Time> suffix_rows;
-      Time suffix_max = 0;
-      for (int e = limit; e < total; ++e) {
-        expect_same_vertex(dag, sched, suffix, sched, e,
-                           what + " suffix event " + std::to_string(e));
-        suffix_max = std::max(
-            suffix_max,
-            rows[static_cast<std::size_t>(e)][static_cast<std::size_t>(
-                model.k)]);
-      }
-      EXPECT_EQ(wcsl_dp_from(suffix, limit, base_flat, suffix_rows, model.k),
-                suffix_max)
-          << what;
-      for (int e = limit; e < total; ++e) {
-        const std::vector<Time>& row = rows[static_cast<std::size_t>(e)];
-        EXPECT_TRUE(std::equal(
-            row.begin(), row.end(),
-            suffix_rows.begin() +
-                static_cast<std::ptrdiff_t>(static_cast<std::size_t>(e) *
-                                            width)))
-            << what << " suffix event " << e;
-      }
+      EXPECT_EQ(scheduler.worst_row(), worst)
+          << "seed " << seed << " move " << move;
     }
   }
   EXPECT_GT(partial, 0);
@@ -577,33 +530,6 @@ TEST(WcslValidation, CommitIndicesOfAListScheduleAreItsEventOrder) {
   const WcslDag dag = build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched);
   EXPECT_EQ(dag.g.topological_order(), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(dag.item, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(WcslValidation, FirstEventOutsideTheScheduleIsRejected) {
-  const Chain c = chain_on_one_node();
-  WcslDag dag;
-  WcslDagScratch scratch;
-  for (int first : {-1, 4}) {
-    EXPECT_THROW(build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched, dag,
-                                scratch, first),
-                 std::invalid_argument)
-        << "first " << first;
-  }
-  // From the last event past it: no vertex is built.
-  build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, c.sched, dag, scratch, 3);
-  EXPECT_EQ(dag.g.vertex_count(), 3);
-  EXPECT_TRUE(dag.g.preds.empty());
-}
-
-TEST(WcslValidation, DuplicatedCommitIndexInASuffixBuildIsRejected) {
-  const Chain c = chain_on_one_node();
-  ListSchedule sched = c.sched;
-  sched.copies[2].event = sched.copies[1].event;
-  WcslDag dag;
-  WcslDagScratch scratch;
-  EXPECT_THROW(build_wcsl_dag(c.app, c.arch, c.pa, c.model.k, sched, dag,
-                              scratch, 1),
-               std::invalid_argument);
 }
 
 TEST(WcslValidation, ScheduleOfAnotherCopyLayoutIsRejected) {
